@@ -348,14 +348,12 @@ def _medoid_run_with_plane(data):
     ).run(data, seed=5)
 
 
-def _medoid_run_per_restart_recompute(data):
-    """The pre-plane behavior: every restart rebuilds the ÊD matrix."""
-    return MultiRestartRunner(
-        UKMedoids(MEDOID_K, max_iter=MEDOID_MAX_ITER),
-        n_init=MEDOID_RESTARTS,
-        backend="serial",
-        share_pairwise=False,
-    ).run(data, seed=5)
+def _medoid_run_per_restart_recompute(data, seeds=range(MEDOID_RESTARTS)):
+    """The pre-plane behavior: direct fits, each rebuilding the ÊD matrix."""
+    return [
+        UKMedoids(MEDOID_K, max_iter=MEDOID_MAX_ITER).fit(data, seed=seed)
+        for seed in seeds
+    ]
 
 
 def test_ukmedoids_plane_shared(benchmark, medoid_data):
@@ -379,12 +377,19 @@ def test_pairwise_plane_speedup_floor(medoid_data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         shared_result = _medoid_run_with_plane(medoid_data)  # warm
-        recompute_result = _medoid_run_per_restart_recompute(medoid_data)
+        seeds = [
+            entry["seed"] for entry in shared_result.extras["restart_history"]
+        ]
+        recompute_result = min(
+            _medoid_run_per_restart_recompute(medoid_data, seeds),
+            key=lambda result: result.objective,
+        )
         shared = _best_of(
             lambda: _medoid_run_with_plane(medoid_data), repeats=2
         )
         recompute = _best_of(
-            lambda: _medoid_run_per_restart_recompute(medoid_data), repeats=2
+            lambda: _medoid_run_per_restart_recompute(medoid_data, seeds),
+            repeats=2,
         )
     np.testing.assert_array_equal(shared_result.labels, recompute_result.labels)
     assert shared_result.objective == recompute_result.objective
@@ -438,11 +443,7 @@ def _isolated_cells():
     rebuilds the scoring ``ÊD`` matrix — exactly what running each grid
     cell as its own `fit_runs` invocation costs.
     """
-    from repro.experiments.table3 import (
-        prepare_table3_group,
-        run_table3_cell,
-        skip_table3_cell,
-    )
+    from repro.experiments.table3 import prepare_table3_group, run_table3_cell
     from repro.objects.distance import pairwise_squared_expected_distances
     from repro.utils.rng import spawn_rngs
 
@@ -454,8 +455,8 @@ def _isolated_cells():
             for alg in SWEEP_ALGORITHMS:
                 ds_rng = spawn_rngs(config.seed, len(SWEEP_DATASETS))[ds_idx]
                 dataset = prepare_table3_group(ds_name, ds_rng, config)
-                for _ in range(cell_pos):
-                    skip_table3_cell(ds_rng, config)
+                for _ in range(cell_pos):  # replay earlier cells' streams
+                    spawn_rngs(ds_rng, config.n_runs + 1)
                 distances = pairwise_squared_expected_distances(dataset)
                 quality[(ds_name, k, alg)] = run_table3_cell(
                     alg, dataset, k, ds_rng, config, distances

@@ -26,6 +26,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.exceptions import InvalidParameterError, ReproError, SweepStoreError
 from repro.experiments import (
     ACCURACY_ROSTER,
     ExperimentConfig,
@@ -239,78 +240,62 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         run_sweep_worker,
         run_sweep_workers,
     )
-    from repro.exceptions import SweepStoreError
 
     if args.store is None and args.join is None:
-        print("error: provide --store PATH (or --join PATH)", file=sys.stderr)
-        return 2
+        raise InvalidParameterError("provide --store PATH (or --join PATH)")
     grid = _sweep_grid(args)
-    try:
-        if args.join is not None:
-            outcome = run_sweep_worker(
-                grid,
-                args.join,
-                lease_ttl=args.lease_ttl,
-                progress=print,
-                store_backend=args.store_backend,
-            )
-        elif args.workers > 1:
-            outcome = run_sweep_workers(
-                grid,
-                args.store,
-                workers=args.workers,
-                lease_ttl=args.lease_ttl,
-                progress=print,
-                store_backend=args.store_backend,
-            )
-        else:
-            outcome = run_sweep(
-                grid,
-                args.store,
-                resume=args.resume,
-                progress=print,
-                store_backend=args.store_backend,
-            )
-    except SweepStoreError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    if args.join is not None:
+        outcome = run_sweep_worker(
+            grid,
+            args.join,
+            lease_ttl=args.lease_ttl,
+            progress=print,
+            store_backend=args.store_backend,
+        )
+    elif args.workers > 1:
+        outcome = run_sweep_workers(
+            grid,
+            args.store,
+            workers=args.workers,
+            lease_ttl=args.lease_ttl,
+            progress=print,
+            store_backend=args.store_backend,
+        )
+    else:
+        outcome = run_sweep(
+            grid,
+            args.store,
+            resume=args.resume,
+            progress=print,
+            store_backend=args.store_backend,
+        )
     print(f"sweep complete: {outcome.summary()} (store: {outcome.store_root})")
     return 0
 
 
 def _cmd_store_migrate(args: argparse.Namespace) -> int:
     from repro.engine.store import migrate_store
-    from repro.exceptions import SweepStoreError
 
-    try:
-        report = migrate_store(
-            args.src,
-            args.dst,
-            source_backend=args.src_backend,
-            destination_backend=args.dst_backend,
-            progress=print if args.verbose else None,
-        )
-    except SweepStoreError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    report = migrate_store(
+        args.src,
+        args.dst,
+        source_backend=args.src_backend,
+        destination_backend=args.dst_backend,
+        progress=print if args.verbose else None,
+    )
     print(report.summary())
     return 0
 
 
 def _cmd_store_diff(args: argparse.Namespace) -> int:
     from repro.engine.store import diff_stores
-    from repro.exceptions import SweepStoreError
 
-    try:
-        differences = diff_stores(
-            args.left,
-            args.right,
-            left_backend=args.left_backend,
-            right_backend=args.right_backend,
-        )
-    except SweepStoreError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    differences = diff_stores(
+        args.left,
+        args.right,
+        left_backend=args.left_backend,
+        right_backend=args.right_backend,
+    )
     if differences:
         for line in differences:
             print(line)
@@ -322,15 +307,12 @@ def _cmd_store_diff(args: argparse.Namespace) -> int:
 
 def _cmd_store_summary(args: argparse.Namespace) -> int:
     from repro.engine.store import open_store
-    from repro.exceptions import SweepStoreError
     from repro.utils.tables import format_table
 
     store = open_store(args.path, backend=args.backend)
     try:
-        manifest = store.read_manifest()
-        if manifest is None:
-            print(f"error: {args.path} has no sweep manifest", file=sys.stderr)
-            return 2
+        if store.read_manifest() is None:
+            raise SweepStoreError(f"{args.path} has no sweep manifest")
         summary = store.metric_summary()
         print(
             format_table(
@@ -362,9 +344,6 @@ def _cmd_store_summary(args: argparse.Namespace) -> int:
                     title=f"rank over grid — {args.metric} (top {args.top})",
                 )
             )
-    except SweepStoreError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     finally:
         store.close()
     return 0
@@ -376,24 +355,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
         render_markdown,
         write_experiments_report,
     )
-
-    from repro.exceptions import SweepStoreError
-
-    try:
-        artifacts = collect_artifacts(
-            table2_config=_config(args),
-            table3_config=_config(args, scale=0.02, n_runs=max(1, args.runs // 2)),
-            figure4_config=_config(args, scale=0.05, n_runs=max(1, args.runs // 2)),
-            figure5_config=_config(args, n_runs=max(1, args.runs // 2)),
-            figure5_base_size=args.base_size,
-            store=args.store,
-            resume=args.resume,
-            store_backend=args.store_backend,
-        )
-    except SweepStoreError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     from repro.experiments.shapes import run_all_checks
+
+    artifacts = collect_artifacts(
+        table2_config=_config(args),
+        table3_config=_config(args, scale=0.02, n_runs=max(1, args.runs // 2)),
+        figure4_config=_config(args, scale=0.05, n_runs=max(1, args.runs // 2)),
+        figure5_config=_config(args, n_runs=max(1, args.runs // 2)),
+        figure5_base_size=args.base_size,
+        store=args.store,
+        resume=args.resume,
+        store_backend=args.store_backend,
+    )
 
     checks = run_all_checks(
         artifacts.table2, artifacts.table3, artifacts.figure4, artifacts.figure5
@@ -569,9 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument(
         "--store",
         default=None,
-        help="route the four suites through the sweep orchestrator, "
-        "persisting every cell in this resumable result store "
-        "(directory = JSON backend, .sqlite file = SQLite backend)",
+        help="persist every cell of the four suites in this resumable "
+        "result store (directory = JSON backend, .sqlite file = SQLite "
+        "backend)",
     )
     pr.add_argument(
         "--store-backend",
@@ -716,10 +689,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A library error (any :class:`~repro.exceptions.ReproError`, e.g. an
+    invalid parameter value or a refused result store) exits 2 with a
+    one-line message, like argparse's own usage errors.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

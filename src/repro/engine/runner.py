@@ -45,7 +45,7 @@ from repro.engine.backends import (
     get_backend,
     validate_batch_size,
 )
-from repro.engine.distances import pinned_pairwise_ed, resolve_pairwise_ed
+from repro.engine.distances import resolve_pairwise_ed
 from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
 
@@ -98,12 +98,6 @@ class MultiRestartRunner:
         across restarts when the algorithm is sample-based.  Restarts
         then differ only in initialization, mirroring how the paper
         fixes the sample sets while varying seeds.
-    share_pairwise:
-        Compute one :meth:`UncertainDataset.pairwise_ed` matrix and
-        share it across restarts when the algorithm declares
-        ``wants_pairwise_ed``.  The matrix is deterministic, so this
-        never changes results — disabling it (benchmarks, regression
-        tests) merely restores the pre-plane per-restart recompute.
     backend:
         ``"serial"``, ``"threads"``, ``"processes"``, ``"auto"``
         (per-algorithm-family dispatch), an
@@ -133,7 +127,6 @@ class MultiRestartRunner:
         n_init: int = 10,
         n_jobs: int = 1,
         share_samples: bool = True,
-        share_pairwise: bool = True,
         backend: BackendLike = None,
         early_stopping: Optional[EarlyStopping | int] = None,
         batch_size: BatchSizeLike = 1,
@@ -146,15 +139,11 @@ class MultiRestartRunner:
         self.n_init = int(n_init)
         self.n_jobs = int(n_jobs)
         self.share_samples = bool(share_samples)
-        self.share_pairwise = bool(share_pairwise)
         self.batch_size = validate_batch_size(batch_size)
         self.backend = get_backend(backend, self.n_jobs, batch_size=self.batch_size)
         if isinstance(early_stopping, int):
             early_stopping = EarlyStopping(patience=early_stopping)
         self.early_stopping = early_stopping
-        #: Whether the most recent run injected a shared ÊD matrix —
-        #: provenance for the ``shared_pairwise_ed`` extras flag.
-        self._pairwise_injected = False
 
     # ------------------------------------------------------------------
     def run(
@@ -276,21 +265,6 @@ class MultiRestartRunner:
             or getattr(self.clusterer, "sample_cache", None) is not None
         )
 
-    def _pairwise_shared(self) -> bool:
-        """Whether restarts read one shared ``ÊD`` matrix.
-
-        Evaluated after the run (the engine-injected cache is restored
-        by then): True when the plane injected a matrix, or when the
-        caller pinned/fixed one themselves.
-        """
-        if not getattr(self.clusterer, "wants_pairwise_ed", False):
-            return False
-        if self._pairwise_injected:
-            return True
-        if getattr(self.clusterer, "pairwise_ed_cache", None) is not None:
-            return True
-        return getattr(self.clusterer, "precomputed", None) is not None
-
     def _derive_seeds(
         self, seed: SeedLike, need_sample: bool
     ) -> tuple[List[int], Optional[int]]:
@@ -334,17 +308,11 @@ class MultiRestartRunner:
             n_samples = int(self.clusterer.n_samples)
             cache = dataset.sample_tensor(n_samples, sample_seed)
             self.clusterer.sample_cache = cache
-        # ``share_pairwise=False`` disables only the *automatic*
-        # dataset-cache injection; an explicitly passed matrix is an
-        # explicit instruction and is honored regardless.  Either way
-        # the clusterer's own matrix (pinned cache or constructor
+        # The clusterer's own matrix (pinned cache or constructor
         # ``precomputed``) always wins — resolve returns None then.
-        self._pairwise_injected = False
-        if self.share_pairwise or pairwise_ed is not None:
-            ed_matrix = resolve_pairwise_ed(self.clusterer, dataset, pairwise_ed)
-            if ed_matrix is not None:
-                self.clusterer.pairwise_ed_cache = ed_matrix
-                self._pairwise_injected = True
+        ed_matrix = resolve_pairwise_ed(self.clusterer, dataset, pairwise_ed)
+        if ed_matrix is not None:
+            self.clusterer.pairwise_ed_cache = ed_matrix
         try:
             return self.backend.run(
                 self.clusterer, dataset, restart_seeds,
@@ -400,7 +368,11 @@ class MultiRestartRunner:
             # (get_backend ignores the runner's batch_size for it).
             engine_batch_size=getattr(self.backend, "batch_size", self.batch_size),
             shared_samples=shared,
-            shared_pairwise_ed=self._pairwise_shared(),
+            # Every run of a ÊD-plane algorithm reads one matrix: the
+            # injected one, or the clusterer's own pinned/fixed one.
+            shared_pairwise_ed=bool(
+                getattr(self.clusterer, "wants_pairwise_ed", False)
+            ),
             restarts_executed=len(results),
             early_stopped=len(results) < self.n_init,
             restart_history=[asdict(record) for record in history],
@@ -424,7 +396,6 @@ def fit_runs(
     dataset: UncertainDataset,
     seeds: Sequence[SeedLike],
     *,
-    engine: bool = True,
     sample_seed: SeedLike = None,
     share_samples: Optional[bool] = None,
     n_jobs: int = 1,
@@ -432,17 +403,14 @@ def fit_runs(
     batch_size: BatchSizeLike = 1,
     pairwise_ed: Optional[np.ndarray] = None,
 ) -> List[ClusteringResult]:
-    """Fit ``clusterer`` once per seed, optionally through the engine.
+    """Fit ``clusterer`` once per seed through the engine.
 
-    The uniform multi-run entry point of the experiment runners: with
-    ``engine=True`` (default) the fits execute through
-    :meth:`MultiRestartRunner.run_all`, sharing the dataset's moment
-    matrices, — for sample-based algorithms — one sample tensor drawn
-    from ``sample_seed``, and — for ``wants_pairwise_ed`` algorithms —
-    one pairwise ``ÊD`` matrix (``pairwise_ed``, or the dataset's cached
-    one); with ``engine=False`` each seed is fitted directly (the
-    pre-engine idiom, kept as the reference path for the
-    routing-equivalence tests).
+    The uniform multi-run entry point of the experiment runners: the
+    fits execute through :meth:`MultiRestartRunner.run_all`, sharing the
+    dataset's moment matrices, — for sample-based algorithms — one
+    sample tensor drawn from ``sample_seed``, and — for
+    ``wants_pairwise_ed`` algorithms — one pairwise ``ÊD`` matrix
+    (``pairwise_ed``, or the dataset's cached one).
 
     ``share_samples=None`` resolves per algorithm: algorithms whose
     only randomness is the Monte-Carlo draw
@@ -450,9 +418,9 @@ def fit_runs(
     tensors from their own run seeds — sharing one tensor would make
     every "run" the same realization, degrading a multi-run average to
     a single measurement — while everything else shares.  With that
-    resolution the engine path is fit-for-fit identical to the direct
-    path for both the moment-based *and* the sample-deterministic
-    algorithms.
+    resolution the series is fit-for-fit identical to
+    ``[clusterer.fit(dataset, seed=s) for s in seeds]`` for both the
+    moment-based *and* the sample-deterministic algorithms.
 
     ``backend``/``batch_size`` select the execution backend and the
     in-worker restart chunking for the series (see
@@ -461,17 +429,6 @@ def fit_runs(
     wall-clock time.
     """
     seeds = list(seeds)
-    if not engine:
-        if pairwise_ed is None:
-            return [clusterer.fit(dataset, seed=s) for s in seeds]
-        # The reference path keeps its per-fit recompute semantics, but
-        # an *explicit* matrix must mean the same thing in both modes —
-        # otherwise engine=False stops being the bit-identical
-        # routing-equivalence baseline for callers handing one in.
-        with pinned_pairwise_ed(
-            clusterer, resolve_pairwise_ed(clusterer, dataset, pairwise_ed)
-        ):
-            return [clusterer.fit(dataset, seed=s) for s in seeds]
     if share_samples is None:
         share_samples = not getattr(clusterer, "sample_randomness_only", False)
     runner = MultiRestartRunner(

@@ -1,37 +1,33 @@
-"""Paper-grid sweep orchestrator: one shared-cache schedule for the grid.
+"""Paper-grid sweep orchestrator: one walker for every paper artifact.
 
 The paper's headline artifacts (Tables 2-3, Figures 4-5) are a *grid*
 of run-sets — datasets x algorithms x parameters — and every cell that
 shares a dataset also shares that dataset's off-line work: the stacked
 moment matrices, the compiled sampling plan, and the pairwise ``ÊD``
-matrix of the distance plane.  The experiment runners already share
-those caches *within* one invocation; this module turns the whole grid
-into one explicit schedule of dataset groups so that
+matrix of the distance plane.  This module walks the grid as one
+explicit schedule of dataset groups, so that
 
 * each dataset is materialized **once** and every cell that needs it
   reads the same object (hence the same moment matrices, the same
   cached :meth:`~repro.objects.dataset.UncertainDataset.pairwise_ed`
   matrix and the same compiled sampling plan);
-* under the ``processes``/``auto`` backends the group's stable arrays
-  are published to shared memory **once** for all of its cells
+* under the ``processes``/``auto`` backends each dataset's stable
+  arrays are published to shared memory **once** for all of its cells
   (:func:`repro.engine.backends.shared_block_registry`), instead of
   once per run-set;
-* every cell's result lands in a **resumable JSON store**: one file per
-  cell, written atomically, carrying the cell's values plus a
+* with a result store, every cell's values land in it together with a
   fingerprint of the seed stream that produced them.
 
-Bit-identity contract
----------------------
-A sweep cell equals the corresponding cell of a direct
-``run_table2``/``run_table3``/``run_figure4``/``run_figure5`` call with
-the same spec, on every backend: the orchestrator executes the exact
-group/cell helpers the runners themselves use, in the exact iteration
-order, consuming the exact seed streams.  On ``resume``, completed
-cells are skipped but their seed consumption is *replayed* (the
-``skip_*_cell`` helpers), so every pending cell still sees the streams
-an uninterrupted run would have produced — the resumed store is
-byte-identical to an uninterrupted one for the deterministic surfaces
-(Tables 2-3; the Figure cells store measured wall-clock runtimes).
+Each surface spec (:class:`Table2Spec` ... :class:`Figure5Spec`,
+defined next to their executors in :mod:`repro.experiments`) names the
+steps of its grid and one walker runs any of them.  The direct runners
+``run_table2`` ... ``run_figure5`` *are* that walker with no result
+store.  On ``resume``, completed cells are skipped but their seed
+consumption is *replayed* (the spec's ``skip``), so every pending cell
+still sees the streams an uninterrupted run would have produced — the
+resumed store is byte-identical to an uninterrupted one for the
+deterministic surfaces (Tables 2-3; the Figure cells store measured
+wall-clock runtimes).
 
 Result stores
 -------------
@@ -71,33 +67,26 @@ import threading
 import time
 import uuid
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
-from repro.datagen.uncertainty_gen import PDF_FAMILIES
 from repro.engine.backends import shared_block_registry
 from repro.engine.store import (
     SWEEP_SCHEMA_VERSION,
-    JsonStore,
     ResultStore,
     cell_id,
     open_store,
 )
 from repro.engine.store import seed_fingerprint as _seed_fingerprint
 from repro.exceptions import InvalidParameterError, SweepStoreError
-from repro.experiments.config import (
-    ACCURACY_ROSTER,
-    FAST_ROSTER,
-    SCALABILITY_ROSTER,
-    SLOW_ROSTER,
-    ExperimentConfig,
-)
-from repro.experiments.figure4 import FIGURE4_DATASETS
-from repro.experiments.figure5 import FIGURE5_FRACTIONS, FIGURE5_K
-from repro.experiments.table2 import TABLE2_DATASETS
-from repro.experiments.table3 import TABLE3_CLUSTER_COUNTS, TABLE3_DATASETS
-from repro.utils.rng import spawn_rngs
+from repro.experiments.config import ExperimentConfig, SurfaceSpec
+from repro.experiments.figure4 import Figure4Spec
+from repro.experiments.figure5 import Figure5Spec
+from repro.experiments.table2 import Table2Spec
+from repro.experiments.table3 import Table3Spec
 
 #: Execution order of the surfaces (each derives its streams from its
 #: own ``config.seed``, so the order never affects any cell's seeds).
@@ -121,118 +110,6 @@ MIN_LEASE_TTL = 0.15
 # ----------------------------------------------------------------------
 # Grid specification
 # ----------------------------------------------------------------------
-def _freeze(spec, **fields) -> None:
-    for name, value in fields.items():
-        object.__setattr__(spec, name, value)
-
-
-@dataclass(frozen=True)
-class Table2Spec:
-    """One Table 2 sub-grid: datasets x families x algorithms."""
-
-    config: ExperimentConfig = ExperimentConfig()
-    datasets: Tuple[str, ...] = TABLE2_DATASETS
-    families: Tuple[str, ...] = PDF_FAMILIES
-    algorithms: Tuple[str, ...] = ACCURACY_ROSTER
-
-    def __post_init__(self) -> None:
-        _freeze(
-            self,
-            datasets=tuple(self.datasets),
-            families=tuple(self.families),
-            algorithms=tuple(self.algorithms),
-        )
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "config": asdict(self.config),
-            "datasets": list(self.datasets),
-            "families": list(self.families),
-            "algorithms": list(self.algorithms),
-        }
-
-
-@dataclass(frozen=True)
-class Table3Spec:
-    """One Table 3 sub-grid: datasets x cluster counts x algorithms."""
-
-    config: ExperimentConfig = ExperimentConfig(scale=0.02)
-    datasets: Tuple[str, ...] = TABLE3_DATASETS
-    cluster_counts: Tuple[int, ...] = TABLE3_CLUSTER_COUNTS
-    algorithms: Tuple[str, ...] = ACCURACY_ROSTER
-
-    def __post_init__(self) -> None:
-        _freeze(
-            self,
-            datasets=tuple(self.datasets),
-            cluster_counts=tuple(int(k) for k in self.cluster_counts),
-            algorithms=tuple(self.algorithms),
-        )
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "config": asdict(self.config),
-            "datasets": list(self.datasets),
-            "cluster_counts": list(self.cluster_counts),
-            "algorithms": list(self.algorithms),
-        }
-
-
-@dataclass(frozen=True)
-class Figure4Spec:
-    """One Figure 4 sub-grid: datasets x (slow + fast + UCPC) roster."""
-
-    config: ExperimentConfig = ExperimentConfig(scale=0.02, n_runs=3)
-    datasets: Tuple[str, ...] = FIGURE4_DATASETS
-    slow_group: Tuple[str, ...] = SLOW_ROSTER
-    fast_group: Tuple[str, ...] = FAST_ROSTER
-    n_clusters: int = 10
-
-    def __post_init__(self) -> None:
-        _freeze(
-            self,
-            datasets=tuple(self.datasets),
-            slow_group=tuple(self.slow_group),
-            fast_group=tuple(self.fast_group),
-            n_clusters=int(self.n_clusters),
-        )
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "config": asdict(self.config),
-            "datasets": list(self.datasets),
-            "slow_group": list(self.slow_group),
-            "fast_group": list(self.fast_group),
-            "n_clusters": self.n_clusters,
-        }
-
-
-@dataclass(frozen=True)
-class Figure5Spec:
-    """One Figure 5 sub-grid: fractions x scalability roster."""
-
-    config: ExperimentConfig = ExperimentConfig(n_runs=3)
-    fractions: Tuple[float, ...] = FIGURE5_FRACTIONS
-    algorithms: Tuple[str, ...] = SCALABILITY_ROSTER
-    base_size: int = 20000
-
-    def __post_init__(self) -> None:
-        _freeze(
-            self,
-            fractions=tuple(float(f) for f in self.fractions),
-            algorithms=tuple(self.algorithms),
-            base_size=int(self.base_size),
-        )
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "config": asdict(self.config),
-            "fractions": list(self.fractions),
-            "algorithms": list(self.algorithms),
-            "base_size": self.base_size,
-        }
-
-
 @dataclass(frozen=True)
 class SweepGrid:
     """Which surfaces a sweep covers, each with its own spec.
@@ -273,32 +150,16 @@ def paper_grid(
 ) -> SweepGrid:
     """The full paper grid, one spec per surface.
 
-    Defaults mirror each runner's own default config (Table 3 and
-    Figure 4 scale-capped for laptop runtimes, exactly as
-    ``run_table3``/``run_figure4`` default).
+    A ``None`` config takes the spec's default, which is also its
+    runner's default (Table 3 and Figure 4 scale-capped for laptop
+    runtimes).
     """
     return SweepGrid(
-        table2=Table2Spec(config=table2_config or ExperimentConfig()),
-        table3=Table3Spec(
-            config=table3_config or ExperimentConfig(scale=0.02)
-        ),
-        figure4=Figure4Spec(
-            config=figure4_config or ExperimentConfig(scale=0.02, n_runs=3)
-        ),
-        figure5=Figure5Spec(
-            config=figure5_config or ExperimentConfig(n_runs=3),
-            base_size=figure5_base_size,
-        ),
+        table2=Table2Spec(config=table2_config),
+        table3=Table3Spec(config=table3_config),
+        figure4=Figure4Spec(config=figure4_config),
+        figure5=Figure5Spec(config=figure5_config, base_size=figure5_base_size),
     )
-
-
-# ----------------------------------------------------------------------
-# Result store
-# ----------------------------------------------------------------------
-#: Backward-compatible name for the original directory-backed store;
-#: the store layer now lives in :mod:`repro.engine.store` behind the
-#: pluggable :class:`~repro.engine.store.ResultStore` API.
-SweepStore = JsonStore
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +170,8 @@ class SweepOutcome:
     """What one :func:`run_sweep` invocation did, plus the reports."""
 
     grid: SweepGrid
-    store_root: Path
+    #: ``None`` for a walk without a result store (the direct runners).
+    store_root: Optional[Path]
     executed: List[str] = field(default_factory=list)
     reused: List[str] = field(default_factory=list)
     invalid: List[str] = field(default_factory=list)
@@ -363,20 +225,17 @@ class SweepOutcome:
 Progress = Optional[Callable[[str], None]]
 
 
-@contextmanager
 def _group_scope(config: ExperimentConfig):
-    """Shared-memory publication scope for one dataset group.
+    """Shared-memory publication scope for one dataset.
 
     Under the ``processes``/``auto`` backends, every run-set inside the
-    scope publishes the group's stable arrays (moment matrices, ``ÊD``
+    scope publishes the dataset's stable arrays (moment matrices, ``ÊD``
     matrix) once via :func:`shared_block_registry`; the other backends
     share the address space anyway, so no scope is needed.
     """
     if config.backend in ("processes", "auto"):
-        with shared_block_registry():
-            yield
-    else:
-        yield
+        return shared_block_registry()
+    return nullcontext()
 
 
 def _default_worker_id() -> str:
@@ -477,18 +336,20 @@ class _LeaseClaimer:
 
 
 class _CellLedger:
-    """Per-surface bookkeeping shared by the four surface loops.
+    """Per-walk bookkeeping: the store (if any), the outcome, the log.
 
-    With a ``claimer`` the ledger runs in multi-worker mode: a cell is
-    only executed after its lease is claimed, foreign-leased cells are
-    *deferred* (their seed consumption is still replayed, so the walk
-    stays on the exact single-worker streams), and executed cells
-    heartbeat their lease while running.
+    Without a store nothing is reused or persisted and every cell runs
+    — the direct runners' walk.  With a ``claimer`` the ledger runs in
+    multi-worker mode: a cell is only executed after its lease is
+    claimed, foreign-leased cells are *deferred* (their seed
+    consumption is still replayed, so the walk stays on the exact
+    single-worker streams), and executed cells heartbeat their lease
+    while running.
     """
 
     def __init__(
         self,
-        store: ResultStore,
+        store: Optional[ResultStore],
         outcome: SweepOutcome,
         log,
         claimer: Optional[_LeaseClaimer] = None,
@@ -529,10 +390,16 @@ class _CellLedger:
             return nullcontext()
         return self.claimer.heartbeat(name)
 
-    def finish_cell(self, name: str) -> None:
-        """Release the lease after the cell's payload is durably stored."""
+    def finish_cell(
+        self, surface: str, where, what, fingerprint: str, values, name: str
+    ) -> None:
+        """Store a computed cell, then release its lease and log it."""
+        if self.store is not None:
+            self.store.write_cell(surface, where, what, fingerprint, values)
         if self.claimer is not None:
             self.claimer.release(name)
+        self.outcome.executed.append(name)
+        self.log("/".join((surface, *where, *what)) + ": done")
 
     def reuse_whole_group(
         self, names: List[str]
@@ -547,6 +414,8 @@ class _CellLedger:
         :meth:`~repro.engine.store.ResultStore.load_group` call, which
         the SQLite backend answers with a single indexed query.
         """
+        if self.store is None:
+            return None
         values = self.store.load_group(names)
         if values is None:
             return None
@@ -563,6 +432,8 @@ class _CellLedger:
         ``outcome.invalid`` and answered with ``None`` — the cell then
         re-runs and its file is rewritten.
         """
+        if self.store is None:
+            return None
         payload, problem = self.store.load_cell(name)
         if problem is not None:
             self.outcome.invalid.append(name)
@@ -578,295 +449,90 @@ class _CellLedger:
         return payload["values"]
 
 
-def _sweep_table2(spec: Table2Spec, ledger: _CellLedger) -> object:
-    from repro.experiments.table2 import (
-        Table2Cell,
-        Table2Report,
-        prepare_table2_group,
-        run_table2_cell,
-        skip_table2_cell,
-    )
+def _walk(surface: str, spec: SurfaceSpec, ledger: _CellLedger):
+    """Walk one surface's grid and return its report.
 
-    config = spec.config
-    report = Table2Report(
-        datasets=spec.datasets,
-        families=spec.families,
-        algorithms=spec.algorithms,
-    )
-    master = spawn_rngs(config.seed, len(spec.datasets) * len(spec.families))
-    groups = [
-        (ds_name, family)
-        for ds_name in spec.datasets
-        for family in spec.families
-    ]
-    for stream_idx, (ds_name, family) in ledger.order_groups(
-        list(enumerate(groups))
-    ):
-        rng = master[stream_idx]
-        group = (ds_name, family)
-        names = {
-            alg: cell_id("table2", group, (alg,))
-            for alg in spec.algorithms
-        }
-        cached = ledger.reuse_whole_group(list(names.values()))
-        if cached is not None:
-            for alg in spec.algorithms:
-                values = cached[names[alg]]
-                report.cells[(ds_name, family, alg)] = Table2Cell(
-                    theta=values["theta"], quality=values["quality"]
-                )
-            ledger.log(f"table2/{ds_name}/{family}: reused all cells")
-            continue
-        pair, n_classes = prepare_table2_group(ds_name, family, rng, config)
-        distances = None
-        with _group_scope(config):
-            for alg in spec.algorithms:
-                fingerprint = _seed_fingerprint(rng)
-                values = ledger.cached_values(names[alg], fingerprint)
-                if values is not None:
-                    skip_table2_cell(rng, config)
-                    cell = Table2Cell(
-                        theta=values["theta"], quality=values["quality"]
-                    )
-                elif not ledger.begin_cell(names[alg]):
-                    skip_table2_cell(rng, config)
-                    cell = None
-                else:
-                    if distances is None:
-                        distances = pair.uncertain.pairwise_ed()
-                    with ledger.running_cell(names[alg]):
-                        cell = run_table2_cell(
-                            alg, pair, n_classes, rng, config, distances
-                        )
-                    ledger.store.write_cell(
-                        "table2",
-                        group,
-                        (alg,),
-                        fingerprint,
-                        {"theta": cell.theta, "quality": cell.quality},
-                    )
-                    ledger.finish_cell(names[alg])
-                    ledger.outcome.executed.append(names[alg])
-                    ledger.log(f"table2/{ds_name}/{family}/{alg}: done")
-                if cell is not None:
-                    report.cells[(ds_name, family, alg)] = cell
-    return report
-
-
-def _sweep_table3(spec: Table3Spec, ledger: _CellLedger) -> object:
-    from repro.experiments.table3 import (
-        Table3Report,
-        prepare_table3_group,
-        run_table3_cell,
-        skip_table3_cell,
-    )
-
-    config = spec.config
-    report = Table3Report(
-        datasets=spec.datasets,
-        cluster_counts=spec.cluster_counts,
-        algorithms=spec.algorithms,
-    )
-    streams = spawn_rngs(config.seed, len(spec.datasets))
-    for ds_name, ds_rng in ledger.order_groups(
-        list(zip(spec.datasets, streams))
-    ):
+    The one loop behind every paper artifact.  A group whose cells are
+    all stored is answered from the store without materializing its
+    dataset.  Otherwise the group is prepared once and each cell, in
+    order, is reused, deferred to the worker holding its lease, or run
+    and written; reused and deferred cells replay their seed
+    consumption (``spec.skip``), so every later cell sees the stream an
+    uninterrupted walk would have produced.  That stream's fingerprint
+    before each cell is what makes a reused cell safe.  Cells on one
+    dataset (the same group parts of their id) share one shared-memory
+    scope.
+    """
+    report = spec.report()
+    for group in ledger.order_groups(spec.groups()):
         cells = [
-            (k, alg) for k in spec.cluster_counts for alg in spec.algorithms
+            (key, where, what, cell_id(surface, where, what))
+            for key, where, what in spec.cells(group)
         ]
-        names = {
-            (k, alg): cell_id("table3", (ds_name,), (f"k{k}", alg))
-            for k, alg in cells
-        }
-        cached = ledger.reuse_whole_group([names[key] for key in cells])
+        cached = ledger.reuse_whole_group([cell[-1] for cell in cells])
         if cached is not None:
-            for k, alg in cells:
-                report.quality[(ds_name, k, alg)] = cached[names[(k, alg)]][
-                    "quality"
-                ]
-            ledger.log(f"table3/{ds_name}: reused all cells")
+            for key, _, _, name in cells:
+                spec.record(report, key, cached[name])
+            label, _ = group
+            ledger.log("/".join((surface, *label)) + ": reused all cells")
             continue
-        dataset = prepare_table3_group(ds_name, ds_rng, config)
-        distances = None
-        with _group_scope(config):
-            for k, alg in cells:
-                fingerprint = _seed_fingerprint(ds_rng)
-                values = ledger.cached_values(names[(k, alg)], fingerprint)
-                if values is not None:
-                    skip_table3_cell(ds_rng, config)
-                    quality = float(values["quality"])
-                elif not ledger.begin_cell(names[(k, alg)]):
-                    skip_table3_cell(ds_rng, config)
-                    quality = None
-                else:
-                    if distances is None:
-                        distances = dataset.pairwise_ed()
-                    with ledger.running_cell(names[(k, alg)]):
-                        quality = run_table3_cell(
-                            alg, dataset, k, ds_rng, config, distances
+        state, rng = spec.prepare(group)
+        for where, dataset_cells in groupby(cells, key=itemgetter(1)):
+            with _group_scope(spec.config):
+                for key, _, what, name in dataset_cells:
+                    fingerprint = _seed_fingerprint(rng)
+                    values = ledger.cached_values(name, fingerprint)
+                    if values is None and ledger.begin_cell(name):
+                        with ledger.running_cell(name):
+                            values = spec.run(state, rng, key)
+                        ledger.finish_cell(
+                            surface, where, what, fingerprint, values, name
                         )
-                    ledger.store.write_cell(
-                        "table3",
-                        (ds_name,),
-                        (f"k{k}", alg),
-                        fingerprint,
-                        {"quality": quality},
-                    )
-                    ledger.finish_cell(names[(k, alg)])
-                    ledger.outcome.executed.append(names[(k, alg)])
-                    ledger.log(f"table3/{ds_name}/k{k}/{alg}: done")
-                if quality is not None:
-                    report.quality[(ds_name, k, alg)] = quality
+                    else:
+                        spec.skip(state, rng, key)
+                    if values is not None:
+                        spec.record(report, key, values)
     return report
 
 
-def _sweep_figure4(spec: Figure4Spec, ledger: _CellLedger) -> object:
-    from repro.experiments.figure4 import (
-        Figure4Report,
-        figure4_roster,
-        prepare_figure4_group,
-        run_figure4_cell,
-        skip_figure4_cell,
+@contextmanager
+def _opened(store: Union[str, Path, ResultStore], backend: Optional[str]):
+    """``store`` as an open result store, closed on exit unless the
+    caller passed an already-open one."""
+    opened = open_store(store, backend=backend)
+    try:
+        yield opened
+    finally:
+        if not isinstance(store, ResultStore):
+            opened.close()
+
+
+def _walk_grid(
+    grid: SweepGrid,
+    store: Optional[ResultStore],
+    log,
+    claimer: Optional[_LeaseClaimer] = None,
+) -> SweepOutcome:
+    """Walk every surface of ``grid`` in :data:`SWEEP_SURFACES` order."""
+    outcome = SweepOutcome(
+        grid=grid, store_root=None if store is None else store.path
     )
-
-    config = spec.config
-    report = Figure4Report(
-        datasets=spec.datasets,
-        slow_group=spec.slow_group,
-        fast_group=spec.fast_group,
-    )
-    roster = figure4_roster(spec.slow_group, spec.fast_group)
-    streams = spawn_rngs(config.seed, len(spec.datasets))
-    for ds_name, ds_rng in ledger.order_groups(
-        list(zip(spec.datasets, streams))
-    ):
-        names = {
-            alg: cell_id("figure4", (ds_name,), (alg,)) for alg in roster
-        }
-        cached = ledger.reuse_whole_group([names[alg] for alg in roster])
-        if cached is not None:
-            for alg in roster:
-                report.runtimes_ms[(ds_name, alg)] = float(
-                    cached[names[alg]]["runtime_ms"]
-                )
-            ledger.log(f"figure4/{ds_name}: reused all cells")
-            continue
-        dataset = prepare_figure4_group(ds_name, ds_rng, config)
-        k = min(spec.n_clusters, len(dataset) - 1)
-        with _group_scope(config):
-            for alg in roster:
-                fingerprint = _seed_fingerprint(ds_rng)
-                values = ledger.cached_values(names[alg], fingerprint)
-                if values is not None:
-                    skip_figure4_cell(ds_rng, config)
-                    runtime_ms = float(values["runtime_ms"])
-                elif not ledger.begin_cell(names[alg]):
-                    skip_figure4_cell(ds_rng, config)
-                    runtime_ms = None
-                else:
-                    with ledger.running_cell(names[alg]):
-                        runtime_ms = run_figure4_cell(
-                            alg, dataset, k, ds_rng, config
-                        )
-                    ledger.store.write_cell(
-                        "figure4",
-                        (ds_name,),
-                        (alg,),
-                        fingerprint,
-                        {"runtime_ms": runtime_ms},
-                    )
-                    ledger.finish_cell(names[alg])
-                    ledger.outcome.executed.append(names[alg])
-                    ledger.log(f"figure4/{ds_name}/{alg}: done")
-                if runtime_ms is not None:
-                    report.runtimes_ms[(ds_name, alg)] = runtime_ms
-    return report
-
-
-def _sweep_figure5(spec: Figure5Spec, ledger: _CellLedger) -> object:
-    from repro.experiments.figure5 import (
-        Figure5Report,
-        prepare_figure5_base,
-        prepare_figure5_fraction,
-        run_figure5_cell,
-        skip_figure5_cell,
-    )
-
-    config = spec.config
-    report = Figure5Report(
-        fractions=spec.fractions, algorithms=spec.algorithms
-    )
-    names = {
-        (frac, alg): cell_id("figure5", (f"f{frac}",), (alg,))
-        for frac in spec.fractions
-        for alg in spec.algorithms
-    }
-    # Figure 5's fractions share one data stream (each subset draw
-    # consumes it), so the surface can only skip dataset synthesis when
-    # *every* cell is reusable; otherwise the full sequence is replayed.
-    cached = ledger.reuse_whole_group(
-        [names[key] for key in names]
-    )
-    if cached is not None:
-        for (frac, alg), name in names.items():
-            values = cached[name]
-            report.runtimes_ms[(frac, alg)] = float(values["runtime_ms"])
-            report.sizes[frac] = int(values["n"])
-        ledger.log("figure5: reused all cells")
-        return report
-    full, rng_data, rng_runs = prepare_figure5_base(config, spec.base_size)
-    for frac in spec.fractions:
-        subset = prepare_figure5_fraction(full, frac, rng_data)
-        report.sizes[frac] = len(subset)
-        k = min(FIGURE5_K, len(subset) - 1)
-        with _group_scope(config):
-            for alg in spec.algorithms:
-                fingerprint = _seed_fingerprint(rng_runs)
-                values = ledger.cached_values(
-                    names[(frac, alg)], fingerprint
-                )
-                if values is not None:
-                    skip_figure5_cell(rng_runs, config)
-                    runtime_ms = float(values["runtime_ms"])
-                elif not ledger.begin_cell(names[(frac, alg)]):
-                    skip_figure5_cell(rng_runs, config)
-                    runtime_ms = None
-                else:
-                    with ledger.running_cell(names[(frac, alg)]):
-                        runtime_ms = run_figure5_cell(
-                            alg, subset, k, rng_runs, config
-                        )
-                    ledger.store.write_cell(
-                        "figure5",
-                        (f"f{frac}",),
-                        (alg,),
-                        fingerprint,
-                        {"runtime_ms": runtime_ms, "n": len(subset)},
-                    )
-                    ledger.finish_cell(names[(frac, alg)])
-                    ledger.outcome.executed.append(names[(frac, alg)])
-                    ledger.log(f"figure5/f{frac}/{alg}: done")
-                if runtime_ms is not None:
-                    report.runtimes_ms[(frac, alg)] = runtime_ms
-    return report
-
-
-_SURFACE_RUNNERS = {
-    "table2": _sweep_table2,
-    "table3": _sweep_table3,
-    "figure4": _sweep_figure4,
-    "figure5": _sweep_figure5,
-}
+    ledger = _CellLedger(store, outcome, log, claimer)
+    for name in SWEEP_SURFACES:
+        spec = getattr(grid, name)
+        if spec is not None:
+            setattr(outcome, name, _walk(name, spec, ledger))
+    return outcome
 
 
 def run_sweep(
     grid: SweepGrid,
-    store: Union[str, Path, ResultStore],
+    store: Union[str, Path, ResultStore, None] = None,
     resume: bool = False,
     progress: Progress = None,
     store_backend: Optional[str] = None,
 ) -> SweepOutcome:
-    """Execute (or resume) one paper-grid sweep against a result store.
+    """Execute (or resume) one paper-grid sweep.
 
     Parameters
     ----------
@@ -877,6 +543,8 @@ def run_sweep(
         :class:`~repro.engine.store.ResultStore`).  Created when new;
         an existing store must carry the same grid manifest (anything
         else raises :class:`~repro.exceptions.SweepStoreError`).
+        ``None`` runs every cell with no persistence — this is how
+        ``run_table2`` ... ``run_figure5`` run.
     resume:
         Reuse completed cells from the store, replaying their seed
         consumption so pending cells get bit-identical streams.
@@ -893,32 +561,15 @@ def run_sweep(
     Returns
     -------
     SweepOutcome
-        Executed/reused/invalid cell ids plus one report per surface,
-        each equal to its direct runner's output for the same spec —
-        on either store backend.
+        Executed/reused/invalid cell ids plus one report per surface —
+        the same report on either store backend, or on none.
     """
-    sweep_store = open_store(store, backend=store_backend)
-    borrowed = isinstance(store, ResultStore)
-    try:
+    log = progress or (lambda _msg: None)
+    if store is None:
+        return _walk_grid(grid, None, log)
+    with _opened(store, store_backend) as sweep_store:
         sweep_store.prepare(grid.describe(), resume)
-        outcome = SweepOutcome(grid=grid, store_root=sweep_store.path)
-        ledger = _CellLedger(
-            sweep_store, outcome, progress or (lambda _msg: None)
-        )
-        _run_surfaces(grid, ledger, outcome)
-        return outcome
-    finally:
-        if not borrowed:
-            sweep_store.close()
-
-
-def _run_surfaces(
-    grid: SweepGrid, ledger: _CellLedger, outcome: SweepOutcome
-) -> None:
-    for name in SWEEP_SURFACES:
-        spec = getattr(grid, name)
-        if spec is not None:
-            setattr(outcome, name, _SURFACE_RUNNERS[name](spec, ledger))
+        return _walk_grid(grid, sweep_store, log)
 
 
 def _prepare_shared(
@@ -977,40 +628,36 @@ def run_sweep_worker(
     a safety valve for tests; production workers wait out live peers.
     """
     log = progress or (lambda _msg: None)
-    sweep_store = open_store(store, backend=store_backend)
-    borrowed = isinstance(store, ResultStore)
     owner = worker_id or _default_worker_id()
-    claimer = _LeaseClaimer(sweep_store, owner, lease_ttl, log)
-    try:
-        _prepare_shared(sweep_store, grid)
-        executed: List[str] = []
-        passes = 0
-        while True:
-            passes += 1
-            outcome = SweepOutcome(grid=grid, store_root=sweep_store.path)
-            ledger = _CellLedger(sweep_store, outcome, log, claimer)
-            _run_surfaces(grid, ledger, outcome)
-            executed.extend(outcome.executed)
-            if not outcome.deferred:
-                outcome.executed = executed
-                outcome.passes = passes
-                sweep_store.reap_leases()
-                return outcome
-            if max_passes and passes >= max_passes:
-                raise SweepStoreError(
-                    f"worker {owner} gave up after {passes} passes with "
-                    f"{len(outcome.deferred)} cells still leased elsewhere"
+    with _opened(store, store_backend) as sweep_store:
+        claimer = _LeaseClaimer(sweep_store, owner, lease_ttl, log)
+        try:
+            _prepare_shared(sweep_store, grid)
+            executed: List[str] = []
+            passes = 0
+            while True:
+                passes += 1
+                outcome = _walk_grid(grid, sweep_store, log, claimer)
+                executed.extend(outcome.executed)
+                if not outcome.deferred:
+                    outcome.executed = executed
+                    outcome.passes = passes
+                    sweep_store.reap_leases()
+                    return outcome
+                if max_passes and passes >= max_passes:
+                    raise SweepStoreError(
+                        f"worker {owner} gave up after {passes} passes "
+                        f"with {len(outcome.deferred)} cells still leased "
+                        "elsewhere"
+                    )
+                log(
+                    f"worker {owner}: pass {passes} left "
+                    f"{len(outcome.deferred)} cells leased to other "
+                    "workers; waiting"
                 )
-            log(
-                f"worker {owner}: pass {passes} left "
-                f"{len(outcome.deferred)} cells leased to other workers; "
-                "waiting"
-            )
-            time.sleep(poll_interval)
-    finally:
-        claimer.close()
-        if not borrowed:
-            sweep_store.close()
+                time.sleep(poll_interval)
+        finally:
+            claimer.close()
 
 
 def _worker_main(
@@ -1091,17 +738,10 @@ def run_sweep_workers(
     # Every worker is joined, so nobody can be mid-write: drop any
     # tmp residue a killed worker left (it would spoil the tree-bytes
     # identity with a single-worker store).
-    cleanup_store = open_store(
-        store,
-        backend=None if isinstance(store, ResultStore) else store_backend,
-    )
-    try:
+    with _opened(store, store_backend) as cleanup_store:
         stray = cleanup_store.discard_stray_tmp()
-        if stray:
-            log(f"removed {len(stray)} stray tmp file(s) from dead workers")
-    finally:
-        if not isinstance(store, ResultStore):
-            cleanup_store.close()
+    if stray:
+        log(f"removed {len(stray)} stray tmp file(s) from dead workers")
     return run_sweep_worker(
         grid,
         store,

@@ -23,6 +23,7 @@ from repro._typing import SeedLike
 from repro.clustering.base import UncertainClusterer
 from repro.datagen.uncertainty_gen import UncertainDataPair
 from repro.engine.distances import pinned_pairwise_ed, resolve_pairwise_ed
+from repro.engine.runner import fit_runs
 from repro.evaluation.external import f_measure
 from repro.evaluation.internal import internal_scores
 from repro.exceptions import InvalidParameterError
@@ -129,7 +130,6 @@ def evaluate_theta_multirun(
     n_runs: int = 10,
     seed: SeedLike = None,
     distances: Optional[np.ndarray] = None,
-    engine: bool = True,
     backend: str = "serial",
     n_jobs: int = 1,
     batch_size: "int | str" = 1,
@@ -140,16 +140,17 @@ def evaluate_theta_multirun(
     non-deterministic initialization; the experiment harness defaults to
     fewer runs for laptop runtimes (configurable).
 
-    With ``engine=True`` the Case-1 and Case-2 fit series each execute
-    through :func:`repro.engine.fit_runs` — every run reads the same
-    dataset moment cache and (for sample-based algorithms with
-    initialization randomness) one shared sample tensor per dataset
-    instead of re-drawing per run.  Algorithms whose only randomness is
-    the Monte-Carlo draw (FDBSCAN/FOPTICS) keep per-run independent
-    draws, preserving the paper's averaging semantics.  The per-run
-    seeds are derived exactly as in the direct loop, so the
-    moment-based and sample-deterministic algorithms produce identical
-    averages either way.
+    The Case-1 and Case-2 fit series each execute through
+    :func:`repro.engine.fit_runs` — every run reads the same dataset
+    moment cache and (for sample-based algorithms with initialization
+    randomness) one shared sample tensor per dataset instead of
+    re-drawing per run.  Algorithms whose only randomness is the
+    Monte-Carlo draw (FDBSCAN/FOPTICS) keep per-run independent draws,
+    preserving the paper's averaging semantics.  Each run consumes its
+    seed exactly as :func:`evaluate_theta` does, so for the moment-based
+    and sample-deterministic algorithms the averages equal those of
+    ``evaluate_theta`` called once per run seed of
+    :func:`multirun_stream_plan`.
 
     The scoring ``ÊD`` matrix is computed once (or taken from
     ``distances``) and reused everywhere it appears: the internal
@@ -180,46 +181,36 @@ def evaluate_theta_multirun(
     thetas = np.empty(n_runs)
     qualities = np.empty(n_runs)
     runtimes = np.empty(n_runs)
-    if engine:
-        from repro.engine import fit_runs
-
-        # Mirror evaluate_theta's consumption of each run seed (one
-        # spawned stream per case), then fit each case's series through
-        # the engine.
-        case_seeds = [spawn_rngs(run_seed, 2) for run_seed in seeds]
-        results_case1 = fit_runs(
-            algorithm,
-            pair.perturbed,
-            [run_pair[0] for run_pair in case_seeds],
-            sample_seed=sample_rng1,
-            backend=backend,
-            n_jobs=n_jobs,
-            batch_size=batch_size,
+    # Mirror evaluate_theta's consumption of each run seed (one spawned
+    # stream per case), then fit each case's series through the engine.
+    case_seeds = [spawn_rngs(run_seed, 2) for run_seed in seeds]
+    results_case1 = fit_runs(
+        algorithm,
+        pair.perturbed,
+        [run_pair[0] for run_pair in case_seeds],
+        sample_seed=sample_rng1,
+        backend=backend,
+        n_jobs=n_jobs,
+        batch_size=batch_size,
+    )
+    results_case2 = fit_runs(
+        algorithm,
+        pair.uncertain,
+        [run_pair[1] for run_pair in case_seeds],
+        sample_seed=sample_rng2,
+        backend=backend,
+        n_jobs=n_jobs,
+        batch_size=batch_size,
+        pairwise_ed=distances,
+    )
+    for run, (case1, case2) in enumerate(zip(results_case1, results_case2)):
+        thetas[run] = f_measure(case2.labels, reference) - f_measure(
+            case1.labels, reference
         )
-        results_case2 = fit_runs(
-            algorithm,
-            pair.uncertain,
-            [run_pair[1] for run_pair in case_seeds],
-            sample_seed=sample_rng2,
-            backend=backend,
-            n_jobs=n_jobs,
-            batch_size=batch_size,
-            pairwise_ed=distances,
-        )
-        for run, (case1, case2) in enumerate(zip(results_case1, results_case2)):
-            thetas[run] = f_measure(case2.labels, reference) - f_measure(
-                case1.labels, reference
-            )
-            qualities[run] = internal_scores(
-                pair.uncertain, case2.labels, distances
-            ).quality
-            runtimes[run] = case2.runtime_seconds
-    else:
-        for run, run_seed in enumerate(seeds):
-            outcome = evaluate_theta(algorithm, pair, run_seed, distances)
-            thetas[run] = outcome.theta
-            qualities[run] = outcome.quality
-            runtimes[run] = outcome.runtime_case2
+        qualities[run] = internal_scores(
+            pair.uncertain, case2.labels, distances
+        ).quality
+        runtimes[run] = case2.runtime_seconds
     return AveragedThetaResult(
         theta_mean=float(thetas.mean()),
         theta_std=float(thetas.std()),
@@ -235,7 +226,7 @@ def multirun_stream_plan(seed: SeedLike, n_runs: int):
 
     Returns ``(run_seeds, sample_rng1, sample_rng2)``: one stream per
     run plus the two shared-tensor streams, consumed from ``seed`` in
-    this fixed order regardless of routing mode or algorithm type.
+    this fixed order regardless of algorithm type.
 
     Exposed so schedulers that interleave completed and pending cells
     (the sweep orchestrator's ``--resume``) can *replay* a finished
@@ -246,8 +237,8 @@ def multirun_stream_plan(seed: SeedLike, n_runs: int):
     run_seeds = spawn_rngs(seed, n_runs)
     # Two extra streams for the shared-tensor draws.  Derived for every
     # algorithm type so ``seed`` consumption — and hence any caller
-    # reusing the generator afterwards — never depends on the routing
-    # mode or the roster position.
+    # reusing the generator afterwards — never depends on the roster
+    # position.
     sample_rng1, sample_rng2 = _extra_streams(seed, 2, already=n_runs)
     return run_seeds, sample_rng1, sample_rng2
 

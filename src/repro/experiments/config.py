@@ -14,7 +14,7 @@ Defaults here run paper-*shaped* experiments at laptop scale; pass
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, Optional
 
 from repro.clustering import (
@@ -33,6 +33,7 @@ from repro.clustering import (
 )
 from repro.clustering.base import UncertainClusterer
 from repro.exceptions import InvalidParameterError
+from repro.utils.rng import spawn_rngs
 
 #: Display order of the accuracy-roster columns (matches Table 2).
 ACCURACY_ROSTER = ("FDB", "FOPT", "UAHC", "UKmed", "UKM", "MMV", "UCPC")
@@ -114,19 +115,9 @@ class ExperimentConfig:
         Uncertainty magnitude for the Section 5.1 generator.
     mass:
         Case-2 region probability mass (paper: 0.95).
-    engine:
-        Route the per-run fits of every experiment through
-        :func:`repro.engine.fit_runs`, sharing one sample tensor and
-        the dataset moment cache across runs (except for
-        FDBSCAN/FOPTICS, whose only randomness is the draw itself —
-        they keep independent per-run tensors so the ``n_runs`` average
-        stays a real average).  ``False`` keeps the direct per-fit loop
-        (the reference path of the routing equivalence tests); seed
-        derivation is identical in both modes, so the moment-based and
-        sample-deterministic algorithms produce the same measurements
-        either way.
     backend:
-        Execution backend for the engine-routed fit series:
+        Execution backend of the per-run fit series
+        (:func:`repro.engine.fit_runs`):
         ``"serial"`` (default), ``"threads"``, ``"processes"`` or
         ``"auto"`` — per-algorithm-family dispatch — (see
         :mod:`repro.engine.backends`).  Backends are result-identical
@@ -150,7 +141,6 @@ class ExperimentConfig:
     n_samples: int = 32
     spread: float = 1.0
     mass: float = 0.95
-    engine: bool = True
     backend: str = "serial"
     n_jobs: int = 1
     batch_size: "int | str" = 1
@@ -173,3 +163,55 @@ class ExperimentConfig:
         if self.n_jobs < 1:
             raise InvalidParameterError(f"n_jobs must be >= 1, got {self.n_jobs}")
         validate_batch_size(self.batch_size)
+
+    def describe(self) -> Dict[str, object]:
+        """The JSON-ready form recorded in sweep manifests.
+
+        Manifests written while the config still had its ``engine``
+        switch (always on) carry ``"engine": true``; the key stays so
+        those stores still resume.
+        """
+        return {**asdict(self), "engine": True}
+
+
+class SurfaceSpec:
+    """Base of the four surface specs (``Table2Spec`` ... ``Figure5Spec``).
+
+    A *surface* is one paper artifact's grid.  One loop
+    (:func:`repro.engine.sweep.run_sweep`) walks every surface through
+    the steps its spec defines:
+
+    * ``groups()`` — the dataset groups in run order, each a ``(label,
+      rng)`` pair: the label parts name the group in progress lines;
+    * ``cells(group)`` — the group's cells in run order, each a ``(key,
+      where, what)`` triple: ``key`` indexes the report, ``where`` and
+      ``what`` are the group and cell parts of the cell's store id;
+    * ``prepare(group)`` — materialize the group; returns ``(state,
+      rng)``, ``rng`` being the stream its cells consume in order;
+    * ``run(state, rng, key)`` — compute one cell's stored values;
+    * ``skip(state, rng, key)`` — replay one cell's seed consumption
+      without running it (a stored cell, or one leased elsewhere);
+    * ``record(report, key, values)`` — enter one cell's values into the
+      report that ``report()`` starts.
+    """
+
+    def _normalize(self, **values) -> None:
+        """Set normalized field values from a frozen ``__post_init__``."""
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _seeded(self, labels) -> list:
+        """Pair every group label with its own stream from the seed."""
+        return list(zip(labels, spawn_rngs(self.config.seed, len(labels))))
+
+    def describe(self) -> Dict[str, object]:
+        """The spec's manifest entry: its config and axes, JSON-ready."""
+        entry: Dict[str, object] = {}
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            if isinstance(value, ExperimentConfig):
+                value = value.describe()
+            elif isinstance(value, tuple):
+                value = list(value)
+            entry[spec_field.name] = value
+        return entry

@@ -28,6 +28,7 @@ from repro.experiments.config import (
     FAST_ROSTER,
     SLOW_ROSTER,
     ExperimentConfig,
+    SurfaceSpec,
     build_algorithm,
 )
 from repro.objects.dataset import UncertainDataset
@@ -97,7 +98,7 @@ def _load_dataset(
 
 
 # ----------------------------------------------------------------------
-# Group / cell executors (shared with the sweep orchestrator)
+# Group / cell executors and the surface spec
 # ----------------------------------------------------------------------
 def prepare_figure4_group(
     ds_name: str, ds_rng, config: ExperimentConfig
@@ -122,14 +123,13 @@ def run_figure4_cell(
         alg_name, n_clusters=k, n_samples=config.n_samples
     )
     # n_runs + 1 streams: the last seeds the shared tensor (when
-    # applicable), keeping ds_rng consumption independent of the engine
-    # mode and of the algorithm type.
+    # applicable), keeping ds_rng consumption independent of the
+    # algorithm type.
     streams = spawn_rngs(ds_rng, config.n_runs + 1)
     results = fit_runs(
         algorithm,
         dataset,
         streams[:-1],
-        engine=config.engine,
         sample_seed=streams[-1],
         backend=config.backend,
         n_jobs=config.n_jobs,
@@ -139,9 +139,51 @@ def run_figure4_cell(
     return float(times.mean() * 1e3)
 
 
-def skip_figure4_cell(ds_rng, config: ExperimentConfig) -> None:
-    """Replay one cell's ``ds_rng`` consumption without running fits."""
-    spawn_rngs(ds_rng, config.n_runs + 1)
+@dataclass(frozen=True)
+class Figure4Spec(SurfaceSpec):
+    """One Figure 4 sub-grid: datasets x (slow + fast + UCPC) roster."""
+
+    config: Optional[ExperimentConfig] = None
+    datasets: Tuple[str, ...] = FIGURE4_DATASETS
+    slow_group: Tuple[str, ...] = SLOW_ROSTER
+    fast_group: Tuple[str, ...] = FAST_ROSTER
+    n_clusters: int = 10
+
+    def __post_init__(self) -> None:
+        self._normalize(
+            config=self.config or ExperimentConfig(scale=0.02, n_runs=3),
+            datasets=tuple(self.datasets),
+            slow_group=tuple(self.slow_group),
+            fast_group=tuple(self.fast_group),
+            n_clusters=int(self.n_clusters),
+        )
+
+    def report(self) -> Figure4Report:
+        return Figure4Report(self.datasets, self.slow_group, self.fast_group)
+
+    def groups(self):
+        return self._seeded([(ds,) for ds in self.datasets])
+
+    def cells(self, group):
+        label, _ = group
+        roster = figure4_roster(self.slow_group, self.fast_group)
+        return [(label + (alg,), label, (alg,)) for alg in roster]
+
+    def prepare(self, group):
+        (ds_name,), ds_rng = group
+        dataset = prepare_figure4_group(ds_name, ds_rng, self.config)
+        return (dataset, min(self.n_clusters, len(dataset) - 1)), ds_rng
+
+    def run(self, state, rng, key):
+        dataset, k = state
+        runtime_ms = run_figure4_cell(key[-1], dataset, k, rng, self.config)
+        return {"runtime_ms": runtime_ms}
+
+    def skip(self, state, rng, key):
+        spawn_rngs(rng, self.config.n_runs + 1)
+
+    def record(self, report, key, values):
+        report.runtimes_ms[key] = float(values["runtime_ms"])
 
 
 def run_figure4(
@@ -153,25 +195,14 @@ def run_figure4(
 ) -> Figure4Report:
     """Regenerate Figure 4's runtime comparison at the configured scale.
 
-    Runs execute through :func:`repro.engine.fit_runs` (unless
-    ``config.engine`` is off): sample-based algorithms draw one shared
-    tensor per (dataset, algorithm) series, matching the paper's
-    off-line/on-line accounting — ``runtime_seconds`` only ever times
-    the on-line clustering phase.
+    Runs execute through :func:`repro.engine.fit_runs`: sample-based
+    algorithms draw one shared tensor per (dataset, algorithm) series,
+    matching the paper's off-line/on-line accounting —
+    ``runtime_seconds`` only ever times the on-line clustering phase.
+    This is the sweep of the single Figure 4 surface with no result
+    store.
     """
-    config = config or ExperimentConfig(scale=0.02, n_runs=3)
-    report = Figure4Report(
-        datasets=tuple(datasets),
-        slow_group=tuple(slow_group),
-        fast_group=tuple(fast_group),
-    )
-    streams = spawn_rngs(config.seed, len(datasets))
-    roster = figure4_roster(slow_group, fast_group)
-    for ds_name, ds_rng in zip(datasets, streams):
-        dataset = prepare_figure4_group(ds_name, ds_rng, config)
-        k = min(n_clusters, len(dataset) - 1)
-        for alg_name in roster:
-            report.runtimes_ms[(ds_name, alg_name)] = run_figure4_cell(
-                alg_name, dataset, k, ds_rng, config
-            )
-    return report
+    from repro.engine.sweep import SweepGrid, run_sweep
+
+    spec = Figure4Spec(config, datasets, slow_group, fast_group, n_clusters)
+    return run_sweep(SweepGrid(figure4=spec)).figure4

@@ -24,6 +24,7 @@ from repro.engine import fit_runs
 from repro.experiments.config import (
     SCALABILITY_ROSTER,
     ExperimentConfig,
+    SurfaceSpec,
     build_algorithm,
 )
 from repro.utils.rng import spawn_rngs
@@ -82,14 +83,14 @@ class Figure5Report:
 
 
 # ----------------------------------------------------------------------
-# Group / cell executors (shared with the sweep orchestrator)
+# Group / cell executors and the surface spec
 # ----------------------------------------------------------------------
 def prepare_figure5_base(config: ExperimentConfig, base_size: int):
     """The full KDD-shaped dataset plus the two master streams.
 
     Returns ``(full, rng_data, rng_runs)``; ``rng_data`` is consumed
     further by each fraction's stratified subset draw, ``rng_runs`` by
-    each cell — both statefully, so the sweep replays this sequence in
+    each cell — both statefully, so a sweep replays this sequence in
     full whenever any Figure 5 cell is pending.
     """
     rng_data, rng_runs = spawn_rngs(config.seed, 2)
@@ -116,13 +117,12 @@ def run_figure5_cell(
     )
     # n_runs + 1 streams: the last seeds the shared tensor (when
     # applicable), keeping rng_runs consumption independent of the
-    # engine mode and of the algorithm type.
+    # algorithm type.
     streams = spawn_rngs(rng_runs, config.n_runs + 1)
     results = fit_runs(
         algorithm,
         subset,
         streams[:-1],
-        engine=config.engine,
         sample_seed=streams[-1],
         backend=config.backend,
         n_jobs=config.n_jobs,
@@ -132,9 +132,70 @@ def run_figure5_cell(
     return float(times.mean() * 1e3)
 
 
-def skip_figure5_cell(rng_runs, config: ExperimentConfig) -> None:
-    """Replay one cell's ``rng_runs`` consumption without running fits."""
-    spawn_rngs(rng_runs, config.n_runs + 1)
+@dataclass(frozen=True)
+class Figure5Spec(SurfaceSpec):
+    """One Figure 5 sub-grid: fractions x scalability roster."""
+
+    config: Optional[ExperimentConfig] = None
+    fractions: Tuple[float, ...] = FIGURE5_FRACTIONS
+    algorithms: Tuple[str, ...] = SCALABILITY_ROSTER
+    base_size: int = 20000
+
+    def __post_init__(self) -> None:
+        self._normalize(
+            config=self.config or ExperimentConfig(n_runs=3),
+            fractions=tuple(float(f) for f in self.fractions),
+            algorithms=tuple(self.algorithms),
+            base_size=int(self.base_size),
+        )
+
+    def report(self) -> Figure5Report:
+        return Figure5Report(self.fractions, self.algorithms)
+
+    def groups(self):
+        # Every fraction's subset draw consumes the one data stream, so
+        # the surface is a single group: its dataset synthesis is only
+        # skipped when every cell is reusable.
+        return [((), None)]
+
+    def cells(self, group):
+        return [
+            ((frac, alg), (f"f{frac}",), (alg,))
+            for frac in self.fractions
+            for alg in self.algorithms
+        ]
+
+    def prepare(self, group):
+        full, rng_data, rng_runs = prepare_figure5_base(
+            self.config, self.base_size
+        )
+        drawn = {}
+
+        def subset_at(frac):
+            # Each fraction's subset is drawn when the walk first reaches
+            # it, reused cells included, so rng_data stays in step; only
+            # the current subset is kept.
+            if frac not in drawn:
+                drawn.clear()
+                drawn[frac] = prepare_figure5_fraction(full, frac, rng_data)
+            return drawn[frac]
+
+        return subset_at, rng_runs
+
+    def run(self, subset_at, rng, key):
+        frac, alg = key
+        subset = subset_at(frac)
+        k = min(FIGURE5_K, len(subset) - 1)
+        runtime_ms = run_figure5_cell(alg, subset, k, rng, self.config)
+        return {"runtime_ms": runtime_ms, "n": len(subset)}
+
+    def skip(self, subset_at, rng, key):
+        subset_at(key[0])
+        spawn_rngs(rng, self.config.n_runs + 1)
+
+    def record(self, report, key, values):
+        report.runtimes_ms[key] = float(values["runtime_ms"])
+        report.sizes[key[0]] = int(values["n"])
 
 
 def run_figure5(
@@ -145,6 +206,9 @@ def run_figure5(
 ) -> Figure5Report:
     """Regenerate Figure 5 at a configurable base size.
 
+    This is the sweep of the single Figure 5 surface with no result
+    store.
+
     Parameters
     ----------
     base_size:
@@ -152,18 +216,7 @@ def run_figure5(
         20,000 keeps the sweep under a minute — linearity and algorithm
         ordering are visible at any scale).
     """
-    config = config or ExperimentConfig(n_runs=3)
-    report = Figure5Report(
-        fractions=tuple(fractions), algorithms=tuple(algorithms)
-    )
-    full, rng_data, rng_runs = prepare_figure5_base(config, base_size)
+    from repro.engine.sweep import SweepGrid, run_sweep
 
-    for frac in fractions:
-        subset = prepare_figure5_fraction(full, frac, rng_data)
-        report.sizes[frac] = len(subset)
-        k = min(FIGURE5_K, len(subset) - 1)
-        for alg_name in algorithms:
-            report.runtimes_ms[(frac, alg_name)] = run_figure5_cell(
-                alg_name, subset, k, rng_runs, config
-            )
-    return report
+    spec = Figure5Spec(config, fractions, algorithms, base_size)
+    return run_sweep(SweepGrid(figure5=spec)).figure5

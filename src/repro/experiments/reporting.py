@@ -13,10 +13,10 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figure4 import Figure4Report, run_figure4
-from repro.experiments.figure5 import Figure5Report, run_figure5
-from repro.experiments.table2 import Table2Report, run_table2
-from repro.experiments.table3 import Table3Report, run_table3
+from repro.experiments.figure4 import Figure4Report
+from repro.experiments.figure5 import Figure5Report
+from repro.experiments.table2 import Table2Report
+from repro.experiments.table3 import Table3Report
 
 
 @dataclass
@@ -41,39 +41,27 @@ def collect_artifacts(
 ) -> PaperArtifacts:
     """Run all four experiment suites with the given configurations.
 
-    With ``store`` set, the four suites execute through the sweep
-    orchestrator (:func:`repro.engine.sweep.run_sweep`) instead of four
-    isolated runner calls: per-dataset caches are shared across the
-    whole grid, every cell lands in the resumable result store at
-    ``store``, and ``resume=True`` reuses completed cells from an
-    earlier (possibly interrupted) invocation.  Cell values are
-    identical in both modes — the orchestrator runs the runners' own
-    group/cell executors.
+    The suites run as one paper-grid sweep
+    (:func:`repro.engine.sweep.run_sweep`).  With ``store`` set, every
+    cell lands in the resumable result store at ``store``, and
+    ``resume=True`` reuses completed cells from an earlier (possibly
+    interrupted) invocation; cell values are identical with or without
+    a store.
 
     The store's backend resolves from the path (a directory means the
     JSON layout, a ``.sqlite`` file the SQLite backend) unless pinned
     via ``store_backend``; the artifacts are value-identical on either,
     and on SQLite the completed-cell reads run as indexed SQL.
     """
-    if store is not None:
-        from repro.engine.sweep import paper_grid, run_sweep
+    from repro.engine.sweep import paper_grid, run_sweep
 
-        grid = paper_grid(
-            table2_config=table2_config,
-            table3_config=table3_config,
-            figure4_config=figure4_config,
-            figure5_config=figure5_config,
-            figure5_base_size=figure5_base_size,
-        )
-        return run_sweep(
-            grid, store, resume=resume, store_backend=store_backend
-        ).artifacts()
-    return PaperArtifacts(
-        table2=run_table2(table2_config),
-        table3=run_table3(table3_config),
-        figure4=run_figure4(figure4_config),
-        figure5=run_figure5(figure5_config, base_size=figure5_base_size),
+    grid = paper_grid(
+        table2_config, table3_config, figure4_config, figure5_config,
+        figure5_base_size,
     )
+    return run_sweep(
+        grid, store, resume=resume, store_backend=store_backend
+    ).artifacts()
 
 
 def render_markdown(artifacts: PaperArtifacts, preamble: str = "") -> str:

@@ -28,8 +28,12 @@ from repro.datagen.uncertainty_gen import (
     UncertaintyGenerator,
 )
 from repro.evaluation.protocol import evaluate_theta_multirun, multirun_stream_plan
-from repro.experiments.config import ACCURACY_ROSTER, ExperimentConfig, build_algorithm
-from repro.utils.rng import spawn_rngs
+from repro.experiments.config import (
+    ACCURACY_ROSTER,
+    ExperimentConfig,
+    SurfaceSpec,
+    build_algorithm,
+)
 from repro.utils.tables import format_table
 
 #: Default datasets of Table 2 (KDDCup99 is scalability-only in the paper).
@@ -126,16 +130,15 @@ class Table2Report:
 
 
 # ----------------------------------------------------------------------
-# Group / cell executors (shared with the sweep orchestrator)
+# Group / cell executors and the surface spec
 # ----------------------------------------------------------------------
 def prepare_table2_group(
     ds_name: str, family: str, rng, config: ExperimentConfig
 ) -> Tuple[UncertainDataPair, int]:
     """Materialize one (dataset, family) group: the paired datasets.
 
-    Consumes ``rng`` exactly as :func:`run_table2` always did (benchmark
-    generation, then uncertainty injection), so the sweep orchestrator
-    and the direct runner derive bit-identical per-cell streams.
+    Consumes ``rng`` in a fixed order (benchmark generation, then
+    uncertainty injection); the group's cells consume it after that.
     """
     points, labels = make_benchmark(
         ds_name,
@@ -169,7 +172,6 @@ def run_table2_cell(
         n_runs=config.n_runs,
         seed=rng,
         distances=distances,
-        engine=config.engine,
         backend=config.backend,
         n_jobs=config.n_jobs,
         batch_size=config.batch_size,
@@ -177,14 +179,56 @@ def run_table2_cell(
     return Table2Cell(theta=outcome.theta_mean, quality=outcome.quality_mean)
 
 
-def skip_table2_cell(rng, config: ExperimentConfig) -> None:
-    """Replay one cell's seed consumption without running its fits.
+@dataclass(frozen=True)
+class Table2Spec(SurfaceSpec):
+    """One Table 2 sub-grid: datasets x families x algorithms."""
 
-    The sweep's resume path calls this for completed cells so that the
-    group stream reaches every later cell in exactly the state the
-    uninterrupted run would have produced.
-    """
-    multirun_stream_plan(rng, config.n_runs)
+    config: Optional[ExperimentConfig] = None
+    datasets: Tuple[str, ...] = TABLE2_DATASETS
+    families: Tuple[str, ...] = PDF_FAMILIES
+    algorithms: Tuple[str, ...] = ACCURACY_ROSTER
+
+    def __post_init__(self) -> None:
+        self._normalize(
+            config=self.config or ExperimentConfig(),
+            datasets=tuple(self.datasets),
+            families=tuple(self.families),
+            algorithms=tuple(self.algorithms),
+        )
+
+    def report(self) -> Table2Report:
+        return Table2Report(self.datasets, self.families, self.algorithms)
+
+    def groups(self):
+        return self._seeded(
+            [(ds, family) for ds in self.datasets for family in self.families]
+        )
+
+    def cells(self, group):
+        label, _ = group
+        return [(label + (alg,), label, (alg,)) for alg in self.algorithms]
+
+    def prepare(self, group):
+        (ds_name, family), rng = group
+        return prepare_table2_group(ds_name, family, rng, self.config), rng
+
+    def run(self, state, rng, key):
+        pair, n_classes = state
+        # The dataset-cached plane scores every algorithm's internal
+        # criterion *and* feeds UK-medoids' fits.
+        cell = run_table2_cell(
+            key[-1], pair, n_classes, rng, self.config,
+            pair.uncertain.pairwise_ed(),
+        )
+        return {"theta": cell.theta, "quality": cell.quality}
+
+    def skip(self, state, rng, key):
+        multirun_stream_plan(rng, self.config.n_runs)
+
+    def record(self, report, key, values):
+        report.cells[key] = Table2Cell(
+            theta=values["theta"], quality=values["quality"]
+        )
 
 
 def run_table2(
@@ -197,27 +241,10 @@ def run_table2(
 
     One uncertainty-generation per (dataset, family) — shared by all
     algorithms, exactly as in the paper — then ``config.n_runs``
-    clustering runs per algorithm.
+    clustering runs per algorithm.  This is the sweep of the single
+    Table 2 surface with no result store.
     """
-    config = config or ExperimentConfig()
-    report = Table2Report(
-        datasets=tuple(datasets),
-        families=tuple(families),
-        algorithms=tuple(algorithms),
-    )
-    master_streams = spawn_rngs(config.seed, len(datasets) * len(families))
-    stream_idx = 0
-    for ds_name in datasets:
-        for family in families:
-            rng = master_streams[stream_idx]
-            stream_idx += 1
-            pair, n_classes = prepare_table2_group(ds_name, family, rng, config)
-            # The dataset-cached plane: the same matrix scores every
-            # algorithm's internal criterion *and* feeds UK-medoids'
-            # fits (threaded through evaluate_theta_multirun).
-            distances = pair.uncertain.pairwise_ed()
-            for alg_name in algorithms:
-                report.cells[(ds_name, family, alg_name)] = run_table2_cell(
-                    alg_name, pair, n_classes, rng, config, distances
-                )
-    return report
+    from repro.engine.sweep import SweepGrid, run_sweep
+
+    spec = Table2Spec(config, datasets, families, algorithms)
+    return run_sweep(SweepGrid(table2=spec)).table2

@@ -18,7 +18,12 @@ import numpy as np
 from repro.datagen.microarray import make_microarray
 from repro.engine import fit_runs
 from repro.evaluation.internal import internal_scores
-from repro.experiments.config import ACCURACY_ROSTER, ExperimentConfig, build_algorithm
+from repro.experiments.config import (
+    ACCURACY_ROSTER,
+    ExperimentConfig,
+    SurfaceSpec,
+    build_algorithm,
+)
 from repro.utils.rng import spawn_rngs
 from repro.utils.tables import format_table
 
@@ -87,7 +92,7 @@ class Table3Report:
 
 
 # ----------------------------------------------------------------------
-# Group / cell executors (shared with the sweep orchestrator)
+# Group / cell executors and the surface spec
 # ----------------------------------------------------------------------
 def prepare_table3_group(ds_name: str, ds_rng, config: ExperimentConfig):
     """Materialize one Table 3 dataset group (consumes ``ds_rng``)."""
@@ -111,14 +116,12 @@ def run_table3_cell(
     )
     # n_runs + 1 streams: the last seeds the shared tensor (when
     # applicable), so ds_rng consumption — and hence every later cell's
-    # seeds — is identical whichever engine mode (and algorithm type)
-    # ran before.
+    # seeds — is the same whichever algorithm type ran before.
     streams = spawn_rngs(ds_rng, config.n_runs + 1)
     results = fit_runs(
         algorithm,
         dataset,
         streams[:-1],
-        engine=config.engine,
         sample_seed=streams[-1],
         backend=config.backend,
         n_jobs=config.n_jobs,
@@ -134,9 +137,55 @@ def run_table3_cell(
     return float(scores.mean())
 
 
-def skip_table3_cell(ds_rng, config: ExperimentConfig) -> None:
-    """Replay one cell's ``ds_rng`` consumption without running fits."""
-    spawn_rngs(ds_rng, config.n_runs + 1)
+@dataclass(frozen=True)
+class Table3Spec(SurfaceSpec):
+    """One Table 3 sub-grid: datasets x cluster counts x algorithms."""
+
+    config: Optional[ExperimentConfig] = None
+    datasets: Tuple[str, ...] = TABLE3_DATASETS
+    cluster_counts: Tuple[int, ...] = TABLE3_CLUSTER_COUNTS
+    algorithms: Tuple[str, ...] = ACCURACY_ROSTER
+
+    def __post_init__(self) -> None:
+        self._normalize(
+            config=self.config or ExperimentConfig(scale=0.02),
+            datasets=tuple(self.datasets),
+            cluster_counts=tuple(int(k) for k in self.cluster_counts),
+            algorithms=tuple(self.algorithms),
+        )
+
+    def report(self) -> Table3Report:
+        return Table3Report(self.datasets, self.cluster_counts, self.algorithms)
+
+    def groups(self):
+        return self._seeded([(ds,) for ds in self.datasets])
+
+    def cells(self, group):
+        label, _ = group
+        return [
+            (label + (k, alg), label, (f"k{k}", alg))
+            for k in self.cluster_counts
+            for alg in self.algorithms
+        ]
+
+    def prepare(self, group):
+        (ds_name,), ds_rng = group
+        return prepare_table3_group(ds_name, ds_rng, self.config), ds_rng
+
+    def run(self, dataset, rng, key):
+        _, k, alg = key
+        # Dataset-cached plane: scores every cell's internal criterion
+        # and feeds UK-medoids' fits.
+        quality = run_table3_cell(
+            alg, dataset, k, rng, self.config, dataset.pairwise_ed()
+        )
+        return {"quality": quality}
+
+    def skip(self, dataset, rng, key):
+        spawn_rngs(rng, self.config.n_runs + 1)
+
+    def record(self, report, key, values):
+        report.quality[key] = float(values["quality"])
 
 
 def run_table3(
@@ -152,25 +201,12 @@ def run_table3(
     Default ``config.scale`` keeps the gene count laptop-sized (the
     paper's 22k genes make the O(n^2) competitors very slow — that is
     Figure 4's point, not Table 3's).  Q is averaged over
-    ``config.n_runs`` runs per cell; with ``config.engine`` the runs
-    execute through :func:`repro.engine.fit_runs`, sharing one sample
-    tensor per (dataset, k, algorithm) cell.
+    ``config.n_runs`` runs per cell, executed through
+    :func:`repro.engine.fit_runs` and sharing one sample tensor per
+    (dataset, k, algorithm) cell.  This is the sweep of the single
+    Table 3 surface with no result store.
     """
-    config = config or ExperimentConfig(scale=0.02)
-    report = Table3Report(
-        datasets=tuple(datasets),
-        cluster_counts=tuple(cluster_counts),
-        algorithms=tuple(algorithms),
-    )
-    streams = spawn_rngs(config.seed, len(datasets))
-    for ds_name, ds_rng in zip(datasets, streams):
-        dataset = prepare_table3_group(ds_name, ds_rng, config)
-        # Dataset-cached plane: scores every cell's internal criterion
-        # and feeds UK-medoids' engine-routed fits below.
-        distances = dataset.pairwise_ed()
-        for k in cluster_counts:
-            for alg_name in algorithms:
-                report.quality[(ds_name, k, alg_name)] = run_table3_cell(
-                    alg_name, dataset, k, ds_rng, config, distances
-                )
-    return report
+    from repro.engine.sweep import SweepGrid, run_sweep
+
+    spec = Table3Spec(config, datasets, cluster_counts, algorithms)
+    return run_sweep(SweepGrid(table3=spec)).table3

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -71,3 +76,27 @@ class TestExecution:
         text = out_file.read_text()
         assert "Table 2" in text
         assert "Figure 5" in text
+
+
+class TestErrorBoundary:
+    """A library error exits 2 with one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["table2", "--runs", "0"], ["demo", "--n-init", "2", "--jobs", "0"]],
+    )
+    def test_repro_error_exits_2_with_one_line(self, argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr

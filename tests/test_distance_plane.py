@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clustering import UKMedoids
+from repro.clustering import UKMeans, UKMedoids
 from repro.datagen import (
     UncertaintyGenerator,
     make_blobs_uncertain,
@@ -95,15 +95,6 @@ class TestOncePerRunSet:
         ).run(data, seed=4)
         assert ed_spy["count"] == 1
 
-    def test_without_plane_matrix_is_rebuilt_per_restart(self, ed_spy):
-        """The pre-plane behavior the bugfix removes, kept measurable
-        via share_pairwise=False."""
-        data = _make_data()
-        MultiRestartRunner(
-            UKMedoids(3), n_init=6, backend="serial", share_pairwise=False
-        ).run(data, seed=4)
-        assert ed_spy["count"] == 6
-
     def test_fit_runs_builds_matrix_exactly_once(self, ed_spy):
         data = _make_data()
         fit_runs(UKMedoids(3), data, [0, 1, 2, 3])
@@ -129,27 +120,33 @@ class TestOncePerRunSet:
 class TestBitIdentity:
     def test_20_seed_identity_with_and_without_plane(self):
         """The plane (and in-worker batching on top of it) must be
-        invisible: same labels, same objective, same best restart."""
+        invisible: same labels, same objective, same best restart as
+        direct fits that each build their own matrix."""
         data = _make_data()
         for seed in range(20):
             with_plane = MultiRestartRunner(
                 UKMedoids(3), n_init=3, backend="serial"
             ).run(data, seed=seed)
-            without_plane = MultiRestartRunner(
-                UKMedoids(3), n_init=3, backend="serial",
-                share_pairwise=False,
-            ).run(data, seed=seed)
+            direct = [
+                UKMedoids(3).fit(data, seed=entry["seed"])
+                for entry in with_plane.extras["restart_history"]
+            ]
+            best = int(np.argmin([result.objective for result in direct]))
+            np.testing.assert_array_equal(
+                with_plane.labels, direct[best].labels
+            )
+            assert with_plane.objective == direct[best].objective
+            assert with_plane.extras["best_restart"] == best
             batched = MultiRestartRunner(
                 UKMedoids(3), n_init=3, n_jobs=2, backend="threads",
                 batch_size=2,
             ).run(data, seed=seed)
-            for other in (without_plane, batched):
-                np.testing.assert_array_equal(with_plane.labels, other.labels)
-                assert with_plane.objective == other.objective
-                assert (
-                    with_plane.extras["best_restart"]
-                    == other.extras["best_restart"]
-                )
+            np.testing.assert_array_equal(with_plane.labels, batched.labels)
+            assert with_plane.objective == batched.objective
+            assert (
+                with_plane.extras["best_restart"]
+                == batched.extras["best_restart"]
+            )
 
     def test_engine_fit_equals_direct_fit(self):
         data = _make_data()
@@ -176,28 +173,17 @@ class TestBitIdentity:
         np.testing.assert_array_equal(reference.labels, scaled.labels)
         assert scaled.objective == pytest.approx(2.0 * reference.objective)
 
-    def test_explicit_matrix_wins_over_share_pairwise_off(self):
-        """share_pairwise=False disables only the automatic injection;
-        an explicitly passed matrix is always honored."""
-        data = _make_data()
-        matrix = data.pairwise_ed()
-        reference = MultiRestartRunner(UKMedoids(3), n_init=2).run(data, seed=3)
-        explicit = MultiRestartRunner(
-            UKMedoids(3), n_init=2, share_pairwise=False
-        ).run(data, seed=3, pairwise_ed=2.0 * matrix)
-        assert explicit.objective == pytest.approx(2.0 * reference.objective)
-
     def test_explicit_matrix_flagged_as_shared(self):
         """Provenance: shared_pairwise_ed must reflect the injection
-        that actually happened, not the share_pairwise knob."""
+        that actually happened."""
         data = _make_data()
-        result = MultiRestartRunner(
-            UKMedoids(3), n_init=2, share_pairwise=False
-        ).run(data, seed=3, pairwise_ed=np.asarray(data.pairwise_ed()))
+        result = MultiRestartRunner(UKMedoids(3), n_init=2).run(
+            data, seed=3, pairwise_ed=np.asarray(data.pairwise_ed())
+        )
         assert result.extras["shared_pairwise_ed"] is True
-        plain = MultiRestartRunner(
-            UKMedoids(3), n_init=2, share_pairwise=False
-        ).run(data, seed=3)
+        plain = MultiRestartRunner(UKMeans(3), n_init=2).run(
+            data, seed=3, pairwise_ed=np.asarray(data.pairwise_ed())
+        )
         assert plain.extras["shared_pairwise_ed"] is False
 
     def test_clusterer_own_matrix_wins_over_explicit(self):
@@ -211,21 +197,6 @@ class TestBitIdentity:
             data, seed=3, pairwise_ed=2.0 * own
         )
         assert result.objective == reference.objective  # not doubled
-
-    def test_fit_runs_reference_path_honors_explicit_matrix(self):
-        """engine=False must mean the same thing as engine=True for an
-        explicitly supplied matrix (routing-equivalence baseline)."""
-        data = _make_data()
-        scaled = 2.0 * np.asarray(data.pairwise_ed())
-        routed = fit_runs(
-            UKMedoids(3), data, [0, 1], engine=True, pairwise_ed=scaled
-        )
-        direct = fit_runs(
-            UKMedoids(3), data, [0, 1], engine=False, pairwise_ed=scaled
-        )
-        for r, d in zip(routed, direct):
-            np.testing.assert_array_equal(r.labels, d.labels)
-            assert r.objective == d.objective
 
     def test_processes_workers_use_injected_matrix(self):
         """Workers must read the published matrix, not rebuild their
@@ -415,28 +386,32 @@ class TestProtocolThreading:
             points, labels, seed=11
         )
 
-    @pytest.mark.parametrize("engine", [True, False])
-    def test_multirun_builds_two_matrices_total(self, ed_spy, pair, engine):
+    def test_multirun_builds_two_matrices_total(self, ed_spy, pair):
         """One matrix per dataset (Case-1 perturbed, Case-2 uncertain) —
-        not one per fit — in both routing modes."""
+        not one per fit."""
         from repro.evaluation import evaluate_theta_multirun
 
-        evaluate_theta_multirun(
-            UKMedoids(3), pair, n_runs=4, seed=2, engine=engine
-        )
+        evaluate_theta_multirun(UKMedoids(3), pair, n_runs=4, seed=2)
         assert ed_spy["count"] == 2
 
     def test_multirun_engine_matches_direct_for_ukmedoids(self, pair):
-        from repro.evaluation import evaluate_theta_multirun
+        """The engine-run series equal evaluate_theta called once per
+        run seed of multirun_stream_plan."""
+        from repro.evaluation import evaluate_theta, evaluate_theta_multirun
+        from repro.evaluation.protocol import multirun_stream_plan
 
-        routed = evaluate_theta_multirun(
-            UKMedoids(3), pair, n_runs=3, seed=9, engine=True
+        routed = evaluate_theta_multirun(UKMedoids(3), pair, n_runs=3, seed=9)
+        run_seeds, _, _ = multirun_stream_plan(9, 3)
+        direct = [
+            evaluate_theta(UKMedoids(3), pair, run_seed)
+            for run_seed in run_seeds
+        ]
+        assert routed.theta_mean == float(
+            np.array([o.theta for o in direct]).mean()
         )
-        direct = evaluate_theta_multirun(
-            UKMedoids(3), pair, n_runs=3, seed=9, engine=False
+        assert routed.quality_mean == float(
+            np.array([o.quality for o in direct]).mean()
         )
-        assert routed.theta_mean == direct.theta_mean
-        assert routed.quality_mean == direct.quality_mean
 
     def test_evaluate_theta_uses_supplied_distances(self, ed_spy, pair):
         from repro.evaluation import evaluate_theta

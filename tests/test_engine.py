@@ -202,17 +202,83 @@ class TestRunAll:
         assert tensor_spy["count"] == 1
 
 
+def _direct_theta(algorithm, pair, n_runs, seed, distances=None):
+    """Reference for evaluate_theta_multirun: evaluate_theta once per run
+    seed of multirun_stream_plan; returns ``(theta_mean, quality_mean)``."""
+    from repro.evaluation.protocol import evaluate_theta, multirun_stream_plan
+
+    run_seeds, _, _ = multirun_stream_plan(seed, n_runs)
+    outcomes = [
+        evaluate_theta(algorithm, pair, run_seed, distances)
+        for run_seed in run_seeds
+    ]
+    return (
+        float(np.array([o.theta for o in outcomes]).mean()),
+        float(np.array([o.quality for o in outcomes]).mean()),
+    )
+
+
+def _direct_table2(config, ds_name, family, algorithms):
+    """One Table 2 group with every cell from :func:`_direct_theta`."""
+    from repro.experiments.config import build_algorithm
+    from repro.experiments.table2 import prepare_table2_group
+    from repro.utils.rng import spawn_rngs
+
+    (rng,) = spawn_rngs(config.seed, 1)
+    pair, n_classes = prepare_table2_group(ds_name, family, rng, config)
+    cells = {}
+    for alg in algorithms:
+        algorithm = build_algorithm(
+            alg, n_clusters=n_classes, n_samples=config.n_samples
+        )
+        cells[(ds_name, family, alg)] = _direct_theta(
+            algorithm, pair, config.n_runs, rng, pair.uncertain.pairwise_ed()
+        )
+    return cells
+
+
+def _direct_table3(config, ds_name, cluster_counts, algorithms):
+    """One Table 3 dataset with every run fitted directly."""
+    from repro.evaluation.internal import internal_scores
+    from repro.experiments.config import build_algorithm
+    from repro.experiments.table3 import prepare_table3_group
+    from repro.utils.rng import spawn_rngs
+
+    (ds_rng,) = spawn_rngs(config.seed, 1)
+    dataset = prepare_table3_group(ds_name, ds_rng, config)
+    quality = {}
+    for k in cluster_counts:
+        for alg in algorithms:
+            # Each cell spawns n_runs + 1 streams (the last seeds a
+            # shared tensor), whatever the algorithm type.
+            streams = spawn_rngs(ds_rng, config.n_runs + 1)
+            algorithm = build_algorithm(
+                alg, n_clusters=min(k, len(dataset) - 1),
+                n_samples=config.n_samples,
+            )
+            scores = [
+                internal_scores(
+                    dataset, algorithm.fit(dataset, seed=s).labels,
+                    dataset.pairwise_ed(),
+                ).quality
+                for s in streams[:-1]
+            ]
+            quality[(ds_name, k, alg)] = float(np.array(scores).mean())
+    return quality
+
+
 class TestExperimentEngineRouting:
     """The experiment runners route their per-run fits through the
-    engine; for moment-based algorithms the engine path must reproduce
-    the direct per-fit path measurement for measurement."""
+    engine; for moment-based and sample-deterministic algorithms that
+    must reproduce direct per-fit loops, written out here as the
+    reference, measurement for measurement."""
 
     def test_fit_runs_engine_matches_direct_for_moment_based(self, data):
         from repro.engine import fit_runs
         from repro.utils.rng import spawn_rngs
 
-        direct = fit_runs(UKMeans(4), data, spawn_rngs(7, 3), engine=False)
-        routed = fit_runs(UKMeans(4), data, spawn_rngs(7, 3), engine=True)
+        direct = [UKMeans(4).fit(data, seed=s) for s in spawn_rngs(7, 3)]
+        routed = fit_runs(UKMeans(4), data, spawn_rngs(7, 3))
         for d, e in zip(direct, routed):
             np.testing.assert_array_equal(d.labels, e.labels)
             assert d.objective == e.objective
@@ -238,13 +304,13 @@ class TestExperimentEngineRouting:
         """FDBSCAN's only randomness is the draw: fit_runs must not pin
         one tensor across its measurement runs (that would average n
         copies of a single realization) — and with per-run draws the
-        engine path equals the direct path exactly."""
+        engine path equals direct fits exactly."""
         from repro.clustering import FDBSCAN
         from repro.engine import fit_runs
 
         routed = fit_runs(FDBSCAN(n_samples=8), data, [0, 1, 2], sample_seed=9)
         assert tensor_spy["count"] == 3  # one independent draw per run
-        direct = fit_runs(FDBSCAN(n_samples=8), data, [0, 1, 2], engine=False)
+        direct = [FDBSCAN(n_samples=8).fit(data, seed=s) for s in [0, 1, 2]]
         for d, e in zip(direct, routed):
             np.testing.assert_array_equal(d.labels, e.labels)
         # Explicit opt-in to sharing is still possible (restart-style).
@@ -259,123 +325,105 @@ class TestExperimentEngineRouting:
 
     def test_mixed_roster_seed_drift_regression(self):
         """Regression: a sample-based algorithm earlier in the roster
-        must not shift the seeds of later moment-based cells across the
-        engine toggle (the shared-tensor stream is pre-spawned in both
-        modes)."""
+        must not shift the seeds of later moment-based cells (the
+        shared-tensor stream is spawned for every algorithm type)."""
         from repro.experiments import ExperimentConfig, run_table3
 
-        kwargs = dict(
+        config = ExperimentConfig(scale=0.004, n_runs=2, seed=31, n_samples=8)
+        roster = ("FDB", "UKM", "MMV")
+        routed = run_table3(
+            config,
             datasets=("neuroblastoma",),
             cluster_counts=(2,),
-            algorithms=("FDB", "UKM", "MMV"),
+            algorithms=roster,
         )
-        routed = run_table3(
-            ExperimentConfig(scale=0.004, n_runs=2, seed=31, n_samples=8, engine=True),
-            **kwargs,
+        assert routed.quality == _direct_table3(
+            config, "neuroblastoma", (2,), roster
         )
-        direct = run_table3(
-            ExperimentConfig(scale=0.004, n_runs=2, seed=31, n_samples=8, engine=False),
-            **kwargs,
-        )
-        for alg in ("UKM", "MMV"):
-            key = ("neuroblastoma", 2, alg)
-            assert routed.quality[key] == direct.quality[key]
 
     def test_table2_engine_path_identical_incl_density(self):
         """Moment-based algorithms consume no tensors; FDB/FOPT draw
-        per-run independent tensors from the same run seeds either way
-        — so the whole accuracy roster is engine/direct identical."""
+        per-run independent tensors from the run seeds — so the whole
+        accuracy roster equals the per-run evaluate_theta reference."""
         from repro.experiments import ExperimentConfig, run_table2
 
-        kwargs = dict(
+        config = ExperimentConfig(scale=0.08, n_runs=2, seed=42, n_samples=8)
+        algorithms = ("FDB", "FOPT", "UKM", "MMV")
+        routed = run_table2(
+            config,
             datasets=("iris",),
             families=("normal",),
-            algorithms=("FDB", "FOPT", "UKM", "MMV"),
+            algorithms=algorithms,
         )
-        routed = run_table2(
-            ExperimentConfig(scale=0.08, n_runs=2, seed=42, n_samples=8, engine=True),
-            **kwargs,
-        )
-        direct = run_table2(
-            ExperimentConfig(scale=0.08, n_runs=2, seed=42, n_samples=8, engine=False),
-            **kwargs,
-        )
-        assert routed.cells.keys() == direct.cells.keys()
-        for key in routed.cells:
-            assert routed.cells[key].theta == direct.cells[key].theta
-            assert routed.cells[key].quality == direct.cells[key].quality
+        direct = _direct_table2(config, "iris", "normal", algorithms)
+        assert {
+            key: (cell.theta, cell.quality)
+            for key, cell in routed.cells.items()
+        } == direct
 
     def test_table3_engine_path_identical_for_moment_based(self):
         from repro.experiments import ExperimentConfig, run_table3
 
-        kwargs = dict(
+        config = ExperimentConfig(scale=0.004, n_runs=2, seed=17)
+        routed = run_table3(
+            config,
             datasets=("neuroblastoma",),
             cluster_counts=(2, 3),
             algorithms=("UKM", "MMV"),
         )
-        routed = run_table3(
-            ExperimentConfig(scale=0.004, n_runs=2, seed=17, engine=True),
-            **kwargs,
+        assert routed.quality == _direct_table3(
+            config, "neuroblastoma", (2, 3), ("UKM", "MMV")
         )
-        direct = run_table3(
-            ExperimentConfig(scale=0.004, n_runs=2, seed=17, engine=False),
-            **kwargs,
-        )
-        assert routed.quality == direct.quality
 
     def test_figure4_engine_path_measures_same_grid(self):
         """Runtimes are wall-clock (not comparable value-for-value);
-        the engine path must measure the same (dataset, algorithm) grid
-        with positive on-line runtimes, including the density methods."""
+        the runner must measure every (dataset, algorithm) cell of its
+        roster with positive on-line runtimes, density methods
+        included."""
         from repro.experiments import ExperimentConfig, run_figure4
 
-        kwargs = dict(
+        report = run_figure4(
+            ExperimentConfig(scale=0.01, n_runs=2, seed=8, n_samples=8),
             datasets=("abalone",),
             slow_group=("FDB", "FOPT"),
             fast_group=("UKM",),
             n_clusters=3,
         )
-        routed = run_figure4(
-            ExperimentConfig(scale=0.01, n_runs=2, seed=8, n_samples=8, engine=True),
-            **kwargs,
-        )
-        direct = run_figure4(
-            ExperimentConfig(scale=0.01, n_runs=2, seed=8, n_samples=8, engine=False),
-            **kwargs,
-        )
-        assert routed.runtimes_ms.keys() == direct.runtimes_ms.keys()
-        assert all(v > 0 for v in routed.runtimes_ms.values())
+        assert list(report.runtimes_ms) == [
+            ("abalone", alg) for alg in ("FDB", "FOPT", "UKM", "UCPC")
+        ]
+        assert all(v > 0 for v in report.runtimes_ms.values())
 
     def test_figure5_engine_path_measures_same_grid(self):
         from repro.experiments import ExperimentConfig, run_figure5
+        from repro.experiments.figure5 import (
+            prepare_figure5_base,
+            prepare_figure5_fraction,
+        )
 
-        kwargs = dict(fractions=(0.5, 1.0), algorithms=("UKM",), base_size=200)
-        routed = run_figure5(
-            ExperimentConfig(n_runs=1, seed=4, engine=True), **kwargs
+        config = ExperimentConfig(n_runs=1, seed=4)
+        report = run_figure5(
+            config, fractions=(0.5, 1.0), algorithms=("UKM",), base_size=200
         )
-        direct = run_figure5(
-            ExperimentConfig(n_runs=1, seed=4, engine=False), **kwargs
-        )
-        assert routed.runtimes_ms.keys() == direct.runtimes_ms.keys()
-        assert routed.sizes == direct.sizes
+        full, rng_data, _ = prepare_figure5_base(config, 200)
+        assert report.sizes == {
+            frac: len(prepare_figure5_fraction(full, frac, rng_data))
+            for frac in (0.5, 1.0)
+        }
+        assert list(report.runtimes_ms) == [(0.5, "UKM"), (1.0, "UKM")]
+        assert all(v > 0 for v in report.runtimes_ms.values())
 
     def test_protocol_engine_path_identical_for_moment_based(self, data):
         from repro.datagen.uncertainty_gen import UncertaintyGenerator
         from repro.evaluation.protocol import evaluate_theta_multirun
 
-        points = data.mu_matrix
-        labels = data.labels
         pair = UncertaintyGenerator(family="normal").generate(
-            points, labels, seed=0
+            data.mu_matrix, data.labels, seed=0
         )
-        routed = evaluate_theta_multirun(
-            UKMeans(4), pair, n_runs=3, seed=13, engine=True
+        routed = evaluate_theta_multirun(UKMeans(4), pair, n_runs=3, seed=13)
+        assert (routed.theta_mean, routed.quality_mean) == _direct_theta(
+            UKMeans(4), pair, 3, 13
         )
-        direct = evaluate_theta_multirun(
-            UKMeans(4), pair, n_runs=3, seed=13, engine=False
-        )
-        assert routed.theta_mean == direct.theta_mean
-        assert routed.quality_mean == direct.quality_mean
 
 
 class TestFitBest:

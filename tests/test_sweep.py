@@ -1,11 +1,13 @@
 """Tests for the paper-grid sweep orchestrator (repro.engine.sweep).
 
-The orchestrator's whole contract is invisibility plus persistence: a
-sweep cell must equal the corresponding direct-runner cell bit for bit
-(on every backend), a resumed store must be byte-identical to an
-uninterrupted one, damaged cell files must be detected and re-run, and
-each dataset's off-line caches (moment matrices, sampling plan, pairwise
-ÊD matrix) must be built exactly once across the whole grid.
+The direct runners are walks of the sweep with no result store, so the
+orchestrator's contract is stable values plus persistence: cells must
+keep the values recorded before the runners became the sweep (bit for
+bit, on every backend), a resumed store must be byte-identical to an
+uninterrupted one, damaged cell files must be detected and re-run,
+stores written before must still resume, and each dataset's off-line
+caches (moment matrices, sampling plan, pairwise ÊD matrix) must be
+built exactly once across the whole grid.
 """
 
 from __future__ import annotations
@@ -41,6 +43,144 @@ T3_AXES = dict(
     cluster_counts=(2, 3),
     algorithms=("UKmed", "MMV"),
 )
+
+
+#: ``float.hex`` cell values of the T2_AXES/T3_AXES grid at three seeds,
+#: recorded from the direct runners while they were still a separate
+#: loop: ``{seed: {algorithm: (theta, quality)}}`` for Table 2 and
+#: ``{seed: {(k, algorithm): quality}}`` for Table 3.
+PINNED_TABLE2 = {
+    0: {
+        "UKM": ("-0x1.623a23a23a236p-3", "0x1.334499f562e1ep-2"),
+        "UKmed": ("0x1.b3e4f0bba6e10p-6", "0x1.67d546475c0cep-2"),
+    },
+    7: {
+        "UKM": ("0x1.c5bb637827fe8p-4", "0x1.9bdaa1a837823p-2"),
+        "UKmed": ("0x1.38e2d8abe3870p-4", "0x1.a3731750e0d6ap-2"),
+    },
+    123: {
+        "UKM": ("0x1.0603ee77cb0aep-2", "0x1.676b25087f1b3p-2"),
+        "UKmed": ("0x1.c9e82cbbaf492p-3", "0x1.618007d362a2fp-2"),
+    },
+}
+PINNED_TABLE3 = {
+    0: {
+        (2, "UKmed"): "0x1.59ff1c6fdd524p-2",
+        (2, "MMV"): "0x1.c6715984850e4p-3",
+        (3, "UKmed"): "0x1.3c061245c311ep-2",
+        (3, "MMV"): "0x1.22cc66dded38ep-4",
+    },
+    7: {
+        (2, "UKmed"): "0x1.9cc17ad71f159p-3",
+        (2, "MMV"): "0x1.020c10568ce28p-2",
+        (3, "UKmed"): "0x1.3d0faa4fee654p-2",
+        (3, "MMV"): "0x1.47d8ca85266ebp-2",
+    },
+    123: {
+        (2, "UKmed"): "0x1.ddf25d47732d4p-3",
+        (2, "MMV"): "0x1.ff7a2d6faf183p-3",
+        (3, "UKmed"): "0x1.226158fdd3704p-2",
+        (3, "MMV"): "-0x1.6687f533ea9acp-5",
+    },
+}
+
+
+def _recorded_config(**changes):
+    """A config as recorded in manifests: the defaults plus ``changes``."""
+    return dict(
+        {
+            "backend": "serial",
+            "batch_size": 1,
+            "engine": True,
+            "mass": 0.95,
+            "max_objects": 600,
+            "n_jobs": 1,
+            "n_runs": 5,
+            "n_samples": 32,
+            "scale": 1.0,
+            "seed": 2012,
+            "spread": 1.0,
+        },
+        **changes,
+    )
+
+
+_ACCURACY = ["FDB", "FOPT", "UAHC", "UKmed", "UKM", "MMV", "UCPC"]
+_SLOW = ["UKmed", "bUKM", "UAHC", "FDB", "FOPT"]
+_FAST = ["UKM", "MMV", "MinMax-BB", "VDBiP"]
+
+#: ``paper_grid().describe()`` as recorded before the runners became the
+#: sweep.
+PAPER_GRID_MANIFEST = {
+    "schema": 2,
+    "surfaces": {
+        "table2": {
+            "config": _recorded_config(),
+            "datasets": [
+                "iris", "wine", "glass", "ecoli", "yeast", "image",
+                "abalone", "letter",
+            ],
+            "families": ["uniform", "normal", "exponential"],
+            "algorithms": _ACCURACY,
+        },
+        "table3": {
+            "config": _recorded_config(scale=0.02),
+            "datasets": ["neuroblastoma", "leukaemia"],
+            "cluster_counts": [2, 3, 5, 10, 15, 20, 25, 30],
+            "algorithms": _ACCURACY,
+        },
+        "figure4": {
+            "config": _recorded_config(scale=0.02, n_runs=3),
+            "datasets": ["abalone", "letter", "neuroblastoma", "leukaemia"],
+            "slow_group": _SLOW,
+            "fast_group": _FAST,
+            "n_clusters": 10,
+        },
+        "figure5": {
+            "config": _recorded_config(n_runs=3),
+            "fractions": [0.05, 0.25, 0.5, 0.75, 1.0],
+            "algorithms": ["UKM", "MMV", "MinMax-BB", "VDBiP", "UCPC"],
+            "base_size": 20000,
+        },
+    },
+}
+
+#: The ``repro sweep --quick`` grid's manifest at default arguments, as
+#: recorded before the runners became the sweep.
+QUICK_GRID_MANIFEST = {
+    "schema": 2,
+    "surfaces": {
+        "table2": {
+            "config": _recorded_config(
+                scale=0.2, max_objects=60, n_runs=2, n_samples=8
+            ),
+            "datasets": ["iris"],
+            "families": ["normal"],
+            "algorithms": ["UKM", "UKmed"],
+        },
+        "table3": {
+            "config": _recorded_config(scale=0.004, n_runs=2, n_samples=8),
+            "datasets": ["neuroblastoma"],
+            "cluster_counts": [2, 3],
+            "algorithms": ["UKmed", "MMV"],
+        },
+        "figure4": {
+            "config": _recorded_config(
+                scale=0.02, max_objects=80, n_runs=2, n_samples=8
+            ),
+            "datasets": ["abalone"],
+            "slow_group": _SLOW,
+            "fast_group": _FAST,
+            "n_clusters": 10,
+        },
+        "figure5": {
+            "config": _recorded_config(n_runs=2, n_samples=8),
+            "fractions": [0.25, 1.0],
+            "algorithms": ["UKM", "MMV"],
+            "base_size": 2000,
+        },
+    },
+}
 
 
 def _configs(seed=5, backend="serial", n_jobs=1, batch_size=1, n_runs=2):
@@ -84,6 +224,18 @@ def _assert_matches_direct(outcome, table2, table3):
         assert outcome.table3.quality[key] == quality, key
 
 
+def _assert_pinned(table2, table3, seed):
+    """The reports carry exactly the recorded cells of ``seed``."""
+    assert {
+        alg: (cell.theta.hex(), cell.quality.hex())
+        for (_, _, alg), cell in table2.cells.items()
+    } == PINNED_TABLE2[seed]
+    assert {
+        (k, alg): quality.hex()
+        for (_, k, alg), quality in table3.quality.items()
+    } == PINNED_TABLE3[seed]
+
+
 def _tree_bytes(root: Path):
     return {
         path.relative_to(root).as_posix(): path.read_bytes()
@@ -93,13 +245,13 @@ def _tree_bytes(root: Path):
 
 
 class TestSweepEquivalence:
-    """Satellite 1: sweep cells ≡ direct runner cells, per backend."""
+    """Sweep and direct-runner cells keep their recorded values."""
 
-    def test_20_seed_bit_identity_serial(self, tmp_path):
-        for seed in range(20):
-            outcome = run_sweep(_grid(seed=seed), tmp_path / f"s{seed}")
-            table2, table3 = _direct_reports(seed)
-            _assert_matches_direct(outcome, table2, table3)
+    @pytest.mark.parametrize("seed", sorted(PINNED_TABLE2))
+    def test_pinned_values_serial(self, tmp_path, seed):
+        outcome = run_sweep(_grid(seed=seed), tmp_path / f"s{seed}")
+        _assert_pinned(outcome.table2, outcome.table3, seed)
+        _assert_pinned(*_direct_reports(seed), seed)
 
     @pytest.mark.parametrize(
         "backend,n_jobs,batch_size",
@@ -109,15 +261,14 @@ class TestSweepEquivalence:
         self, tmp_path, backend, n_jobs, batch_size
     ):
         """Backends and chunkings are result-invariant, so a sweep on
-        any of them must still equal the direct *serial* reference."""
-        for seed in (0, 7, 123):
+        any of them must still reproduce the serial recorded values."""
+        for seed in sorted(PINNED_TABLE2):
             outcome = run_sweep(
                 _grid(seed=seed, backend=backend, n_jobs=n_jobs,
                       batch_size=batch_size),
                 tmp_path / f"{backend}-{batch_size}-{seed}",
             )
-            table2, table3 = _direct_reports(seed)
-            _assert_matches_direct(outcome, table2, table3)
+            _assert_pinned(outcome.table2, outcome.table3, seed)
 
     def test_processes_backend_bit_identity(self, tmp_path):
         """The process pool (shared-memory publication, group block
@@ -126,8 +277,7 @@ class TestSweepEquivalence:
             _grid(seed=7, backend="processes", n_jobs=2),
             tmp_path / "processes",
         )
-        table2, table3 = _direct_reports(7)
-        _assert_matches_direct(outcome, table2, table3)
+        _assert_pinned(outcome.table2, outcome.table3, 7)
 
     def test_figure_surfaces_match_direct_structure(self, tmp_path):
         """Figure cells store measured runtimes (not deterministic), so
@@ -257,6 +407,47 @@ class TestResume:
         assert _tree_bytes(clean) == _tree_bytes(store)
 
 
+    def test_partial_figure5_resume_redraws_every_subset(
+        self, tmp_path, monkeypatch
+    ):
+        """Figure 5's fractions share one data stream: a resume with one
+        cell missing must draw every fraction's subset again, in order,
+        so the pending cell clusters the same subset an uninterrupted
+        run did."""
+        import hashlib
+
+        import repro.experiments.figure5 as figure5_module
+
+        original = figure5_module.prepare_figure5_fraction
+        draws = []
+
+        def recording(full, frac, rng_data):
+            subset = original(full, frac, rng_data)
+            digest = hashlib.sha1(subset.mu_matrix.tobytes()).hexdigest()
+            draws.append((frac, digest))
+            return subset
+
+        monkeypatch.setattr(
+            figure5_module, "prepare_figure5_fraction", recording
+        )
+        cfg = ExperimentConfig(n_runs=1, n_samples=8, seed=3)
+        grid = SweepGrid(
+            figure5=Figure5Spec(
+                config=cfg,
+                fractions=(0.25, 0.5, 1.0),
+                algorithms=("UKM",),
+                base_size=400,
+            )
+        )
+        store = tmp_path / "store"
+        run_sweep(grid, store)
+        fresh, draws[:] = list(draws), []
+        missing = cell_id("figure5", ("f0.5",), ("UKM",))
+        (store / "cells" / f"{missing}.json").unlink()
+        outcome = run_sweep(grid, store, resume=True)
+        assert outcome.executed == [missing] and not outcome.invalid
+        assert draws == fresh
+
 class TestStoreSafety:
     def test_refuses_existing_results_without_resume(self, tmp_path):
         store = tmp_path / "store"
@@ -292,6 +483,20 @@ class TestStoreSafety:
         manifest = json.loads((store / "manifest.json").read_text())
         assert manifest == grid.describe()
         assert set(manifest["surfaces"]) == {"table2", "table3"}
+
+    def test_manifests_match_recorded_grids(self):
+        """``describe()`` must equal the manifests recorded while
+        ``ExperimentConfig`` still had its ``engine`` field — with the
+        ``"engine": true`` key — or every existing store would be
+        refused as written for a different grid."""
+        from repro.cli import _sweep_grid, build_parser
+        from repro.engine.sweep import paper_grid
+
+        quick = _sweep_grid(
+            build_parser().parse_args(["sweep", "--store", "s", "--quick"])
+        )
+        assert paper_grid().describe() == PAPER_GRID_MANIFEST
+        assert quick.describe() == QUICK_GRID_MANIFEST
 
     def test_grid_needs_a_surface(self):
         from repro.exceptions import InvalidParameterError
@@ -447,29 +652,18 @@ class TestReportingIntegration:
         with pytest.raises(InvalidParameterError, match="missing"):
             outcome.artifacts()
 
-    def test_collect_artifacts_via_store(self, tmp_path):
-        """collect_artifacts(store=...) routes through the sweep and
-        returns the same deterministic cells as the direct path."""
+    def test_collect_artifacts_via_store(self, tmp_path, monkeypatch):
+        """collect_artifacts is one sweep of the paper grid: it returns
+        the same deterministic cells with or without a result store.
+        (The full paper grid is far too slow for a test, so paper_grid
+        is shrunk to one small grid with every surface.)"""
+        import repro.engine.sweep as sweep_module
         from repro.experiments.reporting import collect_artifacts
-        from repro.engine.sweep import paper_grid, run_sweep as _run
 
         cfg = ExperimentConfig(
             scale=0.02, max_objects=40, n_runs=1, n_samples=8, seed=9
         )
         micro = ExperimentConfig(scale=0.004, n_runs=1, n_samples=8, seed=9)
-        # Shrink the grid axes through paper_grid-compatible specs: use
-        # the sweep directly for the heavy surfaces' axes, then check
-        # collect_artifacts agrees for the deterministic Table 2 cells.
-        grid = paper_grid(
-            table2_config=cfg,
-            table3_config=micro,
-            figure4_config=micro,
-            figure5_config=cfg,
-            figure5_base_size=800,
-        )
-        # paper_grid uses the full default axes — far too slow for a
-        # test — so only check the wiring: a grid with every surface
-        # assembles PaperArtifacts.
         small = SweepGrid(
             table2=Table2Spec(config=cfg, **T2_AXES),
             table3=Table3Spec(config=micro, **T3_AXES),
@@ -481,11 +675,16 @@ class TestReportingIntegration:
                 base_size=800,
             ),
         )
-        outcome = _run(small, tmp_path / "store")
-        artifacts = outcome.artifacts()
-        assert artifacts.table2 is outcome.table2
-        assert artifacts.figure5 is outcome.figure5
-        assert grid.table2 is not None  # paper_grid wiring sanity
+        monkeypatch.setattr(
+            sweep_module, "paper_grid", lambda *args, **kwargs: small
+        )
+        direct = collect_artifacts()
+        stored = collect_artifacts(store=tmp_path / "store")
+        _assert_matches_direct(stored, direct.table2, direct.table3)
+        assert stored.figure5.sizes == direct.figure5.sizes
+        assert json.loads(
+            (tmp_path / "store" / "manifest.json").read_text()
+        ) == small.describe()
 
 
 class TestLeaseTTLEdges:
