@@ -22,8 +22,9 @@ The measurement roster mirrors ``benchmarks/bench_engine.py``:
   plane vs the per-restart ÊD recompute it replaced;
 * UAHC's vectorized proximity agglomeration;
 * report-shaped aggregation (metric summary + best-of-group +
-  rank-over-grid) over a ~10k-cell synthetic result store, on the JSON
-  directory backend vs the SQLite columnar backend;
+  rank-over-grid) over a ~10k-cell synthetic result store in indexed
+  SQL, with its speedup over the Python reference reads of the same
+  store;
 * the multi-worker sweep: one compute-dominated small grid run by a
   single worker vs two claim-based worker processes leasing cells off
   one shared store (speedup only materializes on >= 2 cores; the
@@ -61,13 +62,14 @@ import numpy as np
 from repro.clustering import FDBSCAN, UAHC, UKMeans, BasicUKMeans, UKMedoids
 from repro.datagen import make_blobs_uncertain
 from repro.engine import MultiRestartRunner
-from repro.engine.store import SWEEP_SCHEMA_VERSION, ResultStore, open_store
+from repro.engine.store import SWEEP_SCHEMA_VERSION, SqliteStore, open_store
+from repro.engine.store import base as reference
 from repro.exceptions import ConvergenceWarning
 from repro.objects import UncertainDataset, UncertainObject
 from repro.utils.rng import ensure_rng
 
 #: Bumped whenever a measurement's name or meaning changes.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: The fixed measurement roster.  ``run_benchmarks`` must emit exactly
 #: these names; the overwrite guard in :func:`main` compares an existing
@@ -86,7 +88,6 @@ MEASUREMENT_NAMES = (
     "ukmedoids_plane_recompute",
     "uahc_jeffreys_fit",
     "store_aggregate_sqlite",
-    "store_aggregate_json",
     "sweep_single_worker",
     "sweep_two_workers",
     "bounded_ukmeans_elkan",
@@ -160,7 +161,7 @@ def _per_object_loop(dataset, n_samples, seed):
 
 
 def populate_synthetic_store(
-    store: ResultStore, n_cells: int, seed: int = 29
+    store: SqliteStore, n_cells: int, seed: int = 29
 ) -> None:
     """Fill ``store`` with a sweep-shaped synthetic grid of ``n_cells``.
 
@@ -196,17 +197,27 @@ def populate_synthetic_store(
         group_idx += 1
 
 
-def aggregate_store(store: ResultStore):
+def aggregate_store(store: SqliteStore):
     """The report-shaped aggregation workload over one store.
 
     One full metric summary plus best-of-group and rank-over-grid on
-    the headline metric — Python reference reads on the JSON backend,
-    indexed SQL (GROUP BY + window functions) on SQLite.
+    the headline metric, in indexed SQL (GROUP BY + window functions).
     """
     return (
         store.metric_summary(),
         store.best_cells("quality", mode="max"),
         store.rank_over_grid("quality", mode="max"),
+    )
+
+
+def reference_aggregate(store: SqliteStore):
+    """:func:`aggregate_store` by the Python reference reads
+    (:mod:`repro.engine.store.base`) over one walk of the same store."""
+    cells = list(store.iter_cells())
+    return (
+        reference.metric_summary(cells),
+        reference.best_cells(cells, "quality", mode="max"),
+        reference.rank_over_grid(cells, "quality", mode="max"),
     )
 
 
@@ -356,27 +367,22 @@ def run_benchmarks(quick: bool = False) -> List[Dict[str, object]]:
     # --- result-store aggregation ------------------------------------
     store_cells = int(10000 * scale)
     with tempfile.TemporaryDirectory() as tmp:
-        json_store = open_store(Path(tmp) / "store")
-        sqlite_store = open_store(Path(tmp) / "store.sqlite")
+        store = open_store(Path(tmp) / "store.sqlite")
         try:
-            populate_synthetic_store(json_store, store_cells)
-            populate_synthetic_store(sqlite_store, store_cells)
-            aggregate_store(json_store)  # warm page/inode caches
-            aggregate_store(sqlite_store)
-            agg_json = _best_of(lambda: aggregate_store(json_store), repeats)
-            agg_sqlite = _best_of(
-                lambda: aggregate_store(sqlite_store), repeats
+            populate_synthetic_store(store, store_cells)
+            aggregate_store(store)  # warm the page cache
+            agg_sqlite = _best_of(lambda: aggregate_store(store), repeats)
+            agg_reference = _best_of(
+                lambda: reference_aggregate(store), repeats
             )
         finally:
-            json_store.close()
-            sqlite_store.close()
+            store.close()
     record(
         "store_aggregate_sqlite",
         agg_sqlite,
         cells=store_cells,
-        speedup=agg_json / agg_sqlite,
+        speedup=agg_reference / agg_sqlite,
     )
-    record("store_aggregate_json", agg_json, cells=store_cells)
 
     # --- multi-worker sweep ------------------------------------------
     from repro.engine.sweep import (

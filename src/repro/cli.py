@@ -246,11 +246,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _sweep_grid(args)
     if args.join is not None:
         outcome = run_sweep_worker(
-            grid,
-            args.join,
-            lease_ttl=args.lease_ttl,
-            progress=print,
-            store_backend=args.store_backend,
+            grid, args.join, lease_ttl=args.lease_ttl, progress=print
         )
     elif args.workers > 1:
         outcome = run_sweep_workers(
@@ -259,43 +255,41 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             workers=args.workers,
             lease_ttl=args.lease_ttl,
             progress=print,
-            store_backend=args.store_backend,
         )
     else:
         outcome = run_sweep(
-            grid,
-            args.store,
-            resume=args.resume,
-            progress=print,
-            store_backend=args.store_backend,
+            grid, args.store, resume=args.resume, progress=print
         )
     print(f"sweep complete: {outcome.summary()} (store: {outcome.store_root})")
     return 0
 
 
-def _cmd_store_migrate(args: argparse.Namespace) -> int:
-    from repro.engine.store import migrate_store
+def _cmd_store_export(args: argparse.Namespace) -> int:
+    from repro.engine.store import export_store
 
-    report = migrate_store(
-        args.src,
-        args.dst,
-        source_backend=args.src_backend,
-        destination_backend=args.dst_backend,
-        progress=print if args.verbose else None,
+    cells = export_store(args.store, args.directory)
+    print(
+        f"exported {len(cells)} cells: {args.store} -> {args.directory}; "
+        "verified cell-for-cell"
     )
-    print(report.summary())
+    return 0
+
+
+def _cmd_store_import(args: argparse.Namespace) -> int:
+    from repro.engine.store import import_store
+
+    cells = import_store(args.directory, args.store)
+    print(
+        f"imported {len(cells)} cells: {args.directory} -> {args.store}; "
+        "verified cell-for-cell"
+    )
     return 0
 
 
 def _cmd_store_diff(args: argparse.Namespace) -> int:
     from repro.engine.store import diff_stores
 
-    differences = diff_stores(
-        args.left,
-        args.right,
-        left_backend=args.left_backend,
-        right_backend=args.right_backend,
-    )
+    differences = diff_stores(args.left, args.right)
     if differences:
         for line in differences:
             print(line)
@@ -309,7 +303,7 @@ def _cmd_store_summary(args: argparse.Namespace) -> int:
     from repro.engine.store import open_store
     from repro.utils.tables import format_table
 
-    store = open_store(args.path, backend=args.backend)
+    store = open_store(args.path)
     try:
         if store.read_manifest() is None:
             raise SweepStoreError(f"{args.path} has no sweep manifest")
@@ -318,7 +312,7 @@ def _cmd_store_summary(args: argparse.Namespace) -> int:
             format_table(
                 [list(row) for row in summary],
                 headers=["surface", "metric", "cells", "min", "max", "mean"],
-                title=f"{store.backend} store {store.path}",
+                title=f"store {store.path}",
             )
         )
         if args.metric:
@@ -365,7 +359,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         figure5_base_size=args.base_size,
         store=args.store,
         resume=args.resume,
-        store_backend=args.store_backend,
     )
 
     checks = run_all_checks(
@@ -481,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument(
         "--store",
         default=None,
-        help="result-store path: a directory (JSON backend) or a "
-        ".sqlite file (SQLite backend)",
+        help="result-store path: a SQLite file, created when new",
     )
     ps.add_argument(
         "--workers",
@@ -506,14 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         help="seconds a cell lease lives between heartbeats; a dead "
         "worker's cells are reclaimed after this long",
-    )
-    ps.add_argument(
-        "--store-backend",
-        choices=["json", "sqlite"],
-        default=None,
-        help="force a store backend (default: resolve from the path — "
-        "a .sqlite/.db suffix or existing file means sqlite, anything "
-        "else the JSON directory layout)",
     )
     ps.add_argument(
         "--resume",
@@ -543,14 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         help="persist every cell of the four suites in this resumable "
-        "result store (directory = JSON backend, .sqlite file = SQLite "
-        "backend)",
-    )
-    pr.add_argument(
-        "--store-backend",
-        choices=["json", "sqlite"],
-        default=None,
-        help="force a store backend (default: resolve from the path)",
+        "result store (a SQLite file)",
     )
     pr.add_argument(
         "--resume",
@@ -560,67 +537,42 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=_cmd_report)
 
     pst = sub.add_parser(
-        "store", help="result-store utilities (migrate, diff, summary)"
+        "store", help="result-store utilities (export, import, diff, summary)"
     )
     store_sub = pst.add_subparsers(dest="store_command", required=True)
 
-    pm = store_sub.add_parser(
-        "migrate",
-        help="copy a store between backends (JSON <-> SQLite), "
-        "verifying cell-for-cell payload equality",
+    pex = store_sub.add_parser(
+        "export",
+        help="write a store as a JSON directory (manifest.json plus "
+        "cells/<id>.json), verified cell-for-cell",
     )
-    pm.add_argument("src", help="source store path")
-    pm.add_argument("dst", help="destination store path (must be fresh)")
-    pm.add_argument(
-        "--src-backend",
-        choices=["json", "sqlite"],
-        default=None,
-        help="force the source backend (default: resolve from the path)",
+    pex.add_argument("store", help="store path")
+    pex.add_argument("directory", help="destination directory (must be fresh)")
+    pex.set_defaults(func=_cmd_store_export)
+
+    pim = store_sub.add_parser(
+        "import",
+        help="load a JSON directory (an export, or a store directory "
+        "from an earlier version) into a fresh store, verified "
+        "cell-for-cell",
     )
-    pm.add_argument(
-        "--dst-backend",
-        choices=["json", "sqlite"],
-        default=None,
-        help="force the destination backend (default: resolve from the path)",
-    )
-    pm.add_argument(
-        "--verbose", action="store_true", help="print one line per cell"
-    )
-    pm.set_defaults(func=_cmd_store_migrate)
+    pim.add_argument("directory", help="source JSON directory")
+    pim.add_argument("store", help="destination store path (must be fresh)")
+    pim.set_defaults(func=_cmd_store_import)
 
     pdf = store_sub.add_parser(
         "diff",
-        help="compare two stores cell-for-cell (exit 1 when they "
-        "differ); backends may differ — payloads are canonical JSON "
-        "on both",
+        help="compare two stores cell-for-cell (exit 1 when they differ)",
     )
     pdf.add_argument("left", help="first store path")
     pdf.add_argument("right", help="second store path")
-    pdf.add_argument(
-        "--left-backend",
-        choices=["json", "sqlite"],
-        default=None,
-        help="force the first store's backend",
-    )
-    pdf.add_argument(
-        "--right-backend",
-        choices=["json", "sqlite"],
-        default=None,
-        help="force the second store's backend",
-    )
     pdf.set_defaults(func=_cmd_store_diff)
 
     pq = store_sub.add_parser(
         "summary",
-        help="aggregate a result store (SQL-side on the SQLite backend)",
+        help="aggregate a result store in SQL",
     )
     pq.add_argument("path", help="store path")
-    pq.add_argument(
-        "--backend",
-        choices=["json", "sqlite"],
-        default=None,
-        help="force the store backend (default: resolve from the path)",
-    )
     pq.add_argument(
         "--metric",
         default=None,

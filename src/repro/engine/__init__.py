@@ -9,10 +9,10 @@ NumPy kernels, zero serialization), process pool (moment matrices,
 sample tensor and ÊD matrix published once via shared memory) or auto
 (per-algorithm-family dispatch), all bit-identical for fixed seeds,
 with optional engine-level early stopping across restarts and
-in-worker restart batching.  Sweep results persist through the
-pluggable result-store layer (:mod:`repro.engine.store`): a JSON
-directory or a single-file SQLite database with SQL-side aggregation,
-migratable in either direction.
+in-worker restart batching.  Sweep results persist in the result
+store (:mod:`repro.engine.store`): a single-file SQLite database with
+SQL-side aggregation, exportable to (and importable from) a JSON
+directory.
 """
 
 from repro.engine.backends import (
@@ -35,11 +35,9 @@ from repro.engine.distances import (
 )
 from repro.engine.runner import MultiRestartRunner, RestartRecord, fit_runs
 from repro.engine.store import (
-    STORE_BACKENDS,
-    JsonStore,
-    ResultStore,
     SqliteStore,
-    migrate_store,
+    export_store,
+    import_store,
     open_store,
 )
 
@@ -48,19 +46,17 @@ __all__ = [
     "BACKEND_NAMES",
     "EarlyStopping",
     "ExecutionBackend",
-    "JsonStore",
     "MultiRestartRunner",
     "ProcessBackend",
     "RestartRecord",
-    "ResultStore",
-    "STORE_BACKENDS",
     "SerialBackend",
     "SharedBlockRegistry",
     "SqliteStore",
     "ThreadBackend",
+    "export_store",
     "fit_runs",
     "get_backend",
-    "migrate_store",
+    "import_store",
     "needs_pairwise_ed",
     "open_store",
     "pinned_pairwise_ed",

@@ -1,30 +1,21 @@
-"""Pluggable result-store layer for the sweep orchestrator.
+"""The sweep result store: one SQLite file per store.
 
-One cell-payload contract (:mod:`repro.engine.store.base`), two
-substrates:
-
-* ``json`` — :class:`JsonStore`, a directory with one atomically
-  written JSON file per cell (the original layout);
-* ``sqlite`` — :class:`SqliteStore`, a single WAL-mode database file
-  with the numeric values exploded into an indexed columnar table and
-  the query/aggregation layer pushed into SQL.
-
-:func:`open_store` resolves a backend from a path (a ``.sqlite`` /
-``.db`` suffix or an existing file means SQLite; anything else means
-the JSON directory layout), and :func:`migrate_store` converts a store
-between backends with cell-for-cell verification.
+* :class:`SqliteStore` (:mod:`repro.engine.store.sqlite_store`) — a
+  single WAL-mode database file with the numeric values exploded into
+  an indexed columnar table, the query/aggregation layer in SQL, and
+  the claim/lease layer of multi-worker sweeps;
+* :mod:`repro.engine.store.base` — the cell payload contract and the
+  Python reference reads the SQL is tested against;
+* :func:`export_store` / :func:`import_store`
+  (:mod:`repro.engine.store.transfer`) — the JSON directory exchange
+  format (``manifest.json`` plus ``cells/<cell_id>.json``), with
+  cell-for-cell verification, and :func:`diff_stores`.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Optional, Union
-
 from repro.engine.store.base import (
-    SQLITE_SUFFIXES,
-    STORE_BACKENDS,
     SWEEP_SCHEMA_VERSION,
-    ResultStore,
     atomic_write,
     build_payload,
     canonical_dumps,
@@ -32,68 +23,10 @@ from repro.engine.store.base import (
     seed_fingerprint,
     validate_payload,
 )
-from repro.engine.store.json_store import JsonStore
-from repro.engine.store.migrate import (
-    MigrationReport,
-    diff_stores,
-    migrate_store,
-)
-from repro.engine.store.sqlite_store import SqliteStore
-from repro.exceptions import InvalidParameterError
-
-_BACKENDS = {JsonStore.backend: JsonStore, SqliteStore.backend: SqliteStore}
-
-
-def infer_backend(path: Union[str, Path]) -> str:
-    """The backend a bare path implies: ``"json"`` or ``"sqlite"``.
-
-    A SQLite-ish suffix (``.sqlite`` / ``.sqlite3`` / ``.db``) or an
-    existing regular file means the single-file SQLite backend;
-    everything else (existing directories, suffix-less new paths) means
-    the JSON directory layout.
-    """
-    path = Path(path)
-    if path.suffix.lower() in SQLITE_SUFFIXES:
-        return "sqlite"
-    if path.is_file():
-        return "sqlite"
-    return "json"
-
-
-def open_store(
-    store: Union[str, Path, ResultStore],
-    backend: Optional[str] = None,
-) -> ResultStore:
-    """Resolve a path (or pass through a store) to a :class:`ResultStore`.
-
-    ``backend`` forces a specific substrate; ``None`` infers one from
-    the path via :func:`infer_backend`.
-    """
-    if isinstance(store, ResultStore):
-        if backend is not None and backend != store.backend:
-            raise InvalidParameterError(
-                f"store is a {store.backend} backend but "
-                f"backend={backend!r} was requested"
-            )
-        return store
-    if backend is None:
-        backend = infer_backend(store)
-    try:
-        factory = _BACKENDS[backend]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown store backend {backend!r}; choose from "
-            f"{', '.join(STORE_BACKENDS)}"
-        ) from None
-    return factory(store)
-
+from repro.engine.store.sqlite_store import SqliteStore, open_store
+from repro.engine.store.transfer import diff_stores, export_store, import_store
 
 __all__ = [
-    "JsonStore",
-    "MigrationReport",
-    "ResultStore",
-    "SQLITE_SUFFIXES",
-    "STORE_BACKENDS",
     "SWEEP_SCHEMA_VERSION",
     "SqliteStore",
     "atomic_write",
@@ -101,8 +34,8 @@ __all__ = [
     "canonical_dumps",
     "cell_id",
     "diff_stores",
-    "infer_backend",
-    "migrate_store",
+    "export_store",
+    "import_store",
     "open_store",
     "seed_fingerprint",
     "validate_payload",

@@ -1,4 +1,4 @@
-"""SQLite-backed result store: one file, WAL mode, SQL aggregation.
+"""The result store: one SQLite file, WAL mode, SQL aggregation.
 
 Layout (one database file)::
 
@@ -7,16 +7,23 @@ Layout (one database file)::
           seed_state, status, payload)     -- payload = canonical JSON
     cell_values(cell_id, metric, value)    -- exploded numeric plane
 
-The ``payload`` column stores the *exact canonical JSON text* a
-:class:`~repro.engine.store.json_store.JsonStore` would write to the
-cell's file, so migration between backends round-trips byte-for-byte
-and reports generated from either store are identical.  ``cell_values``
-is the columnar projection of every numeric value, indexed by
-``(metric, value)`` and joined against the ``(surface, group_json,
-cell_json)`` index on ``cells`` — the query/aggregation layer
-(`metric_summary`, `best_cells`, `rank_over_grid`, group bulk loads)
-runs as indexed SQL with window functions instead of a Python loop
-over one file per cell.
+The ``payload`` column stores the *exact canonical JSON text* of each
+cell (:func:`~repro.engine.store.base.canonical_dumps`), which is what
+``repro store export`` writes to ``cells/<cell_id>.json`` — so an
+export/import round trip is byte-for-byte.  ``cell_values`` is the
+columnar projection of every numeric value, indexed by ``(metric,
+value)`` and joined against the ``(surface, group_json, cell_json)``
+index on ``cells`` — the query/aggregation layer (`metric_summary`,
+`best_cells`, `rank_over_grid`, group bulk loads) runs as indexed SQL
+with window functions; the Python reference reads in
+:mod:`repro.engine.store.base` define the rows it must return.
+
+Refusal/resume semantics: :meth:`SqliteStore.prepare` refuses a store
+written for a different grid, a store that already holds results when
+``resume`` was not requested, and any path that is not a result store
+(a foreign file, a directory — including a JSON store directory from an
+earlier version, which ``repro store import`` converts) with
+:class:`~repro.exceptions.SweepStoreError`.
 
 Concurrency & durability: the database runs in WAL journal mode, so
 concurrent writers (the multi-worker sweep) coordinate through
@@ -27,14 +34,22 @@ simply re-run on resume, exactly like a cell that never got written.
 Each cell write is one transaction, so a killed run can never leave a
 half-written cell marked ``done``.
 
-Leases live in a ``leases(cell_id, owner, expires_at)`` table, created
-lazily so pre-lease stores open unchanged.  A claim is **one** WAL
+Claim/lease layer: the store doubles as the coordination substrate of
+multi-worker sweeps.  A worker *claims* a pending cell before running
+it, heartbeats the lease while computing, and releases it after the
+cell's payload lands.  A lease is ``(owner, expires_at)`` in a
+``leases(cell_id, owner, expires_at)`` table, created lazily so
+pre-lease stores open unchanged; an expired lease means its worker died
+mid-cell and any survivor may reclaim it.  A claim is **one** WAL
 transaction — an upsert whose ``DO UPDATE`` is guarded by ``owner
 matches OR lease expired`` — so two workers racing for a cell are
 serialized by SQLite's single-writer lock and exactly one sees its row
-change.  The leases table is excluded from store identity (the
-logical-rows comparison reads ``cells``/``cell_values``/``meta``) and
-is left empty by a finished sweep.
+change.  Leases are coordination only: every cell is deterministic
+given the grid (seed-fingerprint replay), so the worst case of a lost
+race is one cell computed twice and written twice with identical bytes.
+The leases table is excluded from store identity (the logical-rows
+comparison reads ``cells``/``cell_values``/``meta``) and is left empty
+by a finished sweep (:meth:`SqliteStore.reap_leases`).
 
 Fork safety: a ``sqlite3.Connection`` must never be used on both sides
 of a ``fork()`` — the child would share the parent's file descriptors
@@ -55,15 +70,16 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.store.base import (
     SWEEP_SCHEMA_VERSION,
-    ResultStore,
+    CellRow,
     ValueRow,
     _check_mode,
     _numeric_items,
+    build_payload,
     canonical_dumps,
     cell_id,
     validate_payload,
 )
-from repro.exceptions import SweepStoreError
+from repro.exceptions import InvalidParameterError, SweepStoreError
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -106,16 +122,34 @@ def _is_missing_table(error: sqlite3.OperationalError) -> bool:
     return "no such table" in str(error)
 
 
-class SqliteStore(ResultStore):
+def _directory_error(path: Path) -> SweepStoreError:
+    """Why a directory cannot be opened as a result store."""
+    if (path / "manifest.json").is_file():
+        return SweepStoreError(
+            f"{path} is a JSON store directory from an earlier version; "
+            "result stores are SQLite files now — convert it with "
+            f"`repro store import {path} {path}.sqlite`"
+        )
+    return SweepStoreError(f"{path} is a directory, not a sqlite result store")
+
+
+class SqliteStore:
     """Single-file columnar result store (SQLite, WAL mode)."""
 
-    backend = "sqlite"
-
     def __init__(self, path: Union[str, Path]):
-        super().__init__(path)
+        self.path = Path(path)
         self._conn: Optional[sqlite3.Connection] = None
         self._conn_pid: Optional[int] = None
         self._leases_ready = False
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"SqliteStore({str(self.path)!r})"
+
+    def __enter__(self) -> "SqliteStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- connection ----------------------------------------------------
     def _connect(self, create: bool = False) -> sqlite3.Connection:
@@ -132,18 +166,22 @@ class SqliteStore(ResultStore):
             self._leases_ready = False
         if self._conn is not None:
             return self._conn
+        if self.path.is_dir():
+            raise _directory_error(self.path)
         if not create and not self.path.exists():
             raise SweepStoreError(f"no sqlite result store at {self.path}")
-        if create:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(str(self.path))
+        conn = None
         try:
+            if create:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+            conn = sqlite3.connect(str(self.path))
             # journal_mode reads the header, so a non-database file is
             # rejected here instead of deep inside a later query.
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
-        except sqlite3.DatabaseError as error:
-            conn.close()
+        except (OSError, sqlite3.Error) as error:
+            if conn is not None:
+                conn.close()
             raise SweepStoreError(
                 f"unreadable sqlite store {self.path}: {error}"
             ) from error
@@ -171,6 +209,7 @@ class SqliteStore(ResultStore):
 
     # -- lifecycle -----------------------------------------------------
     def prepare(self, description: Dict[str, object], resume: bool) -> None:
+        """Create the store, or verify an existing one matches the grid."""
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         conn = self._connect(create=True)
         if fresh:
@@ -191,10 +230,25 @@ class SqliteStore(ResultStore):
                 f"{self.path} exists, is not empty and has no sweep "
                 "manifest; refusing to write into it"
             )
-        self._verify_reusable(existing, description, resume)
+        if existing != description:
+            raise SweepStoreError(
+                f"store {self.path} was written for a different grid; "
+                "use a fresh --store path (or the original grid)"
+            )
+        if not resume and self.has_cells():
+            raise SweepStoreError(
+                f"store {self.path} already holds results; pass "
+                "resume=True (--resume) to fill in missing cells, or "
+                "choose a fresh path"
+            )
 
     # -- manifest ------------------------------------------------------
     def read_manifest(self) -> Optional[Dict[str, object]]:
+        """The stored grid description, or ``None`` when absent.
+
+        Raises :class:`~repro.exceptions.SweepStoreError` when a
+        manifest exists but cannot be read.
+        """
         try:
             row = self._execute(
                 "SELECT value FROM meta WHERE key = 'manifest'"
@@ -216,6 +270,7 @@ class SqliteStore(ResultStore):
 
     # -- cells ---------------------------------------------------------
     def has_cells(self) -> bool:
+        """Whether any cell result has been written."""
         try:
             row = self._execute("SELECT 1 FROM cells LIMIT 1").fetchone()
         except sqlite3.OperationalError as error:
@@ -240,6 +295,10 @@ class SqliteStore(ResultStore):
     def load_cell(
         self, cell: str
     ) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
+        """(payload, problem): payload when clean, problem when damaged.
+
+        ``(None, None)`` means the cell simply has not run yet.
+        """
         try:
             row = self._execute(
                 "SELECT payload FROM cells WHERE cell_id = ?", (cell,)
@@ -254,7 +313,26 @@ class SqliteStore(ResultStore):
             return None, None
         return self._decode(row[0])
 
+    def write_cell(
+        self,
+        surface: str,
+        group: Sequence[object],
+        cell: Sequence[object],
+        seed_state: str,
+        values: Dict[str, object],
+    ) -> str:
+        """Persist one freshly computed cell; returns its cell id."""
+        return self.write_payload(
+            build_payload(surface, group, cell, seed_state, values)
+        )
+
     def write_payload(self, payload: Dict[str, object]) -> str:
+        """Persist one complete cell payload; returns its cell id.
+
+        The payload must be :func:`validate_payload`-clean; its id is
+        derived from its own surface/group/cell parts, so an imported
+        payload lands under the id it was exported with.
+        """
         name = cell_id(payload["surface"], payload["group"], payload["cell"])
         value_rows = [
             (name, metric, value)
@@ -284,9 +362,12 @@ class SqliteStore(ResultStore):
             )
         return name
 
-    def iter_cells(
-        self,
-    ) -> Iterator[Tuple[str, Optional[Dict[str, object]], Optional[str]]]:
+    def iter_cells(self) -> Iterator[CellRow]:
+        """Every stored cell as ``(cell_id, payload, problem)``.
+
+        Ordered by cell id; damaged cells appear with ``payload=None``
+        and a problem string, exactly as :meth:`load_cell` reports them.
+        """
         try:
             rows = self._execute(
                 "SELECT cell_id, payload FROM cells ORDER BY cell_id"
@@ -302,6 +383,7 @@ class SqliteStore(ResultStore):
             yield name, payload, problem
 
     def count_cells(self) -> int:
+        """Number of stored cells (damaged ones included)."""
         try:
             return self._execute("SELECT COUNT(*) FROM cells").fetchone()[0]
         except sqlite3.OperationalError as error:
@@ -319,6 +401,16 @@ class SqliteStore(ResultStore):
         return conn
 
     def claim_cell(self, cell: str, owner: str, ttl: float) -> bool:
+        """Try to acquire the lease on one cell for ``ttl`` seconds.
+
+        Succeeds when the cell has no lease, when ``owner`` already
+        holds it (re-entrant — also extends the expiry), or when the
+        existing lease has expired (its worker died; the claim *steals*
+        it).  Returns ``False`` when another worker holds a live lease.
+        Claiming never inspects the cell's payload: a completed cell
+        can be claimed, which is harmless because re-running a
+        deterministic cell rewrites identical bytes.
+        """
         now = time.time()
         conn = self._ensure_leases()
         # One WAL transaction: the upsert's DO UPDATE only fires for a
@@ -338,6 +430,13 @@ class SqliteStore(ResultStore):
         return cursor.rowcount > 0
 
     def renew_lease(self, cell: str, owner: str, ttl: float) -> bool:
+        """Extend a held lease (heartbeat); ``False`` when it was lost.
+
+        Only the current owner can renew.  A ``False`` return means the
+        lease expired and was stolen (or released) — the worker keeps
+        computing anyway (writes are idempotent) but must expect a peer
+        to finish the cell first.
+        """
         conn = self._ensure_leases()
         with conn:
             cursor = conn.execute(
@@ -348,6 +447,12 @@ class SqliteStore(ResultStore):
         return cursor.rowcount > 0
 
     def release_cell(self, cell: str, owner: Optional[str] = None) -> None:
+        """Drop a lease.  With ``owner``, only that owner's lease.
+
+        ``owner=None`` force-releases whatever lease exists (used by
+        :meth:`reap_leases` to clear leases of dead workers).  Missing
+        leases are ignored — release is idempotent.
+        """
         conn = self._ensure_leases()
         with conn:
             if owner is None:
@@ -359,6 +464,11 @@ class SqliteStore(ResultStore):
                 )
 
     def active_leases(self) -> Dict[str, Tuple[str, float]]:
+        """Every recorded lease as ``{cell_id: (owner, expires_at)}``.
+
+        Includes expired leases — expiry is a property the *reader*
+        evaluates against its own clock, not a deletion event.
+        """
         try:
             rows = self._execute(
                 "SELECT cell_id, owner, expires_at FROM leases"
@@ -374,11 +484,39 @@ class SqliteStore(ResultStore):
             for cell, owner, expires_at in rows
         }
 
+    def reap_leases(self, now: Optional[float] = None) -> List[str]:
+        """Drop stale leases; returns the reaped cell ids (sorted).
+
+        A lease is stale when its cell is already complete (the owner
+        died between writing the payload and releasing) or when it has
+        expired (the owner died mid-cell).  Workers call this when they
+        finish a grid so a completed sweep's store carries no lease
+        state at all.
+        """
+        clock = time.time() if now is None else now
+        reaped = []
+        for cell, (_owner, expires_at) in sorted(self.active_leases().items()):
+            if expires_at <= clock:
+                self.release_cell(cell)
+                reaped.append(cell)
+                continue
+            payload, problem = self.load_cell(cell)
+            if payload is not None and problem is None:
+                self.release_cell(cell)
+                reaped.append(cell)
+        return reaped
+
     # -- SQL-side bulk load & aggregation ------------------------------
     def load_group(
         self, names: Sequence[str]
     ) -> Optional[Dict[str, Dict[str, object]]]:
-        """One indexed query for a whole group instead of N point reads."""
+        """All cells of a group, when every one is present and clean.
+
+        ``None`` when any cell is missing or damaged — the caller then
+        materializes the group and walks it cell by cell (which is
+        where damaged cells get reported and re-run).  One indexed
+        query for the whole group instead of N point reads.
+        """
         names = list(names)
         if not names:
             return {}
@@ -441,6 +579,10 @@ class SqliteStore(ResultStore):
         surface: Optional[str] = None,
         metric: Optional[str] = None,
     ) -> List[ValueRow]:
+        """The numeric value plane, ordered by (cell_id, metric).
+
+        Damaged cells are excluded (they carry no trustworthy values).
+        """
         rows = self._value_join(
             "c.cell_id, c.surface, c.group_json, c.cell_json, "
             "v.metric, v.value",
@@ -463,6 +605,7 @@ class SqliteStore(ResultStore):
     def metric_summary(
         self, surface: Optional[str] = None
     ) -> List[Tuple[str, str, int, float, float, float]]:
+        """Per (surface, metric): ``(count, min, max, mean)`` rows."""
         rows = self._value_join(
             "c.surface, v.metric, COUNT(*), MIN(v.value), MAX(v.value), "
             "AVG(v.value)",
@@ -478,6 +621,11 @@ class SqliteStore(ResultStore):
     def best_cells(
         self, metric: str, mode: str = "max"
     ) -> List[Tuple[str, Tuple[str, ...], str, float]]:
+        """Best-of-group for one metric: one winner per (surface, group).
+
+        ``mode`` is ``"max"`` or ``"min"``; ties break on the smallest
+        cell id.
+        """
         _check_mode(mode)
         direction = "DESC" if mode == "max" else "ASC"
         try:
@@ -507,6 +655,11 @@ class SqliteStore(ResultStore):
     def rank_over_grid(
         self, metric: str, mode: str = "max"
     ) -> List[Tuple[int, str, str, float]]:
+        """Every cell ranked over the whole grid for one metric.
+
+        Competition ranking (ties share a rank, the next rank skips);
+        rows ordered by (rank, cell_id).
+        """
         _check_mode(mode)
         direction = "DESC" if mode == "max" else "ASC"
         rows = self._value_join(
@@ -518,3 +671,23 @@ class SqliteStore(ResultStore):
             (int(rank), name, surface, float(value))
             for rank, name, surface, value in rows
         )
+
+
+def open_store(
+    store: Union[str, Path, SqliteStore], backend: Optional[str] = None
+) -> SqliteStore:
+    """Resolve a path (or pass through an open store) to a store.
+
+    Every result store is a SQLite file, so ``backend`` may only be
+    ``None`` or ``"sqlite"``.  A JSON store directory from an earlier
+    version is converted with ``repro store import DIR STORE``.
+    """
+    if backend not in (None, "sqlite"):
+        raise InvalidParameterError(
+            f"unknown store backend {backend!r}: result stores are SQLite "
+            "files; convert a JSON store directory with "
+            "`repro store import DIR STORE`"
+        )
+    if isinstance(store, SqliteStore):
+        return store
+    return SqliteStore(store)

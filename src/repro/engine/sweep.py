@@ -29,26 +29,23 @@ resumed store is byte-identical to an uninterrupted one for the
 deterministic surfaces (Tables 2-3; the Figure cells store measured
 wall-clock runtimes).
 
-Result stores
--------------
-Cell persistence goes through the pluggable store layer
-(:mod:`repro.engine.store`): the ``json`` backend keeps the original
-directory layout (``manifest.json`` plus one atomically written file
-per cell), the ``sqlite`` backend keeps everything in one WAL-mode
-database file with the values exploded into an indexed columnar table.
-A cell payload is ``{"schema": ..., "surface": ..., "group": [...],
-"cell": [...], "seed_state": "<sha1>", "status": "done",
-"values": {...}}`` on every backend.  Corrupted or partial cells (a
-killed run can only ever leave a stray ``*.tmp`` file or an aborted
-transaction behind — final writes are atomic — but truncation or
-manual editing happens) are detected, reported in
+Result store
+------------
+Cells persist in the result store (:mod:`repro.engine.store`): one
+WAL-mode SQLite file with the values exploded into an indexed columnar
+table.  A cell payload is ``{"schema": ..., "surface": ...,
+"group": [...], "cell": [...], "seed_state": "<sha1>",
+"status": "done", "values": {...}}``, stored as canonical JSON text.
+Corrupted or partial cells (a killed run can only ever leave an aborted
+transaction behind — each cell write is one transaction — but manual
+editing happens) are detected, reported in
 :attr:`SweepOutcome.invalid`, and re-run.
 
 Multi-worker execution
 ----------------------
 :func:`run_sweep_worker` executes the same schedule as a claim-based
 *worker*: pending cells are leased on the store before running
-(:meth:`~repro.engine.store.ResultStore.claim_cell`), leases are
+(:meth:`~repro.engine.store.SqliteStore.claim_cell`), leases are
 heartbeated while a cell computes, foreign-leased cells are deferred
 with their seed consumption replayed, and the walk repeats until the
 grid is fully resolved — reclaiming expired leases of dead workers on
@@ -76,7 +73,7 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.engine.backends import shared_block_registry
 from repro.engine.store import (
     SWEEP_SCHEMA_VERSION,
-    ResultStore,
+    SqliteStore,
     cell_id,
     open_store,
 )
@@ -266,7 +263,7 @@ class _LeaseClaimer:
     and there is no reason to weaken that.
     """
 
-    def __init__(self, store: ResultStore, owner: str, ttl: float, log):
+    def __init__(self, store: SqliteStore, owner: str, ttl: float, log):
         if float(ttl) < MIN_LEASE_TTL:
             raise InvalidParameterError(
                 f"lease ttl ({ttl}) must be >= {MIN_LEASE_TTL}s: the "
@@ -278,8 +275,7 @@ class _LeaseClaimer:
         self.ttl = float(ttl)
         self.log = log
         self.store_path = store.path
-        self.store_backend = store.backend
-        self.lease_store = open_store(store.path, backend=store.backend)
+        self.lease_store = SqliteStore(store.path)
         # Deterministic per-owner rotation offset for order_groups.
         self.offset = int(hashlib.sha1(owner.encode()).hexdigest()[:8], 16)
 
@@ -299,15 +295,16 @@ class _LeaseClaimer:
         Losing the lease (stolen after a stall) is logged but does not
         abort the computation: the cell is deterministic, so finishing
         and writing anyway is harmless — both writers produce the same
-        bytes.
+        bytes.  When the body raises (Ctrl-C, any error) the lease is
+        released before the exception propagates, so a restarted
+        worker — which has a new owner id — can claim the cell at once
+        instead of waiting out the ttl.
         """
         stop = threading.Event()
         interval = max(self.ttl / 3.0, 0.05)
 
         def beat() -> None:
-            beat_store = open_store(
-                self.store_path, backend=self.store_backend
-            )
+            beat_store = SqliteStore(self.store_path)
             try:
                 while not stop.wait(interval):
                     try:
@@ -328,11 +325,15 @@ class _LeaseClaimer:
             target=beat, name="sweep-lease-heartbeat", daemon=True
         )
         thread.start()
+        finished = False
         try:
             yield
+            finished = True
         finally:
             stop.set()
             thread.join(timeout=max(1.0, interval * 2))
+            if not finished:
+                self.release(name)
 
 
 class _CellLedger:
@@ -349,7 +350,7 @@ class _CellLedger:
 
     def __init__(
         self,
-        store: Optional[ResultStore],
+        store: Optional[SqliteStore],
         outcome: SweepOutcome,
         log,
         claimer: Optional[_LeaseClaimer] = None,
@@ -408,11 +409,11 @@ class _CellLedger:
 
         ``None`` when any cell is missing or damaged — the caller then
         materializes the group and walks it cell by cell (which is
-        where damaged files get reported and re-run).  Group streams
+        where damaged cells get reported and re-run).  Group streams
         are independent, so a fully-cached group can skip even its
         dataset generation.  The read is one bulk
-        :meth:`~repro.engine.store.ResultStore.load_group` call, which
-        the SQLite backend answers with a single indexed query.
+        :meth:`~repro.engine.store.SqliteStore.load_group` call, one
+        indexed query.
         """
         if self.store is None:
             return None
@@ -427,17 +428,17 @@ class _CellLedger:
     ) -> Optional[Dict[str, object]]:
         """The stored values of one cell, iff reusable at this point.
 
-        Damaged files and fingerprint mismatches (a schedule that
+        Damaged cells and fingerprint mismatches (a schedule that
         reaches the cell with a different stream state) are recorded in
         ``outcome.invalid`` and answered with ``None`` — the cell then
-        re-runs and its file is rewritten.
+        re-runs and is rewritten.
         """
         if self.store is None:
             return None
         payload, problem = self.store.load_cell(name)
         if problem is not None:
             self.outcome.invalid.append(name)
-            self.log(f"damaged cell file ({problem}): {name} — re-running")
+            self.log(f"damaged cell ({problem}): {name} — re-running")
             return None
         if payload is None:
             return None
@@ -496,20 +497,20 @@ def _walk(surface: str, spec: SurfaceSpec, ledger: _CellLedger):
 
 
 @contextmanager
-def _opened(store: Union[str, Path, ResultStore], backend: Optional[str]):
+def _opened(store: Union[str, Path, SqliteStore], backend: Optional[str] = None):
     """``store`` as an open result store, closed on exit unless the
     caller passed an already-open one."""
     opened = open_store(store, backend=backend)
     try:
         yield opened
     finally:
-        if not isinstance(store, ResultStore):
+        if not isinstance(store, SqliteStore):
             opened.close()
 
 
 def _walk_grid(
     grid: SweepGrid,
-    store: Optional[ResultStore],
+    store: Optional[SqliteStore],
     log,
     claimer: Optional[_LeaseClaimer] = None,
 ) -> SweepOutcome:
@@ -527,7 +528,7 @@ def _walk_grid(
 
 def run_sweep(
     grid: SweepGrid,
-    store: Union[str, Path, ResultStore, None] = None,
+    store: Union[str, Path, SqliteStore, None] = None,
     resume: bool = False,
     progress: Progress = None,
     store_backend: Optional[str] = None,
@@ -539,8 +540,8 @@ def run_sweep(
     grid:
         The surfaces to run; see :class:`SweepGrid` / :func:`paper_grid`.
     store:
-        Result-store path (or an already-open
-        :class:`~repro.engine.store.ResultStore`).  Created when new;
+        Result-store path, a SQLite file (or an already-open
+        :class:`~repro.engine.store.SqliteStore`).  Created when new;
         an existing store must carry the same grid manifest (anything
         else raises :class:`~repro.exceptions.SweepStoreError`).
         ``None`` runs every cell with no persistence — this is how
@@ -554,15 +555,14 @@ def run_sweep(
         Optional ``callable(str)`` receiving one line per cell/group
         event (the CLI passes ``print``).
     store_backend:
-        ``"json"`` or ``"sqlite"``; ``None`` resolves from the path
-        (directory vs ``.sqlite`` file,
-        :func:`repro.engine.store.infer_backend`).
+        ``None`` or ``"sqlite"`` (the only store there is); anything
+        else raises :class:`~repro.exceptions.InvalidParameterError`.
 
     Returns
     -------
     SweepOutcome
         Executed/reused/invalid cell ids plus one report per surface —
-        the same report on either store backend, or on none.
+        the same report with a store or without one.
     """
     log = progress or (lambda _msg: None)
     if store is None:
@@ -573,7 +573,7 @@ def run_sweep(
 
 
 def _prepare_shared(
-    sweep_store: ResultStore,
+    sweep_store: SqliteStore,
     grid: SweepGrid,
     attempts: int = 5,
     delay: float = 0.2,
@@ -582,11 +582,11 @@ def _prepare_shared(
 
     Workers always prepare with resume semantics (an existing store
     holding a peer's cells is the normal case).  Creation itself races:
-    a second worker can observe the store half-born (a manifest tmp
-    file, an empty database) for a moment, which ``prepare`` reports as
-    a refusal — so a refusal is retried a few times before it is
-    believed.  Genuine refusals (different grid) still raise, just a
-    second late.
+    a new SQLite file is already 4096 bytes before its schema commits,
+    so a second worker can observe the store half-born for a moment,
+    which ``prepare`` reports as a refusal — so a refusal is retried a
+    few times before it is believed.  Genuine refusals (different grid)
+    still raise, just a second late.
     """
     description = grid.describe()
     for attempt in range(attempts):
@@ -601,12 +601,11 @@ def _prepare_shared(
 
 def run_sweep_worker(
     grid: SweepGrid,
-    store: Union[str, Path, ResultStore],
+    store: Union[str, Path, SqliteStore],
     worker_id: Optional[str] = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     poll_interval: float = 0.5,
     progress: Progress = None,
-    store_backend: Optional[str] = None,
     max_passes: int = 0,
 ) -> SweepOutcome:
     """Join a (possibly shared) result store as one claim-based worker.
@@ -629,7 +628,7 @@ def run_sweep_worker(
     """
     log = progress or (lambda _msg: None)
     owner = worker_id or _default_worker_id()
-    with _opened(store, store_backend) as sweep_store:
+    with _opened(store) as sweep_store:
         claimer = _LeaseClaimer(sweep_store, owner, lease_ttl, log)
         try:
             _prepare_shared(sweep_store, grid)
@@ -663,7 +662,6 @@ def run_sweep_worker(
 def _worker_main(
     grid: SweepGrid,
     store_path: str,
-    store_backend: Optional[str],
     worker_id: str,
     lease_ttl: float,
     poll_interval: float,
@@ -675,18 +673,16 @@ def _worker_main(
         worker_id=worker_id,
         lease_ttl=lease_ttl,
         poll_interval=poll_interval,
-        store_backend=store_backend,
     )
 
 
 def run_sweep_workers(
     grid: SweepGrid,
-    store: Union[str, Path, ResultStore],
+    store: Union[str, Path, SqliteStore],
     workers: int = 2,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     poll_interval: float = 0.5,
     progress: Progress = None,
-    store_backend: Optional[str] = None,
 ) -> SweepOutcome:
     """Execute one grid with ``workers`` claim-based worker processes.
 
@@ -707,10 +703,7 @@ def run_sweep_workers(
     import multiprocessing
 
     log = progress or (lambda _msg: None)
-    if isinstance(store, ResultStore):
-        store_path, backend = store.path, store.backend
-    else:
-        store_path, backend = Path(store), store_backend
+    store_path = store.path if isinstance(store, SqliteStore) else Path(store)
     context = multiprocessing.get_context("spawn")
     run_tag = uuid.uuid4().hex[:6]
     processes = []
@@ -720,7 +713,6 @@ def run_sweep_workers(
             args=(
                 grid,
                 str(store_path),
-                backend,
                 f"{socket.gethostname()}:w{index}:{run_tag}",
                 lease_ttl,
                 poll_interval,
@@ -735,13 +727,6 @@ def run_sweep_workers(
     if failed:
         log(f"{failed} worker(s) exited abnormally; collection pass "
             "will finish their cells")
-    # Every worker is joined, so nobody can be mid-write: drop any
-    # tmp residue a killed worker left (it would spoil the tree-bytes
-    # identity with a single-worker store).
-    with _opened(store, store_backend) as cleanup_store:
-        stray = cleanup_store.discard_stray_tmp()
-    if stray:
-        log(f"removed {len(stray)} stray tmp file(s) from dead workers")
     return run_sweep_worker(
         grid,
         store,
@@ -749,5 +734,4 @@ def run_sweep_workers(
         lease_ttl=lease_ttl,
         poll_interval=poll_interval,
         progress=progress,
-        store_backend=store_backend,
     )

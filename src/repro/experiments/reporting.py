@@ -37,21 +37,15 @@ def collect_artifacts(
     figure5_base_size: int = 20000,
     store: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    store_backend: Optional[str] = None,
 ) -> PaperArtifacts:
     """Run all four experiment suites with the given configurations.
 
     The suites run as one paper-grid sweep
     (:func:`repro.engine.sweep.run_sweep`).  With ``store`` set, every
-    cell lands in the resumable result store at ``store``, and
-    ``resume=True`` reuses completed cells from an earlier (possibly
-    interrupted) invocation; cell values are identical with or without
-    a store.
-
-    The store's backend resolves from the path (a directory means the
-    JSON layout, a ``.sqlite`` file the SQLite backend) unless pinned
-    via ``store_backend``; the artifacts are value-identical on either,
-    and on SQLite the completed-cell reads run as indexed SQL.
+    cell lands in the resumable result store (a SQLite file) at
+    ``store``, and ``resume=True`` reuses completed cells from an
+    earlier (possibly interrupted) invocation; cell values are
+    identical with or without a store.
     """
     from repro.engine.sweep import paper_grid, run_sweep
 
@@ -59,9 +53,7 @@ def collect_artifacts(
         table2_config, table3_config, figure4_config, figure5_config,
         figure5_base_size,
     )
-    return run_sweep(
-        grid, store, resume=resume, store_backend=store_backend
-    ).artifacts()
+    return run_sweep(grid, store, resume=resume).artifacts()
 
 
 def render_markdown(artifacts: PaperArtifacts, preamble: str = "") -> str:

@@ -66,7 +66,6 @@ def test_run_bench_quick_emits_schema_json(tmp_path):
         "ukmedoids_plane_recompute",
         "uahc_jeffreys_fit",
         "store_aggregate_sqlite",
-        "store_aggregate_json",
     } <= names
     assert by_name["store_aggregate_sqlite"]["speedup"] > 0
     assert all(entry["seconds"] > 0 for entry in payload["benchmarks"])

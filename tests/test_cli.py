@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +79,27 @@ class TestExecution:
         assert "Figure 5" in text
 
 
+def _run_cli(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def _assert_one_error_line(proc):
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    return lines[0]
+
+
 class TestErrorBoundary:
     """A library error exits 2 with one stderr line, never a traceback."""
 
@@ -86,17 +108,28 @@ class TestErrorBoundary:
         [["table2", "--runs", "0"], ["demo", "--n-init", "2", "--jobs", "0"]],
     )
     def test_repro_error_exits_2_with_one_line(self, argv):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
+        _assert_one_error_line(_run_cli(*argv))
+
+    def test_json_store_directory_names_import(self, tmp_path):
+        """A JSON store directory written by an earlier version is not a
+        store any more: resuming it names the command that converts
+        it, and leaves it untouched."""
+        fixture = Path(__file__).resolve().parent / "data" / "json_store_v2"
+        old = tmp_path / "old"
+        shutil.copytree(fixture, old)
+        line = _assert_one_error_line(
+            _run_cli("sweep", "--store", str(old), "--quick", "--resume")
         )
-        assert proc.returncode == 2
-        lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "Traceback" not in proc.stderr
+        assert f"repro store import {old} " in line
+        assert sorted(p.name for p in old.rglob("*")) == sorted(
+            p.name for p in fixture.rglob("*")
+        )
+
+    def test_unrelated_directory_is_refused(self, tmp_path):
+        target = tmp_path / "notastore"
+        target.mkdir()
+        line = _assert_one_error_line(
+            _run_cli("sweep", "--store", str(target), "--quick")
+        )
+        assert "is a directory" in line
+        assert list(target.iterdir()) == []

@@ -1,34 +1,36 @@
-"""Backend conformance suite for the pluggable result-store layer.
+"""Conformance suite for the result store (one SQLite file per store).
 
-Every test class parametrized over ``backend`` runs identically against
-:class:`JsonStore` and :class:`SqliteStore` — the store API's whole
-point is that the sweep orchestrator, the reporting layer and the
-query/aggregation helpers cannot tell the substrates apart:
+The sweep orchestrator, the reporting layer and the query helpers all
+go through :class:`SqliteStore`; this suite pins its contract (the
+conformance classes run on a ``.sqlite`` path and on a bare one, since
+a store path is a SQLite file whatever its suffix):
 
 * prepare/refusal matrix (different grid, results without resume,
-  non-store paths, corrupt manifests) raises the same
-  :class:`SweepStoreError` on both;
-* a sweep produces value-identical cells and byte-identical payloads on
-  both, and a killed + resumed store equals an uninterrupted one
-  (tree-byte-identical for JSON, row-identical for SQLite);
-* damaged cells (torn JSON, truncated/partial rows) are detected,
-  reported, and re-run on both; a truncated SQLite database fails
-  *cleanly* (SweepStoreError, not a raw sqlite3 error);
+  non-store files and directories, corrupt manifests) raises
+  :class:`SweepStoreError`;
+* a sweep's cells equal the direct runners', and a killed + resumed
+  store equals an uninterrupted one row for row;
+* damaged cells (torn or incomplete payload text) are detected,
+  reported, and re-run; a truncated database or an unopenable path
+  fails *cleanly* (SweepStoreError, not a raw sqlite3 error);
 * the query layer (value plane, metric summaries, best-of-group,
-  rank-over-grid) returns identical rows whether computed by the
-  Python reference implementation or by SQL window functions;
-* migration round-trips byte-for-byte in either direction.
+  rank-over-grid) returns, in SQL, the rows the Python reference reads
+  of :mod:`repro.engine.store.base` compute over the same store;
+* JSON export/import round-trips byte for byte, and a JSON store
+  directory written by an earlier version (``tests/data/json_store_v2``)
+  imports, resumes with every cell reused, and re-exports unchanged.
 
-The claim/lease layer rides the same conformance matrix: double-claim
-races admit exactly one winner, expired leases are stolen, renewal is
-owner-only, and a multi-worker sweep — including one whose worker is
-SIGKILLed mid-grid — leaves a store identical to an uninterrupted
-single-worker run, with zero lease state behind.
+The claim/lease layer rides the same suite: double-claim races admit
+exactly one winner, expired leases are stolen, renewal is owner-only,
+an interrupted worker releases its lease, and a multi-worker sweep —
+including one whose worker is SIGKILLed mid-grid — leaves a store
+identical to an uninterrupted single-worker run, with zero lease state
+behind.
 
 Satellite regressions live here too: cell-id collision resistance, the
 durable (fsynced) atomic write, fork safety of the cached SQLite
-connection, migration cleanup on mid-copy failure, and listdir-order
-independence of the JSON cell walk.
+connection, export/import cleanup on mid-copy failure, and
+listdir-order independence of the import walk.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import shutil
 import sqlite3
 import threading
 import time
@@ -43,18 +46,20 @@ from pathlib import Path
 
 import pytest
 
+import repro.engine.store.transfer as transfer_module
 from repro.engine.store import (
     SWEEP_SCHEMA_VERSION,
-    JsonStore,
     SqliteStore,
     atomic_write,
     build_payload,
+    canonical_dumps,
     cell_id,
     diff_stores,
-    infer_backend,
-    migrate_store,
+    export_store,
+    import_store,
     open_store,
 )
+from repro.engine.store import base as reference
 from repro.engine.sweep import (
     SweepGrid,
     Table2Spec,
@@ -67,7 +72,10 @@ from repro.engine.sweep import (
 from repro.exceptions import InvalidParameterError, SweepStoreError
 from repro.experiments import ExperimentConfig, run_table2, run_table3
 
-BACKENDS = ("json", "sqlite")
+#: A JSON store directory written by the JSON store backend before it
+#: was removed: ``repro sweep --store DIR --quick --surfaces table2
+#: table3`` (6 cells).
+FIXTURE = Path(__file__).resolve().parent / "data" / "json_store_v2"
 
 T2_AXES = dict(
     datasets=("iris",), families=("normal",), algorithms=("UKM", "UKmed")
@@ -79,9 +87,21 @@ T3_AXES = dict(
 )
 
 
-def store_path(tmp_path: Path, backend: str, name: str = "store") -> Path:
-    """A backend-appropriate path: bare directory vs ``.sqlite`` file."""
-    return tmp_path / (name if backend == "json" else f"{name}.sqlite")
+def store_path(
+    tmp_path: Path, name: str = "store", suffix: str = ".sqlite"
+) -> Path:
+    return tmp_path / f"{name}{suffix}"
+
+
+#: Every store path is a SQLite file, whatever its suffix.  The
+#: conformance classes run on a ``.sqlite`` path and on a bare one (the
+#: path form that named a JSON store directory before the JSON store
+#: was removed), so no behaviour may hinge on the suffix.
+every_suffix = pytest.mark.parametrize(
+    "suffix", (".sqlite", ""), ids=("sqlite", "bare")
+)
+
+SQLITE_HEADER = b"SQLite format 3\x00"
 
 
 def _grid(seed=5, n_runs=2, backend="serial", n_jobs=1):
@@ -99,6 +119,17 @@ def _grid(seed=5, n_runs=2, backend="serial", n_jobs=1):
     )
 
 
+def _fixture_grid():
+    """The grid the fixture was written for (the CLI's quick grid)."""
+    from repro.cli import _sweep_grid, build_parser
+
+    return _sweep_grid(
+        build_parser().parse_args(
+            ["sweep", "--store", "s", "--quick", "--surfaces", "table2", "table3"]
+        )
+    )
+
+
 def _direct_reports(seed=5, n_runs=2):
     common = dict(n_runs=n_runs, n_samples=8, seed=seed)
     return (
@@ -110,7 +141,7 @@ def _direct_reports(seed=5, n_runs=2):
 
 
 def _sqlite_rows(path: Path):
-    """The full logical content of a SQLite store, deterministically."""
+    """The full logical content of a store, deterministically."""
     conn = sqlite3.connect(str(path))
     try:
         cells = conn.execute(
@@ -137,9 +168,12 @@ def _tree_bytes(root: Path):
     }
 
 
-def _snapshot(path: Path, backend: str):
-    """Backend-appropriate store identity: tree bytes vs logical rows."""
-    return _tree_bytes(path) if backend == "json" else _sqlite_rows(path)
+def _update(path: Path, sql: str, params=()) -> None:
+    """Edit a store behind its back (damage it, drop a row)."""
+    conn = sqlite3.connect(str(path))
+    with conn:
+        conn.execute(sql, params)
+    conn.close()
 
 
 def _seed_payloads():
@@ -164,6 +198,14 @@ def _seed_payloads():
                 )
             )
     return payloads
+
+
+def _seeded_store(path: Path) -> SqliteStore:
+    store = open_store(path)
+    store.prepare({"schema": SWEEP_SCHEMA_VERSION, "surfaces": {}}, False)
+    for payload in _seed_payloads():
+        store.write_payload(payload)
+    return store
 
 
 # ----------------------------------------------------------------------
@@ -222,35 +264,21 @@ class TestAtomicWrite:
 
 
 # ----------------------------------------------------------------------
-# Backend resolution
+# open_store
 # ----------------------------------------------------------------------
-class TestResolution:
-    def test_suffix_resolves_sqlite(self, tmp_path):
-        for suffix in (".sqlite", ".sqlite3", ".db"):
-            assert infer_backend(tmp_path / f"store{suffix}") == "sqlite"
-
-    def test_directory_and_bare_paths_resolve_json(self, tmp_path):
-        assert infer_backend(tmp_path / "store") == "json"
-        (tmp_path / "existing").mkdir()
-        assert infer_backend(tmp_path / "existing") == "json"
-
-    def test_existing_file_resolves_sqlite(self, tmp_path):
-        db = tmp_path / "oddly-named"
-        db.write_bytes(b"")
-        assert infer_backend(db) == "sqlite"
-
-    def test_open_store_types(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "d"), JsonStore)
-        assert isinstance(open_store(tmp_path / "d.sqlite"), SqliteStore)
-        assert isinstance(
-            open_store(tmp_path / "d", backend="sqlite"), SqliteStore
-        )
-
-    def test_open_store_passthrough_and_mismatch(self, tmp_path):
-        store = JsonStore(tmp_path / "d")
+class TestOpenStore:
+    def test_open_store_passthrough_and_backend_keyword(self, tmp_path):
+        """Every store is SQLite: ``backend`` accepts only ``None`` and
+        ``"sqlite"``; ``"json"`` points at ``repro store import``."""
+        store = open_store(tmp_path / "d.sqlite")
+        assert isinstance(store, SqliteStore)
         assert open_store(store) is store
-        with pytest.raises(InvalidParameterError, match="backend"):
-            open_store(store, backend="sqlite")
+        assert open_store(store, backend="sqlite") is store
+        assert isinstance(
+            open_store(tmp_path / "suffixless", backend="sqlite"), SqliteStore
+        )
+        with pytest.raises(InvalidParameterError, match="repro store import"):
+            open_store(tmp_path / "d", backend="json")
         with pytest.raises(InvalidParameterError, match="unknown"):
             open_store(tmp_path / "d", backend="parquet")
 
@@ -258,34 +286,36 @@ class TestResolution:
 # ----------------------------------------------------------------------
 # Prepare / refusal matrix
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@every_suffix
 class TestPrepareMatrix:
     def _description(self, tag="grid"):
         return {"schema": SWEEP_SCHEMA_VERSION, "surfaces": {"t": tag}}
 
-    def test_fresh_prepare_round_trips_manifest(self, tmp_path, backend):
-        with open_store(store_path(tmp_path, backend)) as store:
+    def test_fresh_prepare_round_trips_manifest(self, tmp_path, suffix):
+        path = store_path(tmp_path, suffix=suffix)
+        with open_store(path) as store:
             store.prepare(self._description(), resume=False)
             assert store.read_manifest() == self._description()
             assert not store.has_cells()
+        assert path.read_bytes()[: len(SQLITE_HEADER)] == SQLITE_HEADER
 
-    def test_reopen_same_grid_ok(self, tmp_path, backend):
-        path = store_path(tmp_path, backend)
+    def test_reopen_same_grid_ok(self, tmp_path, suffix):
+        path = store_path(tmp_path, suffix=suffix)
         with open_store(path) as store:
             store.prepare(self._description(), resume=False)
         with open_store(path) as store:
             store.prepare(self._description(), resume=False)
 
-    def test_different_grid_refused(self, tmp_path, backend):
-        path = store_path(tmp_path, backend)
+    def test_different_grid_refused(self, tmp_path, suffix):
+        path = store_path(tmp_path, suffix=suffix)
         with open_store(path) as store:
             store.prepare(self._description("one"), resume=False)
         with open_store(path) as store:
             with pytest.raises(SweepStoreError, match="different grid"):
                 store.prepare(self._description("two"), resume=False)
 
-    def test_existing_results_need_resume(self, tmp_path, backend):
-        path = store_path(tmp_path, backend)
+    def test_existing_results_need_resume(self, tmp_path, suffix):
+        path = store_path(tmp_path, suffix=suffix)
         with open_store(path) as store:
             store.prepare(self._description(), resume=False)
             store.write_payload(_seed_payloads()[0])
@@ -294,35 +324,21 @@ class TestPrepareMatrix:
                 store.prepare(self._description(), resume=False)
             store.prepare(self._description(), resume=True)
 
-    def test_non_store_path_refused(self, tmp_path, backend):
-        path = store_path(tmp_path, backend)
-        if backend == "json":
-            path.mkdir()
-            (path / "precious.txt").write_text("do not clobber")
-        else:
-            path.write_bytes(b"definitely not a sqlite database")
+    def test_non_store_path_refused(self, tmp_path, suffix):
+        path = store_path(tmp_path, suffix=suffix)
+        path.write_bytes(b"definitely not a sqlite database")
         with open_store(path) as store:
             with pytest.raises(SweepStoreError):
                 store.prepare(self._description(), resume=False)
-        if backend == "json":
-            assert (path / "precious.txt").read_text() == "do not clobber"
-        else:
-            assert path.read_bytes() == b"definitely not a sqlite database"
+        assert path.read_bytes() == b"definitely not a sqlite database"
 
-    def test_corrupt_manifest_refused(self, tmp_path, backend):
-        path = store_path(tmp_path, backend)
+    def test_corrupt_manifest_refused(self, tmp_path, suffix):
+        path = store_path(tmp_path, suffix=suffix)
         with open_store(path) as store:
             store.prepare(self._description(), resume=False)
-        if backend == "json":
-            (path / "manifest.json").write_text("{not json")
-        else:
-            conn = sqlite3.connect(str(path))
-            with conn:
-                conn.execute(
-                    "UPDATE meta SET value = '{not json' "
-                    "WHERE key = 'manifest'"
-                )
-            conn.close()
+        _update(
+            path, "UPDATE meta SET value = '{not json' WHERE key = 'manifest'"
+        )
         with open_store(path) as store:
             with pytest.raises(SweepStoreError, match="unreadable"):
                 store.prepare(self._description(), resume=True)
@@ -331,15 +347,15 @@ class TestPrepareMatrix:
 # ----------------------------------------------------------------------
 # Cell round trips + damage detection
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@every_suffix
 class TestCells:
-    def _prepared(self, tmp_path, backend):
-        store = open_store(store_path(tmp_path, backend))
+    def _prepared(self, tmp_path, suffix):
+        store = open_store(store_path(tmp_path, suffix=suffix))
         store.prepare({"schema": SWEEP_SCHEMA_VERSION, "surfaces": {}}, False)
         return store
 
-    def test_write_load_iter_round_trip(self, tmp_path, backend):
-        store = self._prepared(tmp_path, backend)
+    def test_write_load_iter_round_trip(self, tmp_path, suffix):
+        store = self._prepared(tmp_path, suffix)
         payloads = _seed_payloads()
         names = [store.write_payload(payload) for payload in payloads]
         assert len(set(names)) == len(names)
@@ -355,8 +371,8 @@ class TestCells:
         assert missing is None and problem is None
         store.close()
 
-    def test_write_cell_matches_build_payload(self, tmp_path, backend):
-        store = self._prepared(tmp_path, backend)
+    def test_write_cell_matches_build_payload(self, tmp_path, suffix):
+        store = self._prepared(tmp_path, suffix)
         name = store.write_cell(
             "s", ("g",), ("c",), "a" * 40, {"quality": 0.5}
         )
@@ -367,8 +383,8 @@ class TestCells:
         )
         store.close()
 
-    def test_load_group_all_or_none(self, tmp_path, backend):
-        store = self._prepared(tmp_path, backend)
+    def test_load_group_all_or_none(self, tmp_path, suffix):
+        store = self._prepared(tmp_path, suffix)
         payloads = _seed_payloads()
         names = [store.write_payload(payload) for payload in payloads]
         group = store.load_group(names)
@@ -379,60 +395,41 @@ class TestCells:
         assert store.load_group([]) == {}
         store.close()
 
-    def test_incomplete_payload_reported(self, tmp_path, backend):
-        store = self._prepared(tmp_path, backend)
+    def test_incomplete_payload_reported(self, tmp_path, suffix):
+        store = self._prepared(tmp_path, suffix)
         name = store.write_payload(_seed_payloads()[0])
-        self._damage(store, name, backend, kind="incomplete")
+        _update(
+            store.path,
+            "UPDATE cells SET payload = ? WHERE cell_id = ?",
+            (json.dumps({"status": "running"}), name),
+        )
         loaded, problem = store.load_cell(name)
         assert loaded is None and problem == "incomplete"
         assert store.load_group([name]) is None
         store.close()
 
-    def test_torn_payload_reported(self, tmp_path, backend):
-        store = self._prepared(tmp_path, backend)
+    def test_torn_payload_reported(self, tmp_path, suffix):
+        store = self._prepared(tmp_path, suffix)
         name = store.write_payload(_seed_payloads()[0])
-        self._damage(store, name, backend, kind="torn")
+        _update(
+            store.path,
+            "UPDATE cells SET payload = substr(payload, 1, 25) "
+            "WHERE cell_id = ?",
+            (name,),
+        )
         loaded, problem = store.load_cell(name)
         assert loaded is None and problem == "unreadable"
         damaged = [w for _n, _p, w in store.iter_cells() if w is not None]
         assert damaged == ["unreadable"]
         store.close()
 
-    @staticmethod
-    def _damage(store, name, backend, kind):
-        if backend == "json":
-            path = store.cell_path(name)
-            if kind == "torn":
-                path.write_text(path.read_text()[:25])
-            else:
-                path.write_text(json.dumps({"status": "running"}))
-        else:
-            conn = store._connect()
-            with conn:
-                if kind == "torn":
-                    conn.execute(
-                        "UPDATE cells SET payload = substr(payload, 1, 25) "
-                        "WHERE cell_id = ?",
-                        (name,),
-                    )
-                else:
-                    conn.execute(
-                        "UPDATE cells SET payload = ? WHERE cell_id = ?",
-                        (json.dumps({"status": "running"}), name),
-                    )
-
 
 class TestSqliteSubstrate:
-    """SQLite-only failure modes must surface as clean SweepStoreErrors."""
+    """SQLite failure modes must surface as clean SweepStoreErrors."""
 
     def test_truncated_database_fails_cleanly(self, tmp_path):
-        path = store_path(tmp_path, "sqlite")
-        with open_store(path) as store:
-            store.prepare(
-                {"schema": SWEEP_SCHEMA_VERSION, "surfaces": {}}, False
-            )
-            for payload in _seed_payloads():
-                store.write_payload(payload)
+        path = store_path(tmp_path)
+        _seeded_store(path).close()
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])  # tear trailing pages
         with open_store(path) as store:
@@ -444,8 +441,41 @@ class TestSqliteSubstrate:
             with pytest.raises(SweepStoreError, match="no sqlite"):
                 store.load_cell("anything")
 
+    def test_directory_fails_cleanly(self, tmp_path):
+        """sqlite3 cannot open a directory; the store must say so with
+        a SweepStoreError instead of a raw OperationalError, and leave
+        the directory alone."""
+        target = tmp_path / "notastore"
+        target.mkdir()
+        (target / "precious.txt").write_text("do not clobber")
+        for action in (
+            lambda store: store.prepare({"schema": 2, "surfaces": {}}, True),
+            lambda store: store.load_cell("anything"),
+        ):
+            with open_store(target) as store:
+                with pytest.raises(SweepStoreError, match="is a directory"):
+                    action(store)
+        assert os.listdir(target) == ["precious.txt"]
+
+    def test_json_store_directory_names_import(self, tmp_path):
+        old = tmp_path / "old"
+        shutil.copytree(FIXTURE, old)
+        with open_store(old) as store:
+            with pytest.raises(
+                SweepStoreError, match=r"repro store import .*old"
+            ):
+                store.prepare(_fixture_grid().describe(), resume=True)
+        assert _tree_bytes(old) == _tree_bytes(FIXTURE)
+
+    def test_unopenable_path_fails_cleanly(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("a file, not a directory")
+        with open_store(blocker / "store.sqlite") as store:
+            with pytest.raises(SweepStoreError, match="unreadable"):
+                store.prepare({"schema": 2, "surfaces": {}}, False)
+
     def test_wal_mode_is_active(self, tmp_path):
-        path = store_path(tmp_path, "sqlite")
+        path = store_path(tmp_path)
         with open_store(path) as store:
             store.prepare(
                 {"schema": SWEEP_SCHEMA_VERSION, "surfaces": {}}, False
@@ -458,7 +488,7 @@ class TestSqliteSubstrate:
     def test_concurrent_connections_share_the_store(self, tmp_path):
         """WAL's point: a second writer connection can land cells while
         the first store handle stays open for reading."""
-        path = store_path(tmp_path, "sqlite")
+        path = store_path(tmp_path)
         reader = open_store(path)
         reader.prepare({"schema": SWEEP_SCHEMA_VERSION, "surfaces": {}}, False)
         writer = open_store(path)
@@ -471,30 +501,21 @@ class TestSqliteSubstrate:
 
 
 # ----------------------------------------------------------------------
-# Query / aggregation conformance (Python reference vs SQL)
+# Query / aggregation conformance (SQL vs the Python reference reads)
 # ----------------------------------------------------------------------
 class TestQueryConformance:
     @pytest.fixture
-    def stores(self, tmp_path):
-        opened = []
-        for backend in BACKENDS:
-            store = open_store(store_path(tmp_path, backend))
-            store.prepare(
-                {"schema": SWEEP_SCHEMA_VERSION, "surfaces": {}}, False
-            )
-            for payload in _seed_payloads():
-                store.write_payload(payload)
-            opened.append(store)
-        yield dict(zip(BACKENDS, opened))
-        for store in opened:
-            store.close()
+    def store(self, tmp_path):
+        store = _seeded_store(store_path(tmp_path))
+        yield store
+        store.close()
 
-    def test_value_plane_identical(self, stores):
-        json_rows = stores["json"].query()
-        sqlite_rows = stores["sqlite"].query()
-        assert json_rows == sqlite_rows
+    def test_value_plane_identical(self, store):
+        rows = store.query()
+        assert rows == reference.query(store.iter_cells())
+        assert len(rows) == 18  # 6 cells x 3 numeric metrics
         # Non-numeric values never reach the value plane.
-        assert all(row[4] != "note" for row in json_rows)
+        assert all(row[4] != "note" for row in rows)
         # Filters agree too.
         for kwargs in (
             {"surface": "synthetic"},
@@ -502,31 +523,34 @@ class TestQueryConformance:
             {"surface": "nope"},
             {"surface": "synthetic", "metric": "runtime_ms"},
         ):
-            assert stores["json"].query(**kwargs) == stores["sqlite"].query(
-                **kwargs
+            assert store.query(**kwargs) == reference.query(
+                store.iter_cells(), **kwargs
             )
 
-    def test_metric_summary_identical(self, stores):
-        json_summary = stores["json"].metric_summary()
-        sqlite_summary = stores["sqlite"].metric_summary()
-        assert len(json_summary) == len(sqlite_summary) == 3
-        for j, s in zip(json_summary, sqlite_summary):
-            assert j[:5] == s[:5]  # surface, metric, count, min, max exact
-            assert j[5] == pytest.approx(s[5], rel=1e-12)  # mean (sum order)
+    def test_metric_summary_identical(self, store):
+        sql_summary = store.metric_summary()
+        ref_summary = reference.metric_summary(store.iter_cells())
+        assert len(sql_summary) == len(ref_summary) == 3
+        for s, r in zip(sql_summary, ref_summary):
+            assert s[:5] == r[:5]  # surface, metric, count, min, max exact
+            assert s[5] == pytest.approx(r[5], rel=1e-12)  # mean (sum order)
+        assert store.metric_summary("nope") == []
 
     @pytest.mark.parametrize("mode", ["max", "min"])
-    def test_best_cells_identical_with_ties(self, stores, mode):
-        json_best = stores["json"].best_cells("quality", mode=mode)
-        sqlite_best = stores["sqlite"].best_cells("quality", mode=mode)
-        assert json_best == sqlite_best
-        assert len(json_best) == 2  # one winner per (surface, group)
+    def test_best_cells_identical_with_ties(self, store, mode):
+        sql_best = store.best_cells("quality", mode=mode)
+        assert sql_best == reference.best_cells(
+            store.iter_cells(), "quality", mode=mode
+        )
+        assert len(sql_best) == 2  # one winner per (surface, group)
 
     @pytest.mark.parametrize("mode", ["max", "min"])
-    def test_rank_over_grid_identical_with_ties(self, stores, mode):
-        json_rank = stores["json"].rank_over_grid("quality", mode=mode)
-        sqlite_rank = stores["sqlite"].rank_over_grid("quality", mode=mode)
-        assert json_rank == sqlite_rank
-        ranks = [rank for rank, _n, _s, _v in json_rank]
+    def test_rank_over_grid_identical_with_ties(self, store, mode):
+        sql_rank = store.rank_over_grid("quality", mode=mode)
+        assert sql_rank == reference.rank_over_grid(
+            store.iter_cells(), "quality", mode=mode
+        )
+        ranks = [rank for rank, _n, _s, _v in sql_rank]
         # Competition ranking: the four 0.5 ties share one rank and the
         # next rank skips accordingly.
         assert len(ranks) == 6
@@ -534,84 +558,68 @@ class TestQueryConformance:
         counts = {rank: ranks.count(rank) for rank in set(ranks)}
         assert max(counts.values()) == 4
 
-    def test_mode_validated(self, stores):
-        for store in stores.values():
+    def test_mode_validated(self, store):
+        for aggregate in (store.best_cells, store.rank_over_grid):
             with pytest.raises(InvalidParameterError, match="mode"):
-                store.best_cells("quality", mode="upside-down")
+                aggregate("quality", mode="upside-down")
+        for aggregate in (reference.best_cells, reference.rank_over_grid):
+            with pytest.raises(InvalidParameterError, match="mode"):
+                aggregate(store.iter_cells(), "quality", mode="upside-down")
 
 
 # ----------------------------------------------------------------------
-# Sweep integration: both backends, kill+resume, damage, reports
+# Sweep integration: kill+resume, damage, reports
 # ----------------------------------------------------------------------
-class TestSweepOnBackends:
-    def test_sweep_value_identical_across_backends(self, tmp_path):
-        """Acceptance: the small grid produces value-identical stores
-        under both backends, every payload byte-identical, and the
-        rendered reports byte-identical to each other and to the
-        direct runners."""
+class TestSweepOnStore:
+    def test_sweep_matches_direct_runners(self, tmp_path):
+        """The small grid's stored cells and rendered reports equal the
+        direct runners', and every stored payload is its canonical JSON
+        text."""
         common = dict(n_runs=2, n_samples=8, seed=5)
         t3_axes = dict(T3_AXES, algorithms=("UCPC", "UKmed"))
-
-        def grid():
-            return SweepGrid(
-                table2=Table2Spec(
-                    config=ExperimentConfig(
-                        scale=0.12, max_objects=40, **common
-                    ),
-                    **T2_AXES,
-                ),
-                table3=Table3Spec(
-                    config=ExperimentConfig(scale=0.004, **common), **t3_axes
-                ),
-            )
-
-        json_out = run_sweep(grid(), store_path(tmp_path, "json"))
-        sqlite_out = run_sweep(grid(), store_path(tmp_path, "sqlite"))
+        grid = SweepGrid(
+            table2=Table2Spec(
+                config=ExperimentConfig(scale=0.12, max_objects=40, **common),
+                **T2_AXES,
+            ),
+            table3=Table3Spec(
+                config=ExperimentConfig(scale=0.004, **common), **t3_axes
+            ),
+        )
+        path = store_path(tmp_path)
+        outcome = run_sweep(grid, path)
         table2 = run_table2(
             ExperimentConfig(scale=0.12, max_objects=40, **common), **T2_AXES
         )
         table3 = run_table3(
             ExperimentConfig(scale=0.004, **common), **t3_axes
         )
-        for outcome in (json_out, sqlite_out):
-            for key, cell in table2.cells.items():
-                assert outcome.table2.cells[key].theta == cell.theta
-                assert outcome.table2.cells[key].quality == cell.quality
-            for key, quality in table3.quality.items():
-                assert outcome.table3.quality[key] == quality
-        # Rendered report: byte-identical across backends.  (table2's
-        # render needs the UCPC baseline, which this micro-grid omits.)
-        assert json_out.table3.render() == sqlite_out.table3.render()
-        assert json_out.table3.render() == table3.render()
-        # Stored payloads: byte-identical canonical JSON across backends.
-        with open_store(store_path(tmp_path, "json")) as json_store:
-            with open_store(store_path(tmp_path, "sqlite")) as sqlite_store:
-                json_cells = {
-                    name: payload
-                    for name, payload, _w in json_store.iter_cells()
-                }
-                sqlite_cells = {
-                    name: payload
-                    for name, payload, _w in sqlite_store.iter_cells()
-                }
-                assert json_cells == sqlite_cells
-                assert len(json_cells) == 6
-                assert (
-                    json_store.read_manifest()
-                    == sqlite_store.read_manifest()
-                )
+        for key, cell in table2.cells.items():
+            assert outcome.table2.cells[key].theta == cell.theta
+            assert outcome.table2.cells[key].quality == cell.quality
+        for key, quality in table3.quality.items():
+            assert outcome.table3.quality[key] == quality
+        # (table2's render needs the UCPC baseline, which this
+        # micro-grid omits.)
+        assert outcome.table3.render() == table3.render()
+        rows = _sqlite_rows(path)
+        assert len(rows["cells"]) == 6
+        for row in rows["cells"]:
+            assert row[-1] == canonical_dumps(json.loads(row[-1]))
+        with open_store(path) as store:
+            assert store.read_manifest() == grid.describe()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_kill_and_resume_identical(self, tmp_path, backend, monkeypatch):
+    @every_suffix
+    def test_kill_and_resume_identical(self, tmp_path, monkeypatch, suffix):
         """Acceptance: a killed + resumed store is identical to an
-        uninterrupted one — tree bytes for JSON, logical rows for
-        SQLite (same cells, payloads, seed fingerprints)."""
+        uninterrupted one row for row (same cells, payloads, seed
+        fingerprints)."""
         import repro.experiments.table2 as table2_module
 
-        clean = store_path(tmp_path, backend, "clean")
+        clean = store_path(tmp_path, "clean", suffix)
         run_sweep(_grid(), clean)
 
-        killed = store_path(tmp_path, backend, "killed")
+        killed = store_path(tmp_path, "killed", suffix)
         original = table2_module.run_table2_cell
         calls = {"count": 0}
 
@@ -629,114 +637,147 @@ class TestSweepOnBackends:
         outcome = run_sweep(_grid(), killed, resume=True)
         assert len(outcome.reused) == 1
         assert len(outcome.executed) == 5
-        assert _snapshot(clean, backend) == _snapshot(killed, backend)
+        assert _sqlite_rows(clean) == _sqlite_rows(killed)
         table2, table3 = _direct_reports()
         for key, cell in table2.cells.items():
             assert outcome.table2.cells[key].theta == cell.theta
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_damaged_cells_rerun_to_identity(self, tmp_path, backend):
-        clean = store_path(tmp_path, backend, "clean")
+    @every_suffix
+    def test_damaged_cells_rerun_to_identity(self, tmp_path, suffix):
+        clean = store_path(tmp_path, "clean", suffix)
         run_sweep(_grid(), clean)
-        damaged = store_path(tmp_path, backend, "damaged")
+        damaged = store_path(tmp_path, "damaged", suffix)
         run_sweep(_grid(), damaged)
 
         torn = cell_id("table2", ("iris", "normal"), ("UKM",))
         partial = cell_id("table3", ("neuroblastoma",), ("k2", "UKmed"))
-        if backend == "json":
-            torn_path = damaged / "cells" / f"{torn}.json"
-            torn_path.write_text(torn_path.read_text()[:25])
-            partial_path = damaged / "cells" / f"{partial}.json"
-            partial_path.write_text(json.dumps({"status": "running"}))
-        else:
-            conn = sqlite3.connect(str(damaged))
-            with conn:
-                conn.execute(
-                    "UPDATE cells SET payload = substr(payload, 1, 25) "
-                    "WHERE cell_id = ?",
-                    (torn,),
-                )
-                conn.execute(
-                    "UPDATE cells SET payload = ? WHERE cell_id = ?",
-                    (json.dumps({"status": "running"}), partial),
-                )
-            conn.close()
+        _update(
+            damaged,
+            "UPDATE cells SET payload = substr(payload, 1, 25) "
+            "WHERE cell_id = ?",
+            (torn,),
+        )
+        _update(
+            damaged,
+            "UPDATE cells SET payload = ? WHERE cell_id = ?",
+            (json.dumps({"status": "running"}), partial),
+        )
 
         outcome = run_sweep(_grid(), damaged, resume=True)
         assert sorted(outcome.invalid) == sorted([torn, partial])
         assert sorted(outcome.executed) == sorted(outcome.invalid)
-        assert _snapshot(clean, backend) == _snapshot(damaged, backend)
+        assert _sqlite_rows(clean) == _sqlite_rows(damaged)
 
-    def test_explicit_backend_overrides_path_inference(self, tmp_path):
+    def test_store_backend_keyword_is_sqlite_only(self, tmp_path):
         path = tmp_path / "suffixless"
         run_sweep(_grid(), path, store_backend="sqlite")
         assert path.is_file()
-        rows = _sqlite_rows(path)
-        assert len(rows["cells"]) == 6
+        assert len(_sqlite_rows(path)["cells"]) == 6
+        refused = store_path(tmp_path, "refused")
+        with pytest.raises(InvalidParameterError, match="repro store import"):
+            run_sweep(_grid(), refused, store_backend="json")
+        assert not refused.exists()
 
 
 # ----------------------------------------------------------------------
-# Migration
+# JSON export / import
 # ----------------------------------------------------------------------
-class TestMigration:
-    def _populated(self, tmp_path, backend, name="src"):
-        path = store_path(tmp_path, backend, name)
+class TestExportImport:
+    def _populated(self, tmp_path, name="src"):
+        path = store_path(tmp_path, name)
         run_sweep(_grid(), path)
         return path
 
-    def test_json_sqlite_json_round_trip_byte_identical(self, tmp_path):
-        source = self._populated(tmp_path, "json")
-        db = tmp_path / "mid.sqlite"
-        back = tmp_path / "back"
-        first = migrate_store(source, db)
-        assert len(first.cells) == 6
-        second = migrate_store(db, back)
-        assert sorted(second.cells) == sorted(first.cells)
-        assert _tree_bytes(source) == _tree_bytes(back)
+    def test_export_import_round_trip_byte_identical(self, tmp_path):
+        source = self._populated(tmp_path)
+        exported = tmp_path / "exported"
+        names = export_store(source, exported)
+        assert len(names) == 6
+        assert sorted(os.listdir(exported)) == ["cells", "manifest.json"]
+        assert sorted(os.listdir(exported / "cells")) == sorted(
+            f"{name}.json" for name in names
+        )
+        copy = store_path(tmp_path, "copy")
+        assert import_store(exported, copy) == names
+        assert diff_stores(source, copy) == []
+        assert _sqlite_rows(source) == _sqlite_rows(copy)
+        again = tmp_path / "again"
+        export_store(copy, again)
+        assert _tree_bytes(exported) == _tree_bytes(again)
 
-    def test_sqlite_to_json_equals_native_json_store(self, tmp_path):
-        """A sweep persisted to SQLite, migrated to JSON, is
-        byte-identical to the store a JSON sweep writes directly."""
-        native = self._populated(tmp_path, "json", "native")
-        db = self._populated(tmp_path, "sqlite", "native-db")
-        migrated = tmp_path / "migrated"
-        migrate_store(db, migrated)
-        assert _tree_bytes(native) == _tree_bytes(migrated)
+    def test_export_equals_json_store_fixture(self, tmp_path):
+        """A fresh sweep of the fixture's grid, exported, is byte for
+        byte the directory the JSON store backend wrote for it."""
+        path = store_path(tmp_path)
+        run_sweep(_fixture_grid(), path)
+        exported = tmp_path / "exported"
+        export_store(path, exported)
+        assert _tree_bytes(exported) == _tree_bytes(FIXTURE)
 
-    def test_migrated_store_resumes_with_full_reuse(self, tmp_path):
-        source = self._populated(tmp_path, "json")
-        db = tmp_path / "resumable.sqlite"
-        migrate_store(source, db)
-        outcome = run_sweep(_grid(), db, resume=True)
-        assert not outcome.executed
+    def test_imported_fixture_resumes_with_every_cell_reused(self, tmp_path):
+        path = store_path(tmp_path)
+        assert len(import_store(FIXTURE, path)) == 6
+        outcome = run_sweep(_fixture_grid(), path, resume=True)
+        assert outcome.executed == []
         assert len(outcome.reused) == 6
-        table2, _table3 = _direct_reports()
-        for key, cell in table2.cells.items():
-            assert outcome.table2.cells[key].theta == cell.theta
+        exported = tmp_path / "exported"
+        export_store(path, exported)
+        assert _tree_bytes(exported) == _tree_bytes(FIXTURE)
 
     def test_refuses_source_without_manifest(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
         with pytest.raises(SweepStoreError, match="no sweep manifest"):
-            migrate_store(empty, tmp_path / "dst.sqlite")
+            import_store(empty, store_path(tmp_path, "dst"))
+        assert not store_path(tmp_path, "dst").exists()
+        bare = store_path(tmp_path, "bare")
+        sqlite3.connect(str(bare)).close()
+        with pytest.raises(SweepStoreError, match="no sweep manifest"):
+            export_store(bare, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_refuses_damaged_source(self, tmp_path):
-        source = self._populated(tmp_path, "json")
-        victim = next((source / "cells").glob("*.json"))
+        torn = tmp_path / "torn"
+        shutil.copytree(FIXTURE, torn)
+        victim = sorted((torn / "cells").glob("*.json"))[0]
         victim.write_text(victim.read_text()[:25])
+        with pytest.raises(SweepStoreError, match="damaged.*unreadable"):
+            import_store(torn, store_path(tmp_path, "a"))
+        foreign = tmp_path / "foreign"
+        shutil.copytree(FIXTURE, foreign)
+        victim = sorted((foreign / "cells").glob("*.json"))[0]
+        victim.rename(victim.with_name("renamed--0000000000.json"))
+        with pytest.raises(SweepStoreError, match="foreign id"):
+            import_store(foreign, store_path(tmp_path, "b"))
+        assert not store_path(tmp_path, "a").exists()
+        assert not store_path(tmp_path, "b").exists()
+        source = self._populated(tmp_path)
+        _update(
+            source,
+            "UPDATE cells SET payload = substr(payload, 1, 25) "
+            "WHERE cell_id = (SELECT MIN(cell_id) FROM cells)",
+        )
         with pytest.raises(SweepStoreError, match="damaged"):
-            migrate_store(source, tmp_path / "dst.sqlite")
+            export_store(source, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_refuses_populated_destination(self, tmp_path):
-        source = self._populated(tmp_path, "json")
-        destination = self._populated(tmp_path, "sqlite", "dst")
+        source = self._populated(tmp_path)
+        exported = tmp_path / "exported"
+        export_store(source, exported)
         with pytest.raises(SweepStoreError, match="resume"):
-            migrate_store(source, destination)
+            import_store(exported, source)
+        with pytest.raises(SweepStoreError, match="not an empty directory"):
+            export_store(source, exported)
+        with pytest.raises(SweepStoreError, match="not an empty directory"):
+            export_store(source, source)
 
-    def test_refuses_self_migration(self, tmp_path):
-        source = self._populated(tmp_path, "json")
-        with pytest.raises(SweepStoreError, match="same store"):
-            migrate_store(source, source)
+    def test_refuses_directory_destination(self, tmp_path):
+        source = tmp_path / "source"
+        shutil.copytree(FIXTURE, source)
+        with pytest.raises(SweepStoreError, match="directory"):
+            import_store(source, source)
+        assert _tree_bytes(source) == _tree_bytes(FIXTURE)
 
 
 # ----------------------------------------------------------------------
@@ -760,8 +801,8 @@ class TestCLI:
             ]
         )
 
-    def test_sweep_sqlite_by_suffix_and_resume(self, tmp_path, capsys):
-        store = tmp_path / "store.sqlite"
+    def test_sweep_and_resume(self, tmp_path, capsys):
+        store = tmp_path / "store"
         assert self._quick_sweep(store) == 0
         assert store.is_file()
         assert "sweep complete" in capsys.readouterr().out
@@ -769,64 +810,60 @@ class TestCLI:
         assert "0 cells run, 2 reused" in capsys.readouterr().out
         assert self._quick_sweep(store) == 2  # refused without --resume
 
-    def test_sweep_store_backend_flag(self, tmp_path):
-        store = tmp_path / "suffixless"
-        assert self._quick_sweep(store, ("--store-backend", "sqlite")) == 0
-        assert store.is_file()
-
-    def test_store_migrate_and_summary(self, tmp_path, capsys):
+    def test_store_export_import_and_summary(self, tmp_path, capsys):
         from repro.cli import main
 
-        store = tmp_path / "store"
+        store = store_path(tmp_path)
         assert self._quick_sweep(store) == 0
         capsys.readouterr()
-        db = tmp_path / "store.sqlite"
-        assert main(["store", "migrate", str(store), str(db)]) == 0
+        exported = tmp_path / "exported"
+        assert main(["store", "export", str(store), str(exported)]) == 0
         out = capsys.readouterr().out
-        assert "migrated 2 cells" in out and "verified" in out
+        assert "exported 2 cells" in out and "verified" in out
+        copy = store_path(tmp_path, "copy")
+        assert main(["store", "import", str(exported), str(copy)]) == 0
+        out = capsys.readouterr().out
+        assert "imported 2 cells" in out and "verified" in out
         assert (
-            main(["store", "summary", str(db), "--metric", "quality"]) == 0
+            main(["store", "summary", str(copy), "--metric", "quality"]) == 0
         )
         out = capsys.readouterr().out
-        assert "sqlite store" in out
+        assert f"store {copy}" in out
         assert "best (max) per group" in out
         assert "rank over grid" in out
-        # Summary of the JSON original agrees (Python-side aggregation).
-        assert main(["store", "summary", str(store)]) == 0
-        assert "json store" in capsys.readouterr().out
 
-    def test_store_migrate_refusal_exit_code(self, tmp_path, capsys):
+    def test_store_import_refusal_exit_code(self, tmp_path, capsys):
         from repro.cli import main
 
         empty = tmp_path / "empty"
         empty.mkdir()
-        code = main(["store", "migrate", str(empty), str(tmp_path / "x.db")])
+        code = main(["store", "import", str(empty), str(tmp_path / "x.db")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
     def test_store_summary_missing_manifest_exit_code(self, tmp_path, capsys):
         from repro.cli import main
 
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert main(["store", "summary", str(empty)]) == 2
+        bare = store_path(tmp_path, "bare")
+        sqlite3.connect(str(bare)).close()
+        assert main(["store", "summary", str(bare)]) == 2
         assert "no sweep manifest" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
-# Claim/lease layer (tentpole): conformance on both backends
+# Claim/lease layer
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@every_suffix
 class TestLeases:
-    def _prepared(self, tmp_path, backend, name="store"):
-        store = open_store(store_path(tmp_path, backend, name))
+    def _prepared(self, tmp_path, suffix, name="store"):
+        store = open_store(store_path(tmp_path, name, suffix))
         store.prepare(
             {"schema": SWEEP_SCHEMA_VERSION, "surfaces": {}}, False
         )
         return store
 
-    def test_claim_is_exclusive_while_live(self, tmp_path, backend):
-        store = self._prepared(tmp_path, backend)
+    def test_claim_is_exclusive_while_live(self, tmp_path, suffix):
+        store = self._prepared(tmp_path, suffix)
         assert store.claim_cell("cell--0000000001", "alice", 60.0)
         assert not store.claim_cell("cell--0000000001", "bob", 60.0)
         leases = store.active_leases()
@@ -836,8 +873,8 @@ class TestLeases:
         assert store.claim_cell("cell--0000000002", "bob", 60.0)
         store.close()
 
-    def test_claim_is_reentrant_and_extends(self, tmp_path, backend):
-        store = self._prepared(tmp_path, backend)
+    def test_claim_is_reentrant_and_extends(self, tmp_path, suffix):
+        store = self._prepared(tmp_path, suffix)
         assert store.claim_cell("cell--0000000001", "alice", 10.0)
         first = store.active_leases()["cell--0000000001"][1]
         assert store.claim_cell("cell--0000000001", "alice", 120.0)
@@ -845,16 +882,16 @@ class TestLeases:
         assert second > first
         store.close()
 
-    def test_expired_lease_is_stolen(self, tmp_path, backend):
-        store = self._prepared(tmp_path, backend)
+    def test_expired_lease_is_stolen(self, tmp_path, suffix):
+        store = self._prepared(tmp_path, suffix)
         assert store.claim_cell("cell--0000000001", "dead-worker", 0.05)
         time.sleep(0.1)
         assert store.claim_cell("cell--0000000001", "bob", 60.0)
         assert store.active_leases()["cell--0000000001"][0] == "bob"
         store.close()
 
-    def test_renew_is_owner_only(self, tmp_path, backend):
-        store = self._prepared(tmp_path, backend)
+    def test_renew_is_owner_only(self, tmp_path, suffix):
+        store = self._prepared(tmp_path, suffix)
         # No lease at all: renewal reports the lease as lost.
         assert not store.renew_lease("cell--0000000001", "alice", 60.0)
         assert store.claim_cell("cell--0000000001", "alice", 10.0)
@@ -865,8 +902,8 @@ class TestLeases:
         assert store.active_leases()["cell--0000000001"][1] > before
         store.close()
 
-    def test_release_is_owner_checked_then_forced(self, tmp_path, backend):
-        store = self._prepared(tmp_path, backend)
+    def test_release_is_owner_checked_then_forced(self, tmp_path, suffix):
+        store = self._prepared(tmp_path, suffix)
         assert store.claim_cell("cell--0000000001", "alice", 60.0)
         store.release_cell("cell--0000000001", "bob")  # wrong owner: no-op
         assert "cell--0000000001" in store.active_leases()
@@ -878,8 +915,8 @@ class TestLeases:
         store.release_cell("never-claimed--00")  # idempotent on absence
         store.close()
 
-    def test_reap_drops_complete_and_expired_leases(self, tmp_path, backend):
-        store = self._prepared(tmp_path, backend)
+    def test_reap_drops_complete_and_expired_leases(self, tmp_path, suffix):
+        store = self._prepared(tmp_path, suffix)
         done = store.write_payload(_seed_payloads()[0])
         # Owner died between writing the payload and releasing:
         assert store.claim_cell(done, "crashed-after-write", 600.0)
@@ -893,10 +930,10 @@ class TestLeases:
         assert set(store.active_leases()) == {"pending--0000000002"}
         store.close()
 
-    def test_double_claim_race_admits_one_winner(self, tmp_path, backend):
-        """N handles racing an initial claim: exactly one wins (O_EXCL
-        on JSON, the single-writer upsert transaction on SQLite)."""
-        path = store_path(tmp_path, backend)
+    def test_double_claim_race_admits_one_winner(self, tmp_path, suffix):
+        """N handles racing an initial claim: exactly one wins (the
+        single-writer upsert transaction)."""
+        path = store_path(tmp_path, suffix=suffix)
         with open_store(path) as store:
             store.prepare(
                 {"schema": SWEEP_SCHEMA_VERSION, "surfaces": {}}, False
@@ -925,14 +962,12 @@ class TestLeases:
                 thread.join()
             assert len(wins) == 1, f"round {round_idx}: winners {wins}"
 
-    def test_lease_history_invisible_to_store_identity(
-        self, tmp_path, backend
-    ):
+    def test_lease_history_invisible_to_store_identity(self, tmp_path, suffix):
         """Claim/renew/release/reap churn must never show up in the
-        identity comparison (tree bytes / logical rows)."""
-        plain = store_path(tmp_path, backend, "plain")
+        identity comparison (logical rows)."""
+        plain = store_path(tmp_path, "plain", suffix)
         run_sweep(_grid(), plain)
-        churned = store_path(tmp_path, backend, "churned")
+        churned = store_path(tmp_path, "churned", suffix)
         run_sweep(_grid(), churned)
         with open_store(churned) as store:
             names = [name for name, _p, _w in store.iter_cells()]
@@ -943,47 +978,23 @@ class TestLeases:
             time.sleep(0.1)
             store.reap_leases()
             assert store.active_leases() == {}
-        assert _snapshot(plain, backend) == _snapshot(churned, backend)
+        assert _sqlite_rows(plain) == _sqlite_rows(churned)
         assert diff_stores(plain, churned) == []
 
-    def test_discard_stray_tmp(self, tmp_path, backend):
-        """JSON removes killed writers' tmp residue; SQLite has none."""
-        store = self._prepared(tmp_path, backend)
-        name = store.write_payload(_seed_payloads()[0])
-        if backend == "json":
-            (store.cells_dir / "victim.json.tmp").write_text("{half")
-            store.leases_dir.mkdir(parents=True, exist_ok=True)
-            (store.leases_dir / "x.lease.deadbeef.tmp").write_text("{")
-            removed = store.discard_stray_tmp()
-            assert sorted(removed) == [
-                "cells/victim.json.tmp",
-                "leases/x.lease.deadbeef.tmp",
-            ]
-        assert store.discard_stray_tmp() == []
-        loaded, problem = store.load_cell(name)
-        assert problem is None and loaded is not None
-        store.close()
-
 
 # ----------------------------------------------------------------------
-# JSON cell walk is listdir-order independent (satellite bugfix)
+# The import walk is listdir-order independent (satellite bugfix)
 # ----------------------------------------------------------------------
-class TestJsonIterOrder:
-    def _populated(self, tmp_path):
-        store = JsonStore(tmp_path / "store")
-        store.prepare(
-            {"schema": SWEEP_SCHEMA_VERSION, "surfaces": {}}, False
-        )
-        names = [store.write_payload(p) for p in _seed_payloads()]
-        return store, names
-
+class TestImportOrder:
     @pytest.mark.parametrize("scramble", ["reversed", "shuffled"])
-    def test_iter_cells_ignores_listdir_order(
+    def test_import_ignores_listdir_order(
         self, tmp_path, monkeypatch, scramble
     ):
         import random
 
-        store, names = self._populated(tmp_path)
+        source = _seeded_store(store_path(tmp_path, "source"))
+        exported = tmp_path / "exported"
+        names = export_store(source, exported)
         real_listdir = os.listdir
 
         def scrambled(path):
@@ -995,33 +1006,35 @@ class TestJsonIterOrder:
             return entries
 
         monkeypatch.setattr(os, "listdir", scrambled)
-        iterated = [name for name, _p, _w in store.iter_cells()]
-        assert iterated == sorted(names)
-        store.close()
+        assert import_store(exported, store_path(tmp_path)) == sorted(names)
 
     def test_prefix_stems_sort_by_cell_id_not_filename(self, tmp_path):
-        """`a.json` vs `a-b.json`: filename order puts `a-b` first
-        (`-` < `.`), cell-id order puts `a` first — the walk must use
-        cell-id order, matching the SQLite backend row for row."""
-        from repro.engine.store import canonical_dumps
-
-        store = JsonStore(tmp_path / "store")
-        store.prepare(
-            {"schema": SWEEP_SCHEMA_VERSION, "surfaces": {}}, False
+        """One id a prefix of another: filename order puts the longer id
+        first (its ``-`` sorts below the ``.`` of ``.json``), cell-id
+        order puts the shorter first — the walk must use cell-id order,
+        the store's own row order."""
+        short = build_payload("s", ("g",), ("x",), "b" * 40, {"quality": 1.0})
+        short_id = cell_id("s", ("g",), ("x",))
+        long_part = short_id[len("s__g__"):] + "-b"
+        long = build_payload(
+            "s", ("g",), (long_part,), "b" * 40, {"quality": 2.0}
         )
-        for stem in ("a", "a-b"):
-            payload = build_payload(
-                "s", (stem,), ("x",), "b" * 40, {"quality": 1.0}
-            )
-            (store.cells_dir / f"{stem}.json").write_text(
-                canonical_dumps(payload)
-            )
-        iterated = [name for name, _p, problem in store.iter_cells()]
-        assert iterated == ["a", "a-b"]
-        assert all(
-            problem is None for _n, _p, problem in store.iter_cells()
-        )
-        store.close()
+        long_id = cell_id("s", ("g",), (long_part,))
+        assert long_id.startswith(short_id)
+        source = open_store(store_path(tmp_path, "source"))
+        source.prepare({"schema": SWEEP_SCHEMA_VERSION, "surfaces": {}}, False)
+        for payload in (long, short):
+            source.write_payload(payload)
+        exported = tmp_path / "exported"
+        export_store(source, exported)
+        assert sorted(os.listdir(exported / "cells")) == [
+            f"{long_id}.json",
+            f"{short_id}.json",
+        ]
+        assert import_store(exported, store_path(tmp_path)) == [
+            short_id,
+            long_id,
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -1037,7 +1050,7 @@ class TestSqliteForkSafety:
         inherited sqlite3.Connection and reopen in the child; both
         sides keep writing with no `database is locked` and no
         corruption."""
-        path = store_path(tmp_path, "sqlite")
+        path = store_path(tmp_path)
         store = open_store(path)
         store.prepare(
             {"schema": SWEEP_SCHEMA_VERSION, "surfaces": {}}, False
@@ -1081,9 +1094,9 @@ class TestSqliteForkSafety:
         workers while the sweep's SQLite connection is open; the sweep
         must land the same cells as a serial run (manifest differs by
         the backend field, so compare cells/values only)."""
-        serial = store_path(tmp_path, "sqlite", "serial")
+        serial = store_path(tmp_path, "serial")
         run_sweep(_grid(), serial)
-        forked = store_path(tmp_path, "sqlite", "forked")
+        forked = store_path(tmp_path, "forked")
         run_sweep(_grid(backend="processes", n_jobs=2), forked)
         serial_rows = _sqlite_rows(serial)
         forked_rows = _sqlite_rows(forked)
@@ -1092,21 +1105,15 @@ class TestSqliteForkSafety:
 
 
 # ----------------------------------------------------------------------
-# Migration failure cleanup (satellite bugfix)
+# Export/import failure cleanup (satellite bugfix)
 # ----------------------------------------------------------------------
-class TestMigrationCleanup:
-    def _populated(self, tmp_path, backend, name="src"):
-        path = store_path(tmp_path, backend, name)
-        run_sweep(_grid(), path)
-        return path
-
+class TestTransferCleanup:
     def test_mid_copy_failure_removes_partial_destination(
         self, tmp_path, monkeypatch
     ):
-        """A crash after N copied cells must not leave a partial store
+        """A crash after N imported cells must not leave a partial store
         that blocks (`prepare` refusal) every retry."""
-        source = self._populated(tmp_path, "json")
-        destination = tmp_path / "dst.sqlite"
+        destination = store_path(tmp_path, "dst")
         original = SqliteStore.write_payload
         calls = {"count": 0}
 
@@ -1118,39 +1125,63 @@ class TestMigrationCleanup:
 
         monkeypatch.setattr(SqliteStore, "write_payload", bomb)
         with pytest.raises(RuntimeError, match="disk full"):
-            migrate_store(source, destination)
+            import_store(FIXTURE, destination)
         assert not destination.exists()
         assert not Path(str(destination) + "-wal").exists()
         # The retry starts from a clean slate and succeeds.
         monkeypatch.setattr(SqliteStore, "write_payload", original)
-        report = migrate_store(source, destination)
-        assert len(report.cells) == 6
-        assert diff_stores(source, destination) == []
+        assert len(import_store(FIXTURE, destination)) == 6
+        exported = tmp_path / "exported"
+        export_store(destination, exported)
+        assert _tree_bytes(exported) == _tree_bytes(FIXTURE)
+
+    def test_mid_export_failure_removes_partial_directory(
+        self, tmp_path, monkeypatch
+    ):
+        source = store_path(tmp_path)
+        run_sweep(_grid(), source)
+        exported = tmp_path / "exported"
+        calls = {"count": 0}
+
+        def bomb(path, text):
+            if calls["count"] >= 2:
+                raise RuntimeError("disk full (simulated)")
+            calls["count"] += 1
+            return atomic_write(path, text)
+
+        monkeypatch.setattr(transfer_module, "atomic_write", bomb)
+        with pytest.raises(RuntimeError, match="disk full"):
+            export_store(source, exported)
+        assert not exported.exists()
+        monkeypatch.setattr(transfer_module, "atomic_write", atomic_write)
+        assert len(export_store(source, exported)) == 6
 
     def test_verification_failure_removes_partial_destination(
         self, tmp_path, monkeypatch
     ):
-        import repro.engine.store.migrate as migrate_module
-
-        source = self._populated(tmp_path, "sqlite")
-        destination = tmp_path / "dst"
-
-        def failing_verify(src, dst, payloads):
+        def failing_verify(*args):
             raise SweepStoreError("verification failed (simulated)")
 
-        monkeypatch.setattr(migrate_module, "_verify", failing_verify)
+        monkeypatch.setattr(transfer_module, "_verify", failing_verify)
+        destination = store_path(tmp_path, "dst")
         with pytest.raises(SweepStoreError, match="verification failed"):
-            migrate_store(source, destination)
+            import_store(FIXTURE, destination)
         assert not destination.exists()
+        source = store_path(tmp_path)
+        run_sweep(_grid(), source)
+        exported = tmp_path / "exported"
+        with pytest.raises(SweepStoreError, match="verification failed"):
+            export_store(source, exported)
+        assert not exported.exists()
 
     def test_refused_existing_destination_is_not_deleted(self, tmp_path):
         """The cleanup only covers destinations *we* wrote: a populated
         store refused by prepare() must survive the refusal intact."""
-        source = self._populated(tmp_path, "json")
-        destination = self._populated(tmp_path, "sqlite", "dst")
+        destination = store_path(tmp_path, "dst")
+        run_sweep(_grid(), destination)
         before = _sqlite_rows(destination)
-        with pytest.raises(SweepStoreError, match="resume"):
-            migrate_store(source, destination)
+        with pytest.raises(SweepStoreError, match="different grid"):
+            import_store(FIXTURE, destination)
         assert destination.exists()
         assert _sqlite_rows(destination) == before
 
@@ -1159,21 +1190,21 @@ class TestMigrationCleanup:
 # Multi-worker sweep execution (tentpole)
 # ----------------------------------------------------------------------
 class TestMultiWorkerSweep:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_single_worker_mode_equals_run_sweep(self, tmp_path, backend):
-        """Worker mode on a fresh store: one pass, same store bytes and
+    @every_suffix
+    def test_single_worker_mode_equals_run_sweep(self, tmp_path, suffix):
+        """Worker mode on a fresh store: one pass, same store rows and
         same reports as a plain run_sweep, zero lease state behind."""
-        reference = store_path(tmp_path, backend, "reference")
+        reference = store_path(tmp_path, "reference", suffix)
         run_sweep(_grid(), reference)
-        worked = store_path(tmp_path, backend, "worked")
+        worked = store_path(tmp_path, "worked", suffix)
         outcome = run_sweep_worker(
             _grid(), worked, worker_id="test:solo", max_passes=1
         )
         assert outcome.passes == 1
         assert len(outcome.executed) == 6
         assert not outcome.deferred
-        assert _snapshot(reference, backend) == _snapshot(worked, backend)
-        with open_store(worked, backend=backend) as store:
+        assert _sqlite_rows(reference) == _sqlite_rows(worked)
+        with open_store(worked) as store:
             assert store.active_leases() == {}
         table2, table3 = _direct_reports()
         for key, cell in table2.cells.items():
@@ -1181,33 +1212,25 @@ class TestMultiWorkerSweep:
         for key, quality in table3.quality.items():
             assert outcome.table3.quality[key] == quality
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @every_suffix
     def test_foreign_lease_defers_then_expires_and_reclaims(
-        self, tmp_path, backend
+        self, tmp_path, suffix
     ):
         """A dead worker's live-looking lease defers its cell; once the
         lease expires a surviving worker steals it, re-runs the cell,
         and the store equals an uninterrupted single-worker run."""
-        reference = store_path(tmp_path, backend, "reference")
+        reference = store_path(tmp_path, "reference", suffix)
         run_sweep(_grid(), reference)
-        shared = store_path(tmp_path, backend, "shared")
+        shared = store_path(tmp_path, "shared", suffix)
         run_sweep(_grid(), shared)
         victim = cell_id("table2", ("iris", "normal"), ("UKM",))
         # Simulate a worker that died mid-cell: payload never written,
         # lease still ticking.
-        if backend == "json":
-            (shared / "cells" / f"{victim}.json").unlink()
-        else:
-            conn = sqlite3.connect(str(shared))
-            with conn:
-                conn.execute(
-                    "DELETE FROM cells WHERE cell_id = ?", (victim,)
-                )
-                conn.execute(
-                    "DELETE FROM cell_values WHERE cell_id = ?", (victim,)
-                )
-            conn.close()
-        with open_store(shared, backend=backend) as store:
+        _update(shared, "DELETE FROM cells WHERE cell_id = ?", (victim,))
+        _update(
+            shared, "DELETE FROM cell_values WHERE cell_id = ?", (victim,)
+        )
+        with open_store(shared) as store:
             assert store.claim_cell(victim, "dead-worker", 2.5)
         lines: list = []
         outcome = run_sweep_worker(
@@ -1222,24 +1245,53 @@ class TestMultiWorkerSweep:
         assert outcome.executed == [victim]
         assert any("deferred" in line for line in lines)
         assert outcome.passes >= 2
-        assert _snapshot(reference, backend) == _snapshot(shared, backend)
-        with open_store(shared, backend=backend) as store:
+        assert _sqlite_rows(reference) == _sqlite_rows(shared)
+        with open_store(shared) as store:
             assert store.active_leases() == {}
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_two_workers_one_sigkilled_identical(self, tmp_path, backend):
+    @every_suffix
+    def test_interrupted_worker_releases_its_lease(
+        self, tmp_path, monkeypatch, suffix
+    ):
+        """Ctrl-C inside a claimed cell must not strand its lease: a
+        restarted worker (a new owner id) finishes in one pass instead
+        of deferring the cell until the ttl runs out."""
+        path = store_path(tmp_path, suffix=suffix)
+
+        def interrupted(self, state, rng, key):
+            raise KeyboardInterrupt("simulated Ctrl-C")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Table2Spec, "run", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                run_sweep_worker(
+                    _grid(), path, worker_id="test:first", max_passes=1
+                )
+        with open_store(path) as store:
+            assert store.active_leases() == {}
+        outcome = run_sweep_worker(
+            _grid(), path, worker_id="test:restarted", max_passes=3
+        )
+        assert outcome.passes == 1
+        assert len(outcome.executed) == 6
+        reference = store_path(tmp_path, "reference", suffix)
+        run_sweep(_grid(), reference)
+        assert _sqlite_rows(reference) == _sqlite_rows(path)
+
+    @every_suffix
+    def test_two_workers_one_sigkilled_identical(self, tmp_path, suffix):
         """Acceptance: a 2-process cluster on one store — with one
         worker SIGKILLed mid-grid and its leases reclaimed — produces a
         store identical to the uninterrupted single-worker reference."""
-        reference = store_path(tmp_path, backend, "reference")
+        reference = store_path(tmp_path, "reference", suffix)
         run_sweep(_grid(), reference)
-        shared = store_path(tmp_path, backend, "shared")
+        shared = store_path(tmp_path, "shared", suffix)
         grid = _grid()
         context = multiprocessing.get_context("spawn")
         workers = [
             context.Process(
                 target=_worker_main,
-                args=(grid, str(shared), backend, f"test:{tag}", 2.0, 0.1),
+                args=(grid, str(shared), f"test:{tag}", 2.0, 0.1),
             )
             for tag in ("victim", "survivor")
         ]
@@ -1260,13 +1312,11 @@ class TestMultiWorkerSweep:
             worker_id="test:collector",
             lease_ttl=2.0,
             poll_interval=0.1,
-            store_backend=backend,
             max_passes=200,
         )
-        with open_store(shared, backend=backend) as store:
-            store.discard_stray_tmp()
+        with open_store(shared) as store:
             assert store.active_leases() == {}
-        assert _snapshot(reference, backend) == _snapshot(shared, backend)
+        assert _sqlite_rows(reference) == _sqlite_rows(shared)
         table2, table3 = _direct_reports()
         for key, cell in table2.cells.items():
             assert outcome.table2.cells[key].theta == cell.theta
@@ -1275,13 +1325,13 @@ class TestMultiWorkerSweep:
 
     def test_run_sweep_workers_end_to_end(self, tmp_path):
         """The orchestrated path: spawn N children, join, collect."""
-        reference = store_path(tmp_path, "json", "reference")
+        reference = store_path(tmp_path, "reference")
         run_sweep(_grid(), reference)
-        shared = store_path(tmp_path, "json", "shared")
+        shared = store_path(tmp_path, "shared")
         outcome = run_sweep_workers(
             _grid(), shared, workers=2, lease_ttl=5.0, poll_interval=0.1
         )
-        assert _tree_bytes(reference) == _tree_bytes(shared)
+        assert _sqlite_rows(reference) == _sqlite_rows(shared)
         table2, _table3 = _direct_reports()
         for key, cell in table2.cells.items():
             assert outcome.table2.cells[key].theta == cell.theta
@@ -1341,15 +1391,17 @@ class TestCLIMultiWorker:
             )
             == 0
         )
-        assert _tree_bytes(reference) == _tree_bytes(shared)
+        assert _sqlite_rows(reference) == _sqlite_rows(shared)
 
     def test_store_diff_cli(self, tmp_path, capsys):
         from repro.cli import main
 
         left = tmp_path / "left"
         assert main(self._sweep_args(["--store", str(left)])) == 0
+        exported = tmp_path / "exported"
         twin = tmp_path / "twin.sqlite"
-        assert main(["store", "migrate", str(left), str(twin)]) == 0
+        assert main(["store", "export", str(left), str(exported)]) == 0
+        assert main(["store", "import", str(exported), str(twin)]) == 0
         capsys.readouterr()
         assert main(["store", "diff", str(left), str(twin)]) == 0
         assert "stores identical" in capsys.readouterr().out

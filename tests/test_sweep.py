@@ -4,7 +4,7 @@ The direct runners are walks of the sweep with no result store, so the
 orchestrator's contract is stable values plus persistence: cells must
 keep the values recorded before the runners became the sweep (bit for
 bit, on every backend), a resumed store must be byte-identical to an
-uninterrupted one, damaged cell files must be detected and re-run,
+uninterrupted one, damaged cells must be detected and re-run,
 stores written before must still resume, and each dataset's off-line
 caches (moment matrices, sampling plan, pairwise ÊD matrix) must be
 built exactly once across the whole grid.
@@ -13,10 +13,12 @@ built exactly once across the whole grid.
 from __future__ import annotations
 
 import json
+import sqlite3
 from pathlib import Path
 
 import pytest
 
+from repro.engine.store import canonical_dumps, open_store
 from repro.engine.sweep import (
     Figure4Spec,
     Figure5Spec,
@@ -236,12 +238,34 @@ def _assert_pinned(table2, table3, seed):
     } == PINNED_TABLE3[seed]
 
 
-def _tree_bytes(root: Path):
-    return {
-        path.relative_to(root).as_posix(): path.read_bytes()
-        for path in sorted(Path(root).rglob("*"))
-        if path.is_file()
-    }
+def _store_rows(path: Path):
+    """The full logical content of a store (cells, values, manifest)."""
+    conn = sqlite3.connect(str(path))
+    try:
+        return [
+            conn.execute(f"SELECT * FROM {table} ORDER BY 1, 2").fetchall()
+            for table in ("cells", "cell_values", "meta")
+        ]
+    finally:
+        conn.close()
+
+
+def _update(path: Path, sql: str, params=()) -> None:
+    """Edit a store behind its back (damage a cell, drop a row)."""
+    conn = sqlite3.connect(str(path))
+    with conn:
+        conn.execute(sql, params)
+    conn.close()
+
+
+def _drop_cell(path: Path, name: str) -> None:
+    _update(path, "DELETE FROM cells WHERE cell_id = ?", (name,))
+    _update(path, "DELETE FROM cell_values WHERE cell_id = ?", (name,))
+
+
+def _manifest(path: Path):
+    with open_store(path) as store:
+        return store.read_manifest()
 
 
 class TestSweepEquivalence:
@@ -344,7 +368,7 @@ class TestResume:
         outcome = run_sweep(_grid(), killed, resume=True)
         assert len(outcome.reused) == 1
         assert len(outcome.executed) == 5
-        assert _tree_bytes(clean) == _tree_bytes(killed)
+        assert _store_rows(clean) == _store_rows(killed)
         table2, table3 = _direct_reports()
         _assert_matches_direct(outcome, table2, table3)
 
@@ -364,20 +388,23 @@ class TestResume:
         run_sweep(_grid(), clean)
         damaged = tmp_path / "damaged"
         run_sweep(_grid(), damaged)
-        truncated = damaged / "cells" / (
-            cell_id("table2", ("iris", "normal"), ("UKM",)) + ".json"
+        truncated = cell_id("table2", ("iris", "normal"), ("UKM",))
+        _update(  # torn payload text: broken JSON
+            damaged,
+            "UPDATE cells SET payload = substr(payload, 1, 25) "
+            "WHERE cell_id = ?",
+            (truncated,),
         )
-        truncated.write_text(truncated.read_text()[:25])  # broken JSON
-        partial = damaged / "cells" / (
-            cell_id("table3", ("neuroblastoma",), ("k2", "UKmed")) + ".json"
+        partial = cell_id("table3", ("neuroblastoma",), ("k2", "UKmed"))
+        _update(  # incomplete payload: no values
+            damaged,
+            "UPDATE cells SET payload = ? WHERE cell_id = ?",
+            (json.dumps({"status": "running"}), partial),
         )
-        partial.write_text(json.dumps({"status": "running"}))  # no values
         outcome = run_sweep(_grid(), damaged, resume=True)
-        assert sorted(outcome.invalid) == sorted(
-            [truncated.stem, partial.stem]
-        )
+        assert sorted(outcome.invalid) == sorted([truncated, partial])
         assert sorted(outcome.executed) == sorted(outcome.invalid)
-        assert _tree_bytes(clean) == _tree_bytes(damaged)
+        assert _store_rows(clean) == _store_rows(damaged)
 
     def test_stale_seed_fingerprint_reruns_cell(self, tmp_path):
         """A cell whose recorded seed state no longer matches the
@@ -389,22 +416,21 @@ class TestResume:
         run_sweep(_grid(), clean)
         store = tmp_path / "stale"
         run_sweep(_grid(), store)
-        stale = store / "cells" / (
-            cell_id("table2", ("iris", "normal"), ("UKmed",)) + ".json"
-        )
-        payload = json.loads(stale.read_text())
+        stale = cell_id("table2", ("iris", "normal"), ("UKmed",))
+        with open_store(store) as opened:
+            payload, _problem = opened.load_cell(stale)
         payload["seed_state"] = "0" * 40
-        stale.write_text(json.dumps(payload))
-        missing = store / "cells" / (
-            cell_id("table2", ("iris", "normal"), ("UKM",)) + ".json"
+        _update(
+            store,
+            "UPDATE cells SET payload = ?, seed_state = ? WHERE cell_id = ?",
+            (canonical_dumps(payload), payload["seed_state"], stale),
         )
-        missing.unlink()
+        missing = cell_id("table2", ("iris", "normal"), ("UKM",))
+        _drop_cell(store, missing)
         outcome = run_sweep(_grid(), store, resume=True)
-        assert outcome.invalid == [stale.stem]
-        assert sorted(outcome.executed) == sorted(
-            [stale.stem, missing.stem]
-        )
-        assert _tree_bytes(clean) == _tree_bytes(store)
+        assert outcome.invalid == [stale]
+        assert sorted(outcome.executed) == sorted([stale, missing])
+        assert _store_rows(clean) == _store_rows(store)
 
 
     def test_partial_figure5_resume_redraws_every_subset(
@@ -443,7 +469,7 @@ class TestResume:
         run_sweep(grid, store)
         fresh, draws[:] = list(draws), []
         missing = cell_id("figure5", ("f0.5",), ("UKM",))
-        (store / "cells" / f"{missing}.json").unlink()
+        _drop_cell(store, missing)
         outcome = run_sweep(grid, store, resume=True)
         assert outcome.executed == [missing] and not outcome.invalid
         assert draws == fresh
@@ -462,17 +488,36 @@ class TestStoreSafety:
             run_sweep(_grid(seed=6), store, resume=True)
 
     def test_refuses_unrelated_non_empty_directory(self, tmp_path):
+        """Neither a directory nor a database without a sweep manifest
+        is a store; both are refused and left as they were."""
         target = tmp_path / "notastore"
         target.mkdir()
         (target / "precious.txt").write_text("do not clobber")
-        with pytest.raises(SweepStoreError, match="no sweep manifest"):
+        with pytest.raises(SweepStoreError, match="is a directory"):
             run_sweep(_grid(), target)
         assert (target / "precious.txt").read_text() == "do not clobber"
+        database = tmp_path / "other.sqlite"
+        _update(database, "CREATE TABLE precious (x)")
+        _update(database, "INSERT INTO precious VALUES ('do not clobber')")
+        with pytest.raises(SweepStoreError, match="no sweep manifest"):
+            run_sweep(_grid(), database)
+        conn = sqlite3.connect(str(database))
+        try:
+            tables = conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            ).fetchall()
+            rows = conn.execute("SELECT x FROM precious").fetchall()
+        finally:
+            conn.close()
+        assert tables == [("precious",)]
+        assert rows == [("do not clobber",)]
 
     def test_refuses_corrupt_manifest(self, tmp_path):
         store = tmp_path / "store"
         run_sweep(_grid(), store)
-        (store / "manifest.json").write_text("{not json")
+        _update(
+            store, "UPDATE meta SET value = '{not json' WHERE key = 'manifest'"
+        )
         with pytest.raises(SweepStoreError, match="unreadable"):
             run_sweep(_grid(), store, resume=True)
 
@@ -480,7 +525,7 @@ class TestStoreSafety:
         store = tmp_path / "store"
         grid = _grid()
         run_sweep(grid, store)
-        manifest = json.loads((store / "manifest.json").read_text())
+        manifest = _manifest(store)
         assert manifest == grid.describe()
         assert set(manifest["surfaces"]) == {"table2", "table3"}
 
@@ -608,8 +653,8 @@ class TestCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "sweep complete" in out
-        assert (store / "manifest.json").exists()
-        assert len(list((store / "cells").glob("*.json"))) == 2
+        assert store.is_file()
+        assert len(_store_rows(store)[0]) == 2
         # Resume reuses; a third run without --resume is refused.
         assert (
             main(
@@ -682,9 +727,7 @@ class TestReportingIntegration:
         stored = collect_artifacts(store=tmp_path / "store")
         _assert_matches_direct(stored, direct.table2, direct.table3)
         assert stored.figure5.sizes == direct.figure5.sizes
-        assert json.loads(
-            (tmp_path / "store" / "manifest.json").read_text()
-        ) == small.describe()
+        assert _manifest(tmp_path / "store") == small.describe()
 
 
 class TestLeaseTTLEdges:
