@@ -64,7 +64,7 @@ from repro.clustering import (
     auto_eps,
 )
 from repro.datagen import make_blobs_uncertain
-from repro.engine import MultiRestartRunner
+from repro.engine import MultiRestartRunner, SerialBackend, ThreadBackend
 from repro.exceptions import ConvergenceWarning
 from repro.objects import UncertainDataset, UncertainObject
 from repro.utils.rng import ensure_rng
@@ -240,21 +240,17 @@ def backend_data():
     )
 
 
-def _timed_restarts(clusterer_factory, data, backend, n_jobs, repeats=2):
-    """Best-of-``repeats`` wall time of a 16-restart engine run."""
+def _timed_restarts(clusterer_factory, data, backend, repeats=2):
+    """Best-of-``repeats`` wall time of 16 restarts driven directly on
+    ``backend``, and the lowest-objective restart."""
     best_time = float("inf")
-    result = None
+    results = None
     for _ in range(repeats):
-        runner = MultiRestartRunner(
-            clusterer_factory(),
-            n_init=BACKEND_RESTARTS,
-            n_jobs=n_jobs,
-            backend=backend,
-        )
+        clusterer = clusterer_factory()
         start = time.perf_counter()
-        result = runner.run(data, seed=3)
+        results = backend.run(clusterer, data, list(range(BACKEND_RESTARTS)))
         best_time = min(best_time, time.perf_counter() - start)
-    return best_time, result
+    return best_time, min(results, key=lambda result: result.objective)
 
 
 @pytest.mark.skipif(
@@ -270,10 +266,10 @@ def test_threads_backend_speedup_floor(backend_data):
         warnings.simplefilter("ignore", ConvergenceWarning)
         factory = lambda: UKMeans(BACKEND_K, max_iter=8)  # noqa: E731
         serial_time, serial_result = _timed_restarts(
-            factory, backend_data, "serial", 1
+            factory, backend_data, SerialBackend()
         )
         threads_time, threads_result = _timed_restarts(
-            factory, backend_data, "threads", os.cpu_count() or 4
+            factory, backend_data, ThreadBackend(os.cpu_count() or 4)
         )
     np.testing.assert_array_equal(serial_result.labels, threads_result.labels)
     assert serial_result.objective == threads_result.objective
@@ -300,10 +296,11 @@ def test_ucpc_threads_comparison_informational(backend_data):
         warnings.simplefilter("ignore", ConvergenceWarning)
         factory = lambda: UCPC(BACKEND_K, max_iter=2)  # noqa: E731
         _, serial_result = _timed_restarts(
-            factory, backend_data, "serial", 1, repeats=1
+            factory, backend_data, SerialBackend(), repeats=1
         )
         _, threads_result = _timed_restarts(
-            factory, backend_data, "threads", os.cpu_count() or 4, repeats=1
+            factory, backend_data, ThreadBackend(os.cpu_count() or 4),
+            repeats=1,
         )
     np.testing.assert_array_equal(serial_result.labels, threads_result.labels)
     assert serial_result.objective == threads_result.objective
@@ -342,9 +339,7 @@ def _medoid_run_with_plane(data):
 
     model = UKMedoids(MEDOID_K, max_iter=MEDOID_MAX_ITER)
     model.pairwise_ed_cache = pairwise_squared_expected_distances(data)
-    return MultiRestartRunner(
-        model, n_init=MEDOID_RESTARTS, backend="serial"
-    ).run(data, seed=5)
+    return MultiRestartRunner(model, n_init=MEDOID_RESTARTS).run(data, seed=5)
 
 
 def _medoid_run_per_restart_recompute(data, seeds=range(MEDOID_RESTARTS)):

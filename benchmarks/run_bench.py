@@ -61,7 +61,12 @@ import numpy as np
 
 from repro.clustering import FDBSCAN, UAHC, UKMeans, BasicUKMeans, UKMedoids
 from repro.datagen import make_blobs_uncertain
-from repro.engine import MultiRestartRunner
+from repro.engine import (
+    MultiRestartRunner,
+    ProcessBackend,
+    SerialBackend,
+    ThreadBackend,
+)
 from repro.engine.store import SWEEP_SCHEMA_VERSION, SqliteStore, open_store
 from repro.engine.store import base as reference
 from repro.exceptions import ConvergenceWarning
@@ -292,27 +297,26 @@ def run_benchmarks(quick: bool = False) -> List[Dict[str, object]]:
     jobs = min(4, os.cpu_count() or 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        for backend, n_jobs in (
-            ("serial", 1),
-            ("threads", jobs),
-            ("processes", jobs),
+        # Each backend is driven directly: the engine itself picks one
+        # from n_jobs and the algorithm.
+        for backend in (
+            SerialBackend(),
+            ThreadBackend(jobs),
+            ProcessBackend(jobs),
         ):
             seconds = _best_of(
-                lambda: MultiRestartRunner(
-                    UKMeans(8, max_iter=8),
-                    n_init=8,
-                    n_jobs=n_jobs,
-                    backend=backend,
-                ).run(backend_data, seed=3),
+                lambda: backend.run(
+                    UKMeans(8, max_iter=8), backend_data, list(range(8))
+                ),
                 repeats,
             )
             record(
-                f"backend_{backend}_ukmeans_restarts",
+                f"backend_{backend.name}_ukmeans_restarts",
                 seconds,
                 n=n_backend,
                 m=16,
                 n_init=8,
-                n_jobs=n_jobs,
+                n_jobs=getattr(backend, "n_jobs", 1),
             )
 
     # --- pairwise-distance plane -------------------------------------
@@ -333,9 +337,9 @@ def run_benchmarks(quick: bool = False) -> List[Dict[str, object]]:
         model.pairwise_ed_cache = pairwise_squared_expected_distances(
             medoid_data
         )
-        return MultiRestartRunner(
-            model, n_init=medoid_restarts, backend="serial"
-        ).run(medoid_data, seed=5)
+        return MultiRestartRunner(model, n_init=medoid_restarts).run(
+            medoid_data, seed=5
+        )
 
     def _plane_recompute():
         # Direct fits: each one rebuilds the matrix itself.

@@ -40,23 +40,6 @@ from repro.experiments.table2 import TABLE2_DATASETS
 from repro.experiments.table3 import TABLE3_CLUSTER_COUNTS, TABLE3_DATASETS
 
 
-def _batch_size_arg(value: str):
-    """--batch-size values: a positive int or the literal 'auto'."""
-    if value == "auto":
-        return "auto"
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"batch size must be a positive integer or 'auto', got {value!r}"
-        ) from None
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(
-            f"batch size must be >= 1, got {parsed}"
-        )
-    return parsed
-
-
 def _lease_ttl_arg(value: str):
     """--lease-ttl values: a float no smaller than MIN_LEASE_TTL."""
     from repro.engine.sweep import MIN_LEASE_TTL
@@ -97,25 +80,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--spread", type=float, default=1.0, help="uncertainty magnitude"
     )
     parser.add_argument(
-        "--backend",
-        choices=["serial", "threads", "processes", "auto"],
-        default="serial",
-        help="execution backend for the per-run fits (result-identical; "
-        "'auto' dispatches per algorithm family)",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="workers for the threads/processes backends",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=_batch_size_arg,
-        default=1,
-        help="restarts submitted per pool task (in-worker batching; "
-        "result-identical; 'auto' sizes chunks from measured per-fit "
-        "latency)",
+        help="workers for the per-run fits (result-identical; the "
+        "engine picks serial, threads or processes per algorithm)",
     )
 
 
@@ -127,9 +96,7 @@ def _config(args: argparse.Namespace, **overrides) -> ExperimentConfig:
         n_runs=args.runs,
         seed=args.seed,
         spread=args.spread,
-        backend=args.backend,
         n_jobs=args.jobs,
-        batch_size=args.batch_size,
     )
     values.update(overrides)
     return ExperimentConfig(**values)
@@ -398,9 +365,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 n_init=args.n_init,
                 n_jobs=args.jobs,
-                backend=args.backend,
                 early_stopping=args.patience,
-                batch_size=args.batch_size,
             )
         else:
             result = algorithm.fit(data, seed=args.seed)
@@ -612,21 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="workers for the restarts (1 = sequential)",
-    )
-    pd.add_argument(
-        "--backend",
-        choices=["serial", "threads", "processes", "auto"],
-        default=None,
-        help="execution backend (default: serial, or processes when "
-        "--jobs > 1; 'auto' dispatches per algorithm family)",
-    )
-    pd.add_argument(
-        "--batch-size",
-        type=_batch_size_arg,
-        default=1,
-        help="restarts submitted per pool task (in-worker batching; "
-        "'auto' adapts to measured per-fit latency)",
+        help="workers for the restarts (result-identical; the engine "
+        "picks serial, threads or processes per algorithm)",
     )
     pd.add_argument(
         "--patience",

@@ -129,8 +129,9 @@ class UncertainClusterer(abc.ABC):
     #: there, so restarts never repeat the O(n^2 m) work.
     wants_pairwise_ed: bool = False
 
-    #: Backend family the ``auto`` execution backend dispatches this
-    #: algorithm to when parallel workers are available: ``"threads"``
+    #: Backend family the engine (``repro.engine.choose_backend``)
+    #: dispatches this algorithm to when parallel workers are
+    #: available and the fit is big enough to pay for them: ``"threads"``
     #: for fits dominated by GIL-releasing moment/tensor kernels (the
     #: default), ``"processes"`` for interpreter-bound relocation/merge
     #: loops (UCPC, UK-medoids, UAHC).
@@ -146,9 +147,7 @@ class UncertainClusterer(abc.ABC):
         seed: SeedLike = None,
         n_init: int = 10,
         n_jobs: int = 1,
-        backend=None,
         early_stopping=None,
-        batch_size: int = 1,
     ) -> ClusteringResult:
         """Best-of-``n_init`` restarts via the multi-restart engine.
 
@@ -156,10 +155,9 @@ class UncertainClusterer(abc.ABC):
         :class:`repro.engine.MultiRestartRunner`: restarts share the
         dataset's moment cache, one precomputed sample tensor (for
         sample-based algorithms) and one pairwise ``ÊD`` matrix (for
-        ``wants_pairwise_ed`` algorithms), execute on the chosen backend
-        (``"serial"``, ``"threads"``, ``"processes"`` or ``"auto"``;
-        ``None`` maps ``n_jobs`` to the historical serial/process
-        choice) in in-worker chunks of ``batch_size`` restarts,
+        ``wants_pairwise_ed`` algorithms), execute on up to ``n_jobs``
+        workers (the engine picks serial, threads or processes from
+        ``n_jobs`` and the algorithm; results never depend on it),
         optionally stop early once ``early_stopping`` restarts bring no
         improvement, and the lowest-objective result wins.
         """
@@ -169,9 +167,7 @@ class UncertainClusterer(abc.ABC):
             self,
             n_init=n_init,
             n_jobs=n_jobs,
-            backend=backend,
             early_stopping=early_stopping,
-            batch_size=batch_size,
         )
         return runner.run(dataset, seed=seed)
 

@@ -101,8 +101,8 @@ class UAHC(UncertainClusterer):
 
     name = "UAHC"
     has_objective = False
-    #: Merge loop is interpreter-bound — the auto backend routes UAHC
-    #: to the process pool.
+    #: Merge loop is interpreter-bound — the engine routes UAHC to the
+    #: process pool.
     preferred_backend = "processes"
 
     def __init__(self, n_clusters: int, linkage: str = "jeffreys"):

@@ -77,7 +77,7 @@ class UCPC(UncertainClusterer):
 
     name = "UCPC"
     #: Relocation sweep is an interpreter-bound per-object loop — the
-    #: auto backend routes UCPC to the process pool.
+    #: engine routes UCPC to the process pool.
     preferred_backend = "processes"
 
     def __init__(

@@ -3,30 +3,28 @@
 The clustering modules implement one run of one algorithm; this
 subpackage implements how production workloads actually invoke them —
 many random restarts over shared precomputed moment/sample/pairwise-ÊD
-caches, keeping the best result by objective.  Execution is pluggable
-(:mod:`repro.engine.backends`): serial, thread pool (GIL-releasing
-NumPy kernels, zero serialization), process pool (moment matrices,
-sample tensor and ÊD matrix published once via shared memory) or auto
-(per-algorithm-family dispatch), all bit-identical for fixed seeds,
-with optional engine-level early stopping across restarts and
-in-worker restart batching.  Sweep results persist in the result
+caches, keeping the best result by objective.  ``n_jobs`` is the only
+execution setting: each run-set executes on the backend
+(:mod:`repro.engine.backends`) picked from it and the algorithm —
+serial, thread pool (GIL-releasing NumPy kernels, zero serialization)
+or process pool (moment matrices, sample tensor and ÊD matrix
+published once via shared memory) — all bit-identical for fixed seeds,
+with optional engine-level early stopping across restarts.  Sweep
+results persist in the result
 store (:mod:`repro.engine.store`): a single-file SQLite database with
 SQL-side aggregation, exportable to (and importable from) a JSON
 directory.
 """
 
 from repro.engine.backends import (
-    BACKEND_NAMES,
-    AutoBackend,
     EarlyStopping,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
     SharedBlockRegistry,
     ThreadBackend,
-    get_backend,
+    choose_backend,
     shared_block_registry,
-    validate_batch_size,
 )
 from repro.engine.distances import (
     needs_pairwise_ed,
@@ -42,8 +40,6 @@ from repro.engine.store import (
 )
 
 __all__ = [
-    "AutoBackend",
-    "BACKEND_NAMES",
     "EarlyStopping",
     "ExecutionBackend",
     "MultiRestartRunner",
@@ -53,14 +49,13 @@ __all__ = [
     "SharedBlockRegistry",
     "SqliteStore",
     "ThreadBackend",
+    "choose_backend",
     "export_store",
     "fit_runs",
-    "get_backend",
     "import_store",
     "needs_pairwise_ed",
     "open_store",
     "pinned_pairwise_ed",
     "resolve_pairwise_ed",
     "shared_block_registry",
-    "validate_batch_size",
 ]

@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the multi-restart engine.
+"""Execution backends for the multi-restart engine.
 
 The engine's restarts are embarrassingly parallel, but *how* they should
 execute depends on the algorithm family:
@@ -19,25 +19,10 @@ execute depends on the algorithm family:
   workers attach to the blocks by name instead of receiving pickled
   copies, so the per-restart (and per-worker) pickling cost no longer
   grows with ``n·S·m`` or ``n^2``.
-* **auto** — per-algorithm-family dispatch: serial when only one worker
-  or restart is requested (or the fit is sub-ms small), otherwise the
-  clusterer's declared ``preferred_backend`` family — threads for
-  GIL-releasing moment/tensor kernels, processes for interpreter-bound
-  relocation/merge loops.
 
-All pool backends optionally submit restarts in **in-worker batches**
-(``batch_size`` seeds per task): a worker fits a whole chunk in one
-task, amortizing per-task pool overhead for sub-ms fits.  Completions
-are still consumed in submission order restart-by-restart, so batching
-never changes the result (see below).  ``batch_size="auto"`` sizes the
-chunks adaptively: the first completed task with a measurable per-fit
-latency sets the chunk length so one task runs for about
-:data:`ADAPTIVE_TARGET_SECONDS` — sub-ms fits get large chunks, slow
-fits degrade to ``batch_size=1`` — while tasks finishing below the
-timer resolution only double the chunk length (geometric growth toward
-:data:`ADAPTIVE_MAX_BATCH`, never a blind jump to it).  Because
-consumption stays submission-ordered either way, the adaptive policy
-is bit-identical to any fixed chunking.
+``n_jobs`` is the engine's only execution setting: :func:`choose_backend`
+picks the backend of every run-set from it and from the algorithm.
+Pools submit one restart per task.
 
 Determinism contract
 --------------------
@@ -53,22 +38,16 @@ best-of selection is bit-identical across ``serial``/``threads``/
 from __future__ import annotations
 
 import abc
+import os
 import pickle
+import threading
+import time
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,48 +55,16 @@ from repro.clustering.base import ClusteringResult, UncertainClusterer
 from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
 
-#: Names accepted by :func:`get_backend` (and the ``backend=`` knobs of
-#: the runner, the experiment configs and the CLI).
-BACKEND_NAMES = ("serial", "threads", "processes", "auto")
-
-#: Per-fit element floor below which the auto backend prefers serial:
-#: fits touching this little data are sub-millisecond, so pool spin-up
-#: and task dispatch would dominate any parallel win.  The count is
-#: ``n * m`` scaled by the algorithm's Monte-Carlo ``n_samples`` when it
-#: is sample-based — an (n, S, m) tensor sweep is not sub-ms just
+#: Per-fit element floor at or below which :func:`choose_backend` stays
+#: serial: fits touching this little data are sub-millisecond, so pool
+#: spin-up and task dispatch would dominate any parallel win.  The count
+#: is ``n * m`` scaled by the algorithm's Monte-Carlo ``n_samples`` when
+#: it is sample-based — an (n, S, m) tensor sweep is not sub-ms just
 #: because the dataset is small.
 AUTO_SERIAL_ELEMENTS = 4096
 
-#: Wall-clock seconds one pool task should run for under
-#: ``batch_size="auto"``: long enough that per-task dispatch overhead
-#: (~100 us thread, ~1 ms process) is noise, short enough that the
-#: submission-order consumer never waits long on a head-of-line chunk.
-ADAPTIVE_TARGET_SECONDS = 0.05
-
-#: Upper bound on an adaptively sized chunk — keeps the work discarded
-#: past an early-stopping decision (and the latency-estimate error for
-#: very fast fits) bounded.
-ADAPTIVE_MAX_BATCH = 64
-
-#: A batch-size argument: a fixed chunk length or ``"auto"`` (adaptive).
-BatchSizeLike = Union[int, str]
-
-
-def validate_batch_size(batch_size: BatchSizeLike) -> BatchSizeLike:
-    """Normalize/validate a ``batch_size`` knob (``int >= 1`` or ``"auto"``)."""
-    if batch_size == "auto":
-        return "auto"
-    if isinstance(batch_size, bool) or not isinstance(
-        batch_size, (int, np.integer)
-    ):
-        raise InvalidParameterError(
-            f"batch_size must be an int >= 1 or 'auto', got {batch_size!r}"
-        )
-    if batch_size < 1:
-        raise InvalidParameterError(
-            f"batch_size must be >= 1, got {batch_size}"
-        )
-    return int(batch_size)
+#: Seconds between a pool worker's checks that its parent is alive.
+_PARENT_POLL_SECONDS = 0.5
 
 
 @dataclass(frozen=True)
@@ -221,137 +168,45 @@ def _run_serially(
     return results
 
 
-def _fit_chunk(
-    clusterer: UncertainClusterer,
-    dataset: UncertainDataset,
-    seeds: Sequence[int],
-) -> List[ClusteringResult]:
-    """One pool task: fit a whole chunk of restarts in seed order."""
-    return [clusterer.fit(dataset, seed=s) for s in seeds]
-
-
-def _adaptive_chunk_size(
-    results: Sequence[ClusteringResult], current: int = 1
-) -> int:
-    """Chunk length targeting ``ADAPTIVE_TARGET_SECONDS`` per pool task.
-
-    The estimate comes from the measured on-line runtime of the latest
-    completed chunk's fits — the latency the batching exists to
-    amortize.  Zero/degenerate measurements (clock granularity) carry
-    no magnitude information at all, so they *double* the chunk length
-    rather than jumping to :data:`ADAPTIVE_MAX_BATCH`: a max-size chunk
-    committed on a timer artifact over-schedules up to 64 restarts past
-    an early-stopping decision, while geometric growth reaches the cap
-    within ``log2(ADAPTIVE_MAX_BATCH)`` chunks on genuinely sub-
-    resolution fits and keeps the over-commitment bounded by one
-    doubling.
-    """
-    per_fit = sum(r.runtime_seconds for r in results) / max(1, len(results))
-    if per_fit <= 0.0:
-        return min(ADAPTIVE_MAX_BATCH, max(1, int(current)) * 2)
-    return max(1, min(ADAPTIVE_MAX_BATCH, int(ADAPTIVE_TARGET_SECONDS / per_fit)))
-
-
-def _pool_shape(
-    n_jobs: int,
-    n_seeds: int,
-    batch_size: BatchSizeLike,
-    early_stopping: Optional[EarlyStopping],
-) -> Tuple[int, int]:
-    """(workers, window) for one pool run.
-
-    ``window`` counts chunks in flight.  Without early stopping every
-    fixed-size chunk is submitted upfront (the executor keeps all
-    workers busy); with early stopping — or with adaptive batching,
-    whose chunk length is unknown until the first completion — the
-    window narrows to ``workers`` so the work scheduled past a stop
-    decision (or sized off the initial probe guess) stays bounded.
-    """
-    if batch_size == "auto":
-        workers = min(n_jobs, n_seeds)
-        return workers, workers
-    n_chunks = (n_seeds + batch_size - 1) // batch_size
-    workers = min(n_jobs, n_chunks)
-    window = workers if early_stopping is not None else n_chunks
-    return workers, window
-
-
 def _drive_pool(
-    submit: Callable[[List[int]], Future],
+    submit: Callable[[int], Future],
     seeds: Sequence[int],
     early_stopping: Optional[EarlyStopping],
-    window: int,
-    batch_size: BatchSizeLike = 1,
+    workers: int,
 ) -> List[ClusteringResult]:
-    """Bounded-window pool driver with submission-order consumption.
+    """Pool driver with submission-order consumption, one seed per task.
 
-    Seeds are submitted in chunks of ``batch_size`` (one pool task fits
-    a whole chunk, amortizing per-task overhead for sub-ms fits).  At
-    most ``window`` chunks are in flight; completions are consumed
-    strictly in submission order, restart by restart, so the
+    Without early stopping every seed is submitted upfront (the executor
+    keeps all workers busy); with it, at most ``workers`` restarts are in
+    flight, bounding the work scheduled past a stop decision.
+    Completions are consumed strictly in submission order, so the
     early-stopping decision — and hence the returned prefix — cannot
-    depend on pool scheduling *or* on the chunking.  Once the rule
-    fires, the result list is truncated at the firing restart (a chunk's
-    surplus restarts are discarded), queued-but-unstarted chunks are
-    cancelled and anything already running is discarded — identical to
-    the unbatched prefix.
+    depend on pool scheduling.
 
-    ``batch_size="auto"`` starts with single-seed probe chunks; the
-    first completed chunk with a *measurable* per-fit latency sizes
-    every chunk submitted afterwards via :func:`_adaptive_chunk_size`,
-    while sub-timer-resolution completions merely double the length
-    (bounding the restarts over-committed past an early-stopping
-    decision).  Chunk boundaries are invisible to the submission-order
-    consumer, so the adaptive policy returns the exact ``batch_size=1``
-    prefix.
-
-    Callers pass ``window=n_chunks`` when no early stopping is active
-    (everything is submitted upfront and the executor keeps all workers
-    busy); the narrow ``window=workers`` is only worth its head-of-line
-    submission gap when it bounds the work wasted past a stop decision
-    or scheduled before the adaptive chunk length settles.
+    Whatever ends the run — the stopping rule, a failing restart or an
+    interrupt — every restart not yet started is cancelled, so the
+    executor's shutdown waits only for the ones already running.
     """
     seeds = list(seeds)
-    adaptive = batch_size == "auto"
-    chunk_len = 1 if adaptive else int(batch_size)
+    window = workers if early_stopping is not None else len(seeds)
     clock = _StopClock(early_stopping)
     results: List[ClusteringResult] = []
     in_flight: deque[Future] = deque()
-    next_pos = 0
-
-    def refill() -> None:
-        nonlocal next_pos
-        while next_pos < len(seeds) and len(in_flight) < window:
-            chunk = seeds[next_pos : next_pos + chunk_len]
-            next_pos += len(chunk)
-            in_flight.append(submit(chunk))
-
-    refill()
-    while in_flight:
-        chunk_results = in_flight.popleft().result()
-        if adaptive:
-            # A measurable completion (in submission order) fixes the
-            # chunk length for every seed not yet submitted; sub-timer-
-            # resolution chunks keep the policy live, growing the length
-            # geometrically until a positive latency lands or the cap
-            # is reached.
-            measured = sum(r.runtime_seconds for r in chunk_results) > 0.0
-            chunk_len = max(
-                chunk_len, _adaptive_chunk_size(chunk_results, chunk_len)
-            )
-            adaptive = not measured and chunk_len < ADAPTIVE_MAX_BATCH
-        stopped = False
-        for result in chunk_results:
+    submitted = 0
+    try:
+        while True:
+            while submitted < len(seeds) and len(in_flight) < window:
+                in_flight.append(submit(seeds[submitted]))
+                submitted += 1
+            if not in_flight:
+                return results
+            result = in_flight.popleft().result()
             results.append(result)
             if clock.should_stop(result.objective):
-                stopped = True
-                break
-        if stopped:
-            for future in in_flight:
-                future.cancel()
-            break
-        refill()
-    return results
+                return results
+    finally:
+        for future in in_flight:
+            future.cancel()
 
 
 class SerialBackend(ExecutionBackend):
@@ -377,25 +232,21 @@ class ThreadBackend(ExecutionBackend):
 
     name = "threads"
 
-    def __init__(self, n_jobs: int, batch_size: BatchSizeLike = 1):
+    def __init__(self, n_jobs: int):
         if n_jobs < 1:
             raise InvalidParameterError(f"n_jobs must be >= 1, got {n_jobs}")
         self.n_jobs = int(n_jobs)
-        self.batch_size = validate_batch_size(batch_size)
 
     def run(self, clusterer, dataset, seeds, early_stopping=None):
         if self.n_jobs == 1 or len(seeds) == 1:
             return _run_serially(clusterer, dataset, seeds, early_stopping)
-        workers, window = _pool_shape(
-            self.n_jobs, len(seeds), self.batch_size, early_stopping
-        )
+        workers = min(self.n_jobs, len(seeds))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return _drive_pool(
-                lambda chunk: pool.submit(_fit_chunk, clusterer, dataset, chunk),
+                lambda seed: pool.submit(clusterer.fit, dataset, seed=seed),
                 seeds,
                 early_stopping,
-                window=window,
-                batch_size=self.batch_size,
+                workers,
             )
 
 
@@ -463,7 +314,8 @@ def _init_shared_worker(payload: Dict[str, object]) -> None:
     Runs once per worker process.  The pickled parts are the light ones
     (hyperparameters, distribution objects); every large array — moment
     matrices and the sample tensor — arrives as a shared-memory spec and
-    is attached, not copied.
+    is attached, not copied.  It also starts the worker's parent
+    watchdog (:func:`_exit_with_parent`).
     """
     shms = []
     views = {}
@@ -489,12 +341,26 @@ def _init_shared_worker(payload: Dict[str, object]) -> None:
     _WORKER_STATE["shms"] = shms
     _WORKER_STATE["clusterer"] = clusterer
     _WORKER_STATE["dataset"] = dataset
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), daemon=True
+    ).start()
 
 
-def _fit_shared_chunk(seeds: Sequence[int]) -> List[ClusteringResult]:
-    return _fit_chunk(
-        _WORKER_STATE["clusterer"], _WORKER_STATE["dataset"], seeds
-    )
+def _exit_with_parent(parent: int) -> None:
+    """Worker watchdog: exit once the process that started us is gone.
+
+    A parent killed outright (SIGKILL) never shuts its pool down, so
+    its workers would block on the task queue forever — and the
+    resource tracker unlinks the run's shared-memory blocks only once
+    every process holding them has exited.
+    """
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
+
+
+def _fit_shared(seed: int) -> ClusteringResult:
+    return _WORKER_STATE["clusterer"].fit(_WORKER_STATE["dataset"], seed=seed)
 
 
 class SharedBlockRegistry:
@@ -543,9 +409,9 @@ def shared_block_registry() -> "Iterator[SharedBlockRegistry]":
     """Scope within which process-backend runs share stable blocks.
 
     Used by the sweep orchestrator around each dataset group: every
-    ``processes`` (or ``auto``-dispatched) run-set inside the scope
-    publishes the group's moment matrices and ``ÊD`` matrix to shared
-    memory **once**, instead of once per cell.  Nesting is not
+    run-set inside the scope that executes on ``processes`` publishes
+    the group's moment matrices and ``ÊD`` matrix to shared memory
+    **once**, instead of once per cell.  Nesting is not
     supported — the sweep's group loop is strictly sequential.
     """
     global _ACTIVE_BLOCK_REGISTRY
@@ -578,11 +444,10 @@ class ProcessBackend(ExecutionBackend):
 
     name = "processes"
 
-    def __init__(self, n_jobs: int, batch_size: BatchSizeLike = 1):
+    def __init__(self, n_jobs: int):
         if n_jobs < 1:
             raise InvalidParameterError(f"n_jobs must be >= 1, got {n_jobs}")
         self.n_jobs = int(n_jobs)
-        self.batch_size = validate_batch_size(batch_size)
         #: Specs of the most recent run's blocks — exposed so tests can
         #: verify they were unlinked.
         self.last_shared_specs: List[_ShmSpec] = []
@@ -642,20 +507,17 @@ class ProcessBackend(ExecutionBackend):
                 ),
             }
             self.last_shared_specs = specs
-            workers, window = _pool_shape(
-                self.n_jobs, len(seeds), self.batch_size, early_stopping
-            )
+            workers = min(self.n_jobs, len(seeds))
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_shared_worker,
                 initargs=(payload,),
             ) as pool:
                 return _drive_pool(
-                    lambda chunk: pool.submit(_fit_shared_chunk, chunk),
+                    lambda seed: pool.submit(_fit_shared, seed),
                     seeds,
                     early_stopping,
-                    window=window,
-                    batch_size=self.batch_size,
+                    workers,
                 )
         finally:
             for block in owned:
@@ -679,92 +541,34 @@ class ProcessBackend(ExecutionBackend):
                 setattr(clusterer, attr, value)
 
 
-class AutoBackend(ExecutionBackend):
-    """Per-algorithm-family backend dispatch, resolved per ``run``.
+def choose_backend(
+    clusterer: UncertainClusterer,
+    dataset: UncertainDataset,
+    n_restarts: int,
+    n_jobs: int,
+) -> ExecutionBackend:
+    """The backend one run-set of ``n_restarts`` fits executes on.
 
-    The right execution backend depends on the algorithm family, not the
-    engine call site: moment/tensor kernels scale on threads (NumPy
-    releases the GIL), interpreter-bound relocation loops need the
-    process pool, and sub-ms fits are fastest serial.  ``auto`` encodes
-    that routing table so callers can stop choosing:
+    The right backend depends on the algorithm family, not the call
+    site: moment/tensor kernels scale on threads (NumPy releases the
+    GIL), interpreter-bound relocation loops need the process pool, and
+    sub-ms fits are fastest serial.  So:
 
     * ``n_jobs == 1`` or a single restart → **serial** (nothing to
       parallelize);
-    * ``n * m <= AUTO_SERIAL_ELEMENTS`` → **serial** (pool overhead
-      dominates sub-ms fits);
+    * at most :data:`AUTO_SERIAL_ELEMENTS` elements per fit →
+      **serial** (pool overhead dominates sub-ms fits);
     * otherwise the clusterer's declared ``preferred_backend`` family —
       ``threads`` (the default) or ``processes`` (UCPC, UK-medoids,
       UAHC).
 
-    Every candidate backend is result-identical for fixed seeds, so the
-    dispatch only ever changes wall-clock time; the backend-invariance
-    tests cover ``auto`` alongside the fixed choices.
+    Every candidate is result-identical for fixed seeds, so the choice
+    only ever changes wall-clock time.
     """
-
-    name = "auto"
-
-    def __init__(self, n_jobs: int, batch_size: BatchSizeLike = 1):
-        if n_jobs < 1:
-            raise InvalidParameterError(f"n_jobs must be >= 1, got {n_jobs}")
-        self.n_jobs = int(n_jobs)
-        self.batch_size = validate_batch_size(batch_size)
-        #: Name of the backend the most recent ``run`` dispatched to.
-        self.last_resolved: Optional[str] = None
-
-    def resolve(
-        self,
-        clusterer: UncertainClusterer,
-        dataset: UncertainDataset,
-        n_restarts: int,
-    ) -> ExecutionBackend:
-        """The concrete backend one run-set dispatches to."""
-        n_samples = getattr(clusterer, "n_samples", None)
-        per_fit_elements = (
-            len(dataset) * dataset.dim * max(1, int(n_samples or 1))
-        )
-        if self.n_jobs == 1 or n_restarts <= 1:
-            choice = "serial"
-        elif per_fit_elements <= AUTO_SERIAL_ELEMENTS:
-            choice = "serial"
-        else:
-            choice = getattr(clusterer, "preferred_backend", "threads")
-            if choice not in ("threads", "processes"):
-                choice = "threads"
-        self.last_resolved = choice
-        return get_backend(choice, self.n_jobs, batch_size=self.batch_size)
-
-    def run(self, clusterer, dataset, seeds, early_stopping=None):
-        backend = self.resolve(clusterer, dataset, len(seeds))
-        return backend.run(clusterer, dataset, seeds, early_stopping)
-
-
-#: A backend argument: a name, an instance, or None (= legacy mapping).
-BackendLike = Union[str, ExecutionBackend, None]
-
-
-def get_backend(
-    backend: BackendLike, n_jobs: int = 1, batch_size: BatchSizeLike = 1
-) -> ExecutionBackend:
-    """Resolve a backend spec to an :class:`ExecutionBackend` instance.
-
-    ``None`` keeps the runner's historical behavior: serial for
-    ``n_jobs == 1``, the process pool otherwise.  ``batch_size`` sets
-    the in-worker restart chunking of the pool backends — a fixed chunk
-    length or ``"auto"`` for latency-adaptive sizing (ignored when an
-    already-constructed instance is passed, which keeps its own).
-    """
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    if backend is None:
-        backend = "serial" if n_jobs == 1 else "processes"
-    if backend == "serial":
+    n_samples = getattr(clusterer, "n_samples", None)
+    per_fit_elements = len(dataset) * dataset.dim * max(1, int(n_samples or 1))
+    if n_jobs == 1 or n_restarts <= 1 or per_fit_elements <= AUTO_SERIAL_ELEMENTS:
         return SerialBackend()
-    if backend == "threads":
-        return ThreadBackend(n_jobs, batch_size=batch_size)
-    if backend == "processes":
-        return ProcessBackend(n_jobs, batch_size=batch_size)
-    if backend == "auto":
-        return AutoBackend(n_jobs, batch_size=batch_size)
-    raise InvalidParameterError(
-        f"unknown backend {backend!r}; known: {BACKEND_NAMES}"
-    )
+    if getattr(clusterer, "preferred_backend", "threads") == "processes":
+        return ProcessBackend(n_jobs)
+    return ThreadBackend(n_jobs)

@@ -18,33 +18,28 @@ expensive, restart-invariant work out of the loop:
   matrix — an *off-line* phase in the paper's accounting, excluded from
   every reported runtime — is never rebuilt per restart.
 
-Restarts are independent, so they execute through a pluggable
-:class:`~repro.engine.backends.ExecutionBackend` — serial, thread pool
-(nothing serialized; NumPy kernels release the GIL) or process pool
-(moment matrices and the sample tensor published once via shared
-memory).  Per-restart seeds are spawned up front from one seed
-sequence and completions are consumed in submission order, making
-results identical for every backend — including with engine-level
-early stopping enabled.
+Restarts are independent, so each run-set executes on the
+:class:`~repro.engine.backends.ExecutionBackend` that
+:func:`~repro.engine.backends.choose_backend` picks from ``n_jobs`` and
+the algorithm — serial, thread pool (nothing serialized; NumPy kernels
+release the GIL) or process pool (moment matrices and the sample
+tensor published once via shared memory).  Per-restart seeds are
+spawned up front from one seed sequence and completions are consumed
+in submission order, making results identical for every backend —
+including with engine-level early stopping enabled.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._typing import SeedLike
 from repro.clustering.base import ClusteringResult, UncertainClusterer
-from repro.engine.backends import (
-    BackendLike,
-    BatchSizeLike,
-    EarlyStopping,
-    get_backend,
-    validate_batch_size,
-)
+from repro.engine.backends import EarlyStopping, choose_backend
 from repro.engine.distances import resolve_pairwise_ed
 from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
@@ -89,30 +84,16 @@ class MultiRestartRunner:
     n_init:
         Number of random restarts (each gets an independent seed).
     n_jobs:
-        Worker count for the parallel backends (threads/processes);
-        restarts stay seeded identically and completions are consumed
-        in submission order, so the result does not depend on
-        ``n_jobs``.
+        Worker count, the only execution setting: each run-set executes
+        on the backend :func:`~repro.engine.backends.choose_backend`
+        picks from it and the algorithm.  Restarts stay seeded
+        identically and completions are consumed in submission order,
+        so the result does not depend on ``n_jobs``.
     share_samples:
         Draw one :meth:`UncertainDataset.sample_tensor` and share it
         across restarts when the algorithm is sample-based.  Restarts
         then differ only in initialization, mirroring how the paper
         fixes the sample sets while varying seeds.
-    backend:
-        ``"serial"``, ``"threads"``, ``"processes"``, ``"auto"``
-        (per-algorithm-family dispatch), an
-        :class:`~repro.engine.backends.ExecutionBackend` instance, or
-        ``None`` for the historical mapping (serial when ``n_jobs ==
-        1``, the process pool otherwise).  All backends return
-        bit-identical results for fixed seeds.
-    batch_size:
-        Restarts submitted per pool task (in-worker batching):
-        completions are still consumed restart-by-restart in submission
-        order, so results are identical for every ``batch_size`` — the
-        knob only amortizes pool overhead for sub-ms fits.  ``"auto"``
-        sizes the chunks from the measured per-fit latency of the first
-        completed task (see :mod:`repro.engine.backends`), still
-        bit-identical to ``batch_size=1``.
     early_stopping:
         ``None`` (run every restart), an
         :class:`~repro.engine.backends.EarlyStopping` rule, or an int
@@ -127,9 +108,7 @@ class MultiRestartRunner:
         n_init: int = 10,
         n_jobs: int = 1,
         share_samples: bool = True,
-        backend: BackendLike = None,
         early_stopping: Optional[EarlyStopping | int] = None,
-        batch_size: BatchSizeLike = 1,
     ):
         if n_init < 1:
             raise InvalidParameterError(f"n_init must be >= 1, got {n_init}")
@@ -139,8 +118,6 @@ class MultiRestartRunner:
         self.n_init = int(n_init)
         self.n_jobs = int(n_jobs)
         self.share_samples = bool(share_samples)
-        self.batch_size = validate_batch_size(batch_size)
-        self.backend = get_backend(backend, self.n_jobs, batch_size=self.batch_size)
         if isinstance(early_stopping, int):
             early_stopping = EarlyStopping(patience=early_stopping)
         self.early_stopping = early_stopping
@@ -156,7 +133,8 @@ class MultiRestartRunner:
         """Run every restart and return the best-objective result.
 
         The winner's ``extras`` gain ``n_init``, ``best_restart``,
-        ``engine_jobs``, ``engine_backend``, ``shared_samples``,
+        ``engine_jobs``, ``engine_backend`` (the backend the run-set
+        executed on), ``shared_samples``,
         ``restarts_executed``, ``early_stopped`` and
         ``restart_history`` (one dict per executed restart); its
         ``objective_history`` is preserved from the winning run.  Lower
@@ -187,12 +165,14 @@ class MultiRestartRunner:
             )
         need_sample = self._needs_sample_cache()
         restart_seeds, sample_seed = self._derive_seeds(seed, need_sample)
-        results = self._run_with_cache(
+        backend_name, results = self._run_with_cache(
             dataset, restart_seeds, sample_seed, need_sample,
             early_stopping=self.early_stopping,
             pairwise_ed=pairwise_ed,
         )
-        return self._select_best(results, restart_seeds, self._shared(need_sample))
+        return self._select_best(
+            results, restart_seeds, self._shared(need_sample), backend_name
+        )
 
     def run_all(
         self,
@@ -223,8 +203,8 @@ class MultiRestartRunner:
 
         Notes
         -----
-        ``run_all`` executes through the configured backend but ignores
-        ``early_stopping``: callers aggregate over *all* runs, so
+        ``run_all`` executes on the same backend as :meth:`run` but
+        ignores ``early_stopping``: callers aggregate over *all* runs, so
         truncating the series would silently change the measurement.
         """
         need_sample = self._needs_sample_cache()
@@ -238,10 +218,11 @@ class MultiRestartRunner:
             # the shared draw) — ``need_sample`` alone decides whether
             # the tensor is drawn.
             sample_seed = seed
-        return self._run_with_cache(
+        _backend_name, results = self._run_with_cache(
             dataset, restart_seeds, sample_seed, need_sample,
             pairwise_ed=pairwise_ed,
         )
+        return results
 
     # ------------------------------------------------------------------
     # Internals
@@ -293,8 +274,11 @@ class MultiRestartRunner:
         need_sample: bool,
         early_stopping: Optional[EarlyStopping] = None,
         pairwise_ed: Optional[np.ndarray] = None,
-    ) -> List[ClusteringResult]:
+    ) -> Tuple[str, List[ClusteringResult]]:
         """Execute restarts with the shared caches injected/restored.
+
+        Returns the name of the backend the restarts executed on, and
+        their results.
 
         ``need_sample`` (not ``sample_seed``) gates the draw: a None
         seed with ``need_sample`` still draws one shared tensor, from
@@ -314,7 +298,10 @@ class MultiRestartRunner:
         if ed_matrix is not None:
             self.clusterer.pairwise_ed_cache = ed_matrix
         try:
-            return self.backend.run(
+            backend = choose_backend(
+                self.clusterer, dataset, len(restart_seeds), self.n_jobs
+            )
+            return backend.name, backend.run(
                 self.clusterer, dataset, restart_seeds,
                 early_stopping=early_stopping,
             )
@@ -329,6 +316,7 @@ class MultiRestartRunner:
         results: List[ClusteringResult],
         restart_seeds: Sequence[int],
         shared: bool,
+        backend_name: str,
     ) -> ClusteringResult:
         objectives = np.array([r.objective for r in results], dtype=np.float64)
         comparable = np.where(np.isnan(objectives), np.inf, objectives)
@@ -363,10 +351,7 @@ class MultiRestartRunner:
             best_restart=best_idx,
             n_unconverged=n_unconverged,
             engine_jobs=self.n_jobs,
-            engine_backend=self.backend.name,
-            # A pre-constructed backend instance keeps its own chunking
-            # (get_backend ignores the runner's batch_size for it).
-            engine_batch_size=getattr(self.backend, "batch_size", self.batch_size),
+            engine_backend=backend_name,
             shared_samples=shared,
             # Every run of a ÊD-plane algorithm reads one matrix: the
             # injected one, or the clusterer's own pinned/fixed one.
@@ -399,8 +384,6 @@ def fit_runs(
     sample_seed: SeedLike = None,
     share_samples: Optional[bool] = None,
     n_jobs: int = 1,
-    backend: BackendLike = None,
-    batch_size: BatchSizeLike = 1,
     pairwise_ed: Optional[np.ndarray] = None,
 ) -> List[ClusteringResult]:
     """Fit ``clusterer`` once per seed through the engine.
@@ -422,11 +405,9 @@ def fit_runs(
     ``[clusterer.fit(dataset, seed=s) for s in seeds]`` for both the
     moment-based *and* the sample-deterministic algorithms.
 
-    ``backend``/``batch_size`` select the execution backend and the
-    in-worker restart chunking for the series (see
-    :class:`MultiRestartRunner`); every backend and every chunking is
-    result-identical for fixed seeds, so the choice only affects
-    wall-clock time.
+    ``n_jobs`` sets the worker count the series may use (see
+    :class:`MultiRestartRunner`); it is result-identical for fixed
+    seeds, so it only affects wall-clock time.
     """
     seeds = list(seeds)
     if share_samples is None:
@@ -436,8 +417,6 @@ def fit_runs(
         n_init=len(seeds),
         n_jobs=n_jobs,
         share_samples=share_samples,
-        backend=backend,
-        batch_size=batch_size,
     )
     return runner.run_all(
         dataset, seed=sample_seed, seeds=seeds, pairwise_ed=pairwise_ed

@@ -7,8 +7,8 @@ produced them — under a *manifest* that pins the exact grid.  This
 module holds what every copy of a cell agrees on: the payload shape
 (:func:`build_payload`, :func:`validate_payload`), its canonical JSON
 text (:func:`canonical_dumps`, stored verbatim in the SQLite store and
-written verbatim by a JSON export), and the cell id
-(:func:`cell_id`).
+written verbatim by a JSON export), the cell id (:func:`cell_id`), and
+what of a manifest identifies the grid (:func:`grid_identity`).
 
 Reference reads
 ---------------
@@ -37,6 +37,12 @@ from repro.exceptions import InvalidParameterError
 #: Version 2: collision-proof cell ids (content hash suffix) and the
 #: pluggable-backend store layout.
 SWEEP_SCHEMA_VERSION = 2
+
+#: The execution settings every surface config in a manifest records,
+#: at the values the default settings always recorded.  How restarts
+#: are scheduled never changes a cell, so these keys are no part of a
+#: grid's identity: stores written with any execution flags resume.
+RECORDED_EXECUTION = {"backend": "serial", "batch_size": 1, "n_jobs": 1}
 
 
 # ----------------------------------------------------------------------
@@ -111,6 +117,25 @@ def cell_id(
     key = "\x1f".join((str(len(group)), *parts))
     digest = hashlib.sha1(key.encode("utf-8")).hexdigest()[:10]
     return "__".join(_slug(part) for part in parts) + "--" + digest
+
+
+def grid_identity(manifest: object) -> object:
+    """``manifest`` with its execution keys at :data:`RECORDED_EXECUTION`.
+
+    Two manifests describe the same grid exactly when their grid
+    identities are equal.  A manifest that is not a sweep description
+    is returned as it is.
+    """
+    if not isinstance(manifest, dict) or not isinstance(
+        manifest.get("surfaces"), dict
+    ):
+        return manifest
+    surfaces = {}
+    for name, spec in manifest["surfaces"].items():
+        if isinstance(spec, dict) and isinstance(spec.get("config"), dict):
+            spec = {**spec, "config": {**spec["config"], **RECORDED_EXECUTION}}
+        surfaces[name] = spec
+    return {**manifest, "surfaces": surfaces}
 
 
 def seed_fingerprint(rng: np.random.Generator) -> str:

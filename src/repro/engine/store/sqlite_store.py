@@ -19,8 +19,10 @@ with window functions; the Python reference reads in
 :mod:`repro.engine.store.base` define the rows it must return.
 
 Refusal/resume semantics: :meth:`SqliteStore.prepare` refuses a store
-written for a different grid, a store that already holds results when
-``resume`` was not requested, and any path that is not a result store
+written for a different grid (compared by
+:func:`~repro.engine.store.base.grid_identity`, so execution settings
+never count), a store that already holds results when ``resume`` was
+not requested, and any path that is not a result store
 (a foreign file, a directory — including a JSON store directory from an
 earlier version, which ``repro store import`` converts) with
 :class:`~repro.exceptions.SweepStoreError`.
@@ -77,6 +79,7 @@ from repro.engine.store.base import (
     build_payload,
     canonical_dumps,
     cell_id,
+    grid_identity,
     validate_payload,
 )
 from repro.exceptions import InvalidParameterError, SweepStoreError
@@ -230,7 +233,7 @@ class SqliteStore:
                 f"{self.path} exists, is not empty and has no sweep "
                 "manifest; refusing to write into it"
             )
-        if existing != description:
+        if grid_identity(existing) != grid_identity(description):
             raise SweepStoreError(
                 f"store {self.path} was written for a different grid; "
                 "use a fresh --store path (or the original grid)"

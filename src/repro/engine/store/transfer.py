@@ -36,6 +36,7 @@ from repro.engine.store.base import (
     atomic_write,
     canonical_dumps,
     cell_id,
+    grid_identity,
     validate_payload,
 )
 from repro.engine.store.sqlite_store import SqliteStore, open_store
@@ -138,7 +139,8 @@ def import_store(directory: Union[str, Path], store: Store) -> List[str]:
 def diff_stores(left: Store, right: Store) -> List[str]:
     """Logical differences between two stores (empty list = identical).
 
-    Compares the manifest and every cell's payload.  Payloads are
+    Compares the manifests' grid identities (execution settings never
+    count) and every cell's payload.  Payloads are
     stored as canonical JSON text, so payload equality here *is* byte
     equality of the stored cell content.  Lease state is not compared.
     """
@@ -152,7 +154,7 @@ def diff_stores(left: Store, right: Store) -> List[str]:
                 raise SweepStoreError(
                     f"{side.path} has no sweep manifest; nothing to diff"
                 )
-        if manifests[a] != manifests[b]:
+        if grid_identity(manifests[a]) != grid_identity(manifests[b]):
             differences.append("manifest differs")
         cells_a = {name: (payload, problem) for name, payload, problem in a.iter_cells()}
         cells_b = {name: (payload, problem) for name, payload, problem in b.iter_cells()}

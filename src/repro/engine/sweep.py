@@ -11,10 +11,10 @@ explicit schedule of dataset groups, so that
   reads the same object (hence the same moment matrices, the same
   cached :meth:`~repro.objects.dataset.UncertainDataset.pairwise_ed`
   matrix and the same compiled sampling plan);
-* under the ``processes``/``auto`` backends each dataset's stable
-  arrays are published to shared memory **once** for all of its cells
-  (:func:`repro.engine.backends.shared_block_registry`), instead of
-  once per run-set;
+* with ``n_jobs > 1``, run-sets that execute on the process pool
+  publish each dataset's stable arrays to shared memory **once** for
+  all of its cells (:func:`repro.engine.backends.shared_block_registry`),
+  instead of once per run-set;
 * with a result store, every cell's values land in it together with a
   fingerprint of the seed stream that produced them.
 
@@ -225,12 +225,12 @@ Progress = Optional[Callable[[str], None]]
 def _group_scope(config: ExperimentConfig):
     """Shared-memory publication scope for one dataset.
 
-    Under the ``processes``/``auto`` backends, every run-set inside the
-    scope publishes the dataset's stable arrays (moment matrices, ``ÊD``
-    matrix) once via :func:`shared_block_registry`; the other backends
-    share the address space anyway, so no scope is needed.
+    With ``n_jobs > 1``, every run-set inside the scope that executes on
+    the process pool publishes the dataset's stable arrays (moment
+    matrices, ``ÊD`` matrix) once via :func:`shared_block_registry`;
+    serial runs share the address space anyway, so no scope is needed.
     """
-    if config.backend in ("processes", "auto"):
+    if config.n_jobs > 1:
         return shared_block_registry()
     return nullcontext()
 

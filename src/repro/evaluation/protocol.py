@@ -130,9 +130,7 @@ def evaluate_theta_multirun(
     n_runs: int = 10,
     seed: SeedLike = None,
     distances: Optional[np.ndarray] = None,
-    backend: str = "serial",
     n_jobs: int = 1,
-    batch_size: "int | str" = 1,
 ) -> AveragedThetaResult:
     """Average the paired protocol over independent runs.
 
@@ -159,11 +157,10 @@ def evaluate_theta_multirun(
     matrix threaded into the Case-1 fits.  Neither of the ``2 x
     n_runs`` fits rebuilds a matrix the protocol already holds.
 
-    ``backend``/``n_jobs``/``batch_size`` pick the execution backend
-    (including ``"auto"``) and in-worker restart chunking for the two
-    fit series (:mod:`repro.engine.backends`).  Backends and chunkings
-    are result-identical for fixed seeds, so at the paper's 50-run
-    protocol they change only how long the measurement takes.
+    ``n_jobs`` is the worker count of the two fit series (the engine
+    picks their backend from it and the algorithm).  It is
+    result-identical for fixed seeds, so at the paper's 50-run protocol
+    it changes only how long the measurement takes.
     """
     if n_runs < 1:
         raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
@@ -189,18 +186,14 @@ def evaluate_theta_multirun(
         pair.perturbed,
         [run_pair[0] for run_pair in case_seeds],
         sample_seed=sample_rng1,
-        backend=backend,
         n_jobs=n_jobs,
-        batch_size=batch_size,
     )
     results_case2 = fit_runs(
         algorithm,
         pair.uncertain,
         [run_pair[1] for run_pair in case_seeds],
         sample_seed=sample_rng2,
-        backend=backend,
         n_jobs=n_jobs,
-        batch_size=batch_size,
         pairwise_ed=distances,
     )
     for run, (case1, case2) in enumerate(zip(results_case1, results_case2)):

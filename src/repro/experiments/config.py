@@ -32,6 +32,7 @@ from repro.clustering import (
     VDBiP,
 )
 from repro.clustering.base import UncertainClusterer
+from repro.engine.store.base import RECORDED_EXECUTION
 from repro.exceptions import InvalidParameterError
 from repro.utils.rng import spawn_rngs
 
@@ -115,23 +116,13 @@ class ExperimentConfig:
         Uncertainty magnitude for the Section 5.1 generator.
     mass:
         Case-2 region probability mass (paper: 0.95).
-    backend:
-        Execution backend of the per-run fit series
-        (:func:`repro.engine.fit_runs`):
-        ``"serial"`` (default), ``"threads"``, ``"processes"`` or
-        ``"auto"`` — per-algorithm-family dispatch — (see
-        :mod:`repro.engine.backends`).  Backends are result-identical
-        for fixed seeds, so this knob only changes wall-clock time —
-        the paper-scale 50-run protocols are where it pays off.
     n_jobs:
-        Worker count for the parallel backends (ignored by
-        ``"serial"``).
-    batch_size:
-        Restarts submitted per pool task (in-worker batching; see
-        :class:`repro.engine.MultiRestartRunner`).  Result-identical
-        for any value — amortizes pool overhead for sub-ms fits.
-        ``"auto"`` sizes chunks adaptively from the measured per-fit
-        latency of each series' first completed task.
+        Worker count of the per-run fit series
+        (:func:`repro.engine.fit_runs`), which picks each series'
+        backend from it and the algorithm (see
+        :func:`repro.engine.choose_backend`).  Result-identical for
+        fixed seeds, so it only changes wall-clock time — the
+        paper-scale 50-run protocols are where it pays off.
     """
 
     scale: float = 1.0
@@ -141,13 +132,9 @@ class ExperimentConfig:
     n_samples: int = 32
     spread: float = 1.0
     mass: float = 0.95
-    backend: str = "serial"
     n_jobs: int = 1
-    batch_size: "int | str" = 1
 
     def __post_init__(self) -> None:
-        from repro.engine.backends import BACKEND_NAMES, validate_batch_size
-
         if not (0.0 < self.scale <= 1.0):
             raise InvalidParameterError(f"scale must be in (0, 1], got {self.scale}")
         if self.max_objects is not None and self.max_objects < 1:
@@ -156,22 +143,20 @@ class ExperimentConfig:
             )
         if self.n_runs < 1:
             raise InvalidParameterError(f"n_runs must be >= 1, got {self.n_runs}")
-        if self.backend not in BACKEND_NAMES:
-            raise InvalidParameterError(
-                f"backend must be one of {BACKEND_NAMES}, got {self.backend!r}"
-            )
         if self.n_jobs < 1:
             raise InvalidParameterError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        validate_batch_size(self.batch_size)
 
     def describe(self) -> Dict[str, object]:
         """The JSON-ready form recorded in sweep manifests.
 
         Manifests written while the config still had its ``engine``
-        switch (always on) carry ``"engine": true``; the key stays so
-        those stores still resume.
+        switch (always on) and its execution settings carry ``"engine":
+        true`` and the execution keys; both stay, the execution keys at
+        the fixed values of
+        :data:`~repro.engine.store.base.RECORDED_EXECUTION` (``n_jobs``
+        never changes a cell), so those stores still resume.
         """
-        return {**asdict(self), "engine": True}
+        return {**asdict(self), **RECORDED_EXECUTION, "engine": True}
 
 
 class SurfaceSpec:

@@ -131,9 +131,7 @@ def run_figure4_cell(
         dataset,
         streams[:-1],
         sample_seed=streams[-1],
-        backend=config.backend,
         n_jobs=config.n_jobs,
-        batch_size=config.batch_size,
     )
     times = np.array([result.runtime_seconds for result in results])
     return float(times.mean() * 1e3)

@@ -172,9 +172,7 @@ def run_table2_cell(
         n_runs=config.n_runs,
         seed=rng,
         distances=distances,
-        backend=config.backend,
         n_jobs=config.n_jobs,
-        batch_size=config.batch_size,
     )
     return Table2Cell(theta=outcome.theta_mean, quality=outcome.quality_mean)
 

@@ -123,9 +123,7 @@ def run_table3_cell(
         dataset,
         streams[:-1],
         sample_seed=streams[-1],
-        backend=config.backend,
         n_jobs=config.n_jobs,
-        batch_size=config.batch_size,
         pairwise_ed=distances,
     )
     scores = np.array(

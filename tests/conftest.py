@@ -62,6 +62,34 @@ def mixed_dataset(mixed_cluster):
     return UncertainDataset(mixed_cluster)
 
 
+@pytest.fixture
+def force_backend(monkeypatch):
+    """Route every engine run-set to one execution backend.
+
+    ``force_backend("threads", n_jobs=3)`` (or ``force_backend(instance)``)
+    makes ``repro.engine.runner.choose_backend`` return that backend for
+    the rest of the test and returns the instance.  ``n_jobs`` alone is
+    not enough: the small test datasets fall under the serial
+    threshold, so the engine would never reach a pool.  Call it again
+    to switch backends; a reference run before the first call keeps
+    the engine's own (serial) choice.
+    """
+    import repro.engine.runner as runner
+    from repro.engine import ProcessBackend, SerialBackend, ThreadBackend
+
+    def force(backend, n_jobs=2):
+        if backend == "serial":
+            backend = SerialBackend()
+        elif backend == "threads":
+            backend = ThreadBackend(n_jobs)
+        elif backend == "processes":
+            backend = ProcessBackend(n_jobs)
+        monkeypatch.setattr(runner, "choose_backend", lambda *_args: backend)
+        return backend
+
+    return force
+
+
 def random_uncertain_objects(rng, n, dim, families=("uniform", "normal", "exponential")):
     """Helper: n random uncertain objects of dimension dim.
 

@@ -1,19 +1,26 @@
-"""Tests for the pluggable execution backends (repro.engine.backends).
+"""Tests for the execution backends (repro.engine.backends).
 
 The backend layer's whole value rests on one promise: *which* backend
 executes the restarts can never change what the engine returns.  These
 tests pin that promise (serial ≡ threads ≡ processes for fixed seeds,
-with and without early stopping, under out-of-order completion), plus
-the process backend's shared-memory contract — the sample tensor is
-published, not pickled, and every block is unlinked even when a worker
-crashes.
+with and without early stopping, under out-of-order completion), the
+dispatch rule of ``choose_backend``, and the process backend's
+shared-memory contract — the sample tensor is published, not pickled,
+and every block is unlinked even when a worker crashes.  Each test
+forces its backend through the ``force_backend`` fixture.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import select
+import subprocess
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,19 +28,17 @@ import pytest
 from repro.clustering import UAHC, BasicUKMeans, MinMaxBB, UKMeans, UKMedoids
 from repro.datagen import make_blobs_uncertain
 from repro.engine import (
-    BACKEND_NAMES,
-    AutoBackend,
     EarlyStopping,
     MultiRestartRunner,
     ProcessBackend,
-    SerialBackend,
     ThreadBackend,
-    get_backend,
+    choose_backend,
     shared_block_registry,
-    validate_batch_size,
 )
+from repro.engine.backends import AUTO_SERIAL_ELEMENTS
 from repro.exceptions import InvalidParameterError
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 @pytest.fixture(scope="module")
 def data():
@@ -73,6 +78,22 @@ class HardExitBasicUKMeans(BasicUKMeans):
         os._exit(13)
 
 
+class FailFirstUKMeans(UKMeans):
+    """UK-means whose seed-0 restart raises at once; the others take a
+    while.  Records every restart that started."""
+
+    def __init__(self, n_clusters, started):
+        super().__init__(n_clusters)
+        self.started = started
+
+    def fit(self, dataset, seed=None):
+        self.started.append(seed)
+        if seed == 0:
+            raise RuntimeError("restart 0 failed")
+        time.sleep(0.5)
+        return super().fit(dataset, seed=seed)
+
+
 class _PickleTrap(np.ndarray):
     """ndarray view that refuses to be pickled — the serialization spy."""
 
@@ -106,22 +127,24 @@ class TestBackendInvariance:
             lambda: BasicUKMeans(4, n_samples=16),  # sample-based roster
         ],
     )
-    def test_backends_bit_identical(self, data, factory, early_stopping, seed):
+    def test_backends_bit_identical(
+        self, data, factory, early_stopping, seed, force_backend
+    ):
         reference = MultiRestartRunner(
-            factory(), n_init=5, backend="serial",
-            early_stopping=early_stopping,
+            factory(), n_init=5, early_stopping=early_stopping,
         ).run(data, seed=seed)
         assert reference.extras["engine_backend"] == "serial"
         for backend, n_jobs in (("threads", 3), ("processes", 2)):
+            force_backend(backend, n_jobs)
             result = MultiRestartRunner(
-                factory(), n_init=5, n_jobs=n_jobs, backend=backend,
+                factory(), n_init=5, n_jobs=n_jobs,
                 early_stopping=early_stopping,
             ).run(data, seed=seed)
             assert result.extras["engine_backend"] == backend
             _assert_same_result(reference, result)
 
-    @pytest.mark.parametrize("early_stopping", [None, 2])
-    @pytest.mark.parametrize("batch_size", [2, 3, 5])
+    @pytest.mark.parametrize("early_stopping", [None, 1, 2])
+    @pytest.mark.parametrize("n_jobs", [2, 3, 5])
     @pytest.mark.parametrize(
         "factory",
         [
@@ -130,172 +153,55 @@ class TestBackendInvariance:
             lambda: UKMedoids(4),  # pairwise-plane roster
         ],
     )
-    def test_in_worker_batching_bit_identical(
-        self, data, factory, batch_size, early_stopping
+    def test_in_flight_window_bit_identical(
+        self, data, factory, n_jobs, early_stopping, force_backend
     ):
-        """batch_size must never change the result — including the
-        early-stopped prefix, whose stopping restart can land in the
-        middle of a chunk."""
+        """The pool width never changes the result — including the
+        early-stopped prefix, whose stopping restart can land while up
+        to ``n_jobs`` later restarts are in flight (all five at
+        ``n_jobs=5``) and must be discarded."""
         reference = MultiRestartRunner(
-            factory(), n_init=5, backend="serial",
-            early_stopping=early_stopping,
+            factory(), n_init=5, early_stopping=early_stopping,
         ).run(data, seed=7)
-        for backend, n_jobs in (("threads", 3), ("processes", 2)):
+        for backend in ("threads", "processes"):
+            force_backend(backend, n_jobs)
             result = MultiRestartRunner(
-                factory(), n_init=5, n_jobs=n_jobs, backend=backend,
-                early_stopping=early_stopping, batch_size=batch_size,
+                factory(), n_init=5, n_jobs=n_jobs,
+                early_stopping=early_stopping,
             ).run(data, seed=7)
-            assert result.extras["engine_batch_size"] == batch_size
+            assert result.extras["engine_backend"] == backend
             _assert_same_result(reference, result)
 
-    @pytest.mark.parametrize("early_stopping", [None, 1])
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: UKMeans(4),  # moment-based roster
-            lambda: BasicUKMeans(4, n_samples=16),  # sample-based roster
-            lambda: UKMedoids(4),  # pairwise-plane roster
-        ],
-    )
-    def test_adaptive_batching_bit_identical(
-        self, data, factory, early_stopping
-    ):
-        """Satellite: batch_size="auto" ≡ batch_size=1 for fixed seeds
-        on every roster.  These sub-ms fits make the adaptive policy
-        pick large chunks, so with early_stopping=1 the stop decision
-        lands mid-chunk and the surplus must be discarded exactly as
-        the unbatched prefix would be."""
+    def test_pruning_variant_across_backends(self, data, force_backend):
         reference = MultiRestartRunner(
-            factory(), n_init=6, backend="serial",
-            early_stopping=early_stopping, batch_size=1,
-        ).run(data, seed=7)
-        for backend, n_jobs in (("threads", 3), ("processes", 2)):
-            result = MultiRestartRunner(
-                factory(), n_init=6, n_jobs=n_jobs, backend=backend,
-                early_stopping=early_stopping, batch_size="auto",
-            ).run(data, seed=7)
-            assert result.extras["engine_batch_size"] == "auto"
-            _assert_same_result(reference, result)
-
-    def test_adaptive_batching_out_of_order_completion(self, data):
-        """Seed-dependent jitter + adaptive chunks: the stopping
-        decision still cannot move."""
-        reference = MultiRestartRunner(
-            JitterUKMeans(4), n_init=8, backend="serial", early_stopping=1
-        ).run(data, seed=21)
-        result = MultiRestartRunner(
-            JitterUKMeans(4), n_init=8, n_jobs=4, backend="threads",
-            early_stopping=1, batch_size="auto",
-        ).run(data, seed=21)
-        _assert_same_result(reference, result)
-
-    def test_adaptive_chunk_size_from_latency(self):
-        """The policy targets ADAPTIVE_TARGET_SECONDS per task and
-        clamps to [1, ADAPTIVE_MAX_BATCH]."""
-        from repro.clustering.base import ClusteringResult
-        from repro.engine.backends import (
-            ADAPTIVE_MAX_BATCH,
-            ADAPTIVE_TARGET_SECONDS,
-            _adaptive_chunk_size,
-        )
-
-        def probe(runtime):
-            return [ClusteringResult(labels=[0], runtime_seconds=runtime)]
-
-        # Degenerate (clock-granularity) probes double instead of
-        # jumping to the cap (regression: a 64-seed chunk committed on
-        # a timer artifact over-schedules past an early stop).
-        assert _adaptive_chunk_size(probe(0.0)) == 2
-        assert _adaptive_chunk_size(probe(0.0), current=8) == 16
-        assert (
-            _adaptive_chunk_size(probe(0.0), current=ADAPTIVE_MAX_BATCH)
-            == ADAPTIVE_MAX_BATCH
-        )
-        # A fit 1/5th of the target gets a 5-chunk.
-        assert _adaptive_chunk_size(probe(ADAPTIVE_TARGET_SECONDS / 5)) == 5
-        # Slow fits degrade to unbatched submission.
-        assert _adaptive_chunk_size(probe(10.0)) == 1
-
-    def test_adaptive_zero_latency_grows_geometrically(self):
-        """Satellite regression: a stream of zero-latency results keeps
-        the adaptive policy live and the submitted chunk lengths grow
-        1, 2, 4, ... instead of 1 -> ADAPTIVE_MAX_BATCH, so the restarts
-        scheduled past an early-stopping decision stay bounded."""
-        from concurrent.futures import Future
-
-        from repro.clustering.base import ClusteringResult
-        from repro.engine.backends import ADAPTIVE_MAX_BATCH, _drive_pool
-
-        submitted = []
-
-        def submit(chunk):
-            submitted.append(len(chunk))
-            future = Future()
-            future.set_result(
-                [
-                    ClusteringResult(labels=[0], runtime_seconds=0.0)
-                    for _ in chunk
-                ]
-            )
-            return future
-
-        n_seeds = 4 * ADAPTIVE_MAX_BATCH
-        results = _drive_pool(
-            submit,
-            list(range(n_seeds)),
-            early_stopping=None,
-            window=1,
-            batch_size="auto",
-        )
-        assert len(results) == n_seeds
-        # Strict doubling until the cap, then pinned at the cap.
-        growth = [1]
-        while growth[-1] < ADAPTIVE_MAX_BATCH:
-            growth.append(min(ADAPTIVE_MAX_BATCH, growth[-1] * 2))
-        assert submitted[: len(growth)] == growth
-        assert all(
-            size == ADAPTIVE_MAX_BATCH
-            for size in submitted[len(growth) : -1]
-        )
-
-    def test_pruning_variant_across_backends(self, data):
-        reference = MultiRestartRunner(
-            MinMaxBB(4, n_samples=16), n_init=4, backend="serial"
+            MinMaxBB(4, n_samples=16), n_init=4
         ).run(data, seed=4)
         for backend in ("threads", "processes"):
+            force_backend(backend)
             result = MultiRestartRunner(
-                MinMaxBB(4, n_samples=16), n_init=4, n_jobs=2,
-                backend=backend,
+                MinMaxBB(4, n_samples=16), n_init=4, n_jobs=2
             ).run(data, seed=4)
             _assert_same_result(reference, result)
 
-    def test_run_all_across_backends(self, data):
+    def test_run_all_across_backends(self, data, force_backend):
         reference = MultiRestartRunner(
-            BasicUKMeans(4, n_samples=16), n_init=4, backend="serial"
+            BasicUKMeans(4, n_samples=16), n_init=4
         ).run_all(data, seed=9)
         for backend in ("threads", "processes"):
+            force_backend(backend)
             results = MultiRestartRunner(
-                BasicUKMeans(4, n_samples=16), n_init=4, n_jobs=2,
-                backend=backend,
+                BasicUKMeans(4, n_samples=16), n_init=4, n_jobs=2
             ).run_all(data, seed=9)
             assert len(results) == len(reference)
             for ref, res in zip(reference, results):
                 np.testing.assert_array_equal(ref.labels, res.labels)
                 assert ref.objective == res.objective
 
-    def test_legacy_n_jobs_mapping_unchanged(self, data):
-        """backend=None keeps the historical semantics: serial for
-        n_jobs == 1, the process pool otherwise."""
-        serial = MultiRestartRunner(UKMeans(4), n_init=3)
-        assert isinstance(serial.backend, SerialBackend)
-        pooled = MultiRestartRunner(UKMeans(4), n_init=3, n_jobs=2)
-        assert isinstance(pooled.backend, ProcessBackend)
-
-    def test_fit_best_backend_routing(self, data):
+    def test_fit_best_backend_routing(self, data, force_backend):
         via_serial = UKMeans(4).fit_best(data, seed=17, n_init=4)
-        via_threads = UKMeans(4).fit_best(
-            data, seed=17, n_init=4, n_jobs=2, backend="threads"
-        )
+        force_backend("threads")
+        via_threads = UKMeans(4).fit_best(data, seed=17, n_init=4, n_jobs=2)
+        assert via_threads.extras["engine_backend"] == "threads"
         _assert_same_result(via_serial, via_threads)
 
 
@@ -327,16 +233,18 @@ class TestEarlyStopping:
         assert stopped.extras["early_stopped"] == (expected < 10)
         assert stopped.objective == min(objectives[:expected])
 
-    def test_deterministic_under_out_of_order_completion(self, data):
+    def test_deterministic_under_out_of_order_completion(
+        self, data, force_backend
+    ):
         """Seed-dependent jitter makes pool completions arrive out of
         submission order; the stopping decision must not move."""
         reference = MultiRestartRunner(
-            JitterUKMeans(4), n_init=8, backend="serial", early_stopping=1
+            JitterUKMeans(4), n_init=8, early_stopping=1
         ).run(data, seed=21)
         for backend, n_jobs in (("threads", 4), ("processes", 2)):
+            force_backend(backend, n_jobs)
             result = MultiRestartRunner(
-                JitterUKMeans(4), n_init=8, n_jobs=n_jobs, backend=backend,
-                early_stopping=1,
+                JitterUKMeans(4), n_init=8, n_jobs=n_jobs, early_stopping=1,
             ).run(data, seed=21)
             _assert_same_result(reference, result)
             assert (
@@ -344,32 +252,12 @@ class TestEarlyStopping:
                 == reference.extras["early_stopped"]
             )
 
-    def test_deterministic_under_out_of_order_batches(self, data):
-        """Same hazard with whole chunks completing out of order."""
-        reference = MultiRestartRunner(
-            JitterUKMeans(4), n_init=8, backend="serial", early_stopping=1
-        ).run(data, seed=21)
-        for backend, n_jobs in (("threads", 4), ("processes", 2)):
-            result = MultiRestartRunner(
-                JitterUKMeans(4), n_init=8, n_jobs=n_jobs, backend=backend,
-                early_stopping=1, batch_size=3,
-            ).run(data, seed=21)
-            _assert_same_result(reference, result)
-
     def test_run_all_ignores_early_stopping(self, data):
         """run_all is a measurement surface: it must never truncate."""
         runner = MultiRestartRunner(
             UKMeans(4), n_init=6, early_stopping=1
         )
         assert len(runner.run_all(data, seed=3)) == 6
-
-    def test_instance_backend_batch_size_reported(self, data):
-        """extras must report the chunking that actually executed — a
-        pre-constructed backend instance keeps its own batch_size."""
-        result = MultiRestartRunner(
-            UKMeans(4), n_init=4, backend=ThreadBackend(2, batch_size=2)
-        ).run(data, seed=3)
-        assert result.extras["engine_batch_size"] == 2
 
     def test_int_shorthand(self, data):
         runner = MultiRestartRunner(UKMeans(4), n_init=2, early_stopping=3)
@@ -394,20 +282,19 @@ class TestEarlyStopping:
 
 
 class TestProcessBackendSharedMemory:
-    def test_sample_tensor_not_pickled(self, data):
+    def test_sample_tensor_not_pickled(self, data, force_backend):
         """Serialization spy: with the tensor pinned as a pickle trap,
         the processes run still succeeds (shared memory) and matches
         the serial result computed from the same tensor."""
         tensor = data.sample_tensor(16, seed=33)
-        trapped = BasicUKMeans(4, n_samples=16)
-        trapped.sample_cache = tensor.view(_PickleTrap)
-        via_processes = MultiRestartRunner(
-            trapped, n_init=4, n_jobs=2, backend="processes"
-        ).run(data, seed=2)
         plain = BasicUKMeans(4, n_samples=16)
         plain.sample_cache = tensor
-        via_serial = MultiRestartRunner(
-            plain, n_init=4, backend="serial"
+        via_serial = MultiRestartRunner(plain, n_init=4).run(data, seed=2)
+        trapped = BasicUKMeans(4, n_samples=16)
+        trapped.sample_cache = tensor.view(_PickleTrap)
+        force_backend("processes")
+        via_processes = MultiRestartRunner(
+            trapped, n_init=4, n_jobs=2
         ).run(data, seed=2)
         _assert_same_result(via_serial, via_processes)
         # The trap itself must still be armed (and restored after run).
@@ -422,20 +309,22 @@ class TestProcessBackendSharedMemory:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
-    def test_shared_blocks_unlinked_after_run(self, data):
-        backend = ProcessBackend(n_jobs=2)
+    def test_shared_blocks_unlinked_after_run(self, data, force_backend):
+        backend = force_backend("processes")
         runner = MultiRestartRunner(
-            BasicUKMeans(4, n_samples=16), n_init=4, backend=backend
+            BasicUKMeans(4, n_samples=16), n_init=4, n_jobs=2
         )
         runner.run(data, seed=2)
         # Moment matrices + the engine-pinned sample tensor.
         assert len(backend.last_shared_specs) == 4
         self._assert_blocks_unlinked(backend)
 
-    def test_shared_blocks_unlinked_on_worker_exception(self, data):
-        backend = ProcessBackend(n_jobs=2)
+    def test_shared_blocks_unlinked_on_worker_exception(
+        self, data, force_backend
+    ):
+        backend = force_backend("processes")
         runner = MultiRestartRunner(
-            CrashingBasicUKMeans(4, n_samples=16), n_init=4, backend=backend
+            CrashingBasicUKMeans(4, n_samples=16), n_init=4, n_jobs=2
         )
         with pytest.raises(RuntimeError, match="worker boom"):
             runner.run(data, seed=2)
@@ -443,32 +332,33 @@ class TestProcessBackendSharedMemory:
         # The engine restored the clusterer despite the crash.
         assert runner.clusterer.sample_cache is None
 
-    def test_shared_blocks_unlinked_on_worker_hard_crash(self, data):
+    def test_shared_blocks_unlinked_on_worker_hard_crash(
+        self, data, force_backend
+    ):
         """os._exit in a worker breaks the whole pool; the blocks must
         still be unlinked."""
-        backend = ProcessBackend(n_jobs=2)
+        backend = force_backend("processes")
         runner = MultiRestartRunner(
-            HardExitBasicUKMeans(4, n_samples=16), n_init=4, backend=backend
+            HardExitBasicUKMeans(4, n_samples=16), n_init=4, n_jobs=2
         )
         with pytest.raises(BrokenProcessPool):
             runner.run(data, seed=2)
         self._assert_blocks_unlinked(backend)
 
-    def test_pairwise_matrix_not_pickled(self, data):
+    def test_pairwise_matrix_not_pickled(self, data, force_backend):
         """Serialization spy for the distance plane: with the ÊD matrix
         pinned as a pickle trap, the processes run still succeeds
         (shared memory) and matches the serial result from the same
         matrix."""
         matrix = data.pairwise_ed()
-        trapped = UKMedoids(4)
-        trapped.pairwise_ed_cache = matrix.view(_PickleTrap)
-        via_processes = MultiRestartRunner(
-            trapped, n_init=4, n_jobs=2, backend="processes"
-        ).run(data, seed=2)
         plain = UKMedoids(4)
         plain.pairwise_ed_cache = matrix
-        via_serial = MultiRestartRunner(
-            plain, n_init=4, backend="serial"
+        via_serial = MultiRestartRunner(plain, n_init=4).run(data, seed=2)
+        trapped = UKMedoids(4)
+        trapped.pairwise_ed_cache = matrix.view(_PickleTrap)
+        force_backend("processes")
+        via_processes = MultiRestartRunner(
+            trapped, n_init=4, n_jobs=2
         ).run(data, seed=2)
         _assert_same_result(via_serial, via_processes)
         # The trap must still be armed (pin restored after the run).
@@ -477,41 +367,40 @@ class TestProcessBackendSharedMemory:
 
             pickle.dumps(trapped.pairwise_ed_cache)
 
-    def test_precomputed_matrix_not_pickled(self, data):
+    def test_precomputed_matrix_not_pickled(self, data, force_backend):
         """The constructor-fixed matrix rides shared memory too."""
+        reference = MultiRestartRunner(
+            UKMedoids(4, precomputed=data.pairwise_ed()), n_init=4
+        ).run(data, seed=2)
         trapped = UKMedoids(4, precomputed=data.pairwise_ed())
         trapped.precomputed = trapped.precomputed.view(_PickleTrap)
+        force_backend("processes")
         via_processes = MultiRestartRunner(
-            trapped, n_init=4, n_jobs=2, backend="processes"
-        ).run(data, seed=2)
-        reference = MultiRestartRunner(
-            UKMedoids(4, precomputed=data.pairwise_ed()),
-            n_init=4, backend="serial",
+            trapped, n_init=4, n_jobs=2
         ).run(data, seed=2)
         _assert_same_result(reference, via_processes)
 
-    def test_pairwise_block_published_and_unlinked(self, data):
-        backend = ProcessBackend(n_jobs=2)
-        MultiRestartRunner(UKMedoids(4), n_init=4, backend=backend).run(
-            data, seed=2
-        )
+    def test_pairwise_block_published_and_unlinked(self, data, force_backend):
+        backend = force_backend("processes")
+        MultiRestartRunner(UKMedoids(4), n_init=4, n_jobs=2).run(data, seed=2)
         # Moment matrices + the engine-injected ÊD matrix.
         assert len(backend.last_shared_specs) == 4
         self._assert_blocks_unlinked(backend)
 
-    def test_uahc_pairwise_matrix_not_pickled(self, data):
+    def test_uahc_pairwise_matrix_not_pickled(self, data, force_backend):
         """UAHC's ``"ed"`` linkage joins the plane: its pinned ÊD matrix
         rides shared memory under the process backend, never pickle."""
         matrix = data.pairwise_ed()
-        trapped = UAHC(3, linkage="ed")
-        trapped.pairwise_ed_cache = matrix.view(_PickleTrap)
-        via_processes = MultiRestartRunner(
-            trapped, n_init=4, n_jobs=2, backend="processes"
-        ).run_all(data, seeds=[0, 1, 2, 3])
         plain = UAHC(3, linkage="ed")
         plain.pairwise_ed_cache = matrix
-        via_serial = MultiRestartRunner(
-            plain, n_init=4, backend="serial"
+        via_serial = MultiRestartRunner(plain, n_init=4).run_all(
+            data, seeds=[0, 1, 2, 3]
+        )
+        trapped = UAHC(3, linkage="ed")
+        trapped.pairwise_ed_cache = matrix.view(_PickleTrap)
+        force_backend("processes")
+        via_processes = MultiRestartRunner(
+            trapped, n_init=4, n_jobs=2
         ).run_all(data, seeds=[0, 1, 2, 3])
         for serial_run, process_run in zip(via_serial, via_processes):
             np.testing.assert_array_equal(
@@ -523,23 +412,26 @@ class TestProcessBackendSharedMemory:
 
             pickle.dumps(trapped.pairwise_ed_cache)
 
-    def test_uahc_pairwise_block_published_and_unlinked(self, data):
-        backend = ProcessBackend(n_jobs=2)
+    def test_uahc_pairwise_block_published_and_unlinked(
+        self, data, force_backend
+    ):
+        backend = force_backend("processes")
         MultiRestartRunner(
-            UAHC(3, linkage="ed"), n_init=4, backend=backend
+            UAHC(3, linkage="ed"), n_init=4, n_jobs=2
         ).run_all(data, seeds=[0, 1, 2, 3])
         # Moment matrices + the engine-injected ÊD matrix.
         assert len(backend.last_shared_specs) == 4
         self._assert_blocks_unlinked(backend)
 
-    def test_worker_dataset_views_match_parent(self, data):
+    def test_worker_dataset_views_match_parent(self, data, force_backend):
         """Workers rebuild the dataset around shared views; fitting the
         same seeds through them must equal in-process fits."""
         reference = [
             UKMeans(4).fit(data, seed=s).labels for s in (1, 2, 3, 4)
         ]
+        force_backend("processes")
         results = MultiRestartRunner(
-            UKMeans(4), n_init=4, n_jobs=2, backend="processes"
+            UKMeans(4), n_init=4, n_jobs=2
         ).run_all(data, seeds=[1, 2, 3, 4])
         for ref, res in zip(reference, results):
             np.testing.assert_array_equal(ref, res.labels)
@@ -564,16 +456,19 @@ class TestSharedBlockRegistry:
         monkeypatch.setattr(backends_module, "_SharedNDArray", Counting)
         return created
 
-    def test_blocks_published_once_per_group(self, data, monkeypatch):
+    def test_blocks_published_once_per_group(
+        self, data, monkeypatch, force_backend
+    ):
         created = self._counting_shared_ndarray(monkeypatch)
-        reference = MultiRestartRunner(
-            UKMedoids(3), n_init=4, backend="serial"
-        ).run(data, seed=6)
+        reference = MultiRestartRunner(UKMedoids(3), n_init=4).run(
+            data, seed=6
+        )
+        force_backend("processes")
         with shared_block_registry():
             results = [
-                MultiRestartRunner(
-                    UKMedoids(3), n_init=4, n_jobs=2, backend="processes"
-                ).run(data, seed=6)
+                MultiRestartRunner(UKMedoids(3), n_init=4, n_jobs=2).run(
+                    data, seed=6
+                )
                 for _ in range(2)
             ]
         # 3 moment matrices + 1 ÊD matrix, created once across both
@@ -583,10 +478,10 @@ class TestSharedBlockRegistry:
             np.testing.assert_array_equal(reference.labels, result.labels)
             assert reference.objective == result.objective
 
-    def test_registry_blocks_unlinked_on_scope_exit(self, data):
-        backend = ProcessBackend(n_jobs=2)
+    def test_registry_blocks_unlinked_on_scope_exit(self, data, force_backend):
+        backend = force_backend("processes")
         with shared_block_registry():
-            MultiRestartRunner(UKMedoids(3), n_init=4, backend=backend).run(
+            MultiRestartRunner(UKMedoids(3), n_init=4, n_jobs=2).run(
                 data, seed=6
             )
             # Inside the scope the blocks are still alive (reusable).
@@ -596,17 +491,17 @@ class TestSharedBlockRegistry:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
-    def test_sample_tensors_are_never_interned(self, data, monkeypatch):
+    def test_sample_tensors_are_never_interned(
+        self, data, monkeypatch, force_backend
+    ):
         """Per-cell tensors are fresh draws; interning them would hold
         every cell's tensor until the scope closes."""
         created = self._counting_shared_ndarray(monkeypatch)
+        force_backend("processes")
         with shared_block_registry():
             for seed in (2, 3):
                 MultiRestartRunner(
-                    BasicUKMeans(4, n_samples=16),
-                    n_init=4,
-                    n_jobs=2,
-                    backend="processes",
+                    BasicUKMeans(4, n_samples=16), n_init=4, n_jobs=2
                 ).run(data, seed=seed)
         # 3 interned moment matrices + one tensor per run-set.
         assert len(created) == 5
@@ -618,65 +513,120 @@ class TestSharedBlockRegistry:
                     pass
 
 
-class TestGetBackend:
-    def test_names(self):
-        assert get_backend("serial", 1).name == "serial"
-        assert get_backend("threads", 2).name == "threads"
-        assert get_backend("processes", 2).name == "processes"
-        assert get_backend("auto", 2).name == "auto"
-        assert set(BACKEND_NAMES) == {"serial", "threads", "processes", "auto"}
+#: A process-pool run whose parent is SIGKILLed while both workers fit.
+#: Prints the run's shared-memory block names; each fit leaves a file
+#: named after its worker's pid in the directory given as argv[1].
+_ORPHAN_SCENARIO = """
+import json, os, sys, threading, time
+from pathlib import Path
 
-    def test_none_maps_to_legacy_choice(self):
-        assert isinstance(get_backend(None, 1), SerialBackend)
-        assert isinstance(get_backend(None, 4), ProcessBackend)
+from repro.clustering import UKMeans
+from repro.datagen import make_blobs_uncertain
+from repro.engine import ProcessBackend
 
-    def test_instance_passthrough(self):
-        backend = ThreadBackend(3)
-        assert get_backend(backend, 1) is backend
 
-    def test_unknown_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            get_backend("gpu", 2)
+class SleepyUKMeans(UKMeans):
+    def fit(self, dataset, seed=None):
+        Path(self.mark_dir, str(os.getpid())).touch()
+        time.sleep(60)
+        return super().fit(dataset, seed=seed)
 
+
+def report(backend):
+    while not backend.last_shared_specs:
+        time.sleep(0.01)
+    names = [name for name, _, _ in backend.last_shared_specs]
+    print(json.dumps(names), flush=True)
+
+
+if __name__ == "__main__":
+    model = SleepyUKMeans(2)
+    model.mark_dir = sys.argv[1]
+    backend = ProcessBackend(2)
+    threading.Thread(target=report, args=(backend,), daemon=True).start()
+    data = make_blobs_uncertain(n_objects=40, n_clusters=2, seed=0)
+    backend.run(model, data, [0, 1, 2, 3])
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` still runs (a zombie awaiting its reaper does not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestPoolBackends:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(InvalidParameterError):
             ThreadBackend(0)
         with pytest.raises(InvalidParameterError):
             ProcessBackend(0)
-        with pytest.raises(InvalidParameterError):
-            AutoBackend(0)
 
-    def test_invalid_batch_size_rejected(self):
-        for factory in (ThreadBackend, ProcessBackend, AutoBackend):
-            with pytest.raises(InvalidParameterError):
-                factory(2, batch_size=0)
-        with pytest.raises(InvalidParameterError):
-            MultiRestartRunner(UKMeans(4), batch_size=0)
-        with pytest.raises(InvalidParameterError):
-            MultiRestartRunner(UKMeans(4), batch_size="soon")
-        with pytest.raises(InvalidParameterError):
-            validate_batch_size(2.5)
+    def test_failing_restart_cancels_queued_restarts(self, data):
+        """A failing restart ends the run without first fitting every
+        queued one: only the restarts already running finish."""
+        started = []
+        with pytest.raises(RuntimeError, match="restart 0 failed"):
+            ThreadBackend(2).run(
+                FailFirstUKMeans(4, started), data, list(range(8))
+            )
+        assert len(started) <= 2 + 1
 
-    def test_auto_batch_size_accepted_everywhere(self):
-        assert validate_batch_size("auto") == "auto"
-        assert ThreadBackend(2, batch_size="auto").batch_size == "auto"
-        assert ProcessBackend(2, batch_size="auto").batch_size == "auto"
-        assert AutoBackend(2, batch_size="auto").batch_size == "auto"
-        runner = MultiRestartRunner(UKMeans(4), n_jobs=2, batch_size="auto")
-        assert runner.batch_size == "auto"
-        from repro.experiments import ExperimentConfig
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or not Path("/dev/shm").is_dir(),
+        reason="needs Linux /proc and /dev/shm",
+    )
+    def test_sigkilled_parent_leaves_no_workers_or_blocks(self, tmp_path):
+        """Pool workers exit once their parent is gone, so a SIGKILLed
+        run leaves neither orphaned workers nor /dev/shm blocks."""
+        script = tmp_path / "scenario.py"
+        script.write_text(_ORPHAN_SCENARIO)
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        parent = subprocess.Popen(
+            [sys.executable, str(script), str(marks)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=env,
+        )
+        try:
+            ready, _, _ = select.select([parent.stdout], [], [], 60)
+            assert ready, "the run never published its blocks"
+            blocks = json.loads(parent.stdout.readline())
+            deadline = time.monotonic() + 60
+            while len(list(marks.iterdir())) < 2:
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.05)
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        workers = [int(mark.name) for mark in marks.iterdir()]
+        shm = Path("/dev/shm")
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            left = [pid for pid in workers if _running(pid)]
+            leaked = [name for name in blocks if (shm / name).exists()]
+            if not left and not leaked:
+                break
+            time.sleep(0.1)
+        assert blocks and not leaked
+        assert not left
 
-        assert ExperimentConfig(batch_size="auto").batch_size == "auto"
-        with pytest.raises(InvalidParameterError):
-            ExperimentConfig(batch_size="bogus")
 
-
-class TestAutoBackend:
-    """Per-algorithm-family dispatch of the ``auto`` backend."""
+class TestChooseBackend:
+    """The engine's dispatch rule: ``n_jobs`` and the algorithm pick
+    the backend of every run-set."""
 
     @pytest.fixture(scope="class")
     def big_data(self):
-        # n * m above AUTO_SERIAL_ELEMENTS so auto reaches the family
+        # n * m above AUTO_SERIAL_ELEMENTS so the rule reaches the family
         # dispatch instead of short-circuiting to serial.
         return make_blobs_uncertain(
             n_objects=400, n_clusters=4, n_attributes=16, separation=2.5,
@@ -684,44 +634,68 @@ class TestAutoBackend:
         )
 
     def test_serial_when_single_worker_or_restart(self, data):
-        backend = AutoBackend(n_jobs=1)
-        backend.resolve(UKMeans(4), data, n_restarts=8)
-        assert backend.last_resolved == "serial"
-        backend = AutoBackend(n_jobs=4)
-        backend.resolve(UKMeans(4), data, n_restarts=1)
-        assert backend.last_resolved == "serial"
+        assert choose_backend(UKMeans(4), data, 8, n_jobs=1).name == "serial"
+        assert choose_backend(UKMeans(4), data, 1, n_jobs=4).name == "serial"
 
     def test_serial_for_sub_ms_fits(self, data):
         # n=90, m=2 is far below the AUTO_SERIAL_ELEMENTS floor.
-        backend = AutoBackend(n_jobs=4)
-        backend.resolve(UKMeans(4), data, n_restarts=8)
-        assert backend.last_resolved == "serial"
+        assert choose_backend(UKMeans(4), data, 8, n_jobs=4).name == "serial"
 
     def test_family_dispatch(self, big_data):
         from repro.clustering import UAHC, UCPC
 
-        backend = AutoBackend(n_jobs=4)
-        backend.resolve(UKMeans(4), big_data, n_restarts=8)
-        assert backend.last_resolved == "threads"
-        backend.resolve(BasicUKMeans(4, n_samples=8), big_data, n_restarts=8)
-        assert backend.last_resolved == "threads"
+        for gil_releasing in (UKMeans(4), BasicUKMeans(4, n_samples=8)):
+            backend = choose_backend(gil_releasing, big_data, 8, n_jobs=4)
+            assert isinstance(backend, ThreadBackend) and backend.n_jobs == 4
         for interpreter_bound in (UKMedoids(4), UCPC(4), UAHC(4)):
-            backend.resolve(interpreter_bound, big_data, n_restarts=8)
-            assert backend.last_resolved == "processes"
+            backend = choose_backend(interpreter_bound, big_data, 8, n_jobs=4)
+            assert isinstance(backend, ProcessBackend) and backend.n_jobs == 4
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "UCPC", "UKM", "MMV", "UKmed", "bUKM", "MinMax-BB", "VDBiP",
+            "FDB", "FOPT", "UAHC", "bUKM-EH", "MB-UKM",
+        ],
+    )
+    def test_roster_dispatch(self, big_data, name):
+        """Every roster algorithm the experiments build lands on its
+        family's pool; only the interpreter-bound relocation loops go
+        to processes."""
+        from repro.experiments.config import build_algorithm
+
+        clusterer = build_algorithm(name, 4, n_samples=8)
+        backend = choose_backend(clusterer, big_data, 8, n_jobs=3)
+        expected = (
+            "processes" if name in ("UCPC", "UKmed", "UAHC") else "threads"
+        )
+        assert backend.name == clusterer.preferred_backend == expected
+        assert backend.n_jobs == 3
+
+    def test_serial_threshold_counts_samples(self, data):
+        """The per-fit size is objects × attributes × samples, so the
+        same dataset crosses AUTO_SERIAL_ELEMENTS through ``n_samples``
+        alone: n=90, m=2 with 16 samples is 2,880 elements (serial),
+        with 32 it is 5,760 (threads)."""
+        assert len(data) * data.dim * 16 <= AUTO_SERIAL_ELEMENTS
+        assert len(data) * data.dim * 32 > AUTO_SERIAL_ELEMENTS
+        small = choose_backend(BasicUKMeans(4, n_samples=16), data, 8, 2)
+        assert small.name == "serial"
+        large = choose_backend(BasicUKMeans(4, n_samples=32), data, 8, 2)
+        assert isinstance(large, ThreadBackend) and large.n_jobs == 2
 
     @pytest.mark.parametrize(
         "factory", [lambda: UKMeans(4), lambda: UKMedoids(4)]
     )
-    def test_auto_bit_identical_to_serial(self, big_data, factory):
-        """auto must keep the backend-invariance promise across both
-        dispatch families (threads for UK-means, processes for
+    def test_dispatched_bit_identical_to_serial(self, big_data, factory):
+        """``n_jobs`` must keep the backend-invariance promise across
+        both dispatch families (threads for UK-means, processes for
         UK-medoids)."""
-        reference = MultiRestartRunner(
-            factory(), n_init=4, backend="serial"
-        ).run(big_data, seed=11)
-        auto = AutoBackend(n_jobs=2)
-        result = MultiRestartRunner(
-            factory(), n_init=4, n_jobs=2, backend=auto
-        ).run(big_data, seed=11)
-        assert auto.last_resolved in ("threads", "processes")
+        reference = MultiRestartRunner(factory(), n_init=4).run(
+            big_data, seed=11
+        )
+        result = MultiRestartRunner(factory(), n_init=4, n_jobs=2).run(
+            big_data, seed=11
+        )
+        assert result.extras["engine_backend"] == factory().preferred_backend
         _assert_same_result(reference, result)

@@ -12,6 +12,11 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: Every command that fits restarts; ``--jobs`` is its one execution flag.
+EXECUTION_COMMANDS = (
+    "table2", "table3", "figure4", "figure5", "sweep", "report", "demo"
+)
+
 
 class TestParser:
     def test_requires_command(self):
@@ -31,6 +36,21 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tableX"])
+
+    @pytest.mark.parametrize(
+        "flag", [["--backend", "serial"], ["--batch-size", "1"]]
+    )
+    @pytest.mark.parametrize("command", EXECUTION_COMMANDS)
+    def test_jobs_is_the_only_execution_flag(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_jobs_parses_on_every_execution_command(self):
+        for command in EXECUTION_COMMANDS:
+            args = build_parser().parse_args([command, "--jobs", "3"])
+            assert args.jobs == 3
 
 
 class TestExecution:
@@ -98,6 +118,12 @@ def _assert_one_error_line(proc):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in proc.stderr
     return lines[0]
+
+
+def test_demo_with_jobs_exits_zero():
+    proc = _run_cli("demo", "--n-init", "4", "--jobs", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "best of 4 restarts" in proc.stdout
 
 
 class TestErrorBoundary:

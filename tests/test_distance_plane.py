@@ -88,23 +88,19 @@ class TestOncePerRunSet:
         "backend,n_jobs",
         [("serial", 1), ("threads", 3), ("processes", 2)],
     )
-    def test_engine_builds_matrix_exactly_once(self, ed_spy, backend, n_jobs):
+    def test_engine_builds_matrix_exactly_once(
+        self, ed_spy, backend, n_jobs, force_backend
+    ):
         data = _make_data()
-        MultiRestartRunner(
-            UKMedoids(3), n_init=6, n_jobs=n_jobs, backend=backend
-        ).run(data, seed=4)
+        force_backend(backend, n_jobs)
+        MultiRestartRunner(UKMedoids(3), n_init=6, n_jobs=n_jobs).run(
+            data, seed=4
+        )
         assert ed_spy["count"] == 1
 
     def test_fit_runs_builds_matrix_exactly_once(self, ed_spy):
         data = _make_data()
         fit_runs(UKMedoids(3), data, [0, 1, 2, 3])
-        assert ed_spy["count"] == 1
-
-    def test_batched_run_builds_matrix_exactly_once(self, ed_spy):
-        data = _make_data()
-        MultiRestartRunner(
-            UKMedoids(3), n_init=6, n_jobs=2, backend="threads", batch_size=3
-        ).run(data, seed=4)
         assert ed_spy["count"] == 1
 
     def test_repeated_run_sets_reuse_dataset_cache(self, ed_spy):
@@ -118,15 +114,16 @@ class TestOncePerRunSet:
 
 
 class TestBitIdentity:
-    def test_20_seed_identity_with_and_without_plane(self):
-        """The plane (and in-worker batching on top of it) must be
+    def test_20_seed_identity_with_and_without_plane(self, force_backend):
+        """The plane (and a thread pool on top of it) must be
         invisible: same labels, same objective, same best restart as
         direct fits that each build their own matrix."""
         data = _make_data()
         for seed in range(20):
-            with_plane = MultiRestartRunner(
-                UKMedoids(3), n_init=3, backend="serial"
-            ).run(data, seed=seed)
+            force_backend("serial")
+            with_plane = MultiRestartRunner(UKMedoids(3), n_init=3).run(
+                data, seed=seed
+            )
             direct = [
                 UKMedoids(3).fit(data, seed=entry["seed"])
                 for entry in with_plane.extras["restart_history"]
@@ -137,15 +134,15 @@ class TestBitIdentity:
             )
             assert with_plane.objective == direct[best].objective
             assert with_plane.extras["best_restart"] == best
-            batched = MultiRestartRunner(
-                UKMedoids(3), n_init=3, n_jobs=2, backend="threads",
-                batch_size=2,
-            ).run(data, seed=seed)
-            np.testing.assert_array_equal(with_plane.labels, batched.labels)
-            assert with_plane.objective == batched.objective
+            force_backend("threads")
+            pooled = MultiRestartRunner(UKMedoids(3), n_init=3, n_jobs=2).run(
+                data, seed=seed
+            )
+            np.testing.assert_array_equal(with_plane.labels, pooled.labels)
+            assert with_plane.objective == pooled.objective
             assert (
                 with_plane.extras["best_restart"]
-                == batched.extras["best_restart"]
+                == pooled.extras["best_restart"]
             )
 
     def test_engine_fit_equals_direct_fit(self):
@@ -198,7 +195,7 @@ class TestBitIdentity:
         )
         assert result.objective == reference.objective  # not doubled
 
-    def test_processes_workers_use_injected_matrix(self):
+    def test_processes_workers_use_injected_matrix(self, force_backend):
         """Workers must read the published matrix, not rebuild their
         own: pin a *different* dataset's matrix and check processes
         reproduces the serial result computed from that same pin."""
@@ -211,12 +208,11 @@ class TestBitIdentity:
             model.pairwise_ed_cache = foreign
             return model
 
-        serial = MultiRestartRunner(pinned(), n_init=4, backend="serial").run(
+        serial = MultiRestartRunner(pinned(), n_init=4).run(data, seed=6)
+        force_backend("processes")
+        processes = MultiRestartRunner(pinned(), n_init=4, n_jobs=2).run(
             data, seed=6
         )
-        processes = MultiRestartRunner(
-            pinned(), n_init=4, n_jobs=2, backend="processes"
-        ).run(data, seed=6)
         np.testing.assert_array_equal(serial.labels, processes.labels)
         assert serial.objective == processes.objective
         # Sanity: the foreign matrix really changes the outcome.

@@ -376,9 +376,7 @@ class TestConvergenceWarningSemantics:
         algorithm = BasicUKMeans(n_clusters=4, n_samples=8, max_iter=1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = algorithm.fit_best(
-                overlap_data, seed=0, n_init=3, backend="serial"
-            )
+            result = algorithm.fit_best(overlap_data, seed=0, n_init=3)
         assert result.extras["n_unconverged"] == 3
         aggregates = [
             w
@@ -391,7 +389,5 @@ class TestConvergenceWarningSemantics:
 
     def test_runner_quiet_when_converged(self, separated_data):
         algorithm = BasicUKMeans(n_clusters=3, n_samples=8, max_iter=100)
-        result = algorithm.fit_best(
-            separated_data, seed=0, n_init=2, backend="serial"
-        )
+        result = algorithm.fit_best(separated_data, seed=0, n_init=2)
         assert result.extras["n_unconverged"] == 0

@@ -104,10 +104,8 @@ every_suffix = pytest.mark.parametrize(
 SQLITE_HEADER = b"SQLite format 3\x00"
 
 
-def _grid(seed=5, n_runs=2, backend="serial", n_jobs=1):
-    common = dict(
-        n_runs=n_runs, n_samples=8, seed=seed, backend=backend, n_jobs=n_jobs
-    )
+def _grid(seed=5, n_runs=2, n_jobs=1):
+    common = dict(n_runs=n_runs, n_samples=8, seed=seed, n_jobs=n_jobs)
     return SweepGrid(
         table2=Table2Spec(
             config=ExperimentConfig(scale=0.12, max_objects=40, **common),
@@ -1089,19 +1087,18 @@ class TestSqliteForkSafety:
         assert store.active_leases() == {}
         store.close()
 
-    def test_processes_backend_sweep_forks_mid_run(self, tmp_path):
+    def test_processes_backend_sweep_forks_mid_run(
+        self, tmp_path, force_backend
+    ):
         """Regression: the `processes` execution backend forks pool
         workers while the sweep's SQLite connection is open; the sweep
-        must land the same cells as a serial run (manifest differs by
-        the backend field, so compare cells/values only)."""
+        must land the same store as a serial run."""
         serial = store_path(tmp_path, "serial")
         run_sweep(_grid(), serial)
         forked = store_path(tmp_path, "forked")
-        run_sweep(_grid(backend="processes", n_jobs=2), forked)
-        serial_rows = _sqlite_rows(serial)
-        forked_rows = _sqlite_rows(forked)
-        assert serial_rows["cells"] == forked_rows["cells"]
-        assert serial_rows["values"] == forked_rows["values"]
+        force_backend("processes")
+        run_sweep(_grid(n_jobs=2), forked)
+        assert _sqlite_rows(serial) == _sqlite_rows(forked)
 
 
 # ----------------------------------------------------------------------

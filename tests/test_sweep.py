@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.store import canonical_dumps, open_store
+from repro.engine.store import canonical_dumps, diff_stores, open_store
 from repro.engine.sweep import (
     Figure4Spec,
     Figure5Spec,
@@ -185,23 +185,16 @@ QUICK_GRID_MANIFEST = {
 }
 
 
-def _configs(seed=5, backend="serial", n_jobs=1, batch_size=1, n_runs=2):
-    common = dict(
-        n_runs=n_runs,
-        n_samples=8,
-        seed=seed,
-        backend=backend,
-        n_jobs=n_jobs,
-        batch_size=batch_size,
-    )
+def _configs(seed=5, n_jobs=1, n_runs=2):
+    common = dict(n_runs=n_runs, n_samples=8, seed=seed, n_jobs=n_jobs)
     return (
         ExperimentConfig(scale=0.12, max_objects=40, **common),
         ExperimentConfig(scale=0.004, **common),
     )
 
 
-def _grid(seed=5, backend="serial", n_jobs=1, batch_size=1):
-    cfg2, cfg3 = _configs(seed, backend, n_jobs, batch_size)
+def _grid(seed=5, n_jobs=1):
+    cfg2, cfg3 = _configs(seed, n_jobs)
     return SweepGrid(
         table2=Table2Spec(config=cfg2, **T2_AXES),
         table3=Table3Spec(config=cfg3, **T3_AXES),
@@ -278,30 +271,63 @@ class TestSweepEquivalence:
         _assert_pinned(*_direct_reports(seed), seed)
 
     @pytest.mark.parametrize(
-        "backend,n_jobs,batch_size",
-        [("threads", 3, 1), ("threads", 2, "auto"), ("auto", 2, 1)],
+        "backend,n_jobs", [("threads", 3), ("dispatched", 2)]
     )
     def test_parallel_backend_bit_identity(
-        self, tmp_path, backend, n_jobs, batch_size
+        self, tmp_path, backend, n_jobs, force_backend
     ):
-        """Backends and chunkings are result-invariant, so a sweep on
-        any of them must still reproduce the serial recorded values."""
+        """Backends are result-invariant, so a sweep on a forced pool,
+        or on whatever ``n_jobs`` dispatches to, must still reproduce
+        the serial recorded values."""
+        if backend != "dispatched":
+            force_backend(backend, n_jobs)
         for seed in sorted(PINNED_TABLE2):
             outcome = run_sweep(
-                _grid(seed=seed, backend=backend, n_jobs=n_jobs,
-                      batch_size=batch_size),
-                tmp_path / f"{backend}-{batch_size}-{seed}",
+                _grid(seed=seed, n_jobs=n_jobs),
+                tmp_path / f"{backend}-{seed}",
             )
             _assert_pinned(outcome.table2, outcome.table3, seed)
 
-    def test_processes_backend_bit_identity(self, tmp_path):
+    def test_processes_backend_bit_identity(self, tmp_path, force_backend):
         """The process pool (shared-memory publication, group block
         registry) is the costly path — one seed keeps the test fast."""
-        outcome = run_sweep(
-            _grid(seed=7, backend="processes", n_jobs=2),
-            tmp_path / "processes",
-        )
+        force_backend("processes")
+        outcome = run_sweep(_grid(seed=7, n_jobs=2), tmp_path / "processes")
         _assert_pinned(outcome.table2, outcome.table3, 7)
+
+    def test_jobs_reach_the_preferred_pool(self, monkeypatch):
+        """``n_jobs`` is the only execution setting, so it alone must
+        take a cell above the serial threshold to its algorithm's
+        preferred pool — with the cells of ``n_jobs=1``."""
+        import repro.engine.runner as runner
+
+        choose = runner.choose_backend
+        chosen = []
+
+        def spy(clusterer, dataset, n_restarts, n_jobs):
+            backend = choose(clusterer, dataset, n_restarts, n_jobs)
+            chosen.append((clusterer.preferred_backend, backend.name))
+            return backend
+
+        monkeypatch.setattr(runner, "choose_backend", spy)
+        axes = dict(
+            datasets=("neuroblastoma",),
+            cluster_counts=(2,),
+            algorithms=("UKmed", "MMV"),
+        )
+        reports = {}
+        for n_jobs in (1, 2):
+            chosen.clear()
+            config = ExperimentConfig(
+                scale=0.02, n_runs=2, n_samples=8, seed=5, n_jobs=n_jobs
+            )
+            reports[n_jobs] = run_table3(config, **axes)
+            if n_jobs == 1:
+                assert {name for _, name in chosen} == {"serial"}
+        assert sorted(chosen) == [
+            ("processes", "processes"), ("threads", "threads")
+        ]
+        assert reports[2].quality == reports[1].quality
 
     def test_figure_surfaces_match_direct_structure(self, tmp_path):
         """Figure cells store measured runtimes (not deterministic), so
@@ -521,6 +547,35 @@ class TestStoreSafety:
         with pytest.raises(SweepStoreError, match="unreadable"):
             run_sweep(_grid(), store, resume=True)
 
+    def test_resumes_store_written_with_any_execution_flags(self, tmp_path):
+        """Execution keys are no part of a grid's identity: a store
+        whose manifest records non-default ones (as ``--backend auto
+        --jobs 2 --batch-size auto`` used to write) resumes with every
+        cell reused at any ``n_jobs``, and diffs identical to a store
+        written with default settings."""
+        store = tmp_path / "store"
+        n_cells = len(run_sweep(_grid(), store).executed)
+        manifest = _manifest(store)
+        for surface in manifest["surfaces"].values():
+            surface["config"].update(
+                backend="auto", n_jobs=2, batch_size="auto"
+            )
+        _update(
+            store,
+            "UPDATE meta SET value = ? WHERE key = 'manifest'",
+            (canonical_dumps(manifest),),
+        )
+        for n_jobs in (1, 2):
+            outcome = run_sweep(_grid(n_jobs=n_jobs), store, resume=True)
+            assert not outcome.executed and not outcome.invalid
+            assert len(outcome.reused) == n_cells
+        assert _manifest(store) == manifest
+        reference = tmp_path / "reference"
+        run_sweep(_grid(), reference)
+        assert diff_stores(store, reference) == []
+        with pytest.raises(SweepStoreError, match="different grid"):
+            run_sweep(_grid(seed=6), store, resume=True)
+
     def test_manifest_records_grid(self, tmp_path):
         store = tmp_path / "store"
         grid = _grid()
@@ -675,18 +730,6 @@ class TestCLI:
             )
             == 2
         )
-
-    def test_batch_size_auto_parses(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["table2", "--batch-size", "auto"]
-        )
-        assert args.batch_size == "auto"
-        args = build_parser().parse_args(["table2", "--batch-size", "4"])
-        assert args.batch_size == 4
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table2", "--batch-size", "soon"])
 
 
 class TestReportingIntegration:
