@@ -63,6 +63,7 @@ from repro.clustering import (
     UKMedoids,
     auto_eps,
 )
+from repro.clustering.fdbscan import dbscan_labels
 from repro.datagen import make_blobs_uncertain
 from repro.engine import MultiRestartRunner, SerialBackend, ThreadBackend
 from repro.exceptions import ConvergenceWarning
@@ -204,7 +205,7 @@ def _legacy_fdbscan_fit(model, dataset, seed):
         probs[i + 1 :, i] = p
     expected_neighbors = probs.sum(axis=1)
     is_core = expected_neighbors >= model.min_pts
-    return FDBSCAN._expand(is_core, probs >= model.reach_prob)
+    return dbscan_labels(is_core, probs >= model.reach_prob)
 
 
 def test_density_ported(benchmark, density_data):

@@ -11,7 +11,10 @@ their exactness assertions **on**:
   at n=4000 — the dense reference is quadratic, the prefiltered path is
   what scales);
 * kNN-capped FOPTICS must produce a full ordering at n=20_000 without
-  ever materializing the dense ÊD matrix.
+  ever materializing the dense ÊD matrix;
+* U-AHC's ``"ed"`` linkage (scipy's average linkage over the ÊD
+  matrix) must cut the n=4000 roster into the requested clusters with
+  non-decreasing merge heights.
 
 Wall-clock timings for every stage are written as JSON so CI can upload
 them as an artifact and regressions stay visible across commits.
@@ -43,6 +46,7 @@ import numpy as np
 from repro.clustering import (
     FDBSCAN,
     FOPTICS,
+    UAHC,
     BasicUKMeans,
     BoundedUKMeans,
     MiniBatchUKMeans,
@@ -161,6 +165,19 @@ def run_smoke() -> List[dict]:
         fast_time,
         n=DENSITY_N,
         pair_prune_rate=round(fast.extras["pair_prune_rate"], 4),
+    )
+
+    uahc, seconds = _timed(
+        lambda: UAHC(5, linkage="ed").fit(density_data)
+    )
+    assert uahc.n_clusters == 5, f"U-AHC ed gave {uahc.n_clusters} clusters"
+    heights = np.array([step.height for step in uahc.extras["merges"]])
+    assert np.all(np.diff(heights) >= 0.0), "U-AHC ed heights decrease"
+    record(
+        "uahc_ed_fit",
+        seconds,
+        n=DENSITY_N,
+        f_measure=round(f_measure(uahc.labels, density_data.labels), 3),
     )
 
     capped, seconds = _timed(

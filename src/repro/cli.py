@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="attach to PATH as one claim-based sweep worker (other "
-        "workers — local or remote — may share the store; implies "
+        "workers on this machine may share the store; implies "
         "resume semantics)",
     )
     ps.add_argument(
@@ -597,7 +597,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     A library error (any :class:`~repro.exceptions.ReproError`, e.g. an
     invalid parameter value or a refused result store) exits 2 with a
-    one-line message, like argparse's own usage errors.
+    one-line message, like argparse's own usage errors.  Ctrl-C exits
+    130 (the shell's code for SIGINT) with one line, too.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -606,6 +607,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

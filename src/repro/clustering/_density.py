@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro._typing import FloatArray
 from repro.exceptions import InvalidParameterError
@@ -307,6 +308,24 @@ def knn_candidate_indices(
     return out
 
 
+def symmetric_csr(
+    n: int, ii: np.ndarray, jj: np.ndarray, values: np.ndarray
+) -> csr_matrix:
+    """``(n, n)`` CSR matrix holding each pair's value at ``(i, j)`` and ``(j, i)``.
+
+    ``(ii, jj, values)`` is an undirected pair list (``i != j``,
+    unique).  Every value is stored as given, explicit zeros included,
+    and column indices are sorted within each row.
+    """
+    return csr_matrix(
+        (
+            np.concatenate([values, values]),
+            (np.concatenate([ii, jj]), np.concatenate([jj, ii])),
+        ),
+        shape=(n, n),
+    )
+
+
 def scattered_row_sums(
     n: int,
     ii: np.ndarray,
@@ -327,46 +346,12 @@ def scattered_row_sums(
     pairwise tree, the *same* reduction the dense path applies, so the
     sums are bit-identical whenever the entry values are.
     """
-    src = np.concatenate([ii, jj])
-    dst = np.concatenate([jj, ii])
-    val = np.concatenate([values, values])
-    order = np.lexsort((dst, src))
-    src, dst, val = src[order], dst[order], val[order]
-    offsets = np.concatenate(
-        [[0], np.cumsum(np.bincount(src, minlength=n))]
-    ).astype(np.int64)
+    matrix = symmetric_csr(n, ii, jj, values)
     width = _block_width(n, n, block)
     out = np.empty(n)
-    buf = np.zeros((width, n))
     for i0 in range(0, n, width):
         i1 = min(i0 + width, n)
-        b = i1 - i0
-        buf[:b] = 0.0
-        counts = np.diff(offsets[i0:i1 + 1])
-        rows = np.repeat(np.arange(b), counts)
-        chunk = slice(offsets[i0], offsets[i1])
-        buf[rows, dst[chunk]] = val[chunk]
-        buf[np.arange(b), np.arange(i0, i1)] = diagonal
-        out[i0:i1] = buf[:b].sum(axis=1)
+        rows = matrix[i0:i1].toarray()
+        rows[np.arange(i1 - i0), np.arange(i0, i1)] = diagonal
+        out[i0:i1] = rows.sum(axis=1)
     return out
-
-
-def symmetric_adjacency(
-    n: int, ii: np.ndarray, jj: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR-style ``(offsets, neighbors)`` for an undirected pair list.
-
-    Both directions of every pair are materialized and neighbors are
-    sorted ascending per row — sparse traversals then visit nodes in
-    exactly the order a dense ``np.flatnonzero`` row scan would.
-    Returns ``offsets`` of shape ``(n + 1,)`` and the flat ``neighbors``
-    array; row ``i`` is ``neighbors[offsets[i]:offsets[i + 1]]``.
-    """
-    src = np.concatenate([ii, jj])
-    dst = np.concatenate([jj, ii])
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
-    counts = np.bincount(src, minlength=n)
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return offsets, dst

@@ -24,10 +24,10 @@ memory-bounded column blocks (see :mod:`repro.clustering._density`).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro._typing import SeedLike
 from repro.clustering._density import (
@@ -36,7 +36,7 @@ from repro.clustering._density import (
     pairwise_within_eps_probabilities,
     sample_radii,
     scattered_row_sums,
-    symmetric_adjacency,
+    symmetric_csr,
 )
 from repro.clustering._sampling import SampleCacheMixin
 from repro.clustering.base import ClusteringResult, UncertainClusterer
@@ -58,6 +58,38 @@ def pairwise_reach_probabilities(
     memory of the blocked kernel (auto-derived when ``None``).
     """
     return pairwise_within_eps_probabilities(samples, eps, block=block)
+
+
+def dbscan_labels(
+    is_core: np.ndarray, graph: np.ndarray | csr_matrix
+) -> np.ndarray:
+    """DBSCAN labels from core flags and a symmetric reachability graph.
+
+    ``graph`` is an ``(n, n)`` dense boolean array or scipy sparse
+    matrix whose nonzero entries are the reachability edges.  A cluster
+    is a connected component of the graph restricted to core objects,
+    numbered by its smallest member (``connected_components`` numbers
+    components in order of their smallest node); a non-core object
+    takes the smallest cluster id among its core neighbours and is
+    noise (-1) without one.  This is exactly the breadth-first DBSCAN
+    expansion seeded in ascending object order: each cluster expands
+    fully before the next starts, so a border object joins the first
+    cluster that reaches it.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    graph = csr_matrix(graph)
+    core = np.flatnonzero(is_core)
+    border = np.flatnonzero(~is_core)
+    labels = np.full(is_core.shape[0], -1, dtype=np.int64)
+    to_core = graph[:, core]
+    labels[core] = connected_components(to_core[core], directed=False)[1]
+    links = to_core[border].tocoo()
+    first = np.full(border.shape[0], core.shape[0])
+    np.minimum.at(first, links.row, labels[core[links.col]])
+    reached = first < core.shape[0]
+    labels[border[reached]] = first[reached]
+    return labels
 
 
 def auto_eps(dataset: UncertainDataset, quantile: float = 0.1) -> float:
@@ -162,13 +194,13 @@ class FDBSCAN(SampleCacheMixin, UncertainClusterer):
         extras = {"eps": eps}
         with watch.running():
             if self.prefilter:
-                is_core, labels = self._fit_prefiltered(samples, eps, extras)
+                is_core, reachable = self._prefiltered_graph(samples, eps, extras)
             else:
                 probs = pairwise_reach_probabilities(samples, eps)
                 expected_neighbors = probs.sum(axis=1)  # self included (p_ii = 1)
                 is_core = expected_neighbors >= self.min_pts
                 reachable = probs >= self.reach_prob
-                labels = self._expand(is_core, reachable)
+            labels = dbscan_labels(is_core, reachable)
         extras["n_core"] = int(is_core.sum())
         extras["n_noise"] = int(np.sum(labels < 0))
         return ClusteringResult(
@@ -177,11 +209,12 @@ class FDBSCAN(SampleCacheMixin, UncertainClusterer):
             extras=extras,
         )
 
-    def _fit_prefiltered(
+    def _prefiltered_graph(
         self, samples: np.ndarray, eps: float, extras: dict
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, csr_matrix]:
         """Radius-prefiltered path: no ``(n, n)`` matrix, same labels.
 
+        Returns the core flags and the sparse reachability graph.
         Pruned pairs have exactly-zero within-eps probability (see
         :func:`repro.clustering._density.eps_candidate_pairs`), so both
         the expected neighbor counts and the reachability edge set are
@@ -200,65 +233,12 @@ class FDBSCAN(SampleCacheMixin, UncertainClusterer):
         expected_neighbors = scattered_row_sums(n, ii, jj, pair_probs)
         is_core = expected_neighbors >= self.min_pts
         edge = pair_probs >= self.reach_prob
-        offsets, neighbors = symmetric_adjacency(n, ii[edge], jj[edge])
-        labels = self._expand_sparse(is_core, offsets, neighbors)
+        reachable = symmetric_csr(
+            n, ii[edge], jj[edge], np.ones(np.count_nonzero(edge), dtype=bool)
+        )
         total_pairs = n * (n - 1) // 2
         extras["n_candidate_pairs"] = int(ii.size)
         extras["pair_prune_rate"] = (
             1.0 - ii.size / total_pairs if total_pairs else 0.0
         )
-        return is_core, labels
-
-    @staticmethod
-    def _expand(is_core: np.ndarray, reachable: np.ndarray) -> np.ndarray:
-        """DBSCAN-style expansion over the fuzzy reachability graph."""
-        n = is_core.shape[0]
-        labels = np.full(n, -1, dtype=np.int64)
-        cluster_id = 0
-        for start in range(n):
-            if labels[start] != -1 or not is_core[start]:
-                continue
-            labels[start] = cluster_id
-            queue = deque([start])
-            while queue:
-                node = queue.popleft()
-                if not is_core[node]:
-                    continue
-                for neighbor in np.flatnonzero(reachable[node]):
-                    if labels[neighbor] == -1:
-                        labels[neighbor] = cluster_id
-                        if is_core[neighbor]:
-                            queue.append(int(neighbor))
-            cluster_id += 1
-        return labels
-
-    @staticmethod
-    def _expand_sparse(
-        is_core: np.ndarray, offsets: np.ndarray, neighbors: np.ndarray
-    ) -> np.ndarray:
-        """The same expansion over a CSR adjacency (ascending rows).
-
-        Neighbor rows are visited in ascending index order — identical
-        to the dense ``np.flatnonzero`` scan (the dense row also
-        "visits" the already-labeled self, a no-op), so both paths grow
-        clusters in the same order and assign the same ids.
-        """
-        n = is_core.shape[0]
-        labels = np.full(n, -1, dtype=np.int64)
-        cluster_id = 0
-        for start in range(n):
-            if labels[start] != -1 or not is_core[start]:
-                continue
-            labels[start] = cluster_id
-            queue = deque([start])
-            while queue:
-                node = queue.popleft()
-                if not is_core[node]:
-                    continue
-                for neighbor in neighbors[offsets[node]:offsets[node + 1]]:
-                    if labels[neighbor] == -1:
-                        labels[neighbor] = cluster_id
-                        if is_core[neighbor]:
-                            queue.append(int(neighbor))
-            cluster_id += 1
-        return labels
+        return is_core, reachable

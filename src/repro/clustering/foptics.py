@@ -21,12 +21,14 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix, issparse, triu
 
 from repro._typing import SeedLike
 from repro.clustering import _density
 from repro.clustering._density import (
     gathered_pair_expected_distances,
     knn_candidate_indices,
+    symmetric_csr,
 )
 from repro.clustering._sampling import SampleCacheMixin
 from repro.clustering.base import ClusteringResult, UncertainClusterer
@@ -46,54 +48,6 @@ def expected_distance_matrix(
     automatic block width.
     """
     return _density.expected_distance_matrix(samples, block=block)
-
-
-def cluster_ordering_sparse(
-    offsets: np.ndarray,
-    neighbors: np.ndarray,
-    neighbor_dists: np.ndarray,
-    core_dist: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """OPTICS core loop over a CSR distance graph.
-
-    Same control flow as :func:`cluster_ordering` — one dense pending
-    array, masked argmin per step (so near-tie resolution is identical)
-    — but reachability updates touch only the current object's graph
-    neighbors.  With the complete graph (``knn_cap = n - 1``) this is
-    bitwise the dense loop; with a capped graph, objects outside the
-    neighbor set simply never receive updates through the current
-    object (the lossy approximation the cap buys its memory bound
-    with).
-    """
-    n = offsets.shape[0] - 1
-    processed = np.zeros(n, dtype=bool)
-    reachability = np.full(n, np.inf)
-    ordering = np.empty(n, dtype=np.int64)
-    position = 0
-    pending = np.full(n, np.inf)
-    for start in range(n):
-        if processed[start]:
-            continue
-        pending[start] = 0.0
-        while True:
-            masked = np.where(processed, np.inf, pending)
-            current = int(np.argmin(masked))
-            if not np.isfinite(masked[current]):
-                break
-            processed[current] = True
-            reachability[current] = (
-                pending[current] if position > 0 else np.inf
-            )
-            if pending[current] == 0.0:
-                reachability[current] = np.inf  # ordering seed
-            ordering[position] = current
-            position += 1
-            row = slice(offsets[current], offsets[current + 1])
-            nbr = neighbors[row]
-            new_reach = np.maximum(core_dist[current], neighbor_dists[row])
-            improved = (~processed[nbr]) & (new_reach < pending[nbr])
-            pending[nbr[improved]] = new_reach[improved]
-    return ordering, reachability
 
 
 def knn_core_distances(
@@ -122,9 +76,17 @@ def knn_core_distances(
 
 
 def cluster_ordering(
-    distances: np.ndarray, min_pts: int
+    distances: np.ndarray | csr_matrix, min_pts: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """OPTICS core loop: returns ``(ordering, reachability)``.
+
+    ``distances`` is the dense ``(n, n)`` matrix, or a distance graph
+    as a scipy CSR matrix (absent entries are non-edges).  On a graph,
+    reachability updates touch only the current object's neighbors:
+    with the complete graph (``knn_cap = n - 1``) this is bitwise the
+    dense loop, and with a capped graph objects outside the neighbor
+    set simply never receive updates through the current object (the
+    lossy approximation the cap buys its memory bound with).
 
     ``reachability[p]`` is the reachability value of object ``p`` at the
     moment it was placed in the ordering (inf for each ordering seed).
@@ -134,8 +96,19 @@ def cluster_ordering(
         raise InvalidParameterError(
             f"min_pts ({min_pts}) exceeds the number of objects ({n})"
         )
-    # Core distance: distance to the min_pts-th nearest object (self counts).
-    core_dist = np.partition(distances, min_pts - 1, axis=1)[:, min_pts - 1]
+    if issparse(distances):
+        offsets = distances.indptr
+        core_dist = knn_core_distances(offsets, distances.data, min_pts)
+
+        def row(i: int):
+            span = slice(offsets[i], offsets[i + 1])
+            return distances.indices[span], distances.data[span]
+    else:
+        # Core distance: distance to the min_pts-th nearest object (self counts).
+        core_dist = np.partition(distances, min_pts - 1, axis=1)[:, min_pts - 1]
+
+        def row(i: int):
+            return slice(None), distances[i]
 
     processed = np.zeros(n, dtype=bool)
     reachability = np.full(n, np.inf)
@@ -161,10 +134,12 @@ def cluster_ordering(
                 reachability[current] = np.inf  # ordering seed
             ordering[position] = current
             position += 1
-            # Update reachability of the remaining objects through current.
-            new_reach = np.maximum(core_dist[current], distances[current])
-            improved = (~processed) & (new_reach < pending)
-            pending[improved] = new_reach[improved]
+            # Update reachability of the remaining neighbors through
+            # current; processed ones compete with inf and keep theirs.
+            neighbors, dist = row(current)
+            new_reach = np.maximum(core_dist[current], dist)
+            new_reach = np.where(processed[neighbors], np.inf, new_reach)
+            pending[neighbors] = np.minimum(pending[neighbors], new_reach)
     return ordering, reachability
 
 
@@ -172,14 +147,8 @@ def extract_by_threshold(
     ordering: np.ndarray, reachability: np.ndarray, threshold: float
 ) -> np.ndarray:
     """Horizontal cut: new cluster starts wherever reachability > threshold."""
-    n = ordering.shape[0]
-    labels = np.full(n, -1, dtype=np.int64)
-    cluster_id = -1
-    for pos in range(n):
-        obj = int(ordering[pos])
-        if reachability[obj] > threshold:
-            cluster_id += 1
-        labels[obj] = cluster_id
+    labels = np.empty(ordering.shape[0], dtype=np.int64)
+    labels[ordering] = np.cumsum(reachability[ordering] > threshold) - 1
     return labels
 
 
@@ -264,18 +233,14 @@ class FOPTICS(SampleCacheMixin, UncertainClusterer):
         extras: dict = {}
         with watch.running():
             if self.knn_cap is not None and n > 1:
-                offsets, neighbors, dists, n_edges = self._knn_distance_graph(
+                distances = self._knn_distance_graph(
                     samples, min(self.knn_cap, n - 1)
                 )
-                core = knn_core_distances(offsets, dists, min_pts)
-                ordering, reachability = cluster_ordering_sparse(
-                    offsets, neighbors, dists, core
-                )
                 extras["knn_cap"] = self.knn_cap
-                extras["n_graph_edges"] = n_edges
+                extras["n_graph_edges"] = distances.nnz // 2
             else:
                 distances = expected_distance_matrix(samples)
-                ordering, reachability = cluster_ordering(distances, min_pts)
+            ordering, reachability = cluster_ordering(distances, min_pts)
             labels, threshold = self._extract(ordering, reachability)
         extras.update(
             ordering=ordering.tolist(),
@@ -291,32 +256,17 @@ class FOPTICS(SampleCacheMixin, UncertainClusterer):
     @staticmethod
     def _knn_distance_graph(
         samples: np.ndarray, k_neighbors: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Union-symmetrized kNN graph with exact gathered ÊD weights.
-
-        Returns ``(offsets, neighbors, distances, n_edges)`` in CSR
-        form with ascending neighbor order per row; ``n_edges`` counts
-        undirected edges.
-        """
+    ) -> csr_matrix:
+        """Union-symmetrized kNN graph with exact gathered ÊD weights."""
         n = samples.shape[0]
         nbr = knn_candidate_indices(samples.mean(axis=1), k_neighbors)
-        ii = np.repeat(np.arange(n, dtype=np.int64), nbr.shape[1])
-        jj = nbr.ravel().astype(np.int64)
-        a = np.minimum(ii, jj)
-        b = np.maximum(ii, jj)
-        _, unique_idx = np.unique(a * n + b, return_index=True)
-        a = a[unique_idx]
-        b = b[unique_idx]
+        rows = np.repeat(np.arange(n), nbr.shape[1])
+        knn = csr_matrix(
+            (np.ones(nbr.size, dtype=bool), (rows, nbr.ravel())), shape=(n, n)
+        )
+        a, b = triu(knn + knn.T, k=1).nonzero()
         eds = gathered_pair_expected_distances(samples, a, b)
-        src = np.concatenate([a, b])
-        dst = np.concatenate([b, a])
-        val = np.concatenate([eds, eds])
-        order = np.lexsort((dst, src))
-        src, dst, val = src[order], dst[order], val[order]
-        offsets = np.concatenate(
-            [[0], np.cumsum(np.bincount(src, minlength=n))]
-        ).astype(np.int64)
-        return offsets, dst, val, int(a.size)
+        return symmetric_csr(n, a, b, eds)
 
     def _extract(
         self, ordering: np.ndarray, reachability: np.ndarray

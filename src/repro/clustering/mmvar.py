@@ -18,69 +18,19 @@ produce different partitions — which the experiments confirm.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from repro._typing import IntArray, SeedLike
+from repro._typing import SeedLike
 from repro.clustering.base import (
     ClusteringResult,
     UncertainClusterer,
     validate_n_clusters,
 )
 from repro.clustering.initialization import random_partition
-from repro.exceptions import ConvergenceWarning, InvalidParameterError
+from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
-
-
-class _MixtureStats:
-    """Per-cluster Phi/S sufficient statistics for the MMVar objective."""
-
-    __slots__ = ("phi", "mu_sum", "counts")
-
-    def __init__(self, dataset: UncertainDataset, assignment: IntArray, k: int):
-        self.phi = np.zeros((k, dataset.dim))
-        self.mu_sum = np.zeros((k, dataset.dim))
-        self.counts = np.zeros(k, dtype=np.int64)
-        np.add.at(self.phi, assignment, dataset.mu2_matrix)
-        np.add.at(self.mu_sum, assignment, dataset.mu_matrix)
-        np.add.at(self.counts, assignment, 1)
-
-    def objectives(self) -> np.ndarray:
-        """``J_MM(C_c)`` for every cluster (0 when empty)."""
-        safe = np.maximum(self.counts, 1).astype(np.float64)
-        per = self.phi.sum(axis=1) / safe - np.einsum(
-            "cj,cj->c", self.mu_sum, self.mu_sum
-        ) / (safe * safe)
-        return np.where(self.counts > 0, np.maximum(per, 0.0), 0.0)
-
-    def objective_with(self, mu2: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """``J_MM(C_c ∪ {o})`` for every cluster at once."""
-        counts = (self.counts + 1).astype(np.float64)
-        phi = self.phi.sum(axis=1) + mu2.sum()
-        mu_sum = self.mu_sum + mu
-        ups = np.einsum("cj,cj->c", mu_sum, mu_sum)
-        return np.maximum(phi / counts - ups / (counts * counts), 0.0)
-
-    def objective_without(self, cluster: int, mu2: np.ndarray, mu: np.ndarray) -> float:
-        """``J_MM(C_c \\ {o})`` for the object's own cluster."""
-        count = int(self.counts[cluster]) - 1
-        if count <= 0:
-            return 0.0
-        phi = float(self.phi[cluster].sum() - mu2.sum())
-        mu_sum = self.mu_sum[cluster] - mu
-        return max(phi / count - float(mu_sum @ mu_sum) / (count * count), 0.0)
-
-    def move(self, source: int, target: int, mu2: np.ndarray, mu: np.ndarray) -> None:
-        """Relocate one object's contribution; O(m)."""
-        self.phi[source] -= mu2
-        self.mu_sum[source] -= mu
-        self.counts[source] -= 1
-        self.phi[target] += mu2
-        self.mu_sum[target] += mu
-        self.counts[target] += 1
 
 
 class MMVar(UncertainClusterer):
@@ -189,10 +139,8 @@ class MMVar(UncertainClusterer):
                     converged = True
                     break
         if not converged:
-            warnings.warn(
-                f"MMVar hit max_iter={self.max_iter} before convergence",
-                ConvergenceWarning,
-                stacklevel=2,
+            warn_convergence(
+                f"MMVar hit max_iter={self.max_iter} before convergence"
             )
         return ClusteringResult(
             labels=assignment,

@@ -20,16 +20,19 @@ The full dendrogram is recorded; the flat clustering is obtained by
 stopping at ``n_clusters`` clusters.
 
 Under ``linkage="ed"`` the proximity between two *singleton* clusters is
-exactly the squared expected distance ``ÊD`` of Lemma 3, so the initial
-all-pairs structure is the dataset's pairwise ``ÊD`` matrix — the same
-off-line artifact UK-medoids precomputes.  U-AHC therefore rides the
-engine's pairwise-distance plane for that linkage: it declares
-``wants_pairwise_ed`` and seeds the merge structure from the injected
+exactly the squared expected distance ``ÊD`` of Lemma 3, and a merged
+cluster's representative is refit from its members' summed moments
+(Lemma 2), so ``ÊD(a∪b, c) = (n_a ÊD(a, c) + n_b ÊD(b, c)) / (n_a + n_b)``:
+the Lance–Williams recurrence of average linkage (UPGMA).  That linkage
+is therefore :func:`scipy.cluster.hierarchy.linkage` (``"average"``) over
+the dataset's pairwise ``ÊD`` matrix — the same off-line artifact
+UK-medoids precomputes.  U-AHC rides the engine's pairwise-distance
+plane for it: it declares ``wants_pairwise_ed`` and reads the injected
 ``pairwise_ed_cache`` when one is present, computing the identical
-matrix itself otherwise (bit-identical either way — both paths run
+matrix itself otherwise (both paths run
 :func:`~repro.objects.distance.pairwise_squared_expected_distances`'s
-kernel).  The Jeffreys linkage has no such precomputable seed and keeps
-the blocked in-fit build.
+kernel).  The Jeffreys linkage has no such recurrence and keeps its own
+merge loop over a blocked in-fit proximity build.
 """
 
 from __future__ import annotations
@@ -52,12 +55,7 @@ from repro.utils.timer import Stopwatch
 
 #: Variance floor for the Gaussian approximations under the Jeffreys
 #: linkage, whose divergence divides by per-dimension variances (point
-#: masses would divide by zero).  The "ed" linkage never divides, so it
-#: floors at exactly 0 (guarding only float cancellation in
-#: ``mu2 - mu^2``): its initial singleton structure is the *unfloored*
-#: pairwise ``ÊD`` matrix, and merged-row refreshes must stay on the
-#: same scale — a positive floor there would bias every
-#: merged-vs-singleton comparison by ``~2 m * floor``.
+#: masses would divide by zero).
 _VAR_FLOOR = 1e-9
 
 #: Element budget for one `(rows, n, m)` broadcast block of the initial
@@ -93,10 +91,11 @@ class UAHC(UncertainClusterer):
 
     Notes
     -----
-    Cluster mixtures are tracked by their summed moments (Lemma 2), so a
-    merge is O(m) and each proximity-row refresh is O(n·m); the overall
-    scan cost is Theta(n^2) per merge in the worst case — U-AHC belongs
-    to the "slower" group of the paper's Figure 4.
+    Under ``"jeffreys"`` cluster mixtures are tracked by their summed
+    moments (Lemma 2), so a merge is O(m) and each proximity-row refresh
+    is O(n·m); the overall scan cost is Theta(n^2) per merge in the
+    worst case — U-AHC belongs to the "slower" group of the paper's
+    Figure 4.  ``"ed"`` is average linkage, run by scipy in O(n^2).
     """
 
     name = "UAHC"
@@ -112,13 +111,9 @@ class UAHC(UncertainClusterer):
             )
         self.n_clusters = int(n_clusters)
         self.linkage = linkage
-        #: Jeffreys divides by variances and needs the positive floor;
-        #: "ed" only sums them and must match its unfloored ÊD seed.
-        self._var_floor = _VAR_FLOOR if linkage == "jeffreys" else 0.0
         #: Engine-injected shared ``ÊD`` matrix (the distance plane's
         #: injection point, like :attr:`UKMedoids.pairwise_ed_cache`);
-        #: consumed by the ``"ed"`` linkage as the initial singleton
-        #: proximity structure, ignored by ``"jeffreys"``.
+        #: consumed by the ``"ed"`` linkage, ignored by ``"jeffreys"``.
         self.pairwise_ed_cache: Optional[np.ndarray] = None
 
     @property
@@ -133,7 +128,11 @@ class UAHC(UncertainClusterer):
 
         watch = Stopwatch()
         with watch.running():
-            labels, merges = self._agglomerate(dataset, k)
+            if self.linkage == "ed":
+                merges = self._average_linkage(dataset, k)
+            else:
+                merges = self._jeffreys_merges(dataset, k)
+            labels = _cut(n, merges)
         return ClusteringResult(
             labels=labels,
             n_iterations=n - k,
@@ -144,31 +143,65 @@ class UAHC(UncertainClusterer):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _agglomerate(
+    def _average_linkage(
         self, dataset: UncertainDataset, k: int
-    ) -> tuple[np.ndarray, List[MergeStep]]:
+    ) -> List[MergeStep]:
+        """The first ``n - k`` merges of average linkage over ``ÊD``.
+
+        Reads the engine-injected ``pairwise_ed_cache`` when the
+        distance plane supplied one, and builds the same matrix with the
+        same kernel otherwise, so the plane never changes the dendrogram.
+        Each cluster is named by its smallest member, as in the Jeffreys
+        loop.
+        """
+        from scipy.cluster.hierarchy import linkage
+        from scipy.spatial.distance import squareform
+
+        n = len(dataset)
+        if self.pairwise_ed_cache is None:
+            matrix = pairwise_squared_expected_distances(dataset)
+        else:
+            matrix = np.asarray(self.pairwise_ed_cache, dtype=np.float64)
+            if matrix.shape != (n, n):
+                raise InvalidParameterError(
+                    f"pairwise_ed_cache matrix must be ({n}, {n}), "
+                    f"got {matrix.shape}"
+                )
+        if k == n:
+            return []
+        tree = linkage(squareform(matrix, checks=False), "average")
+        # scipy names the cluster formed by row i ``n + i``.
+        smallest = np.arange(2 * n - 1)
+        merges: List[MergeStep] = []
+        for row, (x, y, height, size) in enumerate(tree[: n - k]):
+            a, b = sorted((int(smallest[int(x)]), int(smallest[int(y)])))
+            smallest[n + row] = a
+            merges.append(
+                MergeStep(left=a, right=b, height=float(height), size=int(size))
+            )
+        return merges
+
+    def _jeffreys_merges(
+        self, dataset: UncertainDataset, k: int
+    ) -> List[MergeStep]:
+        """Greedy merges under the Jeffreys linkage, down to ``k`` clusters."""
         n = len(dataset)
         # Per-active-cluster summed moments (mixture moments * count).
         mu_sum = dataset.mu_matrix.copy()
         mu2_sum = dataset.mu2_matrix.copy()
         counts = np.ones(n, dtype=np.int64)
         active = np.ones(n, dtype=bool)
-        membership = np.arange(n)
 
         # Gaussian fits of every cluster mixture, maintained
         # incrementally: a merge touches only the absorbing cluster's
         # sums, so only that one row of (mix_mu, mix_var) is refreshed
         # per step instead of refitting all n clusters.
         mix_mu, mix_var = self._gaussian_parameters(mu_sum, mu2_sum, counts)
-        if self.linkage == "ed":
-            prox = self._initial_ed_proximity(dataset, n)
-        else:
-            prox = self._full_proximity(mix_mu, mix_var)
+        prox = self._full_proximity(mix_mu, mix_var)
         np.fill_diagonal(prox, np.inf)
 
         merges: List[MergeStep] = []
-        n_active = n
-        while n_active > k:
+        for _ in range(n - k):
             flat = int(np.argmin(prox))
             a, b = divmod(flat, n)
             if a > b:
@@ -179,7 +212,6 @@ class UAHC(UncertainClusterer):
             mu2_sum[a] += mu2_sum[b]
             counts[a] += counts[b]
             active[b] = False
-            membership[membership == b] = a
             merges.append(
                 MergeStep(left=a, right=b, height=height, size=int(counts[a]))
             )
@@ -191,40 +223,14 @@ class UAHC(UncertainClusterer):
             inv = 1.0 / float(counts[a])
             mix_mu[a] = mu_sum[a] * inv
             mix_var[a] = np.maximum(
-                mu2_sum[a] * inv - mix_mu[a] ** 2, self._var_floor
+                mu2_sum[a] * inv - mix_mu[a] ** 2, _VAR_FLOOR
             )
             row = self._row_against(mix_mu, mix_var, a)
             row[~active] = np.inf
             row[a] = np.inf
             prox[a, :] = row
             prox[:, a] = row
-            n_active -= 1
-
-        # Compact the surviving cluster ids to 0..k-1.
-        survivors = {old: new for new, old in enumerate(np.flatnonzero(active))}
-        labels = np.array([survivors[int(c)] for c in membership], dtype=np.int64)
-        return labels, merges
-
-    def _initial_ed_proximity(self, dataset: UncertainDataset, n: int) -> np.ndarray:
-        """Initial singleton proximities for ``linkage="ed"``.
-
-        Between singleton clusters the ``"ed"`` proximity *is* Lemma 3's
-        ``ÊD``, so the starting structure is the dataset's pairwise
-        ``ÊD`` matrix: a working copy of the engine-injected
-        ``pairwise_ed_cache`` when the distance plane supplied one
-        (copied because the agglomeration overwrites retired rows with
-        ``inf``), or the same matrix computed in place.  Both paths run
-        the identical kernel, so the plane never changes the dendrogram.
-        """
-        if self.pairwise_ed_cache is not None:
-            matrix = np.asarray(self.pairwise_ed_cache, dtype=np.float64)
-            if matrix.shape != (n, n):
-                raise InvalidParameterError(
-                    f"pairwise_ed_cache matrix must be ({n}, {n}), "
-                    f"got {matrix.shape}"
-                )
-            return np.array(matrix)
-        return pairwise_squared_expected_distances(dataset)
+        return merges
 
     def _gaussian_parameters(
         self, mu_sum: np.ndarray, mu2_sum: np.ndarray, counts: np.ndarray
@@ -233,7 +239,7 @@ class UAHC(UncertainClusterer):
         inv = 1.0 / counts.astype(np.float64)
         mix_mu = mu_sum * inv[:, None]
         mix_mu2 = mu2_sum * inv[:, None]
-        mix_var = np.maximum(mix_mu2 - mix_mu**2, self._var_floor)
+        mix_var = np.maximum(mix_mu2 - mix_mu**2, _VAR_FLOOR)
         return mix_mu, mix_var
 
     def _full_proximity(self, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
@@ -245,9 +251,7 @@ class UAHC(UncertainClusterer):
         cache-resident — and reduces the contiguous trailing axis.
         Every entry is bit-identical to the per-row loop it replaces;
         the dendrogram regression in
-        ``tests/test_density_hierarchical.py`` pins this.  (The ``"ed"``
-        linkage takes :meth:`_initial_ed_proximity` instead — its
-        singleton structure is the precomputable ``ÊD`` matrix.)
+        ``tests/test_density_hierarchical.py`` pins this.
         """
         n, m = mu.shape
         rows = max(1, _PROXIMITY_BLOCK_ELEMENTS // max(1, n * m))
@@ -265,11 +269,15 @@ class UAHC(UncertainClusterer):
         self, mu: np.ndarray, var: np.ndarray, target: int
     ) -> np.ndarray:
         diff_sq = (mu - mu[target]) ** 2
-        if self.linkage == "jeffreys":
-            # Symmetric KL between diagonal Gaussians:
-            # 0.5 sum_j [ (var_i + d^2)/var_t + (var_t + d^2)/var_i - 2 ].
-            term = (var + diff_sq) / var[target] + (var[target] + diff_sq) / var
-            return 0.5 * (term - 2.0).sum(axis=1)
-        # "ed": ÊD between the mixture representatives (Lemma 3):
-        # sigma^2_i + sigma^2_t + ||mu_i - mu_t||^2.
-        return var.sum(axis=1) + var[target].sum() + diff_sq.sum(axis=1)
+        # Symmetric KL between diagonal Gaussians:
+        # 0.5 sum_j [ (var_i + d^2)/var_t + (var_t + d^2)/var_i - 2 ].
+        term = (var + diff_sq) / var[target] + (var[target] + diff_sq) / var
+        return 0.5 * (term - 2.0).sum(axis=1)
+
+
+def _cut(n: int, merges: List[MergeStep]) -> np.ndarray:
+    """Flat labels after ``merges``, numbered by each cluster's smallest member."""
+    membership = np.arange(n)
+    for step in merges:
+        membership[membership == step.right] = step.left
+    return np.unique(membership, return_inverse=True)[1]

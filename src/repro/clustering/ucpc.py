@@ -22,8 +22,6 @@ Algorithm outline (Alg. 1 of the paper):
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro._typing import IntArray, SeedLike
@@ -38,7 +36,7 @@ from repro.clustering.initialization import (
     random_partition,
     random_seed_indices,
 )
-from repro.exceptions import ConvergenceWarning, InvalidParameterError
+from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
@@ -115,10 +113,8 @@ class UCPC(UncertainClusterer):
                 dataset, assignment, k, rng
             )
         if not converged:
-            warnings.warn(
-                f"UCPC hit max_iter={self.max_iter} before convergence",
-                ConvergenceWarning,
-                stacklevel=2,
+            warn_convergence(
+                f"UCPC hit max_iter={self.max_iter} before convergence"
             )
         return ClusteringResult(
             labels=assignment,

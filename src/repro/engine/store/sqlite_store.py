@@ -466,6 +466,12 @@ class SqliteStore:
                     (cell, owner),
                 )
 
+    def release_leases(self, owner: str) -> None:
+        """Drop every lease ``owner`` holds (a worker's exit path)."""
+        conn = self._ensure_leases()
+        with conn:
+            conn.execute("DELETE FROM leases WHERE owner = ?", (owner,))
+
     def active_leases(self) -> Dict[str, Tuple[str, float]]:
         """Every recorded lease as ``{cell_id: (owner, expires_at)}``.
 

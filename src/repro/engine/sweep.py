@@ -276,13 +276,29 @@ class _LeaseClaimer:
         self.log = log
         self.store_path = store.path
         self.lease_store = SqliteStore(store.path)
+        #: Whether a claim was ever attempted: only then does close()
+        #: touch the lease table, so a store refused up front keeps its
+        #: own error.
+        self.claimed = False
         # Deterministic per-owner rotation offset for order_groups.
         self.offset = int(hashlib.sha1(owner.encode()).hexdigest()[:8], 16)
 
     def close(self) -> None:
-        self.lease_store.close()
+        """Drop every lease this worker still holds, then the handle.
+
+        An interrupt can land anywhere between a claim and its release
+        (inside the claim, the cell body or the payload write), so the
+        exit path clears them all and a restarted worker need not wait
+        out the ttl.
+        """
+        try:
+            if self.claimed:
+                self.lease_store.release_leases(self.owner)
+        finally:
+            self.lease_store.close()
 
     def claim(self, name: str) -> bool:
+        self.claimed = True
         return self.lease_store.claim_cell(name, self.owner, self.ttl)
 
     def release(self, name: str) -> None:
@@ -295,10 +311,8 @@ class _LeaseClaimer:
         Losing the lease (stolen after a stall) is logged but does not
         abort the computation: the cell is deterministic, so finishing
         and writing anyway is harmless — both writers produce the same
-        bytes.  When the body raises (Ctrl-C, any error) the lease is
-        released before the exception propagates, so a restarted
-        worker — which has a new owner id — can claim the cell at once
-        instead of waiting out the ttl.
+        bytes.  When the body raises, :meth:`close` drops the lease on
+        the worker's way out.
         """
         stop = threading.Event()
         interval = max(self.ttl / 3.0, 0.05)
@@ -325,15 +339,11 @@ class _LeaseClaimer:
             target=beat, name="sweep-lease-heartbeat", daemon=True
         )
         thread.start()
-        finished = False
         try:
             yield
-            finished = True
         finally:
             stop.set()
             thread.join(timeout=max(1.0, interval * 2))
-            if not finished:
-                self.release(name)
 
 
 class _CellLedger:

@@ -82,11 +82,10 @@ class UnsupportedDistributionError(ReproError, TypeError):
 class SweepStoreError(ReproError, RuntimeError):
     """A sweep result store cannot be (re)used as requested.
 
-    Raised — on every store backend (JSON directory or SQLite file) —
-    when a store belongs to a different grid, already holds results and
-    ``resume`` was not requested, its manifest is unreadable, its
-    substrate is corrupt (a truncated database, a non-store path), or a
-    migration between backends fails verification — cases where
-    silently writing on would mix measurements from incompatible
-    schedules or lose cells.
+    Raised when a store belongs to a different grid, already holds
+    results and ``resume`` was not requested, its manifest is
+    unreadable, its SQLite file is corrupt or not a store (a truncated
+    database, a directory), or a JSON export or import fails
+    verification — cases where silently writing on would mix
+    measurements from incompatible schedules or lose cells.
     """

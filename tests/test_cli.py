@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
+import sqlite3
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -99,17 +102,40 @@ class TestExecution:
         assert "Figure 5" in text
 
 
-def _run_cli(*argv):
+def _cli_env():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "repro", *argv],
-        env=env,
+        env=_cli_env(),
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def _stored_cells(path, surfaces=None):
+    """Rows of the finished cells of the store at ``path`` (read-only;
+    empty while the store does not exist yet or is being created)."""
+    if not path.exists():
+        return set()
+    try:
+        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        try:
+            rows = conn.execute(
+                "SELECT cell_id, surface, group_json, cell_json, "
+                "seed_state, status, payload FROM cells"
+            ).fetchall()
+        finally:
+            conn.close()
+    except sqlite3.Error:
+        return set()
+    return {row for row in rows if surfaces is None or row[1] in surfaces}
 
 
 def _assert_one_error_line(proc):
@@ -150,6 +176,60 @@ class TestErrorBoundary:
         assert sorted(p.name for p in old.rglob("*")) == sorted(
             p.name for p in fixture.rglob("*")
         )
+
+    @pytest.mark.skipif(os.name != "posix", reason="sends a POSIX signal")
+    def test_sigint_exits_130_and_leaves_a_resumable_store(self, tmp_path):
+        """Ctrl-C during ``repro sweep --join`` exits 130 with one
+        stderr line and no traceback.  The store keeps every finished
+        cell and holds no lease; a resume reuses those cells and ends
+        equal to an uninterrupted run on table2/table3 (figure4/5
+        cells store measured runtimes)."""
+        from repro.cli import _sweep_grid
+        from repro.engine.store import open_store
+        from repro.engine.sweep import run_sweep
+
+        store = tmp_path / "S.sqlite"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep", "--join", str(store),
+             "--quick"],
+            env=_cli_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not _stored_cells(store):
+                assert proc.poll() is None, "sweep ended before the signal"
+                assert time.monotonic() < deadline, "no cell stored in 120 s"
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 130
+        assert stderr.splitlines() == ["error: interrupted"]
+        stored = {row[0] for row in _stored_cells(store)}
+        with open_store(store) as opened:
+            assert opened.active_leases() == {}
+
+        def quick_grid(*surfaces):
+            return _sweep_grid(
+                build_parser().parse_args(
+                    ["sweep", "--store", "S", "--quick", "--surfaces",
+                     *surfaces]
+                )
+            )
+
+        surfaces = ("table2", "table3", "figure4", "figure5")
+        outcome = run_sweep(quick_grid(*surfaces), store, resume=True)
+        assert stored and stored <= set(outcome.reused)
+        reference = tmp_path / "reference.sqlite"
+        run_sweep(quick_grid("table2", "table3"), reference)
+        tables = {"table2", "table3"}
+        assert _stored_cells(store, tables) == _stored_cells(reference, tables)
 
     def test_unrelated_directory_is_refused(self, tmp_path):
         target = tmp_path / "notastore"

@@ -20,13 +20,18 @@ which the discrete outputs (labels, orderings) absorb.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from repro.clustering import FDBSCAN, FOPTICS, auto_eps
 from repro.clustering import _density
 from repro.clustering.base import ClusteringResult
-from repro.clustering.fdbscan import pairwise_reach_probabilities
+from repro.clustering.fdbscan import dbscan_labels, pairwise_reach_probabilities
 from repro.clustering.foptics import cluster_ordering, expected_distance_matrix
 from repro.datagen import make_blobs_uncertain
 from repro.utils.rng import ensure_rng
@@ -69,13 +74,32 @@ def _legacy_expected_distances(samples):
     return out
 
 
-def _legacy_fdbscan_fit(model: FDBSCAN, dataset, seed) -> np.ndarray:
-    """Pre-port FDBSCAN fit: per-object sampling + row-loop estimator.
+def _legacy_expand(is_core, reachable) -> np.ndarray:
+    """Pre-port DBSCAN-style breadth-first expansion over a dense graph."""
+    n = is_core.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    cluster_id = 0
+    for start in range(n):
+        if labels[start] != -1 or not is_core[start]:
+            continue
+        labels[start] = cluster_id
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            if not is_core[node]:
+                continue
+            for neighbor in np.flatnonzero(reachable[node]):
+                if labels[neighbor] == -1:
+                    labels[neighbor] = cluster_id
+                    if is_core[neighbor]:
+                        queue.append(int(neighbor))
+        cluster_id += 1
+    return labels
 
-    Graph expansion is shared with the ported class (it was not touched
-    by the port), exactly as the pruning regression shares the repair
-    helper with basic UK-means.
-    """
+
+def _legacy_fdbscan_fit(model: FDBSCAN, dataset, seed) -> np.ndarray:
+    """Pre-port FDBSCAN fit: per-object sampling, row-loop estimator and
+    breadth-first expansion — shares no code with the ported labeling."""
     rng = ensure_rng(seed)
     eps = model.eps if model.eps is not None else auto_eps(
         dataset, model.eps_quantile
@@ -85,7 +109,7 @@ def _legacy_fdbscan_fit(model: FDBSCAN, dataset, seed) -> np.ndarray:
     expected_neighbors = probs.sum(axis=1)
     is_core = expected_neighbors >= model.min_pts
     reachable = probs >= model.reach_prob
-    return FDBSCAN._expand(is_core, reachable)
+    return _legacy_expand(is_core, reachable)
 
 
 def _legacy_foptics_fit(model: FOPTICS, dataset, seed):
@@ -158,6 +182,38 @@ class TestDensityEquivalenceRegression:
             batched = data.sample_tensor(16, seed=seed)
             legacy = _legacy_sample_tensor(data, 16, ensure_rng(seed))
             np.testing.assert_array_equal(batched, legacy)
+
+
+@st.composite
+def _core_graphs(draw):
+    """A random symmetric reachability graph and random core flags.
+
+    Self-loops are drawn both ways: the dense probability matrix has
+    them, the prefiltered pair list does not."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    density = draw(st.floats(min_value=0.0, max_value=0.5))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    reachable = upper | upper.T
+    np.fill_diagonal(reachable, draw(st.booleans()))
+    is_core = rng.random(n) < draw(st.floats(min_value=0.0, max_value=1.0))
+    return is_core, reachable
+
+
+class TestConnectedComponentLabeling:
+    """``dbscan_labels`` (connected components over core objects) is
+    exactly the frozen breadth-first expansion, dense or sparse."""
+
+    @given(_core_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_breadth_first_expansion(self, case):
+        is_core, reachable = case
+        expected = _legacy_expand(is_core, reachable)
+        np.testing.assert_array_equal(dbscan_labels(is_core, reachable), expected)
+        np.testing.assert_array_equal(
+            dbscan_labels(is_core, csr_matrix(reachable)), expected
+        )
 
 
 class TestBlockedKernels:

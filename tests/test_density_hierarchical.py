@@ -176,92 +176,129 @@ class TestUAHC:
         heights = [m.height for m in merges]
         assert heights[0] <= max(heights)
 
-    @pytest.mark.parametrize("linkage", ["jeffreys", "ed"])
-    def test_vectorized_proximity_preserves_merge_order_bit_exactly(
-        self, linkage
-    ):
-        """The vectorized initial proximity structure and the
-        incremental per-merge Gaussian refresh must reproduce the
-        per-row reference implementation *bit for bit* — agglomerative
-        merge order is decided by float comparisons, so even one ulp of
-        drift reorders dendrograms.  For ``linkage="ed"`` the singleton
-        structure is by definition the dataset's pairwise ÊD matrix
-        (the distance-plane artifact), so the reference builds it with
-        the same kernel — and refreshed rows use the model's own
-        variance floor (0 for "ed", matching the unfloored seed); the
-        per-row path still covers every merged-row refresh."""
-        from repro.datagen import make_blobs_uncertain
+    @staticmethod
+    def _reference_agglomerate(dataset, k, linkage):
+        """Per-row reference loop for both linkages.
+
+        Greedy merges of the closest pair (first flat index on ties),
+        summed-moment mixture refits and per-row proximity refreshes.
+        Jeffreys rows use the model's own row kernel and variance floor;
+        ``"ed"`` rows use Lemma 3 between mixture representatives
+        (``sigma^2_i + sigma^2_t + ||mu_i - mu_t||^2``) with a zero
+        floor, seeded by the dataset's pairwise ÊD matrix.
+        """
+        from repro.clustering.uahc import _VAR_FLOOR
         from repro.objects.distance import (
             pairwise_squared_expected_distances,
         )
 
+        model = UAHC(n_clusters=k, linkage=linkage)
+        floor = _VAR_FLOOR if linkage == "jeffreys" else 0.0
+        n = len(dataset)
+        mu_sum = dataset.mu_matrix.copy()
+        mu2_sum = dataset.mu2_matrix.copy()
+        counts = np.ones(n, dtype=np.int64)
+        active = np.ones(n, dtype=bool)
+        membership = np.arange(n)
+
+        def gaussians():
+            inv = 1.0 / counts.astype(np.float64)
+            mix_mu = mu_sum * inv[:, None]
+            mix_mu2 = mu2_sum * inv[:, None]
+            return mix_mu, np.maximum(mix_mu2 - mix_mu**2, floor)
+
+        def row_against(mu, var, target):
+            if linkage == "jeffreys":
+                return model._row_against(mu, var, target)
+            diff_sq = (mu - mu[target]) ** 2
+            return var.sum(axis=1) + var[target].sum() + diff_sq.sum(axis=1)
+
+        mu, var = gaussians()
+        if linkage == "ed":
+            prox = pairwise_squared_expected_distances(dataset)
+        else:
+            prox = np.empty((n, n))
+            for i in range(n):
+                prox[i] = row_against(mu, var, i)
+        np.fill_diagonal(prox, np.inf)
+        merges = []
+        n_active = n
+        while n_active > k:
+            flat = int(np.argmin(prox))
+            a, b = divmod(flat, n)
+            if a > b:
+                a, b = b, a
+            height = float(prox[a, b])
+            mu_sum[a] += mu_sum[b]
+            mu2_sum[a] += mu2_sum[b]
+            counts[a] += counts[b]
+            merges.append((a, b, int(counts[a]), height))
+            active[b] = False
+            membership[membership == b] = a
+            prox[b, :] = np.inf
+            prox[:, b] = np.inf
+            mu, var = gaussians()
+            row = row_against(mu, var, a)
+            row[~active] = np.inf
+            row[a] = np.inf
+            prox[a, :] = row
+            prox[:, a] = row
+            n_active -= 1
+        survivors = {
+            old: new for new, old in enumerate(np.flatnonzero(active))
+        }
+        labels = np.array(
+            [survivors[int(c)] for c in membership], dtype=np.int64
+        )
+        return labels, merges
+
+    def _assert_matches_reference_loop(self, dataset, k, linkage):
+        result = UAHC(n_clusters=k, linkage=linkage).fit(dataset)
+        labels, merges = self._reference_agglomerate(dataset, k, linkage)
+        np.testing.assert_array_equal(result.labels, labels)
+        got = result.extras["merges"]
+        assert [(m.left, m.right, m.size) for m in got] == [
+            (a, b, size) for a, b, size, _ in merges
+        ]
+        heights = [m.height for m in got]
+        reference = [height for *_, height in merges]
+        if linkage == "jeffreys":
+            assert heights == reference
+        else:
+            np.testing.assert_allclose(heights, reference, rtol=1e-12)
+            assert np.all(np.diff(heights) >= 0.0)
+
+    @pytest.mark.parametrize("linkage", ["jeffreys", "ed"])
+    def test_vectorized_proximity_preserves_merge_order_bit_exactly(
+        self, linkage
+    ):
+        """Jeffreys: the vectorized initial proximity structure and the
+        incremental per-merge Gaussian refresh must reproduce the
+        per-row reference loop *bit for bit* — agglomerative merge
+        order is decided by float comparisons, so even one ulp of drift
+        reorders dendrograms.  ``"ed"`` runs scipy's average linkage
+        over the ÊD matrix instead of that loop: same partition, same
+        merge pairs and sizes, non-decreasing heights equal to the
+        loop's up to float reassociation (the Lance–Williams recurrence
+        and the Lemma 3 refit differ only in rounding)."""
         data = make_blobs_uncertain(
             n_objects=120, n_clusters=4, n_attributes=5, separation=1.5,
             seed=3,
         )
-        model = UAHC(n_clusters=4, linkage=linkage)
+        self._assert_matches_reference_loop(data, 4, linkage)
 
-        def legacy_agglomerate(dataset, k):
-            n = len(dataset)
-            mu_sum = dataset.mu_matrix.copy()
-            mu2_sum = dataset.mu2_matrix.copy()
-            counts = np.ones(n, dtype=np.int64)
-            active = np.ones(n, dtype=bool)
-            membership = np.arange(n)
+    @pytest.mark.parametrize("family", ["uniform", "normal", "exponential"])
+    @pytest.mark.parametrize("name", ["iris", "wine", "glass", "ecoli"])
+    def test_ed_partitions_on_benchmark_stand_ins(self, name, family):
+        from repro.datagen import UncertaintyGenerator, make_benchmark
 
-            def gaussians():
-                inv = 1.0 / counts.astype(np.float64)
-                mix_mu = mu_sum * inv[:, None]
-                mix_mu2 = mu2_sum * inv[:, None]
-                return mix_mu, np.maximum(
-                    mix_mu2 - mix_mu**2, model._var_floor
-                )
-
-            mu, var = gaussians()
-            if linkage == "ed":
-                prox = pairwise_squared_expected_distances(dataset)
-            else:
-                prox = np.empty((n, n))
-                for i in range(n):
-                    prox[i] = model._row_against(mu, var, i)
-            np.fill_diagonal(prox, np.inf)
-            merges = []
-            n_active = n
-            while n_active > k:
-                flat = int(np.argmin(prox))
-                a, b = divmod(flat, n)
-                if a > b:
-                    a, b = b, a
-                merges.append((a, b, float(prox[a, b])))
-                mu_sum[a] += mu_sum[b]
-                mu2_sum[a] += mu2_sum[b]
-                counts[a] += counts[b]
-                active[b] = False
-                membership[membership == b] = a
-                prox[b, :] = np.inf
-                prox[:, b] = np.inf
-                mu, var = gaussians()
-                row = model._row_against(mu, var, a)
-                row[~active] = np.inf
-                row[a] = np.inf
-                prox[a, :] = row
-                prox[:, a] = row
-                n_active -= 1
-            survivors = {
-                old: new for new, old in enumerate(np.flatnonzero(active))
-            }
-            labels = np.array(
-                [survivors[int(c)] for c in membership], dtype=np.int64
-            )
-            return labels, merges
-
-        labels, merges = model._agglomerate(data, 4)
-        ref_labels, ref_merges = legacy_agglomerate(data, 4)
-        np.testing.assert_array_equal(labels, ref_labels)
-        assert [(m.left, m.right) for m in merges] == [
-            (a, b) for a, b, _ in ref_merges
-        ]
-        assert [m.height for m in merges] == [h for _, _, h in ref_merges]
+        points, classes = make_benchmark(name, seed=0)
+        dataset = UncertaintyGenerator(family).generate(
+            points, classes, seed=1
+        ).uncertain
+        self._assert_matches_reference_loop(
+            dataset, int(classes.max()) + 1, "ed"
+        )
 
     def test_ed_heights_exact_on_point_masses(self):
         """The "ed" linkage floors variances at 0, so dendrogram heights
@@ -283,6 +320,17 @@ class TestUAHC:
     def test_k_equals_n_is_identity(self, mixed_dataset):
         result = UAHC(n_clusters=len(mixed_dataset)).fit(mixed_dataset)
         assert result.n_clusters == len(mixed_dataset)
+        assert result.extras["merges"] == []
+
+    @pytest.mark.parametrize("linkage", ["jeffreys", "ed"])
+    def test_single_object(self, linkage):
+        """One object is already one cluster (scipy's linkage needs two
+        observations, so ``"ed"`` must not call it)."""
+        from repro.objects import UncertainDataset
+
+        data = UncertainDataset.from_points([[1.0, 2.0]])
+        result = UAHC(n_clusters=1, linkage=linkage).fit(data)
+        assert result.labels.tolist() == [0]
         assert result.extras["merges"] == []
 
     def test_k_one_merges_all(self, mixed_dataset):

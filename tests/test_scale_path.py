@@ -26,10 +26,15 @@ import pytest
 from repro.clustering import (
     FDBSCAN,
     FOPTICS,
+    UCPC,
     BasicUKMeans,
     BoundedUKMeans,
     MiniBatchUKMeans,
+    MMVar,
+    UCPCLloyd,
     UKMeans,
+    UKMedoids,
+    VarianceOnlyClustering,
 )
 from repro.clustering._density import (
     eps_candidate_pairs,
@@ -39,7 +44,6 @@ from repro.clustering._density import (
     knn_candidate_indices,
     sample_radii,
     scattered_row_sums,
-    symmetric_adjacency,
 )
 from repro.datagen import make_blobs_uncertain
 from repro.evaluation import f_measure
@@ -259,6 +263,20 @@ class TestCappedFOPTICS:
             assert capped.extras["reachability"] == dense.extras["reachability"]
             np.testing.assert_array_equal(dense.labels, capped.labels)
 
+    def test_full_cap_keeps_zero_distance_edges(self):
+        """Duplicated point masses sit at expected distance exactly 0;
+        the capped graph must keep those edges (a sparse format that
+        drops explicit zeros would cut them and raise core distances)."""
+        points = np.repeat([[0.0], [1.0], [5.0], [6.0], [20.0]], 3, axis=0)
+        data = UncertainDataset.from_points(points)
+        n = len(data)
+        dense = FOPTICS(min_pts=2, n_samples=4).fit(data, seed=0)
+        capped = FOPTICS(min_pts=2, n_samples=4, knn_cap=n - 1).fit(
+            data, seed=0
+        )
+        assert capped.extras["ordering"] == dense.extras["ordering"]
+        assert capped.extras["reachability"] == dense.extras["reachability"]
+
     def test_small_cap_is_sane(self):
         data = make_blobs_uncertain(
             n_objects=80, n_clusters=3, separation=6.0, seed=7
@@ -337,15 +355,6 @@ class TestDensityHelpers:
         with pytest.raises(InvalidParameterError):
             knn_candidate_indices(means, n)
 
-    def test_symmetric_adjacency_sorted_rows(self):
-        ii = np.array([0, 2, 1], dtype=np.int64)
-        jj = np.array([3, 4, 2], dtype=np.int64)
-        offsets, neighbors = symmetric_adjacency(5, ii, jj)
-        rows = [
-            neighbors[offsets[i]: offsets[i + 1]].tolist() for i in range(5)
-        ]
-        assert rows == [[3], [2], [1, 4], [0], [2]]
-
 
 class TestConvergenceWarningSemantics:
     """warn_convergence fires once per *fit*, not once per process."""
@@ -353,18 +362,30 @@ class TestConvergenceWarningSemantics:
     def _unconverging_fit(self, data):
         BasicUKMeans(n_clusters=4, n_samples=8, max_iter=1).fit(data, seed=0)
 
-    def test_warns_on_every_fit(self, overlap_data):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: BasicUKMeans(n_clusters=4, n_samples=8, max_iter=1),
+            lambda: UCPC(n_clusters=4, max_iter=1),
+            lambda: MMVar(n_clusters=4, max_iter=1),
+            lambda: UKMedoids(n_clusters=4, max_iter=1),
+            lambda: VarianceOnlyClustering(n_clusters=4, max_iter=1),
+            lambda: UCPCLloyd(n_clusters=4, max_iter=1),
+        ],
+        ids=["bUKM", "UCPC", "MMV", "UKmed", "VarOnly", "UCPC-Lloyd"],
+    )
+    def test_warns_on_every_fit(self, overlap_data, make):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
-            self._unconverging_fit(overlap_data)
-            self._unconverging_fit(overlap_data)
+            for _ in range(3):
+                make().fit(overlap_data, seed=0)
         messages = [
             w for w in caught if issubclass(w.category, ConvergenceWarning)
         ]
         # The stdlib "default" filter dedups by (message, module, lineno)
-        # registry; warn_convergence resets the registry so the second
-        # fit is not silently swallowed.
-        assert len(messages) == 2
+        # registry; warn_convergence resets the registry so later fits
+        # are not silently swallowed.
+        assert len(messages) == 3
 
     def test_filters_still_apply(self, overlap_data):
         with warnings.catch_warnings(record=True) as caught:

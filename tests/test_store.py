@@ -1275,6 +1275,26 @@ class TestMultiWorkerSweep:
         run_sweep(_grid(), reference)
         assert _sqlite_rows(reference) == _sqlite_rows(path)
 
+    def test_interrupt_while_storing_releases_the_lease(
+        self, tmp_path, monkeypatch
+    ):
+        """Ctrl-C can also land after the cell body, while its payload
+        is written (or inside the claim): the worker's exit path must
+        still drop every lease it holds."""
+        path = store_path(tmp_path)
+
+        def interrupted(self, *args, **kwargs):
+            raise KeyboardInterrupt("simulated Ctrl-C")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SqliteStore, "write_cell", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                run_sweep_worker(
+                    _grid(), path, worker_id="test:first", max_passes=1
+                )
+        with open_store(path) as store:
+            assert store.active_leases() == {}
+
     @every_suffix
     def test_two_workers_one_sigkilled_identical(self, tmp_path, suffix):
         """Acceptance: a 2-process cluster on one store — with one
