@@ -22,7 +22,7 @@ Both datasets derive from the *same* per-point pdfs, which is what makes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
 from repro.objects.uncertain_object import UncertainObject
 from repro.uncertainty.base import UnivariateDistribution
+from repro.uncertainty.batch import quantile_transform
 from repro.uncertainty.exponential import TruncatedExponentialDistribution
 from repro.uncertainty.normal import TruncatedNormalDistribution
 from repro.uncertainty.product import IndependentProduct
@@ -101,7 +102,7 @@ class UncertaintyGenerator:
         self.use_mcmc = bool(use_mcmc)
 
     # ------------------------------------------------------------------
-    # Main entry point
+    # Main entry points
     # ------------------------------------------------------------------
     def generate(
         self,
@@ -110,6 +111,43 @@ class UncertaintyGenerator:
         seed: SeedLike = None,
     ) -> UncertainDataPair:
         """Generate the Case-1 / Case-2 dataset pair for ``points``."""
+        draws, uncertain = self._inject(points, labels, seed)
+        return UncertainDataPair(
+            perturbed=UncertainDataset.from_points(draws, labels),
+            uncertain=uncertain,
+        )
+
+    def uncertain_dataset(
+        self,
+        points: np.ndarray,
+        labels: Optional[np.ndarray] = None,
+        seed: SeedLike = None,
+    ) -> UncertainDataset:
+        """Only the Case-2 uncertain dataset (``D''``).
+
+        The Case-1 draws are still taken from the random stream, so a
+        shared Generator ends where :meth:`generate` leaves it; ``D'``
+        itself is not built.
+        """
+        return self._inject(points, labels, seed)[1]
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _inject(
+        self,
+        points: np.ndarray,
+        labels: Optional[np.ndarray],
+        seed: SeedLike,
+    ) -> Tuple[np.ndarray, UncertainDataset]:
+        """The Case-1 draws, one row per point, and the dataset ``D''``.
+
+        Randomness is consumed in the order of the per-point definition:
+        all scales, then for each point its exponential directions (one
+        per dimension) followed by its Case-1 draw.  Monte Carlo takes
+        that as one uniform matrix; the MCMC chain draws from the same
+        stream between points, so it keeps a loop over points.
+        """
         pts = ensure_matrix(points, "points")
         n, m = pts.shape
         if labels is not None and len(labels) != n:
@@ -122,109 +160,88 @@ class UncertaintyGenerator:
         column_std = np.where(column_std > 0, column_std, 1.0)
         scales = rng.uniform(0.1, 1.0, size=(n, m)) * self.spread * column_std
 
-        perturbed_objects: List[UncertainObject] = []
-        uncertain_objects: List[UncertainObject] = []
-        mcmc = (
-            MetropolisHastingsSampler(seed=rng) if self.use_mcmc else None
-        )
-        for i in range(n):
-            label = None if labels is None else int(labels[i])
-            full_marginals = self._point_pdf(pts[i], scales[i], rng, mass=1.0)
-            trunc_marginals = self._point_pdf(pts[i], scales[i], rng, mass=self.mass,
-                                              reuse=full_marginals)
-            full = IndependentProduct(full_marginals)
-            truncated = IndependentProduct(trunc_marginals)
+        exponential = self.family == "exponential"
+        if self.use_mcmc:
+            mcmc = MetropolisHastingsSampler(seed=rng)
+            draws = np.empty((n, m))
+            products = []
+            for i in range(n):
+                directions = _directions(rng.random((1, m))) if exponential else None
+                _, _, rows = self._pdfs(pts[i:i + 1], scales[i:i + 1], directions)
+                product = IndependentProduct(rows[0])
+                # MCMC needs a bounded support: target the truncated pdf,
+                # whose region carries `mass` of f_w — the perturbations
+                # the paper draws are equally representative of f_w.
+                draws[i] = mcmc.draw(product.pdf, product.region, size=1)[0]
+                products.append(product)
+        else:
+            uniforms = rng.random((n, 2 * m if exponential else m))
+            directions = _directions(uniforms[:, :m]) if exponential else None
+            family, params, rows = self._pdfs(pts, scales, directions)
+            draws = quantile_transform(family)(uniforms[:, -m:], *params)
+            products = [IndependentProduct(row) for row in rows]
+        uncertain = UncertainDataset([
+            UncertainObject(
+                product, label=None if labels is None else int(labels[i])
+            )
+            for i, product in enumerate(products)
+        ])
+        return draws, uncertain
 
-            draw = self._perturb(full, truncated, mcmc, rng)
-            perturbed_objects.append(UncertainObject.from_point(draw, label=label))
-            uncertain_objects.append(UncertainObject(truncated, label=label))
-        return UncertainDataPair(
-            perturbed=UncertainDataset(perturbed_objects),
-            uncertain=UncertainDataset(uncertain_objects),
-        )
-
-    def uncertain_dataset(
+    def _pdfs(
         self,
-        points: np.ndarray,
-        labels: Optional[np.ndarray] = None,
-        seed: SeedLike = None,
-    ) -> UncertainDataset:
-        """Only the Case-2 uncertain dataset (``D''``)."""
-        return self.generate(points, labels, seed).uncertain
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _point_pdf(
-        self,
-        point: np.ndarray,
+        pts: np.ndarray,
         scales: np.ndarray,
-        rng: np.random.Generator,
-        mass: float,
-        reuse: Optional[List[UnivariateDistribution]] = None,
-    ) -> List[UnivariateDistribution]:
-        """Marginals of ``f_w`` with expected value = ``point``.
+        directions: Optional[np.ndarray],
+    ) -> Tuple[type, tuple, List[List[UnivariateDistribution]]]:
+        """Every cell's ``f_w``: its family and quantile-transform
+        parameters (Case 1), and its Case-2 truncation to ``mass``.
 
-        When ``reuse`` is given (the untruncated marginals), the same
-        parameters are re-truncated to ``mass`` instead of re-drawing —
-        guaranteeing D' and D'' share the same underlying pdf.
+        ``f_w`` has expected value ``w``.  The truncated marginals are
+        derived from ``f_w``'s own parameters, with the float operations
+        of building ``f_w`` first and truncating it after, so D' and D''
+        share one pdf.
         """
-        marginals: List[UnivariateDistribution] = []
-        for j, (w, s) in enumerate(zip(point, scales)):
-            if self.family == "uniform":
-                if reuse is not None:
-                    base = reuse[j]
-                    half = 0.5 * (base.support_upper - base.support_lower)
-                    center = 0.5 * (base.support_upper + base.support_lower)
-                else:
-                    half = float(s) * np.sqrt(3.0)  # std s => half-width s*sqrt(3)
-                    center = float(w)
-                # A uniform's central `mass` interval is just a narrower
-                # uniform around the same center.
-                marginals.append(
-                    UniformDistribution.centered(center, half * mass)
-                    if mass < 1.0
-                    else UniformDistribution.centered(center, half)
-                )
-            elif self.family == "normal":
-                if reuse is not None:
-                    base = reuse[j]
-                    loc = base.loc  # type: ignore[attr-defined]
-                    scale = base.scale  # type: ignore[attr-defined]
-                else:
-                    loc = float(w)
-                    scale = float(s)
-                marginals.append(
-                    TruncatedNormalDistribution.central_mass(loc, scale, mass)
-                )
-            else:  # exponential
-                if reuse is not None:
-                    base = reuse[j]
-                    rate = base.rate  # type: ignore[attr-defined]
-                    direction = base.direction  # type: ignore[attr-defined]
-                    mean = base.origin + direction / rate  # type: ignore[attr-defined]
-                else:
-                    rate = 1.0 / float(s)
-                    direction = 1 if rng.random() < 0.5 else -1
-                    mean = float(w)
-                marginals.append(
-                    TruncatedExponentialDistribution.with_mean(
-                        mean, rate, direction=direction, mass=mass
-                    )
-                )
-        return marginals
+        mass = self.mass
+        if self.family == "uniform":
+            half = scales * np.sqrt(3.0)  # std s => half-width s*sqrt(3)
+            lower, upper = pts - half, pts + half
+            # A uniform's central `mass` interval is just a narrower
+            # uniform around the same center.
+            center = 0.5 * (upper + lower)
+            half = 0.5 * (upper - lower) * mass
+            truncated = _cells(UniformDistribution, center - half, center + half)
+            return UniformDistribution, (lower, upper - lower), truncated
+        if self.family == "normal":
+            truncated = _cells(
+                lambda loc, scale: TruncatedNormalDistribution.central_mass(
+                    loc, scale, mass
+                ),
+                pts,
+                scales,
+            )
+            # Untruncated: cdf(lower) = 0, captured mass 1.
+            params = (pts, scales, -np.inf, np.inf, 0.0, 1.0)
+            return TruncatedNormalDistribution, params, truncated
+        rate = 1.0 / scales
+        origin = pts - directions / rate  # the untruncated mean is w
+        truncated = _cells(
+            lambda mean, rate, direction: TruncatedExponentialDistribution.with_mean(
+                mean, rate, direction=int(direction), mass=mass
+            ),
+            origin + directions / rate,  # f_w's mean, as read back from f_w
+            rate,
+            directions,
+        )
+        params = (origin, rate, directions, np.inf, 1.0)
+        return TruncatedExponentialDistribution, params, truncated
 
-    def _perturb(
-        self,
-        full: IndependentProduct,
-        truncated: IndependentProduct,
-        mcmc: Optional[MetropolisHastingsSampler],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """One perturbation draw from ``f_w`` (MC or MCMC)."""
-        if mcmc is None:
-            return full.sample(1, rng)[0]
-        # MCMC needs a bounded support: target the truncated pdf, whose
-        # region carries `mass` of f_w — the perturbations the paper
-        # draws are equally representative of f_w.
-        return mcmc.draw(truncated.pdf, truncated.region, size=1)[0]
+
+def _directions(uniforms: np.ndarray) -> np.ndarray:
+    """Exponential decay directions, +1 or -1 with probability 1/2 each."""
+    return np.where(uniforms < 0.5, 1.0, -1.0)
+
+
+def _cells(make, *params: np.ndarray) -> List[List[UnivariateDistribution]]:
+    """``make(*cell_params)`` for every cell of ``(n, m)`` parameter arrays."""
+    return [list(map(make, *row)) for row in zip(*(p.tolist() for p in params))]

@@ -60,8 +60,8 @@ def internal_scores(
     labels:
         Cluster label per object; -1 marks noise.
     distances:
-        Optional precomputed pairwise ``ÊD`` matrix (reused across the
-        many clusterings scored in one experiment).
+        Optional precomputed pairwise ``ÊD`` matrix, ``(n, n)`` (reused
+        across the many clusterings scored in one experiment).
     noise_policy:
         ``"residual"`` (default) — noise objects form one residual
         cluster, mirroring the F-measure's treatment, so an algorithm
@@ -72,55 +72,76 @@ def internal_scores(
         raise InvalidParameterError(
             f"noise_policy must be 'residual' or 'exclude', got {noise_policy!r}"
         )
+    n = len(dataset)
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != len(dataset):
-        raise InvalidParameterError("labels length must match dataset size")
+    if labels.shape != (n,):
+        raise InvalidParameterError(
+            f"labels must be 1-D with one entry per object ({n}), "
+            f"got shape {labels.shape}"
+        )
+    if distances is None:
+        distances = pairwise_squared_expected_distances(dataset)
+    elif np.shape(distances) != (n, n):
+        raise InvalidParameterError(
+            f"distances must be ({n}, {n}) for {n} objects, "
+            f"got shape {np.shape(distances)}"
+        )
     if noise_policy == "residual" and np.any(labels < 0):
         labels = labels.copy()
         labels[labels < 0] = labels.max() + 1
-    if distances is None:
-        distances = pairwise_squared_expected_distances(dataset)
 
     max_dist = float(distances.max())
     if max_dist <= 0.0:
         return InternalScores(intra=0.0, inter=0.0)
 
-    cluster_ids = np.unique(labels[labels >= 0])
-    if cluster_ids.size == 0:
+    scored = np.flatnonzero(labels >= 0)
+    if scored.size == 0:
         return InternalScores(intra=0.0, inter=0.0)
+    # Scored objects by cluster (ascending id), each cluster's members in
+    # ascending index order: cluster a is order[bounds[a]:bounds[a + 1]].
+    order = scored[np.argsort(labels[scored], kind="stable")]
+    sizes = np.unique(labels[scored], return_counts=True)[1]
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    k = sizes.size
 
-    members = [np.flatnonzero(labels == c) for c in cluster_ids]
-
-    # intra: average over clusters of the mean pairwise ÊD inside each.
-    # Singleton clusters have an undefined (0/0) term in the paper's
-    # formula; they are excluded from the average rather than counted as
-    # zero — counting them as zero would let a clustering inflate Q by
-    # shedding singletons.
+    # Cluster b's columns with the rows in cluster order make every
+    # (a, b) block a contiguous row slice, holding exactly the elements
+    # of distances[np.ix_(C_a, C_b)] in its row-major layout: the block
+    # sums are numpy's pairwise sums over the same sequence, bit for bit.
     intra_terms = []
-    for idx in members:
-        size = idx.size
-        if size < 2:
-            continue
-        block = distances[np.ix_(idx, idx)]
-        off_diag = block.sum() - np.trace(block)
-        intra_terms.append(off_diag / (size * (size - 1)))
+    block_means = np.zeros((k, k))
+    for b in range(k):
+        size_b = bounds[b + 1] - bounds[b]
+        if size_b == n:  # one cluster holding every object, in order
+            columns = np.ascontiguousarray(distances)
+        else:
+            columns = distances[np.ix_(order, order[bounds[b]:bounds[b + 1]])]
+        for a in range(k):
+            block = columns[bounds[a]:bounds[a + 1]]
+            if a != b:
+                block_means[a, b] = block.sum() / (block.shape[0] * size_b)
+            elif size_b > 1:
+                # intra: mean pairwise ÊD inside the cluster.  Singleton
+                # clusters have an undefined (0/0) term in the paper's
+                # formula; they are excluded from the average rather than
+                # counted as zero — counting them as zero would let a
+                # clustering inflate Q by shedding singletons.
+                off_diag = block.sum() - np.trace(block)
+                intra_terms.append(off_diag / (size_b * (size_b - 1)))
+        del columns, block  # free this block before gathering the next
     if intra_terms:
         intra = float(np.mean(intra_terms)) / max_dist
     else:
         intra = 0.0
 
-    # inter: average over ordered cluster pairs of the mean cross ÊD.
-    k = len(members)
+    # inter: average over ordered cluster pairs of the mean cross ÊD,
+    # accumulated one pair at a time in (a, b) order.
     if k < 2:
         inter = 0.0
     else:
         total = 0.0
-        for a in range(k):
-            for b in range(k):
-                if a == b:
-                    continue
-                block = distances[np.ix_(members[a], members[b])]
-                total += block.mean()
+        for mean in block_means[~np.eye(k, dtype=bool)].tolist():
+            total += mean
         inter = total / (k * (k - 1)) / max_dist
 
     return InternalScores(intra=float(np.clip(intra, 0.0, 1.0)),

@@ -89,6 +89,15 @@ def batch_families() -> Tuple[type, ...]:
     return tuple(_FAMILIES)
 
 
+def quantile_transform(family: type) -> ApplyFn:
+    """The registered vectorized inverse CDF of ``family``.
+
+    ``apply(q, *params)`` broadcasts, so per-cell parameters may be
+    ``(n, m)`` arrays against an ``(n, m)`` quantile matrix.
+    """
+    return _FAMILIES[family][1]
+
+
 def is_batchable(dist: MultivariateDistribution) -> bool:
     """Whether ``dist`` is sampled by the grouped fast path.
 

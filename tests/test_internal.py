@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datagen import make_blobs_uncertain
 from repro.evaluation import internal_scores, quality_score
@@ -118,3 +122,154 @@ class TestInternalScores:
         q_near = quality_score(near, np.array(near.labels))
         q_far = quality_score(far, np.array(far.labels))
         assert q_far > q_near
+
+    def test_distances_larger_than_dataset(self, blob_dataset):
+        n = len(blob_dataset)
+        distances = pairwise_squared_expected_distances(make_blobs_uncertain(
+            n_objects=n + 10, n_clusters=3, seed=3
+        ))
+        with pytest.raises(InvalidParameterError, match="distances"):
+            internal_scores(blob_dataset, np.zeros(n, dtype=int), distances)
+
+    def test_distances_smaller_than_dataset(self, blob_dataset):
+        n = len(blob_dataset)
+        distances = pairwise_squared_expected_distances(blob_dataset)
+        with pytest.raises(InvalidParameterError, match="distances"):
+            internal_scores(
+                blob_dataset, np.arange(n) % 3, distances[: n // 2, : n // 2]
+            )
+
+    def test_distances_not_square(self, blob_dataset):
+        n = len(blob_dataset)
+        distances = pairwise_squared_expected_distances(blob_dataset)
+        with pytest.raises(InvalidParameterError, match="distances"):
+            internal_scores(blob_dataset, np.arange(n) % 3, distances[:, :-1])
+
+    @pytest.mark.parametrize("shape", [(), (60, 1), (1, 60)], ids=str)
+    def test_labels_not_one_per_object(self, blob_dataset, shape):
+        with pytest.raises(InvalidParameterError, match="labels"):
+            internal_scores(blob_dataset, np.zeros(shape, dtype=int))
+
+    @pytest.mark.parametrize("n_clusters", [1, 4])
+    def test_allocates_no_full_matrix(self, n_clusters):
+        n = 400
+        data = make_blobs_uncertain(n_objects=n, n_clusters=4, seed=8)
+        distances = pairwise_squared_expected_distances(data)
+        labels = np.arange(n) % n_clusters
+        tracemalloc.start()
+        try:
+            internal_scores(data, labels, distances)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < distances.nbytes / 2
+
+
+# ----------------------------------------------------------------------
+# Frozen reference: the per-block np.ix_ loop of the definition.
+# ----------------------------------------------------------------------
+def _legacy_internal_scores(distances, labels, noise_policy="residual"):
+    """``(intra, inter)`` with one ``np.ix_`` gather per cluster pair."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if noise_policy == "residual" and np.any(labels < 0):
+        labels = labels.copy()
+        labels[labels < 0] = labels.max() + 1
+    max_dist = float(distances.max())
+    if max_dist <= 0.0:
+        return 0.0, 0.0
+    cluster_ids = np.unique(labels[labels >= 0])
+    if cluster_ids.size == 0:
+        return 0.0, 0.0
+    members = [np.flatnonzero(labels == c) for c in cluster_ids]
+    intra_terms = []
+    for idx in members:
+        size = idx.size
+        if size < 2:
+            continue
+        block = distances[np.ix_(idx, idx)]
+        off_diag = block.sum() - np.trace(block)
+        intra_terms.append(off_diag / (size * (size - 1)))
+    intra = float(np.mean(intra_terms)) / max_dist if intra_terms else 0.0
+    k = len(members)
+    if k < 2:
+        inter = 0.0
+    else:
+        total = 0.0
+        for a in range(k):
+            for b in range(k):
+                if a == b:
+                    continue
+                total += distances[np.ix_(members[a], members[b])].mean()
+        inter = total / (k * (k - 1)) / max_dist
+    return float(np.clip(intra, 0.0, 1.0)), float(np.clip(inter, 0.0, 1.0))
+
+
+def assert_same_scores(dataset, labels, distances, noise_policy):
+    scores = internal_scores(dataset, labels, distances, noise_policy=noise_policy)
+    intra, inter = _legacy_internal_scores(distances, labels, noise_policy)
+    assert scores.intra.hex() == intra.hex()
+    assert scores.inter.hex() == inter.hex()
+
+
+@pytest.fixture(scope="module")
+def reference_data():
+    data = make_blobs_uncertain(n_objects=400, n_clusters=6, seed=21)
+    return data, pairwise_squared_expected_distances(data)
+
+
+#: Cluster ids a labeling draws from: noise, contiguous and sparse ids.
+LABEL_POOL = [-1, 0, 1, 2, 3, 7, 42, 1000]
+
+
+@st.composite
+def labelings(draw):
+    n = draw(st.integers(min_value=1, max_value=80))
+    ids = draw(
+        st.lists(st.sampled_from(LABEL_POOL), min_size=1, max_size=6, unique=True)
+    )
+    labels = draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n))
+    offset = draw(st.integers(min_value=0, max_value=400 - n))
+    return np.array(labels), offset
+
+
+class TestMatchesPerBlockLoop:
+    """The label-sorted block sums equal the ``np.ix_`` loop bit for bit."""
+
+    @given(case=labelings(), noise_policy=st.sampled_from(["residual", "exclude"]))
+    @settings(max_examples=300, deadline=None)
+    def test_property(self, reference_data, case, noise_policy):
+        data, distances = reference_data
+        labels, offset = case
+        n = labels.size
+        window = slice(offset, offset + n)
+        assert_same_scores(
+            data[window], labels, distances[window, window].copy(), noise_policy
+        )
+
+    @pytest.mark.parametrize("noise_policy", ["residual", "exclude"])
+    @pytest.mark.parametrize(
+        "labeling",
+        ["all_one", "all_noise", "singletons", "sparse_ids", "many_small", "skewed"],
+    )
+    def test_named_labelings(self, reference_data, labeling, noise_policy):
+        data, distances = reference_data
+        n = len(data)
+        rng = np.random.default_rng(4)
+        labels = {
+            "all_one": np.full(n, 5),
+            "all_noise": np.full(n, -1),
+            "singletons": np.arange(n),
+            "sparse_ids": rng.choice([3, 7, 42, -1], size=n),
+            "many_small": rng.integers(-1, 131, size=n),
+            "skewed": np.where(rng.random(n) < 0.9, 0, rng.integers(1, 40, size=n)),
+        }[labeling]
+        assert_same_scores(data, labels, distances, noise_policy)
+
+    def test_non_contiguous_and_asymmetric_distances(self, reference_data):
+        data, distances = reference_data
+        rng = np.random.default_rng(5)
+        labels = rng.integers(-1, 12, size=len(data))
+        skewed = np.asfortranarray(distances * rng.uniform(0.5, 2.0, distances.shape))
+        for noise_policy in ("residual", "exclude"):
+            assert_same_scores(data, labels, skewed, noise_policy)
+        assert_same_scores(data, np.zeros(len(data), dtype=int), skewed, "residual")
