@@ -134,7 +134,7 @@ class UncertainClusterer(abc.ABC):
     #: available and the fit is big enough to pay for them: ``"threads"``
     #: for fits dominated by GIL-releasing moment/tensor kernels (the
     #: default), ``"processes"`` for interpreter-bound relocation/merge
-    #: loops (UCPC, UK-medoids, UAHC).
+    #: loops (UCPC, MMVar, UK-medoids, UAHC).
     preferred_backend: str = "threads"
 
     @abc.abstractmethod

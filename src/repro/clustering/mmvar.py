@@ -31,6 +31,7 @@ from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
+from repro.utils.validation import check_positive
 
 
 class MMVar(UncertainClusterer):
@@ -43,10 +44,14 @@ class MMVar(UncertainClusterer):
     max_iter:
         Cap on relocation sweeps.
     min_improvement:
-        Relative threshold below which a relocation gain is ignored.
+        Relative threshold below which a relocation gain is ignored;
+        finite and ``>= 0``.
     """
 
     name = "MMV"
+    #: Relocation sweep is an interpreter-bound per-object loop (as in
+    #: UCPC) — the engine routes MMVar to the process pool.
+    preferred_backend = "processes"
 
     def __init__(
         self,
@@ -58,7 +63,9 @@ class MMVar(UncertainClusterer):
             raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
         self.n_clusters = int(n_clusters)
         self.max_iter = int(max_iter)
-        self.min_improvement = float(min_improvement)
+        self.min_improvement = check_positive(
+            min_improvement, "min_improvement", strict=False
+        )
 
     def fit(self, dataset: UncertainDataset, seed: SeedLike = None) -> ClusteringResult:
         """Cluster ``dataset`` by minimizing summed mixture-model variance."""
@@ -67,77 +74,89 @@ class MMVar(UncertainClusterer):
         rng = ensure_rng(seed)
         assignment = random_partition(n, k, rng)
 
-        mu2 = dataset.mu2_matrix
         mu = dataset.mu_matrix
         watch = Stopwatch()
-        history = []
         iterations = 0
         converged = False
         with watch.running():
-            # Cached scalar statistics (same scheme as UCPC's inner loop):
+            # Cached scalar statistics (same scheme as UCPC's inner loop,
+            # and like it run on Python floats within a sweep):
             # J_MM(c) = phi_tot/n_c - ||S_c||^2/n_c^2 per Lemma 2.
-            mu2_tot = mu2.sum(axis=1)
+            mu2_tot = dataset.mu2_matrix.sum(axis=1)
             mu_norm_sq = np.einsum("ij,ij->i", mu, mu)
-            counts = np.bincount(assignment, minlength=k).astype(np.float64)
-            phi_tot = np.zeros(k)
+            phi_sums = np.zeros(k)
             mean_sums = np.zeros((k, dataset.dim))
-            np.add.at(phi_tot, assignment, mu2_tot)
+            np.add.at(phi_sums, assignment, mu2_tot)
             np.add.at(mean_sums, assignment, mu)
-            ups = np.einsum("cj,cj->c", mean_sums, mean_sums)
+            counts = np.bincount(assignment, minlength=k).astype(np.float64).tolist()
+            phi_tot = phi_sums.tolist()
+            labels = assignment.tolist()
+            mu2_tot = mu2_tot.tolist()
+            mu_norm_sq = mu_norm_sq.tolist()
 
-            def objectives_vector() -> np.ndarray:
-                safe = np.maximum(counts, 1.0)
-                per = phi_tot / safe - ups / (safe * safe)
-                return np.where(counts > 0, np.maximum(per, 0.0), 0.0)
+            def refresh() -> tuple[list, list, float]:
+                """``ups`` and the per-cluster objectives from exact sums
+                (this caps round-off drift), plus the objective total."""
+                ups = np.einsum("cj,cj->c", mean_sums, mean_sums)
+                sizes = np.array(counts)
+                safe = np.maximum(sizes, 1.0)
+                per = np.array(phi_tot) / safe - ups / (safe * safe)
+                objectives = np.where(sizes > 0, np.maximum(per, 0.0), 0.0)
+                return ups.tolist(), objectives.tolist(), float(objectives.sum())
 
-            objectives = objectives_vector()
-            history.append(float(objectives.sum()))
+            ups, objectives, total = refresh()
+            history = [total]
+            clusters = range(k)
             for _ in range(self.max_iter):
                 iterations += 1
                 moved = 0
                 threshold = -self.min_improvement * max(1.0, abs(history[-1]))
                 # Random scan order per sweep (same policy as UCPC).
-                for idx in rng.permutation(n):
-                    idx = int(idx)
-                    own = int(assignment[idx])
+                for idx in rng.permutation(n).tolist():
+                    own = labels[idx]
                     if counts[own] <= 1.0:
                         continue
                     p = mu2_tot[idx]
-                    cross = mean_sums @ mu[idx]
-                    counts_plus = counts + 1.0
-                    j_with = (phi_tot + p) / counts_plus - (
-                        ups + 2.0 * cross + mu_norm_sq[idx]
-                    ) / (counts_plus * counts_plus)
+                    norm = mu_norm_sq[idx]
+                    cross = (mean_sums @ mu[idx]).tolist()
                     n_minus = counts[own] - 1.0
-                    if n_minus == 0.0:
-                        j_without = 0.0
-                    else:
-                        j_without = (phi_tot[own] - p) / n_minus - (
-                            ups[own] - 2.0 * cross[own] + mu_norm_sq[idx]
-                        ) / (n_minus * n_minus)
-                    delta = (j_without - objectives[own]) + (j_with - objectives)
-                    delta[own] = 0.0
-                    best = int(np.argmin(delta))
-                    if best != own and delta[best] < threshold:
+                    j_without = (phi_tot[own] - p) / n_minus - (
+                        ups[own] - 2.0 * cross[own] + norm
+                    ) / (n_minus * n_minus)
+                    removal = j_without - objectives[own]
+                    # np.argmin's choice, as in UCPC: first minimum wins,
+                    # own's change is 0 and a NaN delta means no move.
+                    best, best_delta, best_j = own, 0.0, 0.0
+                    for c in clusters:
+                        n_plus = counts[c] + 1.0
+                        j_with = (phi_tot[c] + p) / n_plus - (
+                            ups[c] + 2.0 * cross[c] + norm
+                        ) / (n_plus * n_plus)
+                        delta = removal + (j_with - objectives[c])
+                        if not delta >= best_delta and c != own:
+                            if delta != delta:
+                                best = own
+                                break
+                            best, best_delta, best_j = c, delta, j_with
+                    if best != own and best_delta < threshold:
                         counts[own] -= 1.0
                         counts[best] += 1.0
                         phi_tot[own] -= p
                         phi_tot[best] += p
                         mean_sums[own] -= mu[idx]
                         mean_sums[best] += mu[idx]
-                        ups[own] = ups[own] - 2.0 * cross[own] + mu_norm_sq[idx]
-                        ups[best] = ups[best] + 2.0 * cross[best] + mu_norm_sq[idx]
+                        ups[own] = ups[own] - 2.0 * cross[own] + norm
+                        ups[best] = ups[best] + 2.0 * cross[best] + norm
                         objectives[own] = max(j_without, 0.0)
-                        objectives[best] = max(float(j_with[best]), 0.0)
-                        assignment[idx] = best
+                        objectives[best] = max(best_j, 0.0)
+                        labels[idx] = best
                         moved += 1
-                # Refresh exact sums once per sweep to cap round-off drift.
-                ups = np.einsum("cj,cj->c", mean_sums, mean_sums)
-                objectives = objectives_vector()
-                history.append(float(objectives.sum()))
+                ups, objectives, total = refresh()
+                history.append(total)
                 if moved == 0:
                     converged = True
                     break
+            assignment = np.array(labels, dtype=np.int64)
         if not converged:
             warn_convergence(
                 f"MMVar hit max_iter={self.max_iter} before convergence"

@@ -40,6 +40,7 @@ from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
+from repro.utils.validation import check_positive
 
 
 class UCPC(UncertainClusterer):
@@ -62,7 +63,7 @@ class UCPC(UncertainClusterer):
         expected values.
     min_improvement:
         Relative objective decrease below which a relocation is treated
-        as numerical noise and skipped.
+        as numerical noise and skipped; finite and ``>= 0``.
 
     Examples
     --------
@@ -91,14 +92,12 @@ class UCPC(UncertainClusterer):
             )
         if max_iter < 1:
             raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
-        if min_improvement < 0:
-            raise InvalidParameterError(
-                f"min_improvement must be >= 0, got {min_improvement}"
-            )
         self.n_clusters = int(n_clusters)
         self.max_iter = int(max_iter)
         self.init = init
-        self.min_improvement = float(min_improvement)
+        self.min_improvement = check_positive(
+            min_improvement, "min_improvement", strict=False
+        )
 
     def fit(self, dataset: UncertainDataset, seed: SeedLike = None) -> ClusteringResult:
         """Run Algorithm 1 on ``dataset``."""
@@ -158,31 +157,48 @@ class UCPC(UncertainClusterer):
             J(c) = psi_tot/n_c + phi_tot - ups/n_c.
 
         Evaluating every candidate insertion (Eq. (15)) then needs one
-        ``S @ mu_o`` matvec plus O(k) vector arithmetic per object —
-        Corollary 1's O(k·m) with minimal interpreter overhead.
+        ``S @ mu_o`` matvec plus O(k) scalar arithmetic per object —
+        Corollary 1's O(k·m).  For the paper's small k, numpy calls on
+        k-vectors cost more than their arithmetic, so within a sweep the
+        per-cluster scalars live in Python lists and each visit runs on
+        Python floats: IEEE doubles, evaluated in the order of the
+        vector expressions, so the result is bit for bit that of
+        ``np.argmin`` over the vector of deltas.  The once-per-sweep
+        refresh stays in numpy.
         """
-        assignment = assignment.copy()
+        n = len(dataset)
         sigma2_tot = dataset.sigma2_matrix.sum(axis=1)
         mu2_tot = dataset.mu2_matrix.sum(axis=1)
         mu = dataset.mu_matrix
         mu_norm_sq = np.einsum("ij,ij->i", mu, mu)
 
-        counts = np.bincount(assignment, minlength=k).astype(np.float64)
-        psi_tot = np.zeros(k)
-        phi_tot = np.zeros(k)
+        psi_sums = np.zeros(k)
+        phi_sums = np.zeros(k)
         mean_sums = np.zeros((k, dataset.dim))
-        np.add.at(psi_tot, assignment, sigma2_tot)
-        np.add.at(phi_tot, assignment, mu2_tot)
+        np.add.at(psi_sums, assignment, sigma2_tot)
+        np.add.at(phi_sums, assignment, mu2_tot)
         np.add.at(mean_sums, assignment, mu)
-        ups = np.einsum("cj,cj->c", mean_sums, mean_sums)
+        counts = np.bincount(assignment, minlength=k).astype(np.float64).tolist()
+        psi_tot = psi_sums.tolist()
+        phi_tot = phi_sums.tolist()
+        labels = assignment.tolist()
+        sigma2_tot = sigma2_tot.tolist()
+        mu2_tot = mu2_tot.tolist()
+        mu_norm_sq = mu_norm_sq.tolist()
 
-        def objectives_vector() -> np.ndarray:
-            safe = np.maximum(counts, 1.0)
-            per = psi_tot / safe + phi_tot - ups / safe
-            return np.where(counts > 0, per, 0.0)
+        def refresh() -> tuple[list, list, float]:
+            """``ups`` and the per-cluster objectives from exact sums (this
+            caps round-off drift), plus the objective total."""
+            ups = np.einsum("cj,cj->c", mean_sums, mean_sums)
+            sizes = np.array(counts)
+            safe = np.maximum(sizes, 1.0)
+            per = np.array(psi_tot) / safe + np.array(phi_tot) - ups / safe
+            objectives = np.where(sizes > 0, per, 0.0)
+            return ups.tolist(), objectives.tolist(), float(objectives.sum())
 
-        objectives = objectives_vector()
-        history = [float(objectives.sum())]
+        ups, objectives, total = refresh()
+        history = [total]
+        clusters = range(k)
 
         iterations = 0
         converged = False
@@ -192,34 +208,44 @@ class UCPC(UncertainClusterer):
             threshold = -self.min_improvement * max(1.0, abs(history[-1]))
             # Algorithm 1 leaves the scan order open; a fresh random order
             # per sweep avoids order artifacts in the local search.
-            for idx in rng.permutation(len(dataset)):
-                idx = int(idx)
-                own = int(assignment[idx])
+            for idx in rng.permutation(n).tolist():
+                own = labels[idx]
                 if counts[own] <= 1.0:
                     # Relocating the last member would empty the cluster;
                     # the partition must keep exactly k clusters.
                     continue
                 s = sigma2_tot[idx]
                 p = mu2_tot[idx]
-                cross = mean_sums @ mu[idx]
-                counts_plus = counts + 1.0
-                j_with = (psi_tot + s) / counts_plus + (phi_tot + p) - (
-                    ups + 2.0 * cross + mu_norm_sq[idx]
-                ) / counts_plus
+                norm = mu_norm_sq[idx]
+                cross = (mean_sums @ mu[idx]).tolist()
                 # counts[own] > 1 is guaranteed by the continue above.
                 n_minus = counts[own] - 1.0
                 j_without = (
                     (psi_tot[own] - s) / n_minus
                     + (phi_tot[own] - p)
-                    - (ups[own] - 2.0 * cross[own] + mu_norm_sq[idx])
-                    / n_minus
+                    - (ups[own] - 2.0 * cross[own] + norm) / n_minus
                 )
+                removal = j_without - objectives[own]
                 # Candidate total change for moving idx into cluster c:
-                # [J(own \ o) + J(c ∪ o)] - [J(own) + J(c)]
-                delta = (j_without - objectives[own]) + (j_with - objectives)
-                delta[own] = 0.0
-                best = int(np.argmin(delta))
-                if best != own and delta[best] < threshold:
+                # [J(own \ o) + J(c ∪ o)] - [J(own) + J(c)], with own's
+                # change 0.  Pick as np.argmin would: the first minimum
+                # wins, and a NaN delta (from overflowing sums) means no
+                # move, since argmin returns it and NaN < threshold fails.
+                best, best_delta, best_j = own, 0.0, 0.0
+                for c in clusters:
+                    n_plus = counts[c] + 1.0
+                    j_with = (
+                        (psi_tot[c] + s) / n_plus
+                        + (phi_tot[c] + p)
+                        - (ups[c] + 2.0 * cross[c] + norm) / n_plus
+                    )
+                    delta = removal + (j_with - objectives[c])
+                    if not delta >= best_delta and c != own:
+                        if delta != delta:
+                            best = own
+                            break
+                        best, best_delta, best_j = c, delta, j_with
+                if best != own and best_delta < threshold:
                     # Apply the move: O(m) cache updates (Corollary 1).
                     counts[own] -= 1.0
                     counts[best] += 1.0
@@ -229,17 +255,15 @@ class UCPC(UncertainClusterer):
                     phi_tot[best] += p
                     mean_sums[own] -= mu[idx]
                     mean_sums[best] += mu[idx]
-                    ups[own] = ups[own] - 2.0 * cross[own] + mu_norm_sq[idx]
-                    ups[best] = ups[best] + 2.0 * cross[best] + mu_norm_sq[idx]
+                    ups[own] = ups[own] - 2.0 * cross[own] + norm
+                    ups[best] = ups[best] + 2.0 * cross[best] + norm
                     objectives[own] = j_without
-                    objectives[best] = j_with[best]
-                    assignment[idx] = best
+                    objectives[best] = best_j
+                    labels[idx] = best
                     moved += 1
-            # Refresh from exact sums once per sweep to cap round-off drift.
-            ups = np.einsum("cj,cj->c", mean_sums, mean_sums)
-            objectives = objectives_vector()
-            history.append(float(objectives.sum()))
+            ups, objectives, total = refresh()
+            history.append(total)
             if moved == 0:
                 converged = True
                 break
-        return assignment, history, iterations, converged
+        return np.array(labels, dtype=np.int64), history, iterations, converged

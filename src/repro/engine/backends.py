@@ -559,8 +559,8 @@ def choose_backend(
     * at most :data:`AUTO_SERIAL_ELEMENTS` elements per fit →
       **serial** (pool overhead dominates sub-ms fits);
     * otherwise the clusterer's declared ``preferred_backend`` family —
-      ``threads`` (the default) or ``processes`` (UCPC, UK-medoids,
-      UAHC).
+      ``threads`` (the default) or ``processes`` (UCPC, MMVar,
+      UK-medoids, UAHC).
 
     Every candidate is result-identical for fixed seeds, so the choice
     only ever changes wall-clock time.

@@ -27,7 +27,8 @@ class UncertainDataset:
     Parameters
     ----------
     objects:
-        The uncertain objects; all must share one dimensionality.
+        The uncertain objects; all must share one dimensionality, and
+        every mean and raw second moment must be finite.
 
     Notes
     -----
@@ -61,6 +62,14 @@ class UncertainDataset:
         self._objects = tuple(objs)
         self._mu = np.vstack([obj.mu for obj in objs])
         self._mu2 = np.vstack([obj.mu2 for obj in objs])
+        finite = np.isfinite(self._mu).all(axis=1)
+        finite &= np.isfinite(self._mu2).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise InvalidParameterError(
+                f"object {bad} has non-finite moments (mu={self._mu[bad]}, "
+                f"mu2={self._mu2[bad]}); every mu and mu2 must be finite"
+            )
         self._sigma2 = np.vstack([obj.sigma2 for obj in objs])
         self._total_var = self._sigma2.sum(axis=1)
         for arr in (self._mu, self._mu2, self._sigma2, self._total_var):

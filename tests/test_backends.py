@@ -642,12 +642,12 @@ class TestChooseBackend:
         assert choose_backend(UKMeans(4), data, 8, n_jobs=4).name == "serial"
 
     def test_family_dispatch(self, big_data):
-        from repro.clustering import UAHC, UCPC
+        from repro.clustering import UAHC, UCPC, MMVar
 
         for gil_releasing in (UKMeans(4), BasicUKMeans(4, n_samples=8)):
             backend = choose_backend(gil_releasing, big_data, 8, n_jobs=4)
             assert isinstance(backend, ThreadBackend) and backend.n_jobs == 4
-        for interpreter_bound in (UKMedoids(4), UCPC(4), UAHC(4)):
+        for interpreter_bound in (UKMedoids(4), UCPC(4), MMVar(4), UAHC(4)):
             backend = choose_backend(interpreter_bound, big_data, 8, n_jobs=4)
             assert isinstance(backend, ProcessBackend) and backend.n_jobs == 4
 
@@ -667,7 +667,7 @@ class TestChooseBackend:
         clusterer = build_algorithm(name, 4, n_samples=8)
         backend = choose_backend(clusterer, big_data, 8, n_jobs=3)
         expected = (
-            "processes" if name in ("UCPC", "UKmed", "UAHC") else "threads"
+            "processes" if name in ("UCPC", "MMV", "UKmed", "UAHC") else "threads"
         )
         assert backend.name == clusterer.preferred_backend == expected
         assert backend.n_jobs == 3

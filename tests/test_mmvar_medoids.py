@@ -54,6 +54,11 @@ class TestMMVar:
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
             MMVar(n_clusters=2, max_iter=0)
+        # A NaN threshold would let no object move: the fit would return
+        # its random initial partition, flagged converged.
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError, match="min_improvement"):
+                MMVar(n_clusters=2, min_improvement=bad)
 
 
 class TestUKMedoids:

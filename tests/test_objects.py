@@ -117,6 +117,22 @@ class TestUncertainDataset:
                 ]
             )
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_moments_rejected(self):
+        """A finite point mass at 1e200 has mu2 = inf; the error names
+        the first such object."""
+        objects = [
+            UncertainObject.from_point([0.0, 1.0]),
+            UncertainObject.from_point([1e200, 1.0]),
+            UncertainObject.from_point([2.0, -1e300]),
+        ]
+        with pytest.raises(InvalidParameterError, match="object 1 "):
+            UncertainDataset(objects)
+        with pytest.raises(InvalidParameterError, match="object 0 "):
+            UncertainDataset(objects[2:])
+        # 1e154 squares to a finite 1e308: accepted.
+        assert len(UncertainDataset([UncertainObject.from_point([1e154])])) == 1
+
     def test_subset(self, blob_dataset):
         sub = blob_dataset.subset([0, 5, 10])
         assert len(sub) == 3

@@ -313,7 +313,7 @@ class TestSweepEquivalence:
         axes = dict(
             datasets=("neuroblastoma",),
             cluster_counts=(2,),
-            algorithms=("UKmed", "MMV"),
+            algorithms=("UKmed", "UKM"),
         )
         reports = {}
         for n_jobs in (1, 2):

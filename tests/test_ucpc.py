@@ -62,8 +62,19 @@ class TestBasics:
             UCPC(n_clusters=3, init="bogus")
         with pytest.raises(InvalidParameterError):
             UCPC(n_clusters=3, max_iter=0)
-        with pytest.raises(InvalidParameterError):
-            UCPC(n_clusters=3, min_improvement=-1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError, match="min_improvement"):
+                UCPC(n_clusters=3, min_improvement=bad)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_moments_rejected_before_the_fit(self):
+        """A point mass at 1e200 has mu2 = inf; k-means++ seeding used to
+        fail on it with numpy's raw 'Probabilities contain NaN'."""
+        points = np.array([[0.0], [1.0], [2.0], [1e200]])
+        with pytest.raises(InvalidParameterError, match="object 3"):
+            UCPC(n_clusters=2, init="kmeans++").fit(
+                UncertainDataset.from_points(points), seed=0
+            )
 
     def test_k_larger_than_n_rejected(self, mixed_dataset):
         with pytest.raises(InvalidParameterError):
