@@ -332,21 +332,23 @@ def medoid_data():
 def _medoid_run_with_plane(data):
     """One run-set on the shared plane: one ÊD build + n_init PAM loops.
 
-    The matrix is built explicitly and pinned (rather than read from the
-    dataset cache) so every repetition pays the one-time off-line cost —
-    otherwise the dataset-level cache would hide it from the clock.
+    The run-set gets a fresh dataset over the same objects, so every
+    repetition pays the one-time off-line build that the dataset-level
+    cache would otherwise hide from the clock.
     """
-    from repro.objects.distance import pairwise_squared_expected_distances
-
     model = UKMedoids(MEDOID_K, max_iter=MEDOID_MAX_ITER)
-    model.pairwise_ed_cache = pairwise_squared_expected_distances(data)
-    return MultiRestartRunner(model, n_init=MEDOID_RESTARTS).run(data, seed=5)
+    return MultiRestartRunner(model, n_init=MEDOID_RESTARTS).run(
+        UncertainDataset(data.objects), seed=5
+    )
 
 
 def _medoid_run_per_restart_recompute(data, seeds=range(MEDOID_RESTARTS)):
-    """The pre-plane behavior: direct fits, each rebuilding the ÊD matrix."""
+    """The pre-plane behavior: direct fits, each building its own ÊD
+    matrix on its own fresh dataset."""
     return [
-        UKMedoids(MEDOID_K, max_iter=MEDOID_MAX_ITER).fit(data, seed=seed)
+        UKMedoids(MEDOID_K, max_iter=MEDOID_MAX_ITER).fit(
+            UncertainDataset(data.objects), seed=seed
+        )
         for seed in seeds
     ]
 
@@ -439,7 +441,6 @@ def _isolated_cells():
     cell as its own `fit_runs` invocation costs.
     """
     from repro.experiments.table3 import prepare_table3_group, run_table3_cell
-    from repro.objects.distance import pairwise_squared_expected_distances
     from repro.utils.rng import spawn_rngs
 
     config = _sweep_config()
@@ -452,9 +453,8 @@ def _isolated_cells():
                 dataset = prepare_table3_group(ds_name, ds_rng, config)
                 for _ in range(cell_pos):  # replay earlier cells' streams
                     spawn_rngs(ds_rng, config.n_runs + 1)
-                distances = pairwise_squared_expected_distances(dataset)
                 quality[(ds_name, k, alg)] = run_table3_cell(
-                    alg, dataset, k, ds_rng, config, distances
+                    alg, dataset, k, ds_rng, config
                 )
                 cell_pos += 1
     return quality

@@ -30,16 +30,13 @@ def main() -> None:
         "low-expressed probes, as in multi-mgMOS)"
     )
 
-    # The dataset-cached pairwise ÊD plane; Q reuses it per clustering
-    # (and engine-run UK-medoids would read the same matrix).
-    distances = genes.pairwise_ed()
-
     print(f"\n{'k':>3s}  {'UKM':>7s}  {'MMV':>7s}  {'UCPC':>7s}   (internal criterion Q)")
     for k in CLUSTER_COUNTS:
         row = []
         for algo in (UKMeans(k), MMVar(k), UCPC(k)):
             result = algo.fit(genes, seed=SEED)
-            q = internal_scores(genes, result.labels, distances).quality
+            # Q reads the dataset's cached ÊD matrix, built on first use.
+            q = internal_scores(genes, result.labels).quality
             row.append(q)
         print(f"{k:3d}  {row[0]:+7.3f}  {row[1]:+7.3f}  {row[2]:+7.3f}")
 

@@ -57,7 +57,6 @@ from repro.objects import (
     expected_distance_to_point,
     pairwise_squared_expected_distances,
     squared_expected_distance,
-    validate_pairwise_ed,
 )
 from repro.uncertainty import (
     BoxRegion,
@@ -114,7 +113,6 @@ __all__ = [
     "UncertainObject",
     "expected_distance_to_point",
     "pairwise_squared_expected_distances",
-    "validate_pairwise_ed",
     "squared_expected_distance",
     # uncertainty
     "BoxRegion",

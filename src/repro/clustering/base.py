@@ -121,12 +121,13 @@ class UncertainClusterer(abc.ABC):
     #: multi-restart execution for them.
     has_objective: bool = True
 
-    #: Whether :meth:`fit` consumes the dataset's pairwise ``ÊD`` matrix
-    #: (the off-line phase of UK-medoids and, later, UAHC's proximity
-    #: seed).  Declaring algorithms expose a ``pairwise_ed_cache``
-    #: attribute; the multi-restart engine computes the matrix **once**
-    #: per run-set (``UncertainDataset.pairwise_ed``) and injects it
-    #: there, so restarts never repeat the O(n^2 m) work.
+    #: Whether :meth:`fit` reads the dataset's pairwise ``ÊD`` matrix,
+    #: :meth:`UncertainDataset.pairwise_ed` (the off-line phase of
+    #: UK-medoids and of U-AHC's ``"ed"`` linkage).  The matrix is
+    #: cached on the dataset; the multi-restart engine builds it before
+    #: dispatching a declaring algorithm's restarts, so pool threads
+    #: never race to build it and the process pool can publish it to
+    #: its workers through shared memory.
     wants_pairwise_ed: bool = False
 
     #: Backend family the engine (``repro.engine.choose_backend``)

@@ -54,7 +54,9 @@ def kmeanspp_seed_indices(
 
     The classic D² weighting of Arthur & Vassilvitskii applied to
     ``mu(o)``; returns object indices usable as initial centroids or
-    medoids.
+    medoids.  Raises :class:`InvalidParameterError` when the D² weights
+    overflow (expected values near the float range's square root), since
+    they then define no distribution to draw from.
     """
     n = len(dataset)
     if n_clusters < 1 or n_clusters > n:
@@ -69,6 +71,12 @@ def kmeanspp_seed_indices(
     best_sq = np.einsum("ij,ij->i", diff, diff)
     for idx in range(1, n_clusters):
         total = float(best_sq.sum())
+        if not np.isfinite(total):
+            raise InvalidParameterError(
+                "k-means++ seeding failed: the squared distances between "
+                "expected values overflow; rescale the data or use "
+                "init='random'"
+            )
         if total <= 0.0:
             # All remaining points coincide with a chosen seed: fall back
             # to uniform choice among unchosen indices.

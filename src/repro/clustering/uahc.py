@@ -26,19 +26,17 @@ cluster's representative is refit from its members' summed moments
 the Lance–Williams recurrence of average linkage (UPGMA).  That linkage
 is therefore :func:`scipy.cluster.hierarchy.linkage` (``"average"``) over
 the dataset's pairwise ``ÊD`` matrix — the same off-line artifact
-UK-medoids precomputes.  U-AHC rides the engine's pairwise-distance
-plane for it: it declares ``wants_pairwise_ed`` and reads the injected
-``pairwise_ed_cache`` when one is present, computing the identical
-matrix itself otherwise (both paths run
-:func:`~repro.objects.distance.pairwise_squared_expected_distances`'s
-kernel).  The Jeffreys linkage has no such recurrence and keeps its own
-merge loop over a blocked in-fit proximity build.
+UK-medoids precomputes, read from the same place,
+:meth:`~repro.objects.dataset.UncertainDataset.pairwise_ed` (it declares
+``wants_pairwise_ed`` for it).  The Jeffreys linkage has no such
+recurrence and keeps its own merge loop over a blocked in-fit proximity
+build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -50,7 +48,6 @@ from repro.clustering.base import (
 )
 from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
-from repro.objects.distance import pairwise_squared_expected_distances
 from repro.utils.timer import Stopwatch
 
 #: Variance floor for the Gaussian approximations under the Jeffreys
@@ -111,25 +108,23 @@ class UAHC(UncertainClusterer):
             )
         self.n_clusters = int(n_clusters)
         self.linkage = linkage
-        #: Engine-injected shared ``ÊD`` matrix (the distance plane's
-        #: injection point, like :attr:`UKMedoids.pairwise_ed_cache`);
-        #: consumed by the ``"ed"`` linkage, ignored by ``"jeffreys"``.
-        self.pairwise_ed_cache: Optional[np.ndarray] = None
 
     @property
     def wants_pairwise_ed(self) -> bool:
-        """Only the ``"ed"`` linkage consumes the shared ``ÊD`` plane."""
+        """Only the ``"ed"`` linkage consumes the dataset's ``ÊD`` matrix."""
         return self.linkage == "ed"
 
     def fit(self, dataset: UncertainDataset, seed: SeedLike = None) -> ClusteringResult:
         """Cluster ``dataset`` bottom-up; ``seed`` is unused (deterministic)."""
         n = len(dataset)
         k = validate_n_clusters(self.n_clusters, n)
+        # Off-line phase of the "ed" linkage, untimed as in UK-medoids.
+        matrix = dataset.pairwise_ed() if self.linkage == "ed" else None
 
         watch = Stopwatch()
         with watch.running():
-            if self.linkage == "ed":
-                merges = self._average_linkage(dataset, k)
+            if matrix is not None:
+                merges = self._average_linkage(matrix, k)
             else:
                 merges = self._jeffreys_merges(dataset, k)
             labels = _cut(n, merges)
@@ -143,30 +138,16 @@ class UAHC(UncertainClusterer):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _average_linkage(
-        self, dataset: UncertainDataset, k: int
-    ) -> List[MergeStep]:
+    def _average_linkage(self, matrix: np.ndarray, k: int) -> List[MergeStep]:
         """The first ``n - k`` merges of average linkage over ``ÊD``.
 
-        Reads the engine-injected ``pairwise_ed_cache`` when the
-        distance plane supplied one, and builds the same matrix with the
-        same kernel otherwise, so the plane never changes the dendrogram.
         Each cluster is named by its smallest member, as in the Jeffreys
         loop.
         """
         from scipy.cluster.hierarchy import linkage
         from scipy.spatial.distance import squareform
 
-        n = len(dataset)
-        if self.pairwise_ed_cache is None:
-            matrix = pairwise_squared_expected_distances(dataset)
-        else:
-            matrix = np.asarray(self.pairwise_ed_cache, dtype=np.float64)
-            if matrix.shape != (n, n):
-                raise InvalidParameterError(
-                    f"pairwise_ed_cache matrix must be ({n}, {n}), "
-                    f"got {matrix.shape}"
-                )
+        n = len(matrix)
         if k == n:
             return []
         tree = linkage(squareform(matrix, checks=False), "average")

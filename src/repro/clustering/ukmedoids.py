@@ -14,8 +14,6 @@ the centroid-based algorithms.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro._typing import SeedLike
@@ -30,10 +28,6 @@ from repro.clustering.initialization import (
 )
 from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
-from repro.objects.distance import (
-    pairwise_squared_expected_distances,
-    validate_pairwise_ed,
-)
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
 
@@ -49,24 +43,14 @@ class UKMedoids(UncertainClusterer):
         Iteration cap.
     init:
         ``"random"`` or ``"kmeans++"`` seeding for the initial medoids.
-    precomputed:
-        Optional externally computed ``(n, n)`` ``ÊD`` matrix (reused
-        across runs by the experiment harness to mimic the paper's
-        off-line phase accounting).  Validated at construction —
-        symmetry, finiteness and non-negativity — and **adopted as a
-        view** when already float64 (see
-        :func:`~repro.objects.distance.validate_pairwise_ed`): the
-        caller's array is not copied, so later in-place mutation of it
-        is visible to every subsequent :meth:`fit`.
 
     Notes
     -----
-    ``pairwise_ed_cache`` is the engine's injection point (analogous to
-    the sample-based algorithms' ``sample_cache``): the multi-restart
-    runner computes :meth:`UncertainDataset.pairwise_ed` once per
-    run-set and pins it here, so restarts skip the off-line phase
-    entirely.  Resolution order in :meth:`fit` is ``pairwise_ed_cache``
-    > ``precomputed`` > compute-from-dataset.
+    The off-line ``ÊD`` matrix is the dataset's own
+    :meth:`UncertainDataset.pairwise_ed`, built on first use and cached
+    there, so every fit on one dataset — direct, engine restart or
+    process-pool worker — reads the same matrix and only the first
+    pays for it.
     """
 
     name = "UKmed"
@@ -78,7 +62,6 @@ class UKMedoids(UncertainClusterer):
         n_clusters: int,
         max_iter: int = 100,
         init: str = "random",
-        precomputed: Optional[np.ndarray] = None,
     ):
         if init not in ("random", "kmeans++"):
             raise InvalidParameterError(
@@ -89,11 +72,6 @@ class UKMedoids(UncertainClusterer):
         self.n_clusters = int(n_clusters)
         self.max_iter = int(max_iter)
         self.init = init
-        if precomputed is not None:
-            precomputed = validate_pairwise_ed(precomputed, name="precomputed")
-        self.precomputed = precomputed
-        #: Engine-injected shared ``ÊD`` matrix (trusted, not revalidated).
-        self.pairwise_ed_cache: Optional[np.ndarray] = None
 
     def fit(self, dataset: UncertainDataset, seed: SeedLike = None) -> ClusteringResult:
         """Cluster ``dataset``; see class docstring."""
@@ -102,23 +80,7 @@ class UKMedoids(UncertainClusterer):
         rng = ensure_rng(seed)
 
         # Off-line phase: the pairwise ÊD matrix (Lemma 3 closed form).
-        # The engine-injected cache wins over the constructor matrix so
-        # one configured instance can still ride the shared plane.
-        if self.pairwise_ed_cache is not None:
-            distances = np.asarray(self.pairwise_ed_cache, dtype=np.float64)
-            if distances.shape != (n, n):
-                raise InvalidParameterError(
-                    f"pairwise_ed_cache matrix must be ({n}, {n}), "
-                    f"got {distances.shape}"
-                )
-        elif self.precomputed is not None:
-            distances = self.precomputed
-            if distances.shape != (n, n):
-                raise InvalidParameterError(
-                    f"precomputed matrix must be ({n}, {n}), got {distances.shape}"
-                )
-        else:
-            distances = pairwise_squared_expected_distances(dataset)
+        distances = dataset.pairwise_ed()
 
         if self.init == "kmeans++":
             medoids = kmeanspp_seed_indices(dataset, k, rng)

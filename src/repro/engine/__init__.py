@@ -26,11 +26,6 @@ from repro.engine.backends import (
     choose_backend,
     shared_block_registry,
 )
-from repro.engine.distances import (
-    needs_pairwise_ed,
-    pinned_pairwise_ed,
-    resolve_pairwise_ed,
-)
 from repro.engine.runner import MultiRestartRunner, RestartRecord, fit_runs
 from repro.engine.store import (
     SqliteStore,
@@ -53,9 +48,6 @@ __all__ = [
     "export_store",
     "fit_runs",
     "import_store",
-    "needs_pairwise_ed",
     "open_store",
-    "pinned_pairwise_ed",
-    "resolve_pairwise_ed",
     "shared_block_registry",
 ]

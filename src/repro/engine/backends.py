@@ -14,11 +14,11 @@ execute depends on the algorithm family:
 * **processes** — a ``ProcessPoolExecutor`` for fits whose Python-level
   bookkeeping would serialize on the GIL.  The dataset's stacked moment
   matrices, the engine's batched ``(n, S, m)`` sample tensor and the
-  shared pairwise ``ÊD`` matrix (for ``wants_pairwise_ed`` algorithms)
-  are published **once** through :mod:`multiprocessing.shared_memory`;
-  workers attach to the blocks by name instead of receiving pickled
-  copies, so the per-restart (and per-worker) pickling cost no longer
-  grows with ``n·S·m`` or ``n^2``.
+  dataset's pairwise ``ÊD`` matrix (for ``wants_pairwise_ed``
+  algorithms) are published **once** through
+  :mod:`multiprocessing.shared_memory`; workers attach to the blocks by
+  name instead of receiving pickled copies, so the per-restart (and
+  per-worker) pickling cost no longer grows with ``n·S·m`` or ``n^2``.
 
 ``n_jobs`` is the engine's only execution setting: :func:`choose_backend`
 picks the backend of every run-set from it and from the algorithm.
@@ -313,29 +313,26 @@ def _init_shared_worker(payload: Dict[str, object]) -> None:
 
     Runs once per worker process.  The pickled parts are the light ones
     (hyperparameters, distribution objects); every large array — moment
-    matrices and the sample tensor — arrives as a shared-memory spec and
-    is attached, not copied.  It also starts the worker's parent
-    watchdog (:func:`_exit_with_parent`).
+    matrices, the sample tensor and the ``ÊD`` matrix — arrives as a
+    shared-memory spec and is attached, not copied.  It also starts the
+    worker's parent watchdog (:func:`_exit_with_parent`).
     """
     shms = []
     views = {}
-    for key, spec in payload["moments"].items():
+    for key, spec in payload["blocks"].items():
         shm, view = _attach_shared(spec)
         shms.append(shm)
         views[key] = view
     objects, labels = pickle.loads(payload["dataset"])
     dataset = UncertainDataset._from_shared_moments(
-        objects, labels, views["mu"], views["mu2"], views["sigma2"]
+        objects, labels, views["mu"], views["mu2"], views["sigma2"],
+        pairwise_ed=views.get("pairwise_ed"),
     )
     clusterer = pickle.loads(payload["clusterer"])
     if payload["sample"] is not None:
         shm, tensor = _attach_shared(payload["sample"])
         shms.append(shm)
         clusterer.sample_cache = tensor
-    if payload.get("pairwise") is not None:
-        shm, matrix = _attach_shared(payload["pairwise"])
-        shms.append(shm)
-        clusterer.pairwise_ed_cache = matrix
     # Keep the SharedMemory handles referenced for the process lifetime;
     # dropping them would invalidate the array views' buffers.
     _WORKER_STATE["shms"] = shms
@@ -433,13 +430,13 @@ class ProcessBackend(ExecutionBackend):
 
     Publication happens once per ``run``: the dataset's ``(n, m)``
     moment matrices, the engine-pinned ``(n, S, m)`` sample tensor and
-    the ``(n, n)`` pairwise ``ÊD`` matrix (for ``wants_pairwise_ed``
-    algorithms, whether engine-injected or fixed at construction) go
-    into shared-memory blocks; workers attach by name.  The clusterer is
-    pickled with every big array stripped, so neither the tensor nor the
-    matrix is ever serialized (the backend tests assert this with pickle
-    spies).  All blocks are unlinked when the run finishes, including
-    when a worker crashes.
+    the dataset's ``(n, n)`` :meth:`~UncertainDataset.pairwise_ed`
+    matrix (for ``wants_pairwise_ed`` algorithms) go into shared-memory
+    blocks; workers attach by name.  The clusterer is pickled with the
+    tensor stripped and the dataset without its arrays, so neither the
+    tensor nor the matrix is ever serialized (the backend tests assert
+    this with pickle spies).  All blocks are unlinked when the run
+    finishes, including when a worker crashes.
     """
 
     name = "processes"
@@ -472,39 +469,27 @@ class ProcessBackend(ExecutionBackend):
             return block
 
         try:
-            moments = {
+            blocks = {
                 "mu": publish(dataset.mu_matrix, stable=True),
                 "mu2": publish(dataset.mu2_matrix, stable=True),
                 "sigma2": publish(dataset.sigma2_matrix, stable=True),
             }
+            if getattr(clusterer, "wants_pairwise_ed", False):
+                # One cached matrix object per dataset, so the registry
+                # interns it once per group like the moment matrices.
+                blocks["pairwise_ed"] = publish(
+                    dataset.pairwise_ed(), stable=True
+                )
             tensor = getattr(clusterer, "sample_cache", None)
             sample_block = None
             if tensor is not None:
                 # Per-cell tensors: never interned (fresh draw per run-set).
                 sample_block = publish(np.asarray(tensor), stable=False)
-            # The pairwise ÊD plane: engine-injected cache or the
-            # clusterer's own constructor matrix — published by name,
-            # and stripped below so it is never pickled.
-            strip = ["sample_cache"]
-            pairwise_block = None
-            if getattr(clusterer, "wants_pairwise_ed", False):
-                matrix = getattr(clusterer, "pairwise_ed_cache", None)
-                if matrix is None:
-                    matrix = getattr(clusterer, "precomputed", None)
-                if matrix is not None:
-                    # Intern on the matrix object itself (not an
-                    # ``asarray`` view, whose identity would differ per
-                    # run and defeat the registry).
-                    pairwise_block = publish(matrix, stable=True)
-                    strip += ["pairwise_ed_cache", "precomputed"]
             payload = {
-                "clusterer": self._pickle_without(clusterer, strip),
+                "clusterer": self._pickle_without_tensor(clusterer),
                 "dataset": pickle.dumps(dataset._moment_free_state()),
-                "moments": {key: blk.spec for key, blk in moments.items()},
+                "blocks": {key: blk.spec for key, blk in blocks.items()},
                 "sample": None if sample_block is None else sample_block.spec,
-                "pairwise": (
-                    None if pairwise_block is None else pairwise_block.spec
-                ),
             }
             self.last_shared_specs = specs
             workers = min(self.n_jobs, len(seeds))
@@ -524,21 +509,16 @@ class ProcessBackend(ExecutionBackend):
                 block.destroy()
 
     @staticmethod
-    def _pickle_without(
-        clusterer: UncertainClusterer, attrs: Sequence[str]
-    ) -> bytes:
-        """Pickle the clusterer with the named big arrays detached."""
-        stripped = {}
-        for attr in attrs:
-            value = getattr(clusterer, attr, None)
-            if value is not None:
-                stripped[attr] = value
-                setattr(clusterer, attr, None)
+    def _pickle_without_tensor(clusterer: UncertainClusterer) -> bytes:
+        """Pickle the clusterer with its sample tensor detached."""
+        tensor = getattr(clusterer, "sample_cache", None)
+        if tensor is None:
+            return pickle.dumps(clusterer)
+        clusterer.sample_cache = None
         try:
             return pickle.dumps(clusterer)
         finally:
-            for attr, value in stripped.items():
-                setattr(clusterer, attr, value)
+            clusterer.sample_cache = tensor
 
 
 def choose_backend(

@@ -12,21 +12,22 @@ expensive, restart-invariant work out of the loop:
   :meth:`UncertainDataset.sample_tensor` and injected into sample-based
   algorithms (those exposing ``n_samples``/``sample_cache``), so ``S``
   Monte-Carlo draws per object happen once instead of once per restart;
-* the **pairwise-distance plane** is computed once via
-  :meth:`UncertainDataset.pairwise_ed` and injected into algorithms
-  declaring ``wants_pairwise_ed`` (UK-medoids), so the O(n^2 m) ``ÊD``
-  matrix — an *off-line* phase in the paper's accounting, excluded from
-  every reported runtime — is never rebuilt per restart.
+* the **pairwise ``ÊD`` matrix** of algorithms declaring
+  ``wants_pairwise_ed`` (UK-medoids, U-AHC ``"ed"``) lives on the
+  dataset too (:meth:`UncertainDataset.pairwise_ed`): the runner builds
+  it once before dispatch, so the O(n^2 m) matrix — an *off-line*
+  phase in the paper's accounting, excluded from every reported
+  runtime — is never rebuilt per restart.
 
 Restarts are independent, so each run-set executes on the
 :class:`~repro.engine.backends.ExecutionBackend` that
 :func:`~repro.engine.backends.choose_backend` picks from ``n_jobs`` and
 the algorithm — serial, thread pool (nothing serialized; NumPy kernels
-release the GIL) or process pool (moment matrices and the sample
-tensor published once via shared memory).  Per-restart seeds are
-spawned up front from one seed sequence and completions are consumed
-in submission order, making results identical for every backend —
-including with engine-level early stopping enabled.
+release the GIL) or process pool (moment matrices, the sample tensor
+and the ``ÊD`` matrix published once via shared memory).  Per-restart
+seeds are spawned up front from one seed sequence and completions are
+consumed in submission order, making results identical for every
+backend — including with engine-level early stopping enabled.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import numpy as np
 from repro._typing import SeedLike
 from repro.clustering.base import ClusteringResult, UncertainClusterer
 from repro.engine.backends import EarlyStopping, choose_backend
-from repro.engine.distances import resolve_pairwise_ed
 from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
 
@@ -124,11 +124,7 @@ class MultiRestartRunner:
 
     # ------------------------------------------------------------------
     def run(
-        self,
-        dataset: UncertainDataset,
-        seed: SeedLike = None,
-        *,
-        pairwise_ed: Optional[np.ndarray] = None,
+        self, dataset: UncertainDataset, seed: SeedLike = None
     ) -> ClusteringResult:
         """Run every restart and return the best-objective result.
 
@@ -145,15 +141,6 @@ class MultiRestartRunner:
         objective has not improved for ``patience`` completed restarts
         (evaluated in seed order, so the outcome is backend-invariant);
         ``restart_history`` then covers only the executed prefix.
-
-        ``pairwise_ed`` optionally supplies the shared ``ÊD`` matrix for
-        ``wants_pairwise_ed`` algorithms (callers that already hold it,
-        e.g. the evaluation protocol's scoring matrix); by default the
-        dataset's cached :meth:`~repro.objects.dataset.UncertainDataset.
-        pairwise_ed` is used.  A matrix the clusterer itself carries
-        (a pinned ``pairwise_ed_cache`` or constructor ``precomputed``)
-        is the most local intent and takes precedence — ``pairwise_ed``
-        is ignored then.
         """
         if self.n_init > 1 and not getattr(self.clusterer, "has_objective", True):
             warnings.warn(
@@ -168,7 +155,6 @@ class MultiRestartRunner:
         backend_name, results = self._run_with_cache(
             dataset, restart_seeds, sample_seed, need_sample,
             early_stopping=self.early_stopping,
-            pairwise_ed=pairwise_ed,
         )
         return self._select_best(
             results, restart_seeds, self._shared(need_sample), backend_name
@@ -180,7 +166,6 @@ class MultiRestartRunner:
         seed: SeedLike = None,
         *,
         seeds: Optional[Sequence[SeedLike]] = None,
-        pairwise_ed: Optional[np.ndarray] = None,
     ) -> List[ClusteringResult]:
         """Run every restart and return *all* results, in restart order.
 
@@ -219,8 +204,7 @@ class MultiRestartRunner:
             # the tensor is drawn.
             sample_seed = seed
         _backend_name, results = self._run_with_cache(
-            dataset, restart_seeds, sample_seed, need_sample,
-            pairwise_ed=pairwise_ed,
+            dataset, restart_seeds, sample_seed, need_sample
         )
         return results
 
@@ -273,30 +257,26 @@ class MultiRestartRunner:
         sample_seed: Optional[SeedLike],
         need_sample: bool,
         early_stopping: Optional[EarlyStopping] = None,
-        pairwise_ed: Optional[np.ndarray] = None,
     ) -> Tuple[str, List[ClusteringResult]]:
-        """Execute restarts with the shared caches injected/restored.
+        """Execute restarts with the shared sample tensor injected/restored.
 
         Returns the name of the backend the restarts executed on, and
         their results.
 
         ``need_sample`` (not ``sample_seed``) gates the draw: a None
         seed with ``need_sample`` still draws one shared tensor, from
-        fresh entropy.  The pairwise ``ÊD`` plane is injected alongside
-        when the algorithm declares ``wants_pairwise_ed`` (and no matrix
-        is already pinned or fixed at construction).
+        fresh entropy.  For ``wants_pairwise_ed`` algorithms the
+        dataset's ``ÊD`` matrix is built here, before dispatch, so pool
+        threads never race to build it and the process pool publishes
+        it.
         """
         cache: Optional[np.ndarray] = None
-        ed_matrix: Optional[np.ndarray] = None
         if need_sample:
             n_samples = int(self.clusterer.n_samples)
             cache = dataset.sample_tensor(n_samples, sample_seed)
             self.clusterer.sample_cache = cache
-        # The clusterer's own matrix (pinned cache or constructor
-        # ``precomputed``) always wins — resolve returns None then.
-        ed_matrix = resolve_pairwise_ed(self.clusterer, dataset, pairwise_ed)
-        if ed_matrix is not None:
-            self.clusterer.pairwise_ed_cache = ed_matrix
+        if getattr(self.clusterer, "wants_pairwise_ed", False):
+            dataset.pairwise_ed()
         try:
             backend = choose_backend(
                 self.clusterer, dataset, len(restart_seeds), self.n_jobs
@@ -308,8 +288,6 @@ class MultiRestartRunner:
         finally:
             if cache is not None:
                 self.clusterer.sample_cache = None
-            if ed_matrix is not None:
-                self.clusterer.pairwise_ed_cache = None
 
     def _select_best(
         self,
@@ -353,8 +331,8 @@ class MultiRestartRunner:
             engine_jobs=self.n_jobs,
             engine_backend=backend_name,
             shared_samples=shared,
-            # Every run of a ÊD-plane algorithm reads one matrix: the
-            # injected one, or the clusterer's own pinned/fixed one.
+            # Every run of a ÊD-matrix algorithm reads the dataset's one
+            # matrix.
             shared_pairwise_ed=bool(
                 getattr(self.clusterer, "wants_pairwise_ed", False)
             ),
@@ -384,7 +362,6 @@ def fit_runs(
     sample_seed: SeedLike = None,
     share_samples: Optional[bool] = None,
     n_jobs: int = 1,
-    pairwise_ed: Optional[np.ndarray] = None,
 ) -> List[ClusteringResult]:
     """Fit ``clusterer`` once per seed through the engine.
 
@@ -392,8 +369,8 @@ def fit_runs(
     fits execute through :meth:`MultiRestartRunner.run_all`, sharing the
     dataset's moment matrices, — for sample-based algorithms — one
     sample tensor drawn from ``sample_seed``, and — for
-    ``wants_pairwise_ed`` algorithms — one pairwise ``ÊD`` matrix
-    (``pairwise_ed``, or the dataset's cached one).
+    ``wants_pairwise_ed`` algorithms — the dataset's one pairwise ``ÊD``
+    matrix.
 
     ``share_samples=None`` resolves per algorithm: algorithms whose
     only randomness is the Monte-Carlo draw
@@ -418,6 +395,4 @@ def fit_runs(
         n_jobs=n_jobs,
         share_samples=share_samples,
     )
-    return runner.run_all(
-        dataset, seed=sample_seed, seeds=seeds, pairwise_ed=pairwise_ed
-    )
+    return runner.run_all(dataset, seed=sample_seed, seeds=seeds)

@@ -4,7 +4,7 @@ The paper's headline artifacts (Tables 2-3, Figures 4-5) are a *grid*
 of run-sets — datasets x algorithms x parameters — and every cell that
 shares a dataset also shares that dataset's off-line work: the stacked
 moment matrices, the compiled sampling plan, and the pairwise ``ÊD``
-matrix of the distance plane.  This module walks the grid as one
+matrix cached on the dataset.  This module walks the grid as one
 explicit schedule of dataset groups, so that
 
 * each dataset is materialized **once** and every cell that needs it

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
-from repro.objects.distance import pairwise_squared_expected_distances
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,10 @@ def internal_scores(
     labels:
         Cluster label per object; -1 marks noise.
     distances:
-        Optional precomputed pairwise ``ÊD`` matrix, ``(n, n)`` (reused
-        across the many clusterings scored in one experiment).
+        Optional ``(n, n)`` distance matrix to score with; defaults to
+        the dataset's cached ``ÊD`` matrix,
+        :meth:`~repro.objects.dataset.UncertainDataset.pairwise_ed`, so
+        the many clusterings scored in one experiment share one build.
     noise_policy:
         ``"residual"`` (default) — noise objects form one residual
         cluster, mirroring the F-measure's treatment, so an algorithm
@@ -80,7 +81,7 @@ def internal_scores(
             f"got shape {labels.shape}"
         )
     if distances is None:
-        distances = pairwise_squared_expected_distances(dataset)
+        distances = dataset.pairwise_ed()
     elif np.shape(distances) != (n, n):
         raise InvalidParameterError(
             f"distances must be ({n}, {n}) for {n} objects, "

@@ -15,19 +15,16 @@ modeling the uncertainty *helps* that method.  Table 2 reports Theta
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro._typing import SeedLike
 from repro.clustering.base import UncertainClusterer
 from repro.datagen.uncertainty_gen import UncertainDataPair
-from repro.engine.distances import pinned_pairwise_ed, resolve_pairwise_ed
 from repro.engine.runner import fit_runs
 from repro.evaluation.external import f_measure
 from repro.evaluation.internal import internal_scores
 from repro.exceptions import InvalidParameterError
-from repro.objects.distance import validate_pairwise_ed
 from repro.utils.rng import spawn_rngs
 
 
@@ -60,9 +57,13 @@ def evaluate_theta(
     algorithm: UncertainClusterer,
     pair: UncertainDataPair,
     seed: SeedLike = None,
-    distances: Optional[np.ndarray] = None,
 ) -> ThetaResult:
     """Run one algorithm through the paired protocol.
+
+    The internal criterion scores the Case-2 clustering on
+    ``pair.uncertain``'s cached
+    :meth:`~repro.objects.dataset.UncertainDataset.pairwise_ed`, the
+    same matrix a ``wants_pairwise_ed`` algorithm (UK-medoids) fits on.
 
     Parameters
     ----------
@@ -73,37 +74,16 @@ def evaluate_theta(
         :meth:`~repro.datagen.uncertainty_gen.UncertaintyGenerator.generate`.
     seed:
         Seeds both runs (independently spawned).
-    distances:
-        Optional precomputed ``ÊD`` matrix of ``pair.uncertain`` for the
-        internal criterion; defaults to the dataset's cached
-        :meth:`~repro.objects.dataset.UncertainDataset.pairwise_ed`.
-        For ``wants_pairwise_ed`` algorithms (UK-medoids) the same
-        matrix is threaded into the Case-2 fit — and ``pair.perturbed``'s
-        cached matrix into the Case-1 fit — so neither fit rebuilds the
-        O(n^2 m) matrix the protocol already holds.
     """
     reference = pair.uncertain.labels
     if reference is None:
         raise InvalidParameterError(
             "the protocol needs reference labels on the uncertain dataset"
         )
-    if distances is None:
-        distances = pair.uncertain.pairwise_ed()
-    else:
-        # The supplied matrix now feeds the Case-2 *fits*, not just the
-        # internal criterion — reject non-ÊD garbage loudly rather than
-        # silently clustering on it.
-        distances = validate_pairwise_ed(distances, len(pair.uncertain), "distances")
     rng1, rng2 = spawn_rngs(seed, 2)
-    with pinned_pairwise_ed(
-        algorithm, resolve_pairwise_ed(algorithm, pair.perturbed)
-    ):
-        result_case1 = algorithm.fit(pair.perturbed, seed=rng1)
-    with pinned_pairwise_ed(
-        algorithm, resolve_pairwise_ed(algorithm, pair.uncertain, distances)
-    ):
-        result_case2 = algorithm.fit(pair.uncertain, seed=rng2)
-    internal = internal_scores(pair.uncertain, result_case2.labels, distances)
+    result_case1 = algorithm.fit(pair.perturbed, seed=rng1)
+    result_case2 = algorithm.fit(pair.uncertain, seed=rng2)
+    internal = internal_scores(pair.uncertain, result_case2.labels)
     return ThetaResult(
         f_case1=f_measure(result_case1.labels, reference),
         f_case2=f_measure(result_case2.labels, reference),
@@ -129,7 +109,6 @@ def evaluate_theta_multirun(
     pair: UncertainDataPair,
     n_runs: int = 10,
     seed: SeedLike = None,
-    distances: Optional[np.ndarray] = None,
     n_jobs: int = 1,
 ) -> AveragedThetaResult:
     """Average the paired protocol over independent runs.
@@ -150,12 +129,11 @@ def evaluate_theta_multirun(
     ``evaluate_theta`` called once per run seed of
     :func:`multirun_stream_plan`.
 
-    The scoring ``ÊD`` matrix is computed once (or taken from
-    ``distances``) and reused everywhere it appears: the internal
-    criterion of every run *and* — for ``wants_pairwise_ed`` algorithms
-    — the Case-2 fits themselves, with ``pair.perturbed``'s own cached
-    matrix threaded into the Case-1 fits.  Neither of the ``2 x
-    n_runs`` fits rebuilds a matrix the protocol already holds.
+    Each dataset's ``ÊD`` matrix is built once, on the dataset
+    (:meth:`~repro.objects.dataset.UncertainDataset.pairwise_ed`), and
+    read everywhere it appears: the internal criterion of every run
+    *and* — for ``wants_pairwise_ed`` algorithms — the fits of both
+    series.
 
     ``n_jobs`` is the worker count of the two fit series (the engine
     picks their backend from it and the algorithm).  It is
@@ -164,11 +142,6 @@ def evaluate_theta_multirun(
     """
     if n_runs < 1:
         raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
-    if distances is None:
-        distances = pair.uncertain.pairwise_ed()
-    else:
-        # See evaluate_theta: the matrix feeds the Case-2 fits too.
-        distances = validate_pairwise_ed(distances, len(pair.uncertain), "distances")
     reference = pair.uncertain.labels
     if reference is None:
         raise InvalidParameterError(
@@ -194,15 +167,12 @@ def evaluate_theta_multirun(
         [run_pair[1] for run_pair in case_seeds],
         sample_seed=sample_rng2,
         n_jobs=n_jobs,
-        pairwise_ed=distances,
     )
     for run, (case1, case2) in enumerate(zip(results_case1, results_case2)):
         thetas[run] = f_measure(case2.labels, reference) - f_measure(
             case1.labels, reference
         )
-        qualities[run] = internal_scores(
-            pair.uncertain, case2.labels, distances
-        ).quality
+        qualities[run] = internal_scores(pair.uncertain, case2.labels).quality
         runtimes[run] = case2.runtime_seconds
     return AveragedThetaResult(
         theta_mean=float(thetas.mean()),

@@ -160,7 +160,6 @@ def run_table2_cell(
     n_classes: int,
     rng,
     config: ExperimentConfig,
-    distances: np.ndarray,
 ) -> Table2Cell:
     """One (dataset, family, algorithm) measurement of Table 2."""
     algorithm = build_algorithm(
@@ -171,7 +170,6 @@ def run_table2_cell(
         pair,
         n_runs=config.n_runs,
         seed=rng,
-        distances=distances,
         n_jobs=config.n_jobs,
     )
     return Table2Cell(theta=outcome.theta_mean, quality=outcome.quality_mean)
@@ -212,12 +210,7 @@ class Table2Spec(SurfaceSpec):
 
     def run(self, state, rng, key):
         pair, n_classes = state
-        # The dataset-cached plane scores every algorithm's internal
-        # criterion *and* feeds UK-medoids' fits.
-        cell = run_table2_cell(
-            key[-1], pair, n_classes, rng, self.config,
-            pair.uncertain.pairwise_ed(),
-        )
+        cell = run_table2_cell(key[-1], pair, n_classes, rng, self.config)
         return {"theta": cell.theta, "quality": cell.quality}
 
     def skip(self, state, rng, key):

@@ -107,7 +107,6 @@ def run_table3_cell(
     k: int,
     ds_rng,
     config: ExperimentConfig,
-    distances: np.ndarray,
 ) -> float:
     """Mean Q of one (dataset, k, algorithm) cell of Table 3."""
     k_eff = min(k, len(dataset) - 1)
@@ -124,13 +123,9 @@ def run_table3_cell(
         streams[:-1],
         sample_seed=streams[-1],
         n_jobs=config.n_jobs,
-        pairwise_ed=distances,
     )
     scores = np.array(
-        [
-            internal_scores(dataset, result.labels, distances).quality
-            for result in results
-        ]
+        [internal_scores(dataset, result.labels).quality for result in results]
     )
     return float(scores.mean())
 
@@ -172,12 +167,7 @@ class Table3Spec(SurfaceSpec):
 
     def run(self, dataset, rng, key):
         _, k, alg = key
-        # Dataset-cached plane: scores every cell's internal criterion
-        # and feeds UK-medoids' fits.
-        quality = run_table3_cell(
-            alg, dataset, k, rng, self.config, dataset.pairwise_ed()
-        )
-        return {"quality": quality}
+        return {"quality": run_table3_cell(alg, dataset, k, rng, self.config)}
 
     def skip(self, dataset, rng, key):
         spawn_rngs(rng, self.config.n_runs + 1)

@@ -9,7 +9,6 @@ from repro.objects.distance import (
     pairwise_squared_expected_distances,
     squared_expected_distance,
     squared_expected_distance_mc,
-    validate_pairwise_ed,
 )
 from repro.objects.preprocessing import StandardizationPlan, UncertainStandardizer
 from repro.objects.uncertain_object import UncertainObject, objects_dim
@@ -27,5 +26,4 @@ __all__ = [
     "pairwise_squared_expected_distances",
     "squared_expected_distance",
     "squared_expected_distance_mc",
-    "validate_pairwise_ed",
 ]

@@ -181,9 +181,11 @@ class UncertainDataset:
 
         This is the off-line phase of UK-medoids (Lemma 3) lifted to the
         dataset, mirroring the moment matrices and the sampling plan:
-        the matrix is deterministic for an immutable dataset, so every
-        consumer — engine restarts, the internal validity criteria, the
-        Case-1/Case-2 protocol — reads one shared read-only copy instead
+        the matrix is deterministic for an immutable dataset, so this is
+        the one place it is built and kept.  Every consumer — UK-medoids
+        and U-AHC's ``"ed"`` linkage (direct fits, engine restarts on
+        every backend), the internal validity criteria, the
+        Case-1/Case-2 protocol — reads this one read-only copy instead
         of rebuilding the O(n^2 m) matrix per use.  Computed lazily on
         first call (it is O(n^2) memory, and the moment-based algorithms
         never need it).
@@ -210,11 +212,12 @@ class UncertainDataset:
 
     @classmethod
     def _from_shared_moments(
-        cls, objects, labels, mu, mu2, sigma2
+        cls, objects, labels, mu, mu2, sigma2, pairwise_ed=None
     ) -> "UncertainDataset":
         """Rebuild a dataset around externally provided moment views.
 
-        Counterpart of :meth:`_moment_free_state`: the matrices are
+        Counterpart of :meth:`_moment_free_state`: the matrices — and
+        the parent's :meth:`pairwise_ed` matrix when one is given — are
         adopted as-is (typically read-only views over shared-memory
         blocks) instead of being restacked from the objects, so worker
         processes pay neither the pickling nor the recomputation cost.
@@ -232,7 +235,7 @@ class UncertainDataset:
             labels.setflags(write=False)
         dataset._labels = labels
         dataset._sampling_plan = None
-        dataset._pairwise_ed = None
+        dataset._pairwise_ed = pairwise_ed
         return dataset
 
     # ------------------------------------------------------------------

@@ -148,53 +148,6 @@ def pairwise_squared_expected_distances(dataset: UncertainDataset) -> FloatArray
     return dist_sq + var[:, None] + var[None, :]
 
 
-def validate_pairwise_ed(
-    matrix: np.ndarray,
-    n: Optional[int] = None,
-    name: str = "precomputed",
-) -> FloatArray:
-    """Validate an externally supplied ``ÊD`` matrix.
-
-    An ``ÊD`` matrix is by construction square, symmetric, finite and
-    non-negative (it is a sum of variances and a squared norm); a matrix
-    violating any of these is not a pairwise expected-distance matrix at
-    all — most commonly a transposed slice, an aggregation with NaNs, or
-    a similarity matrix passed where a distance matrix belongs — and
-    silently clustering it produces garbage, so each property is checked
-    with a targeted :class:`InvalidParameterError`.
-
-    The returned array **aliases the caller's array** whenever the input
-    already is a C-ordered float64 ndarray (``np.asarray`` semantics):
-    the matrix is O(n^2) by design and consumers like UK-medoids only
-    read it.  Callers who mutate their array afterwards therefore mutate
-    the clusterer's view too; pass a copy to opt out.
-    """
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidParameterError(
-            f"{name} matrix must be square (n, n), got shape {arr.shape}"
-        )
-    if n is not None and arr.shape != (n, n):
-        raise InvalidParameterError(
-            f"{name} matrix must be ({n}, {n}), got {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise InvalidParameterError(
-            f"{name} matrix contains non-finite entries (NaN or inf)"
-        )
-    if arr.size and float(arr.min()) < 0.0:
-        raise InvalidParameterError(
-            f"{name} matrix contains negative entries; ÊD distances are "
-            "non-negative"
-        )
-    if not np.allclose(arr, arr.T, rtol=1e-7, atol=1e-10):
-        raise InvalidParameterError(
-            f"{name} matrix must be symmetric (within tolerance); "
-            "ÊD(o, o') == ÊD(o', o)"
-        )
-    return arr
-
-
 def cross_squared_expected_distances(
     dataset: UncertainDataset, others: UncertainDataset
 ) -> FloatArray:

@@ -37,6 +37,7 @@ from repro.engine import (
 )
 from repro.engine.backends import AUTO_SERIAL_ELEMENTS
 from repro.exceptions import InvalidParameterError
+from repro.objects import UncertainDataset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -345,40 +346,37 @@ class TestProcessBackendSharedMemory:
             runner.run(data, seed=2)
         self._assert_blocks_unlinked(backend)
 
+    @staticmethod
+    def _armed(data):
+        """The same objects, with the dataset's cached ÊD matrix armed
+        as a pickle trap.  The matrix is doubled, so a worker that built
+        its own instead of reading the published one would disagree."""
+        armed = UncertainDataset(data.objects)
+        armed._pairwise_ed = (2.0 * data.pairwise_ed()).view(_PickleTrap)
+        return armed
+
     def test_pairwise_matrix_not_pickled(self, data, force_backend):
-        """Serialization spy for the distance plane: with the ÊD matrix
-        pinned as a pickle trap, the processes run still succeeds
-        (shared memory) and matches the serial result from the same
-        matrix."""
-        matrix = data.pairwise_ed()
-        plain = UKMedoids(4)
-        plain.pairwise_ed_cache = matrix
-        via_serial = MultiRestartRunner(plain, n_init=4).run(data, seed=2)
-        trapped = UKMedoids(4)
-        trapped.pairwise_ed_cache = matrix.view(_PickleTrap)
-        force_backend("processes")
+        """Serialization spy for the dataset's ÊD matrix: armed as a
+        pickle trap, the processes run still succeeds (shared memory)
+        and matches the serial result on the same matrix."""
+        armed = self._armed(data)
+        via_serial = MultiRestartRunner(UKMedoids(4), n_init=4).run(
+            armed, seed=2
+        )
+        backend = force_backend("processes")
         via_processes = MultiRestartRunner(
-            trapped, n_init=4, n_jobs=2
-        ).run(data, seed=2)
+            UKMedoids(4), n_init=4, n_jobs=2
+        ).run(armed, seed=2)
         _assert_same_result(via_serial, via_processes)
-        # The trap must still be armed (pin restored after the run).
+        native = MultiRestartRunner(UKMedoids(4), n_init=4).run(data, seed=2)
+        assert via_processes.objective == 2.0 * native.objective
+        # Moment matrices + the dataset's ÊD matrix.
+        assert len(backend.last_shared_specs) == 4
+        self._assert_blocks_unlinked(backend)
         with pytest.raises(AssertionError, match="shared memory"):
             import pickle
 
-            pickle.dumps(trapped.pairwise_ed_cache)
-
-    def test_precomputed_matrix_not_pickled(self, data, force_backend):
-        """The constructor-fixed matrix rides shared memory too."""
-        reference = MultiRestartRunner(
-            UKMedoids(4, precomputed=data.pairwise_ed()), n_init=4
-        ).run(data, seed=2)
-        trapped = UKMedoids(4, precomputed=data.pairwise_ed())
-        trapped.precomputed = trapped.precomputed.view(_PickleTrap)
-        force_backend("processes")
-        via_processes = MultiRestartRunner(
-            trapped, n_init=4, n_jobs=2
-        ).run(data, seed=2)
-        _assert_same_result(reference, via_processes)
+            pickle.dumps(armed.pairwise_ed())
 
     def test_pairwise_block_published_and_unlinked(self, data, force_backend):
         backend = force_backend("processes")
@@ -388,29 +386,32 @@ class TestProcessBackendSharedMemory:
         self._assert_blocks_unlinked(backend)
 
     def test_uahc_pairwise_matrix_not_pickled(self, data, force_backend):
-        """UAHC's ``"ed"`` linkage joins the plane: its pinned ÊD matrix
-        rides shared memory under the process backend, never pickle."""
-        matrix = data.pairwise_ed()
-        plain = UAHC(3, linkage="ed")
-        plain.pairwise_ed_cache = matrix
-        via_serial = MultiRestartRunner(plain, n_init=4).run_all(
-            data, seeds=[0, 1, 2, 3]
+        """UAHC's ``"ed"`` linkage reads the same matrix: armed as a
+        pickle trap, it rides shared memory under the process backend,
+        never pickle."""
+        armed = self._armed(data)
+        seeds = [0, 1, 2, 3]
+        via_serial = MultiRestartRunner(UAHC(3, linkage="ed")).run_all(
+            armed, seeds=seeds
         )
-        trapped = UAHC(3, linkage="ed")
-        trapped.pairwise_ed_cache = matrix.view(_PickleTrap)
-        force_backend("processes")
+        backend = force_backend("processes")
         via_processes = MultiRestartRunner(
-            trapped, n_init=4, n_jobs=2
-        ).run_all(data, seeds=[0, 1, 2, 3])
+            UAHC(3, linkage="ed"), n_jobs=2
+        ).run_all(armed, seeds=seeds)
+        native = UAHC(3, linkage="ed").fit(data)
         for serial_run, process_run in zip(via_serial, via_processes):
             np.testing.assert_array_equal(
                 serial_run.labels, process_run.labels
             )
-        # The trap must still be armed (pin restored after the run).
+            heights = [m.height for m in process_run.extras["merges"]]
+            assert [m.height for m in serial_run.extras["merges"]] == heights
+            assert heights == [2.0 * m.height for m in native.extras["merges"]]
+        assert len(backend.last_shared_specs) == 4
+        self._assert_blocks_unlinked(backend)
         with pytest.raises(AssertionError, match="shared memory"):
             import pickle
 
-            pickle.dumps(trapped.pairwise_ed_cache)
+            pickle.dumps(armed.pairwise_ed())
 
     def test_uahc_pairwise_block_published_and_unlinked(
         self, data, force_backend

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.clustering import (
+    UCPC,
+    UKMedoids,
     kmeanspp_seed_indices,
     labels_from_clusters,
     partition_from_seeds,
@@ -14,7 +18,19 @@ from repro.clustering import (
     validate_n_clusters,
 )
 from repro.clustering.base import ClusteringResult
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import ConvergenceWarning, InvalidParameterError
+from repro.objects import UncertainDataset
+
+
+def _overflow_dataset(seed):
+    """24 normal point masses plus four at ±1e154 on the first axis:
+    every moment is finite, but squared distances to the giants
+    overflow."""
+    rng = np.random.default_rng(seed)
+    giants = np.zeros((4, 2))
+    giants[:, 0] = rng.choice([-1.0, 1.0], size=4) * rng.uniform(1.0, 1.3, size=4)
+    points = np.vstack([rng.normal(size=(24, 2)), giants * 1e154])
+    return UncertainDataset.from_points(points)
 
 
 class TestClusteringResult:
@@ -121,6 +137,27 @@ class TestSeedSelection:
     def test_kmeanspp_invalid(self, blob_dataset):
         with pytest.raises(InvalidParameterError):
             kmeanspp_seed_indices(blob_dataset, 0, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kmeanspp_overflowing_weights_raise_typed_error(self, seed):
+        """Finite moments whose squared distances overflow leave no D²
+        distribution to draw from: a typed error, not numpy's raw
+        ``ValueError`` from ``rng.choice``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidParameterError, match="overflow"):
+                kmeanspp_seed_indices(_overflow_dataset(seed), 3, seed=seed)
+
+    @pytest.mark.parametrize("cls", [UCPC, UKMedoids])
+    def test_kmeanspp_overflow_through_classes(self, cls):
+        """Both k-means++ users raise the typed error; ``init="random"``
+        keeps running on the same data."""
+        data = _overflow_dataset(0)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            with pytest.raises(InvalidParameterError, match="overflow"):
+                cls(3, init="kmeans++").fit(data, seed=0)
+            result = cls(3, init="random").fit(data, seed=0)
+        assert result.labels.shape == (len(data),)
 
     def test_partition_from_seeds(self, blob_dataset):
         seeds = kmeanspp_seed_indices(blob_dataset, 3, seed=1)

@@ -1,31 +1,34 @@
-"""Tests for the pairwise-distance plane (shared ÊD matrices).
+"""Tests for the pairwise-distance plane (the dataset's ÊD matrix).
 
 The paper accounts UK-medoids' pairwise ÊD matrix as a one-time
-*off-line* phase; the plane makes the engine honor that accounting: the
-matrix is computed exactly once per run-set (spy-asserted on every
-backend), injected into ``wants_pairwise_ed`` algorithms, threaded
-through the evaluation protocol's two fit series, and validated when it
-arrives from outside.  Everything here is bit-identity or counting — the
-plane must be invisible in the results.
+*off-line* phase.  The matrix has one home,
+:meth:`UncertainDataset.pairwise_ed`: it is built once per dataset
+(spy-asserted for direct fits, the internal criteria and engine runs on
+every backend), and every consumer — UK-medoids, U-AHC's ``"ed"``
+linkage, the evaluation protocol — reads that one copy.  Everything
+here is bit-identity or counting: where the matrix lives must be
+invisible in the results.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.clustering import UKMeans, UKMedoids
+from repro.clustering import UAHC, UKMeans, UKMedoids
 from repro.datagen import (
+    PDF_FAMILIES,
     UncertaintyGenerator,
     make_blobs_uncertain,
     make_classification_like,
 )
+from repro.datagen.benchmarks import make_benchmark
 from repro.engine import MultiRestartRunner, fit_runs
-from repro.exceptions import InvalidParameterError
-from repro.objects.distance import (
-    pairwise_squared_expected_distances,
-    validate_pairwise_ed,
-)
+from repro.evaluation import internal_scores
+from repro.objects import UncertainDataset
+from repro.objects.distance import pairwise_squared_expected_distances
 
 
 def _make_data(seed=13):
@@ -34,17 +37,25 @@ def _make_data(seed=13):
     )
 
 
+def _fresh(dataset):
+    """The same objects in a new dataset, whose matrix is not built yet."""
+    return UncertainDataset(dataset.objects)
+
+
+def _merges(result):
+    return [
+        (m.left, m.right, m.size, m.height) for m in result.extras["merges"]
+    ]
+
+
 @pytest.fixture
 def ed_spy(monkeypatch):
     """Counts pairwise_squared_expected_distances calls, behavior intact.
 
-    Patches every lookup site: the defining module (late-bound import in
-    ``UncertainDataset.pairwise_ed``) plus the module globals of the two
-    plane consumers — UK-medoids and UAHC — whose in-fit fallbacks the
-    plane exists to avoid.
+    ``UncertainDataset.pairwise_ed`` looks the kernel up in its defining
+    module on every build, and no consumer calls it any other way, so
+    patching that one module counts every build.
     """
-    import repro.clustering.uahc as uahc_module
-    import repro.clustering.ukmedoids as ukmedoids_module
     import repro.objects.distance as distance_module
 
     calls = {"count": 0}
@@ -54,10 +65,9 @@ def ed_spy(monkeypatch):
         calls["count"] += 1
         return original(dataset)
 
-    for module in (distance_module, ukmedoids_module, uahc_module):
-        monkeypatch.setattr(
-            module, "pairwise_squared_expected_distances", counting
-        )
+    monkeypatch.setattr(
+        distance_module, "pairwise_squared_expected_distances", counting
+    )
     return calls
 
 
@@ -80,22 +90,71 @@ class TestDatasetPlane:
         with pytest.raises(ValueError):
             data.pairwise_ed()[0, 0] = -1.0
 
+    def test_direct_fits_and_scores_share_one_build(self, ed_spy):
+        """Direct fits and the internal criteria read the dataset's
+        matrix too: two UK-medoids fits, one U-AHC ``"ed"`` fit and two
+        scorings of one dataset build it once."""
+        data = _make_data()
+        labels = UKMedoids(3).fit(data, seed=0).labels
+        UKMedoids(3).fit(data, seed=1)
+        UAHC(3, linkage="ed").fit(data)
+        internal_scores(data, labels)
+        internal_scores(data, UKMeans(3).fit(data, seed=2).labels)
+        assert ed_spy["count"] == 1
+
+    def test_internal_scores_default_matrix(self):
+        """``internal_scores`` defaults to the dataset's cached matrix,
+        bit for bit the same scores as passing it explicitly or passing
+        an independently built one."""
+        data = _make_data()
+        rng = np.random.default_rng(0)
+        labelings = [
+            UKMedoids(3).fit(data, seed=4).labels,
+            rng.integers(-1, 4, size=len(data)),
+        ]
+        for labels in labelings:
+            default = internal_scores(_fresh(data), labels)
+            for distances in (
+                data.pairwise_ed(),
+                pairwise_squared_expected_distances(data),
+            ):
+                explicit = internal_scores(data, labels, distances)
+                assert default.intra.hex() == explicit.intra.hex()
+                assert default.inter.hex() == explicit.inter.hex()
+
+
+def _plane_cases():
+    """(algorithm, method) x backend.  UK-medoids' ``run`` cases keep
+    their backend-only ids."""
+    backends = [("serial", 1), ("threads", 3), ("processes", 2)]
+    for name, method in (
+        ("UKmed", "run"),
+        ("UKmed", "run_all"),
+        ("UAHC", "run"),
+        ("UAHC", "run_all"),
+    ):
+        prefix = "" if (name, method) == ("UKmed", "run") else f"{name}-{method}-"
+        for backend, n_jobs in backends:
+            yield pytest.param(
+                name, method, backend, n_jobs, id=f"{prefix}{backend}-{n_jobs}"
+            )
+
 
 class TestOncePerRunSet:
-    """The satellite regression: one ÊD build per engine run-set."""
+    """One ÊD build per dataset for an engine run-set, on every backend."""
 
-    @pytest.mark.parametrize(
-        "backend,n_jobs",
-        [("serial", 1), ("threads", 3), ("processes", 2)],
-    )
+    @pytest.mark.parametrize("name,method,backend,n_jobs", _plane_cases())
     def test_engine_builds_matrix_exactly_once(
-        self, ed_spy, backend, n_jobs, force_backend
+        self, ed_spy, name, method, backend, n_jobs, force_backend
     ):
         data = _make_data()
         force_backend(backend, n_jobs)
-        MultiRestartRunner(UKMedoids(3), n_init=6, n_jobs=n_jobs).run(
-            data, seed=4
-        )
+        model = UKMedoids(3) if name == "UKmed" else UAHC(3, linkage="ed")
+        runner = MultiRestartRunner(model, n_init=6, n_jobs=n_jobs)
+        with warnings.catch_warnings():
+            # U-AHC has no objective to rank restarts by.
+            warnings.simplefilter("ignore", UserWarning)
+            getattr(runner, method)(data, seed=4)
         assert ed_spy["count"] == 1
 
     def test_fit_runs_builds_matrix_exactly_once(self, ed_spy):
@@ -113,11 +172,25 @@ class TestOncePerRunSet:
         assert ed_spy["count"] == 1
 
 
+@pytest.fixture(scope="module")
+def stand_ins():
+    """The uncertain iris, wine and glass stand-ins for every family."""
+    cases = {}
+    for name in ("iris", "wine", "glass"):
+        points, labels = make_benchmark(name, max_objects=70, seed=3)
+        k = int(np.unique(labels).size)
+        for family in PDF_FAMILIES:
+            pair = UncertaintyGenerator(family).generate(points, labels, seed=5)
+            cases[name, family] = (pair.uncertain, k)
+    return cases
+
+
 class TestBitIdentity:
     def test_20_seed_identity_with_and_without_plane(self, force_backend):
-        """The plane (and a thread pool on top of it) must be
+        """The shared matrix (and a thread pool on top of it) must be
         invisible: same labels, same objective, same best restart as
-        direct fits that each build their own matrix."""
+        direct fits on fresh datasets that each build their own
+        matrix."""
         data = _make_data()
         for seed in range(20):
             force_backend("serial")
@@ -125,7 +198,7 @@ class TestBitIdentity:
                 data, seed=seed
             )
             direct = [
-                UKMedoids(3).fit(data, seed=entry["seed"])
+                UKMedoids(3).fit(_fresh(data), seed=entry["seed"])
                 for entry in with_plane.extras["restart_history"]
             ]
             best = int(np.argmin([result.objective for result in direct]))
@@ -158,90 +231,49 @@ class TestBitIdentity:
         assert direct.objective == routed.objective
         assert engine.extras["shared_pairwise_ed"] is True
 
-    def test_injected_matrix_is_actually_used(self):
-        """Scaling the injected matrix scales the reported objective —
-        proof the fits read the plane rather than recomputing."""
-        data = _make_data()
-        matrix = data.pairwise_ed()
-        reference = MultiRestartRunner(UKMedoids(3), n_init=2).run(data, seed=3)
-        scaled = MultiRestartRunner(UKMedoids(3), n_init=2).run(
-            data, seed=3, pairwise_ed=2.0 * matrix
-        )
-        np.testing.assert_array_equal(reference.labels, scaled.labels)
-        assert scaled.objective == pytest.approx(2.0 * reference.objective)
-
-    def test_explicit_matrix_flagged_as_shared(self):
-        """Provenance: shared_pairwise_ed must reflect the injection
-        that actually happened."""
-        data = _make_data()
-        result = MultiRestartRunner(UKMedoids(3), n_init=2).run(
-            data, seed=3, pairwise_ed=np.asarray(data.pairwise_ed())
-        )
-        assert result.extras["shared_pairwise_ed"] is True
-        plain = MultiRestartRunner(UKMeans(3), n_init=2).run(
-            data, seed=3, pairwise_ed=np.asarray(data.pairwise_ed())
-        )
-        assert plain.extras["shared_pairwise_ed"] is False
-
-    def test_clusterer_own_matrix_wins_over_explicit(self):
-        """Precedence: a constructor-fixed matrix is the most local
-        intent; run(pairwise_ed=...) must not shadow it."""
-        data = _make_data()
-        own = np.asarray(data.pairwise_ed())
-        model = UKMedoids(3, precomputed=own)
-        reference = MultiRestartRunner(UKMedoids(3), n_init=2).run(data, seed=3)
-        result = MultiRestartRunner(model, n_init=2).run(
-            data, seed=3, pairwise_ed=2.0 * own
-        )
-        assert result.objective == reference.objective  # not doubled
-
-    def test_processes_workers_use_injected_matrix(self, force_backend):
-        """Workers must read the published matrix, not rebuild their
-        own: pin a *different* dataset's matrix and check processes
-        reproduces the serial result computed from that same pin."""
-        data = _make_data(seed=13)
-        other = _make_data(seed=99)
-        foreign = np.asarray(other.pairwise_ed())
-
-        def pinned():
-            model = UKMedoids(3)
-            model.pairwise_ed_cache = foreign
-            return model
-
-        serial = MultiRestartRunner(pinned(), n_init=4).run(data, seed=6)
+    @pytest.mark.parametrize("family", PDF_FAMILIES)
+    @pytest.mark.parametrize("name", ["iris", "wine", "glass"])
+    def test_processes_equal_direct_fits_on_stand_ins(
+        self, stand_ins, name, family, force_backend
+    ):
+        """Process workers fit on the published shared-memory matrix;
+        direct fits on a fresh dataset build their own.  UK-medoids
+        gives equal labels and objectives, U-AHC ``"ed"`` equal labels
+        and merges (heights included: both run the same scipy call on
+        the same matrix)."""
+        dataset, k = stand_ins[name, family]
+        seeds = [0, 1, 2, 3]
         force_backend("processes")
-        processes = MultiRestartRunner(pinned(), n_init=4, n_jobs=2).run(
-            data, seed=6
+        medoids = MultiRestartRunner(UKMedoids(k), n_jobs=2).run_all(
+            dataset, seeds=seeds
         )
-        np.testing.assert_array_equal(serial.labels, processes.labels)
-        assert serial.objective == processes.objective
-        # Sanity: the foreign matrix really changes the outcome.
-        native = MultiRestartRunner(UKMedoids(3), n_init=4).run(data, seed=6)
-        assert native.objective != serial.objective
+        for seed, routed in zip(seeds, medoids):
+            direct = UKMedoids(k).fit(_fresh(dataset), seed=seed)
+            np.testing.assert_array_equal(direct.labels, routed.labels)
+            assert direct.objective == routed.objective
+        hierarchies = MultiRestartRunner(UAHC(k, linkage="ed"), n_jobs=2).run_all(
+            dataset, seeds=[0, 1]
+        )
+        direct = UAHC(k, linkage="ed").fit(_fresh(dataset))
+        for routed in hierarchies:
+            np.testing.assert_array_equal(direct.labels, routed.labels)
+            assert _merges(direct) == _merges(routed)
 
 
 class TestUAHCPlane:
-    """UAHC joins the distance plane for its ``"ed"`` linkage: the
-    initial singleton proximity structure *is* the ÊD matrix, so the
-    engine seeds it from the shared cache — one build per dataset,
-    bit-identical to the in-fit build."""
+    """U-AHC's ``"ed"`` linkage is average linkage over the dataset's ÊD
+    matrix — one build per dataset, shared with UK-medoids."""
 
     def test_ed_linkage_declares_plane(self):
-        from repro.clustering import UAHC
-
         assert UAHC(3, linkage="ed").wants_pairwise_ed is True
         assert UAHC(3, linkage="jeffreys").wants_pairwise_ed is False
 
     def test_engine_builds_matrix_exactly_once(self, ed_spy):
-        from repro.clustering import UAHC
-
         data = _make_data()
         fit_runs(UAHC(3, linkage="ed"), data, [0, 1, 2])
         assert ed_spy["count"] == 1
 
     def test_jeffreys_linkage_never_builds_matrix(self, ed_spy):
-        from repro.clustering import UAHC
-
         data = _make_data()
         fit_runs(UAHC(3, linkage="jeffreys"), data, [0, 1])
         assert ed_spy["count"] == 0
@@ -250,128 +282,15 @@ class TestUAHCPlane:
         """UK-medoids and UAHC run-sets on one dataset read the same
         cached matrix — the off-line phase is per dataset, not per
         algorithm."""
-        from repro.clustering import UAHC
-
         data = _make_data()
         fit_runs(UKMedoids(3), data, [0, 1])
         fit_runs(UAHC(3, linkage="ed"), data, [0, 1])
         assert ed_spy["count"] == 1
 
-    def test_seeded_merge_structure_bit_identical_to_fallback(self):
-        """With and without the injected cache: same labels, same merge
-        pairs, same merge heights — the plane must be invisible."""
-        from repro.clustering import UAHC
-
-        data = _make_data()
-        direct = UAHC(3, linkage="ed").fit(data)
-        seeded_model = UAHC(3, linkage="ed")
-        seeded_model.pairwise_ed_cache = data.pairwise_ed()
-        seeded = seeded_model.fit(data)
-        routed = fit_runs(UAHC(3, linkage="ed"), data, [0])[0]
-        for other in (seeded, routed):
-            np.testing.assert_array_equal(direct.labels, other.labels)
-            assert [
-                (m.left, m.right, m.height)
-                for m in direct.extras["merges"]
-            ] == [
-                (m.left, m.right, m.height)
-                for m in other.extras["merges"]
-            ]
-
-    def test_cache_shape_validated(self):
-        from repro.clustering import UAHC
-
-        data = _make_data()
-        model = UAHC(3, linkage="ed")
-        model.pairwise_ed_cache = np.zeros((4, 4))
-        with pytest.raises(InvalidParameterError, match="must be \\(60, 60\\)"):
-            model.fit(data)
-
-    def test_pin_restored_after_engine_run(self):
-        from repro.clustering import UAHC
-        from repro.engine import MultiRestartRunner
-
-        data = _make_data()
-        model = UAHC(3, linkage="ed")
-        MultiRestartRunner(model, n_init=1).run_all(data, seeds=[0])
-        assert model.pairwise_ed_cache is None
-
-
-class TestValidation:
-    """Satellite: UKMedoids(precomputed=...) rejects garbage loudly."""
-
-    def _valid(self, n=6):
-        data = make_blobs_uncertain(
-            n_objects=n, n_clusters=2, separation=4.0, seed=0
-        )
-        return pairwise_squared_expected_distances(data)
-
-    def test_asymmetric_rejected(self):
-        matrix = self._valid()
-        matrix[0, 1] *= 3.0  # break symmetry
-        with pytest.raises(InvalidParameterError, match="symmetric"):
-            UKMedoids(2, precomputed=matrix)
-
-    def test_nan_rejected(self):
-        matrix = self._valid()
-        matrix[2, 3] = matrix[3, 2] = np.nan
-        with pytest.raises(InvalidParameterError, match="non-finite"):
-            UKMedoids(2, precomputed=matrix)
-
-    def test_inf_rejected(self):
-        matrix = self._valid()
-        matrix[1, 4] = matrix[4, 1] = np.inf
-        with pytest.raises(InvalidParameterError, match="non-finite"):
-            UKMedoids(2, precomputed=matrix)
-
-    def test_negative_rejected(self):
-        matrix = self._valid()
-        matrix[0, 5] = matrix[5, 0] = -1e-3
-        with pytest.raises(InvalidParameterError, match="negative"):
-            UKMedoids(2, precomputed=matrix)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(InvalidParameterError, match="square"):
-            UKMedoids(2, precomputed=np.zeros((4, 5)))
-        with pytest.raises(InvalidParameterError, match="square"):
-            UKMedoids(2, precomputed=np.zeros(4))
-
-    def test_wrong_size_rejected_at_fit(self):
-        data = _make_data()
-        model = UKMedoids(3, precomputed=self._valid(6))
-        with pytest.raises(InvalidParameterError, match="must be \\(60, 60\\)"):
-            model.fit(data, seed=0)
-
-    def test_near_symmetric_tolerated(self):
-        """Round-off-level asymmetry (e.g. a matrix that went through a
-        transpose-accumulate) must pass the tolerance check."""
-        matrix = self._valid()
-        noise = 1e-12 * np.random.default_rng(0).random(matrix.shape)
-        UKMedoids(2, precomputed=matrix + noise)
-
-    def test_float64_input_adopted_as_view(self):
-        """Documented aliasing contract: an already-float64 matrix is
-        adopted, not copied (it is O(n^2) by design)."""
-        matrix = self._valid()
-        model = UKMedoids(2, precomputed=matrix)
-        assert model.precomputed is matrix
-
-    def test_other_dtypes_are_converted_copies(self):
-        matrix = self._valid().astype(np.float32)
-        model = UKMedoids(2, precomputed=matrix)
-        assert model.precomputed is not matrix
-        assert model.precomputed.dtype == np.float64
-
-    def test_validate_helper_passes_valid_through(self):
-        matrix = self._valid()
-        assert validate_pairwise_ed(matrix, n=6) is matrix
-        with pytest.raises(InvalidParameterError, match="must be \\(9, 9\\)"):
-            validate_pairwise_ed(matrix, n=9)
-
 
 class TestProtocolThreading:
-    """Satellite: evaluate_theta/_multirun thread the scoring matrix
-    into both fit series instead of rebuilding it 2 x n_runs times."""
+    """evaluate_theta/_multirun read each dataset's matrix instead of
+    rebuilding it 2 x n_runs times."""
 
     @pytest.fixture
     def pair(self):
@@ -409,42 +328,11 @@ class TestProtocolThreading:
             np.array([o.quality for o in direct]).mean()
         )
 
-    def test_evaluate_theta_uses_supplied_distances(self, ed_spy, pair):
-        from repro.evaluation import evaluate_theta
-
-        distances = pairwise_squared_expected_distances(pair.uncertain)
-        ed_spy["count"] = 0
-        evaluate_theta(UKMedoids(3), pair, seed=1, distances=distances)
-        # Only the Case-1 (perturbed) matrix is built; Case 2 reuses the
-        # supplied scoring matrix.
-        assert ed_spy["count"] == 1
-
-    def test_invalid_distances_rejected(self, pair):
-        """The supplied matrix now feeds the Case-2 fits, so garbage is
-        rejected loudly instead of silently clustered."""
-        from repro.evaluation import evaluate_theta, evaluate_theta_multirun
-
-        bad = pairwise_squared_expected_distances(pair.uncertain)
-        bad[0, 1] = np.nan
-        with pytest.raises(InvalidParameterError, match="non-finite"):
-            evaluate_theta(UKMedoids(3), pair, seed=1, distances=bad)
-        with pytest.raises(InvalidParameterError, match="non-finite"):
-            evaluate_theta_multirun(
-                UKMedoids(3), pair, n_runs=2, seed=1, distances=bad
-            )
-
-    def test_pin_restored_after_protocol(self, pair):
-        from repro.evaluation import evaluate_theta
-
-        model = UKMedoids(3)
-        evaluate_theta(model, pair, seed=1)
-        assert model.pairwise_ed_cache is None
-
 
 class TestExperimentIntegration:
     def test_table3_builds_one_matrix_per_dataset(self, ed_spy):
-        """The experiment runner's criterion matrix feeds the UK-medoids
-        fits too — one build per dataset regardless of cells and runs."""
+        """The criterion matrix is the one the UK-medoids fits read —
+        one build per dataset regardless of cells and runs."""
         from repro.experiments import ExperimentConfig, run_table3
 
         run_table3(

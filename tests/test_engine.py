@@ -202,14 +202,14 @@ class TestRunAll:
         assert tensor_spy["count"] == 1
 
 
-def _direct_theta(algorithm, pair, n_runs, seed, distances=None):
+def _direct_theta(algorithm, pair, n_runs, seed):
     """Reference for evaluate_theta_multirun: evaluate_theta once per run
     seed of multirun_stream_plan; returns ``(theta_mean, quality_mean)``."""
     from repro.evaluation.protocol import evaluate_theta, multirun_stream_plan
 
     run_seeds, _, _ = multirun_stream_plan(seed, n_runs)
     outcomes = [
-        evaluate_theta(algorithm, pair, run_seed, distances)
+        evaluate_theta(algorithm, pair, run_seed)
         for run_seed in run_seeds
     ]
     return (
@@ -232,7 +232,7 @@ def _direct_table2(config, ds_name, family, algorithms):
             alg, n_clusters=n_classes, n_samples=config.n_samples
         )
         cells[(ds_name, family, alg)] = _direct_theta(
-            algorithm, pair, config.n_runs, rng, pair.uncertain.pairwise_ed()
+            algorithm, pair, config.n_runs, rng
         )
     return cells
 

@@ -87,16 +87,6 @@ class TestUKMedoids:
         )
         assert result.objective == pytest.approx(expected)
 
-    def test_precomputed_matrix_reused(self, data):
-        distances = pairwise_squared_expected_distances(data)
-        result = UKMedoids(n_clusters=3, precomputed=distances).fit(data, seed=3)
-        reference = UKMedoids(n_clusters=3).fit(data, seed=3)
-        assert np.array_equal(result.labels, reference.labels)
-
-    def test_precomputed_shape_checked(self, data):
-        with pytest.raises(InvalidParameterError):
-            UKMedoids(n_clusters=3, precomputed=np.zeros((2, 2))).fit(data, seed=0)
-
     def test_kmeanspp_init(self, data):
         best = max(
             f_measure(
@@ -144,8 +134,9 @@ class TestUKMedoids:
             "repro.clustering.ukmedoids.random_seed_indices",
             lambda n, k, rng: np.array([0, 1, 2]),
         )
+        monkeypatch.setattr(UncertainDataset, "pairwise_ed", lambda self: d)
         dataset = UncertainDataset.from_points(np.zeros((6, 1)))
-        result = UKMedoids(n_clusters=3, precomputed=d).fit(dataset, seed=0)
+        result = UKMedoids(n_clusters=3).fit(dataset, seed=0)
         medoids = result.extras["medoids"]
         assert result.extras["reseeded"] >= 1
         assert len(set(medoids)) == 3
@@ -172,8 +163,9 @@ class TestUKMedoids:
             "repro.clustering.ukmedoids.random_seed_indices",
             lambda n, k, rng: np.array([0, 1, 3]),
         )
+        monkeypatch.setattr(UncertainDataset, "pairwise_ed", lambda self: d)
         dataset = UncertainDataset.from_points(np.zeros((5, 1)))
-        result = UKMedoids(n_clusters=3, precomputed=d).fit(dataset, seed=0)
+        result = UKMedoids(n_clusters=3).fit(dataset, seed=0)
         assert result.extras["reseeded"] >= 1
         assert len(set(result.extras["medoids"])) == 3
         assert result.n_clusters == 3
@@ -191,6 +183,7 @@ class TestUKMedoids:
             "repro.clustering.ukmedoids.random_seed_indices",
             lambda n, k, rng: np.array([0, 1]),
         )
+        monkeypatch.setattr(UncertainDataset, "pairwise_ed", lambda self: d)
         dataset = UncertainDataset.from_points(np.zeros((2, 1)))
-        result = UKMedoids(n_clusters=2, precomputed=d).fit(dataset, seed=0)
+        result = UKMedoids(n_clusters=2).fit(dataset, seed=0)
         assert len(set(result.extras["medoids"])) == 2

@@ -9,7 +9,6 @@ from repro.clustering import UCPC, UKMeans
 from repro.datagen import UncertaintyGenerator, make_classification_like
 from repro.evaluation import evaluate_theta, evaluate_theta_multirun
 from repro.exceptions import InvalidParameterError
-from repro.objects.distance import pairwise_squared_expected_distances
 
 
 @pytest.fixture(scope="module")
@@ -35,13 +34,6 @@ class TestEvaluateTheta:
         assert outcome.theta == pytest.approx(
             outcome.f_case2 - outcome.f_case1
         )
-
-    def test_precomputed_distances(self, pair):
-        distances = pairwise_squared_expected_distances(pair.uncertain)
-        a = evaluate_theta(UCPC(n_clusters=3), pair, seed=2, distances=distances)
-        b = evaluate_theta(UCPC(n_clusters=3), pair, seed=2)
-        assert a.quality == pytest.approx(b.quality)
-        assert a.theta == pytest.approx(b.theta)
 
     def test_requires_labels(self):
         points, _ = make_classification_like(20, 2, 2, seed=0)
@@ -82,11 +74,8 @@ class TestMultirun:
         outcome = evaluate_theta_multirun(
             UKMeans(n_clusters=3), pair, n_runs=3, seed=9
         )
-        distances = pairwise_squared_expected_distances(pair.uncertain)
         manual = [
-            evaluate_theta(
-                UKMeans(n_clusters=3), pair, s, distances
-            ).theta
+            evaluate_theta(UKMeans(n_clusters=3), pair, s).theta
             for s in spawn_rngs(9, 3)
         ]
         assert outcome.theta_mean == pytest.approx(float(np.mean(manual)))

@@ -611,8 +611,6 @@ class TestCacheSharing:
     @pytest.fixture
     def build_spies(self, monkeypatch):
         """Counts of every off-line build the grid can trigger."""
-        import repro.clustering.uahc as uahc_module
-        import repro.clustering.ukmedoids as ukmedoids_module
         import repro.experiments.table3 as table3_module
         import repro.objects.distance as distance_module
         import repro.uncertainty.batch as batch_module
@@ -625,12 +623,13 @@ class TestCacheSharing:
             counts["pairwise"] += 1
             return original_pairwise(dataset)
 
-        for module in (distance_module, ukmedoids_module, uahc_module):
-            monkeypatch.setattr(
-                module,
-                "pairwise_squared_expected_distances",
-                counting_pairwise,
-            )
+        # UncertainDataset.pairwise_ed, the matrix's only builder, looks
+        # the kernel up in this module.
+        monkeypatch.setattr(
+            distance_module,
+            "pairwise_squared_expected_distances",
+            counting_pairwise,
+        )
 
         original_plan = batch_module.build_sampling_plan
 
