@@ -14,7 +14,11 @@ their exactness assertions **on**:
   ever materializing the dense ÊD matrix;
 * U-AHC's ``"ed"`` linkage (scipy's average linkage over the ÊD
   matrix) must cut the n=4000 roster into the requested clusters with
-  non-decreasing merge heights.
+  non-decreasing merge heights;
+* the tile walk of the dense all-pairs kernels must equal the per-row
+  loops bit for bit at n=1499 (over a thousand tiles with ragged
+  edges): FOPTICS's expected-distance matrix and U-AHC's initial
+  Jeffreys proximity (off the diagonal).
 
 Wall-clock timings for every stage are written as JSON so CI can upload
 them as an artifact and regressions stay visible across commits.
@@ -51,6 +55,7 @@ from repro.clustering import (
     BoundedUKMeans,
     MiniBatchUKMeans,
 )
+from repro.clustering.foptics import expected_distance_matrix
 from repro.datagen import make_blobs_uncertain
 from repro.evaluation import f_measure
 from repro.exceptions import ConvergenceWarning
@@ -61,12 +66,25 @@ N_ATTRIBUTES = 8
 N_MC_SAMPLES = 32
 MAX_ITER = 5
 DENSITY_N = 4000  # dense FDBSCAN reference is O(n^2); keep it honest
+DENSE_KERNEL_N = 1499  # row-loop references are O(n) Python iterations
 
 
 def _timed(fn):
     start = time.perf_counter()
     value = fn()
     return value, time.perf_counter() - start
+
+
+def _row_loop_expected_distances(samples: np.ndarray) -> np.ndarray:
+    """FOPTICS's expected-distance matrix, one object row at a time."""
+    n = samples.shape[0]
+    out = np.zeros((n, n))
+    for i in range(n - 1):
+        diff = samples[i + 1 :] - samples[i]
+        dist = np.sqrt(np.einsum("nsm,nsm->ns", diff, diff)).mean(axis=1)
+        out[i, i + 1 :] = dist
+        out[i + 1 :, i] = dist
+    return out
 
 
 def run_smoke() -> List[dict]:
@@ -178,6 +196,42 @@ def run_smoke() -> List[dict]:
         seconds,
         n=DENSITY_N,
         f_measure=round(f_measure(uahc.labels, density_data.labels), 3),
+    )
+
+    kernel_data = make_blobs_uncertain(
+        n_objects=DENSE_KERNEL_N,
+        n_clusters=5,
+        n_attributes=N_ATTRIBUTES,
+        separation=4.0,
+        seed=11,
+    )
+    samples = kernel_data.sample_tensor(N_MC_SAMPLES, seed=0)
+    tiled_ed, tiled_ed_time = _timed(lambda: expected_distance_matrix(samples))
+    loop_ed, loop_ed_time = _timed(lambda: _row_loop_expected_distances(samples))
+    assert np.array_equal(tiled_ed, loop_ed), "tiled ÊD kernel != row loop"
+    model = UAHC(1)
+    mu, var = model._gaussian_parameters(
+        kernel_data.mu_matrix, kernel_data.mu2_matrix, np.ones(DENSE_KERNEL_N)
+    )
+    tiled_prox, tiled_prox_time = _timed(lambda: model._full_proximity(mu, var))
+    loop_prox, loop_prox_time = _timed(
+        lambda: np.array(
+            [model._row_against(mu, var, i) for i in range(DENSE_KERNEL_N)]
+        )
+    )
+    off_diagonal = ~np.eye(DENSE_KERNEL_N, dtype=bool)
+    assert np.array_equal(
+        tiled_prox[off_diagonal], loop_prox[off_diagonal]
+    ), "tiled Jeffreys proximity != row loop"
+    record(
+        "dense_kernels_exact",
+        tiled_ed_time + tiled_prox_time,
+        n=DENSE_KERNEL_N,
+        S=N_MC_SAMPLES,
+        ed_tiled_s=round(tiled_ed_time, 4),
+        ed_row_loop_s=round(loop_ed_time, 4),
+        jeffreys_tiled_s=round(tiled_prox_time, 4),
+        jeffreys_row_loop_s=round(loop_prox_time, 4),
     )
 
     capped, seconds = _timed(

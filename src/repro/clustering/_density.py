@@ -1,4 +1,4 @@
-"""Blocked pairwise kernels for the density-based algorithms.
+"""Pairwise kernels for the density-based and hierarchical algorithms.
 
 FDBSCAN and FOPTICS both reduce the uncertainty between two objects to
 statistics of the *matched-pair sampled distances* ``d_ij,s =
@@ -9,29 +9,39 @@ statistics of the *matched-pair sampled distances* ``d_ij,s =
 * FOPTICS needs ``E[d_ij]`` — the mean sampled distance
   (:func:`expected_distance_matrix`).
 
-Both are Theta(n^2 * S * m) and were previously computed one object row
-at a time (``n`` Python iterations, each materializing an
-``(n - i, S, m)`` difference tensor).  This module computes them in
-column blocks whose temporaries are bounded by
-:data:`DENSITY_BLOCK_ELEMENTS` (the memory knob) or pinned explicitly
-per call — with two deliberately different inner kernels:
+Both are Theta(n^2 * S * m), as is U-AHC's initial Jeffreys proximity.
+All three fill their symmetric ``(n, n)`` matrix through one tile walk,
+:func:`symmetric_from_tiles`: square tiles on or below the diagonal
+(row block >= column block), each written with its transpose, a
+diagonal tile's upper half mirrored from its lower half.  The tile side
+comes from a fixed cache-sized element budget divided by the kernel's
+temporaries per object pair, so a tile stays L2-resident whatever ``n``
+is, and each pair is computed once.  ``block`` pins the side per call.
+The two density kernels deliberately differ inside a tile:
 
 * the *probability* kernel expands ``d^2 = |x|^2 + |y|^2 - 2 x.y`` so
   the cross terms run as ``S`` batched GEMMs.  The expansion is
   algebraically identical to differencing but not bit-identical (a few
   ulps); FDBSCAN only ever *thresholds* ``d^2`` against ``eps^2``, so
   its discrete output absorbs that, which the 20-seed label-equivalence
-  regression (``tests/test_density_equivalence.py``) pins.
+  regression (``tests/test_density_equivalence.py``) pins.  The lower
+  triangle is canonical: the assembly adds ``|x|^2`` and ``|y|^2`` in
+  row-major order, so ``(i, j)`` and ``(j, i)`` may differ by an ulp,
+  and mirroring keeps the reachability graph exactly symmetric.
 * the *expected-distance* kernel keeps the difference-based summation,
-  vectorized over column blocks, because FOPTICS consumes the
-  *continuous* values: its ordering loop breaks near-ties by float
-  comparison, so the kernel must be bit-identical to the row loop it
-  replaced (also regression-pinned).
+  because FOPTICS consumes the *continuous* values: its ordering loop
+  breaks near-ties by float comparison, so the kernel must be
+  bit-identical to the row loop it replaced (also regression-pinned).
+  Each entry's reductions (the ``m``-sum of the einsum over a
+  C-contiguous difference tile, then the mean over the contiguous
+  ``S`` axis) do not depend on the tile's shape, and swapping a pair
+  only negates the differences.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import math
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -39,14 +49,19 @@ from scipy.sparse import csr_matrix
 from repro._typing import FloatArray
 from repro.exceptions import InvalidParameterError
 
-#: Memory knob: target element count of the largest temporary a blocked
-#: kernel materializes (an ``(S, R, B)`` squared-distance block for the
-#: probability kernel, an ``(R, B, S, m)`` difference block for the
-#: expected-distance kernel).  The default, 2**22 doubles, keeps each
-#: temporary around 32 MB; lower it for memory-constrained deployments,
-#: raise it to trade memory for fewer Python-level block iterations at
-#: very large ``n * S``.
+#: Memory cap: target element count of the largest temporary a gathered
+#: or capped kernel materializes (a row or pair block), and the ceiling
+#: of the tile budget below.  The default, 2**22 doubles, bounds each
+#: such temporary to 32 MB; lower it for memory-constrained deployments.
 DENSITY_BLOCK_ELEMENTS: int = 2**22
+
+#: Element budget of the temporaries one tile of an all-pairs kernel
+#: allocates (:func:`symmetric_from_tiles`): 2**17 doubles (1 MB) keep
+#: a tile's working set well inside a core's L2 cache.  Chosen by
+#: measurement at Table 2's shapes (n = 150-200, S = 32, m = 4-13),
+#: where half or 1.5 times the budget was no faster.  Not a knob —
+#: ``block`` pins a tile side per call.
+_TILE_ELEMENTS: int = 2**17
 
 
 def _block_width(per_column: int, n: int, block: Optional[int]) -> int:
@@ -62,6 +77,46 @@ def _block_width(per_column: int, n: int, block: Optional[int]) -> int:
     return max(1, min(n, int(auto)))
 
 
+def symmetric_from_tiles(
+    n: int,
+    per_pair: int,
+    tile: Callable[[slice, slice], FloatArray],
+    block: Optional[int] = None,
+) -> FloatArray:
+    """``(n, n)`` symmetric matrix filled from its lower-triangle tiles.
+
+    ``tile(rows, cols)`` returns the ``(len(rows), len(cols))`` block of
+    entries; it is called only for tiles on or below the diagonal
+    (row block >= column block), and each off-diagonal tile is also
+    written, transposed, above the diagonal.  A diagonal tile's upper
+    half is overwritten with its lower half, so the lower triangle
+    determines the result.  The tile side is ``block`` when given, else
+    ``isqrt(min(DENSITY_BLOCK_ELEMENTS, _TILE_ELEMENTS) // per_pair)``,
+    where ``per_pair`` is the element count of the temporaries ``tile``
+    allocates per object pair.  The diagonal is whatever the tiles
+    computed there.
+    """
+    if block is None:
+        budget = min(DENSITY_BLOCK_ELEMENTS, _TILE_ELEMENTS)
+        side = math.isqrt(budget // max(1, per_pair))
+    else:
+        side = _block_width(per_pair, n, block)
+    side = max(1, min(n, side))
+    out = np.empty((n, n))
+    for r0 in range(0, n, side):
+        rows = slice(r0, min(r0 + side, n))
+        for c0 in range(0, r0, side):
+            cols = slice(c0, c0 + side)
+            values = tile(rows, cols)
+            out[rows, cols] = values
+            out[cols, rows] = values.T
+        values = tile(rows, rows)
+        lower = np.tril_indices(len(values), k=-1)
+        values.T[lower] = values[lower]
+        out[rows, rows] = values
+    return out
+
+
 def pairwise_within_eps_probabilities(
     samples: FloatArray, eps: float, block: Optional[int] = None
 ) -> FloatArray:
@@ -70,42 +125,25 @@ def pairwise_within_eps_probabilities(
     ``samples`` has shape ``(n, S, m)``; the estimate for a pair is the
     fraction of the ``S`` matched sample pairs within ``eps`` (an
     unbiased MC estimator of the double integral).  The diagonal is
-    fixed at 1.  ``block`` overrides the automatic memory-bounded
-    column-block width (see :data:`DENSITY_BLOCK_ELEMENTS`).
+    fixed at 1.  ``block`` pins the tile side of
+    :func:`symmetric_from_tiles`.
     """
     n, n_samples, _ = samples.shape
     eps_sq = eps * eps
-    width = _block_width(n * n_samples, n, block)
     # (S, n, m) views: one GEMM per sample index inside each np.matmul.
     by_sample = np.ascontiguousarray(samples.swapaxes(0, 1))
     by_sample_t = np.ascontiguousarray(by_sample.transpose(0, 2, 1))
     sq_norms = np.einsum("snm,snm->sn", by_sample, by_sample)
-    probs = np.empty((n, n))
 
-    def block_probabilities(row0: int, row1: int, col0: int, col1: int):
-        d2 = by_sample[:, row0:row1, :] @ by_sample_t[:, :, col0:col1]
+    def tile(rows: slice, cols: slice) -> FloatArray:
+        d2 = by_sample[:, rows, :] @ by_sample_t[:, :, cols]
         d2 *= -2.0
-        d2 += sq_norms[:, row0:row1, None]
-        d2 += sq_norms[:, None, col0:col1]
+        d2 += sq_norms[:, rows, None]
+        d2 += sq_norms[:, None, cols]
         return np.count_nonzero(d2 <= eps_sq, axis=0) / n_samples
 
-    for i0 in range(0, n, width):
-        i1 = min(i0 + width, n)
-        # Diagonal block: computed whole (B is small), then the upper
-        # triangle is mirrored from the lower one — the squared-norm
-        # assembly adds sq_i and sq_j in row-major order, so (i, j) and
-        # (j, i) can differ by an ulp and the reachability graph must
-        # stay exactly symmetric (as the mirrored legacy row loop
-        # guaranteed).
-        p = block_probabilities(i0, i1, i0, i1)
-        lower = np.tril_indices(i1 - i0, k=-1)
-        p.T[lower] = p[lower]
-        probs[i0:i1, i0:i1] = p
-        # Remaining rows below the block, mirrored.
-        if i1 < n:
-            p = block_probabilities(i1, n, i0, i1)
-            probs[i1:, i0:i1] = p
-            probs[i0:i1, i1:] = p.T
+    # Per pair: the S-deep d^2 column and its S-deep comparison mask.
+    probs = symmetric_from_tiles(n, 2 * n_samples, tile, block)
     np.fill_diagonal(probs, 1.0)
     return probs
 
@@ -117,34 +155,20 @@ def expected_distance_matrix(
 
     Entry ``(i, j)`` is the mean of the ``S`` matched-pair distances;
     the diagonal is 0.  Bit-identical to the per-row difference loop for
-    every block width — FOPTICS's ordering loop compares these values
+    every tile side — FOPTICS's ordering loop compares these values
     directly, so the kernel must never perturb a near-tie.  ``block``
-    overrides the automatic memory-bounded column-block width (see
-    :data:`DENSITY_BLOCK_ELEMENTS`).
+    pins the tile side of :func:`symmetric_from_tiles`.
     """
     n, n_samples, m = samples.shape
-    width = _block_width(n * n_samples * m, n, block)
-    out = np.empty((n, n))
 
-    def fill(rows: FloatArray, columns: FloatArray) -> FloatArray:
-        diff = rows[:, None] - columns[None]
+    def tile(rows: slice, cols: slice) -> FloatArray:
+        diff = samples[rows, None] - samples[None, cols]
         return np.sqrt(
             np.einsum("rbsm,rbsm->rbs", diff, diff)
         ).mean(axis=2)
 
-    # Rows are chunked too, so the difference temporary really is
-    # bounded by the budget (column blocking alone would still
-    # materialize all remaining rows against each column block).
-    row_chunk = max(1, width)
-    for i0 in range(0, n, width):
-        i1 = min(i0 + width, n)
-        columns = samples[i0:i1]
-        out[i0:i1, i0:i1] = fill(columns, columns)
-        for r0 in range(i1, n, row_chunk):
-            r1 = min(r0 + row_chunk, n)
-            dist = fill(samples[r0:r1], columns)
-            out[r0:r1, i0:i1] = dist
-            out[i0:i1, r0:r1] = dist.T
+    # Per pair: S*m differences, S squared norms and S distances.
+    out = symmetric_from_tiles(n, n_samples * (m + 2), tile, block)
     np.fill_diagonal(out, 0.0)
     return out
 

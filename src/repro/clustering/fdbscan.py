@@ -18,8 +18,8 @@ pairwise probability estimation is Theta(n^2 * S) — FDBSCAN belongs to
 the paper's "slower" group in Figure 4 for exactly this reason.  The
 off-line phase draws the whole ``(n, S, m)`` realization tensor through
 :meth:`UncertainDataset.sample_tensor` (one vectorized draw per
-distribution family) and the probability matrix is computed in
-memory-bounded column blocks (see :mod:`repro.clustering._density`).
+distribution family) and the probability matrix is filled from
+cache-sized lower-triangle tiles (see :mod:`repro.clustering._density`).
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
+# Imported with the module, not in ``dbscan_labels``: it loads
+# ``scipy.linalg`` (~0.1 s), which every paper workload needs through
+# FDBSCAN, so deferring it would only move that cost into the first fit.
+from scipy.sparse.csgraph import connected_components
 
 from repro._typing import SeedLike
 from repro.clustering._density import (
@@ -54,8 +58,8 @@ def pairwise_reach_probabilities(
 
     ``samples`` has shape ``(n, S, m)``; the estimate for a pair uses the
     ``S`` matched sample pairs (an unbiased MC estimator of the double
-    integral).  The diagonal is fixed at 1.  ``block`` bounds the peak
-    memory of the blocked kernel (auto-derived when ``None``).
+    integral).  The diagonal is fixed at 1.  ``block`` pins the tile
+    side of the tiled kernel (cache-sized when ``None``).
     """
     return pairwise_within_eps_probabilities(samples, eps, block=block)
 
@@ -76,8 +80,6 @@ def dbscan_labels(
     fully before the next starts, so a border object joins the first
     cluster that reaches it.
     """
-    from scipy.sparse.csgraph import connected_components
-
     graph = csr_matrix(graph)
     core = np.flatnonzero(is_core)
     border = np.flatnonzero(~is_core)

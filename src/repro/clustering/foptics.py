@@ -43,9 +43,9 @@ def expected_distance_matrix(
 ) -> np.ndarray:
     """``(n, n)`` Monte-Carlo expected Euclidean distances between objects.
 
-    Computed in memory-bounded column blocks (see
-    :mod:`repro.clustering._density`); ``block`` overrides the
-    automatic block width.
+    Filled from cache-sized lower-triangle tiles, bit-identical to the
+    per-row difference loop (see :mod:`repro.clustering._density`);
+    ``block`` pins the tile side.
     """
     return _density.expected_distance_matrix(samples, block=block)
 

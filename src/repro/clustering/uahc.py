@@ -29,18 +29,19 @@ the dataset's pairwise ``ÊD`` matrix — the same off-line artifact
 UK-medoids precomputes, read from the same place,
 :meth:`~repro.objects.dataset.UncertainDataset.pairwise_ed` (it declares
 ``wants_pairwise_ed`` for it).  The Jeffreys linkage has no such
-recurrence and keeps its own merge loop over a blocked in-fit proximity
-build.
+recurrence and keeps its own merge loop over an in-fit proximity build
+from lower-triangle tiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from repro._typing import SeedLike
+from repro.clustering._density import symmetric_from_tiles
 from repro.clustering.base import (
     ClusteringResult,
     UncertainClusterer,
@@ -54,12 +55,6 @@ from repro.utils.timer import Stopwatch
 #: linkage, whose divergence divides by per-dimension variances (point
 #: masses would divide by zero).
 _VAR_FLOOR = 1e-9
-
-#: Element budget for one `(rows, n, m)` broadcast block of the initial
-#: all-pairs proximity — bounds the temporaries to a few MB so the
-#: vectorized kernel stays cache-resident (same idiom as
-#: ``DENSITY_BLOCK_ELEMENTS`` in :mod:`repro.clustering._density`).
-_PROXIMITY_BLOCK_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -223,28 +218,31 @@ class UAHC(UncertainClusterer):
         mix_var = np.maximum(mix_mu2 - mix_mu**2, _VAR_FLOOR)
         return mix_mu, mix_var
 
-    def _full_proximity(self, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
-        """All-pairs Jeffreys proximity via a blocked full-matrix broadcast.
+    def _full_proximity(
+        self, mu: np.ndarray, var: np.ndarray, block: Optional[int] = None
+    ) -> np.ndarray:
+        """All-pairs Jeffreys proximity, built from its lower triangle.
 
-        Evaluates the same elementwise formula as :meth:`_row_against`
-        over ``(rows, n, m)`` expansions — row blocks sized by
-        ``_PROXIMITY_BLOCK_ELEMENTS`` so the temporaries stay
-        cache-resident — and reduces the contiguous trailing axis.
-        Every entry is bit-identical to the per-row loop it replaces;
-        the dendrogram regression in
-        ``tests/test_density_hierarchical.py`` pins this.
+        Each tile of :func:`~repro.clustering._density.symmetric_from_tiles`
+        evaluates :meth:`_row_against`'s elementwise formula with its
+        rows as targets over an ``(rows, cols, m)`` broadcast and reduces
+        the contiguous trailing axis, so every entry is bit-identical to
+        the per-row loop.  Entry ``(j, i)`` has the same two addends as
+        ``(i, j)``, only swapped, so the matrix is exactly symmetric and
+        its lower triangle determines it.  ``block`` pins the tile side.
+        The dendrogram regression in
+        ``tests/test_density_hierarchical.py`` pins the merge order.
         """
         n, m = mu.shape
-        rows = max(1, _PROXIMITY_BLOCK_ELEMENTS // max(1, n * m))
-        prox = np.empty((n, n))
-        for start in range(0, n, rows):
-            stop = min(n, start + rows)
-            diff_sq = (mu[None, :, :] - mu[start:stop, None, :]) ** 2
-            term = (var[None, :, :] + diff_sq) / var[
-                start:stop, None, :
-            ] + (var[start:stop, None, :] + diff_sq) / var[None, :, :]
-            prox[start:stop] = 0.5 * (term - 2.0).sum(axis=2)
-        return prox
+
+        def tile(rows: slice, cols: slice) -> np.ndarray:
+            diff_sq = (mu[None, cols, :] - mu[rows, None, :]) ** 2
+            target, other = var[rows, None, :], var[None, cols, :]
+            term = (other + diff_sq) / target + (target + diff_sq) / other
+            return 0.5 * (term - 2.0).sum(axis=2)
+
+        # Per pair: eight m-vectors, one per elementwise step above.
+        return symmetric_from_tiles(n, 8 * m, tile, block)
 
     def _row_against(
         self, mu: np.ndarray, var: np.ndarray, target: int

@@ -59,7 +59,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import signal
 import socket
+import sys
 import threading
 import time
 import uuid
@@ -669,6 +671,10 @@ def run_sweep_worker(
             claimer.close()
 
 
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def _worker_main(
     grid: SweepGrid,
     store_path: str,
@@ -676,14 +682,40 @@ def _worker_main(
     lease_ttl: float,
     poll_interval: float,
 ) -> None:
-    """Child-process entry point of :func:`run_sweep_workers`."""
-    run_sweep_worker(
-        grid,
-        store_path,
-        worker_id=worker_id,
-        lease_ttl=lease_ttl,
-        poll_interval=poll_interval,
-    )
+    """Child-process entry point of :func:`run_sweep_workers`.
+
+    The child starts with SIGINT ignored: Ctrl-C reaches the parent,
+    which stops its children with SIGTERM.  SIGTERM is raised here as
+    ``KeyboardInterrupt``, so :func:`run_sweep_worker`'s exit path drops
+    the child's leases, and the child then exits without a traceback.
+    """
+    signal.signal(signal.SIGTERM, _interrupt)
+    try:
+        run_sweep_worker(
+            grid,
+            store_path,
+            worker_id=worker_id,
+            lease_ttl=lease_ttl,
+            poll_interval=poll_interval,
+        )
+    except KeyboardInterrupt:
+        sys.exit(128 + signal.SIGTERM)
+    finally:
+        # A SIGTERM during interpreter shutdown just ends the process.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+@contextmanager
+def _sigint_ignored():
+    """Ignore SIGINT in the body (only the main thread can set it)."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
 
 
 def run_sweep_workers(
@@ -717,22 +749,34 @@ def run_sweep_workers(
     context = multiprocessing.get_context("spawn")
     run_tag = uuid.uuid4().hex[:6]
     processes = []
-    for index in range(workers):
-        process = context.Process(
-            target=_worker_main,
-            args=(
-                grid,
-                str(store_path),
-                f"{socket.gethostname()}:w{index}:{run_tag}",
-                lease_ttl,
-                poll_interval,
-            ),
-        )
-        process.start()
-        processes.append(process)
-        log(f"started sweep worker {index} (pid {process.pid})")
-    for process in processes:
-        process.join()
+    try:
+        for index in range(workers):
+            process = context.Process(
+                target=_worker_main,
+                args=(
+                    grid,
+                    str(store_path),
+                    f"{socket.gethostname()}:w{index}:{run_tag}",
+                    lease_ttl,
+                    poll_interval,
+                ),
+            )
+            # A child that starts with SIGINT ignored keeps it ignored,
+            # so Ctrl-C on the process group interrupts the parent only.
+            with _sigint_ignored():
+                process.start()
+            processes.append(process)
+            log(f"started sweep worker {index} (pid {process.pid})")
+        for process in processes:
+            process.join()
+    except BaseException:
+        # Interrupted (or failed) while children run: stop them — each
+        # drops its leases on SIGTERM — and wait before re-raising.
+        for process in processes:
+            process.terminate()
+        for process in processes:
+            process.join()
+        raise
     failed = sum(1 for process in processes if process.exitcode != 0)
     if failed:
         log(f"{failed} worker(s) exited abnormally; collection pass "

@@ -231,6 +231,97 @@ class TestErrorBoundary:
         tables = {"table2", "table3"}
         assert _stored_cells(store, tables) == _stored_cells(reference, tables)
 
+    @pytest.mark.skipif(os.name != "posix", reason="sends a POSIX signal")
+    def test_sigint_to_workers_group_exits_130_quietly(self, tmp_path):
+        """Ctrl-C on the process group of ``repro sweep --workers 2``
+        (parent and both spawned children) exits 130 with one stderr
+        line: the children ignore SIGINT, and the parent stops them with
+        SIGTERM, on which each drops its leases and exits without a
+        traceback.  The store resumes with every stored cell reused and
+        ends equal to an uninterrupted run."""
+        from repro.cli import _sweep_grid
+        from repro.engine.store import open_store
+        from repro.engine.sweep import run_sweep
+
+        surfaces = ("table2", "table3")
+        store = tmp_path / "W.sqlite"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep", "--store", str(store),
+             "--quick", "--surfaces", *surfaces, "--workers", "2",
+             "--lease-ttl", "5"],
+            env=_cli_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not _stored_cells(store):
+                assert proc.poll() is None, "sweep ended before the signal"
+                assert time.monotonic() < deadline, "no cell stored in 120 s"
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, stderr = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130
+        assert stderr.splitlines() == ["error: interrupted"]
+        stored = {row[0] for row in _stored_cells(store)}
+        with open_store(store) as opened:
+            assert opened.active_leases() == {}
+
+        grid = _sweep_grid(
+            build_parser().parse_args(
+                ["sweep", "--store", "S", "--quick", "--surfaces", *surfaces]
+            )
+        )
+        outcome = run_sweep(grid, store, resume=True)
+        assert stored and stored <= set(outcome.reused)
+        reference = tmp_path / "reference.sqlite"
+        run_sweep(grid, reference)
+        assert _stored_cells(store) == _stored_cells(reference)
+
+    @pytest.mark.skipif(os.name != "posix", reason="sends a POSIX signal")
+    def test_sigint_while_workers_import_is_quiet(self, tmp_path):
+        """Ctrl-C shortly after both children are spawned, while they
+        still import ``repro`` (it takes the better part of a second):
+        they start with SIGINT ignored, so only the parent reacts, and
+        the command exits 130 with one stderr line.  Before, each child
+        printed a ``KeyboardInterrupt`` traceback from its import."""
+        env = _cli_env()
+        env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep", "--store",
+             str(tmp_path / "W.sqlite"), "--quick", "--surfaces", "table2",
+             "table3", "--workers", "2", "--lease-ttl", "5"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            started = False
+            for line in proc.stdout:
+                if line.startswith("started sweep worker 1 "):
+                    started = True
+                    break
+            assert started, "the second worker was never started"
+            # Past the interpreter's start-up, when SIGINT would still
+            # end a child silently, and into its imports.
+            time.sleep(0.1)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, stderr = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130
+        assert stderr.splitlines() == ["error: interrupted"]
+
     def test_unrelated_directory_is_refused(self, tmp_path):
         target = tmp_path / "notastore"
         target.mkdir()

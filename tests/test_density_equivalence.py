@@ -20,6 +20,7 @@ which the discrete outputs (labels, orderings) absorb.
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -28,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from repro.clustering import FDBSCAN, FOPTICS, auto_eps
+from repro.clustering import FDBSCAN, FOPTICS, UAHC, auto_eps
 from repro.clustering import _density
 from repro.clustering.base import ClusteringResult
 from repro.clustering.fdbscan import dbscan_labels, pairwise_reach_probabilities
@@ -216,16 +217,28 @@ class TestConnectedComponentLabeling:
         )
 
 
+#: ``(n, S, m)`` shapes of the tile-walk tests: Table 2's sizes, a
+#: ragged middle size and degenerate ones (one pair, one object).
+TILE_SHAPES = [(150, 32, 4), (200, 32, 13), (37, 5, 3), (2, 1, 1), (1, 4, 2)]
+
+
+def _shaped_samples(n, n_samples, m, seed=0):
+    """An ``(n, S, m)`` tensor: per-object offsets plus sample noise."""
+    rng = np.random.default_rng(seed)
+    offsets = 3.0 * rng.normal(size=(n, 1, m))
+    return offsets + rng.normal(size=(n, n_samples, m))
+
+
 class TestBlockedKernels:
-    """The blocked kernels agree with the row loops and with each other
-    regardless of the block width (the memory knob only trades peak
-    memory for iterations, never values)."""
+    """The tiled kernels agree with the row loops and with each other
+    regardless of the tile side (a pinned ``block`` or the memory cap
+    only trades peak memory for iterations, never values)."""
 
     @pytest.fixture(scope="class")
     def samples(self, data):
         return data.sample_tensor(24, seed=5)
 
-    def test_reach_probabilities_match_legacy(self, samples):
+    def test_reach_probabilities_match_legacy_on_blobs(self, samples):
         legacy = _legacy_reach_probabilities(samples, eps=1.5)
         for block in (None, 1, 3, 64, 10_000):
             blocked = pairwise_reach_probabilities(samples, 1.5, block=block)
@@ -233,7 +246,7 @@ class TestBlockedKernels:
                 blocked, legacy, err_msg=f"block={block}"
             )
 
-    def test_expected_distances_match_legacy(self, samples):
+    def test_expected_distances_match_legacy_on_blobs(self, samples):
         """Bit-identical, not merely close: FOPTICS's ordering loop
         breaks near-ties by float comparison, so the ED kernel must
         reproduce the row loop exactly (the ROADMAP-guarded invariant)."""
@@ -242,6 +255,30 @@ class TestBlockedKernels:
             blocked = expected_distance_matrix(samples, block=block)
             np.testing.assert_array_equal(
                 blocked, legacy, err_msg=f"block={block}"
+            )
+
+    @pytest.mark.parametrize("shape", TILE_SHAPES, ids=str)
+    def test_reach_probabilities_match_legacy(self, shape):
+        """Every tile side, the automatic one included, at Table 2's
+        shapes (several tiles with ragged edges) and at degenerate
+        ones."""
+        samples = _shaped_samples(*shape)
+        eps = 3.0 * np.sqrt(shape[2])
+        legacy = _legacy_reach_probabilities(samples, eps)
+        for block in (None, 1, 7, shape[0], 10_000):
+            tiled = pairwise_reach_probabilities(samples, eps, block=block)
+            np.testing.assert_array_equal(
+                tiled, legacy, err_msg=f"block={block}"
+            )
+
+    @pytest.mark.parametrize("shape", TILE_SHAPES, ids=str)
+    def test_expected_distances_match_legacy(self, shape):
+        samples = _shaped_samples(*shape)
+        legacy = _legacy_expected_distances(samples)
+        for block in (None, 1, 7, shape[0], 10_000):
+            tiled = expected_distance_matrix(samples, block=block)
+            np.testing.assert_array_equal(
+                tiled, legacy, err_msg=f"block={block}"
             )
 
     def test_memory_knob_respected(self, data, samples, monkeypatch):
@@ -262,6 +299,90 @@ class TestBlockedKernels:
 
         with pytest.raises(InvalidParameterError):
             pairwise_reach_probabilities(samples, 1.0, block=0)
+
+
+class TestTileWalk:
+    """What the one tile walk guarantees beyond matching the row loops:
+    a canonical lower triangle, temporaries bounded by the tile, not by
+    ``n``, and entries that depend only on their two objects."""
+
+    @pytest.mark.parametrize("block", [None, 1, 3, 7, 64])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_lower_triangle_is_canonical(self, n, block):
+        """With a tile function whose ``(i, j)`` and ``(j, i)`` values
+        differ (as FDBSCAN's may by an ulp), every entry is the value
+        computed at ``(max(i, j), min(i, j))``, and no tile above the
+        diagonal is ever computed."""
+        asked = []
+
+        def tile(rows, cols):
+            asked.append((rows.start, cols.start))
+            return 1000.0 * np.arange(n)[rows, None] + np.arange(n)[None, cols]
+
+        out = _density.symmetric_from_tiles(n, 1, tile, block)
+        i, j = np.indices((n, n))
+        np.testing.assert_array_equal(
+            out, 1000.0 * np.maximum(i, j) + np.minimum(i, j)
+        )
+        assert all(row0 >= col0 for row0, col0 in asked)
+
+    @pytest.mark.parametrize(
+        "kernel", ["expected_distances", "reach_probabilities", "jeffreys"]
+    )
+    def test_temporaries_stay_tile_sized(self, kernel):
+        """At Table 2's (200, 32, 8) each kernel's peak traced memory,
+        less its (n, n) output, stays under 4 MB (the row-block kernels
+        it replaced peaked at 10-16 MB there)."""
+        n, n_samples, m = 200, 32, 8
+        samples = _shaped_samples(n, n_samples, m)
+        mu = samples.mean(axis=1)
+        var = samples.var(axis=1)
+        run = {
+            "expected_distances": lambda: expected_distance_matrix(samples),
+            "reach_probabilities": lambda: pairwise_reach_probabilities(
+                samples, 3.0 * np.sqrt(m)
+            ),
+            "jeffreys": lambda: UAHC(1)._full_proximity(mu, var),
+        }[kernel]
+        tracemalloc.start()
+        try:
+            out = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, n)
+        assert peak - out.nbytes < 4 * 2**20
+
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        n_samples=st.integers(min_value=1, max_value=6),
+        m=st.integers(min_value=1, max_value=4),
+        side=st.integers(min_value=1, max_value=45),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_object_permutation_equivariance(
+        self, n, n_samples, m, side, seed
+    ):
+        """Permuting the objects permutes the ÊD and Jeffreys matrices
+        bitwise, whatever tile and orientation computes each entry.
+        (FDBSCAN's GEMM expansion may drift in ulps, so it is left out.)"""
+        rng = np.random.default_rng(seed)
+        samples = _shaped_samples(n, n_samples, m, seed)
+        p = rng.permutation(n)
+        distances = expected_distance_matrix(samples, block=side)
+        np.testing.assert_array_equal(
+            expected_distance_matrix(samples[p], block=side),
+            distances[np.ix_(p, p)],
+        )
+        mu = samples.mean(axis=1)
+        var = samples.var(axis=1) + 1e-3
+        model = UAHC(1)
+        proximity = model._full_proximity(mu, var, block=side)
+        np.testing.assert_array_equal(
+            model._full_proximity(mu[p], var[p]),
+            proximity[np.ix_(p, p)],
+        )
 
 
 class TestDensitySampleCache:

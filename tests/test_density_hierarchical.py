@@ -268,6 +268,22 @@ class TestUAHC:
             np.testing.assert_allclose(heights, reference, rtol=1e-12)
             assert np.all(np.diff(heights) >= 0.0)
 
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (150, 4), (200, 13)])
+    def test_full_proximity_is_the_row_loop(self, n, m, block):
+        """The lower-triangle tile walk reproduces the per-row
+        ``_row_against`` loop bit for bit off the diagonal, and the
+        matrix is exactly symmetric."""
+        rng = np.random.default_rng(n + m)
+        mu = 3.0 * rng.normal(size=(n, m))
+        var = rng.random((n, m)) + 1e-3
+        model = UAHC(n_clusters=1)
+        prox = model._full_proximity(mu, var, block=block)
+        rows = np.array([model._row_against(mu, var, i) for i in range(n)])
+        off_diagonal = ~np.eye(n, dtype=bool)
+        np.testing.assert_array_equal(prox[off_diagonal], rows[off_diagonal])
+        np.testing.assert_array_equal(prox, prox.T)
+
     @pytest.mark.parametrize("linkage", ["jeffreys", "ed"])
     def test_vectorized_proximity_preserves_merge_order_bit_exactly(
         self, linkage

@@ -7,6 +7,11 @@ the pdf itself is checked to integrate to 1 over its support (Eq. (1)).
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,3 +241,21 @@ class TestPointMass:
         dist = PointMassDistribution(2.0)
         assert dist.cdf(np.array([1.9]))[0] == 0.0
         assert dist.cdf(np.array([2.0]))[0] == 1.0
+
+
+def test_import_leaves_quadrature_unloaded():
+    """``scipy.integrate`` serves only the quadrature cross-checks above,
+    so ``import repro`` must not load it (it adds a few hundred modules
+    to every command's start-up)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    probe = "import sys, repro; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
