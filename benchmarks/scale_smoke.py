@@ -18,7 +18,11 @@ their exactness assertions **on**:
 * the tile walk of the dense all-pairs kernels must equal the per-row
   loops bit for bit at n=1499 (over a thousand tiles with ragged
   edges): FOPTICS's expected-distance matrix and U-AHC's initial
-  Jeffreys proximity (off the diagonal).
+  Jeffreys proximity (off the diagonal);
+* the Section 5.1 generator must build its columnar ``D'``/``D''`` pair
+  at n=100_000 without constructing one ``UncertainObject``, and its
+  first 1000 rows (moments and a 4-sample tensor) must equal the
+  objects materialized from them bit for bit.
 
 Wall-clock timings for every stage are written as JSON so CI can upload
 them as an artifact and regressions stay visible across commits.
@@ -56,9 +60,12 @@ from repro.clustering import (
     MiniBatchUKMeans,
 )
 from repro.clustering.foptics import expected_distance_matrix
-from repro.datagen import make_blobs_uncertain
+from repro.datagen import UncertaintyGenerator, make_blobs_uncertain
+from repro.datagen.benchmarks import make_classification_like
 from repro.evaluation import f_measure
 from repro.exceptions import ConvergenceWarning
+from repro.objects import UncertainDataset, UncertainObject
+from repro.uncertainty import build_sampling_plan
 
 N_OBJECTS = 20_000
 N_CLUSTERS = 20
@@ -67,6 +74,8 @@ N_MC_SAMPLES = 32
 MAX_ITER = 5
 DENSITY_N = 4000  # dense FDBSCAN reference is O(n^2); keep it honest
 DENSE_KERNEL_N = 1499  # row-loop references are O(n) Python iterations
+COLUMNAR_N = 100_000
+COLUMNAR_CHECKED_ROWS = 1000  # objects materialized for the bitwise check
 
 
 def _timed(fn):
@@ -85,6 +94,54 @@ def _row_loop_expected_distances(samples: np.ndarray) -> np.ndarray:
         out[i, i + 1 :] = dist
         out[i + 1 :, i] = dist
     return out
+
+
+def _counting_objects(fn):
+    """``(fn(), seconds, UncertainObject constructions during fn)``."""
+    original = UncertainObject.__init__
+    built = 0
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        original(self, *args, **kwargs)
+
+    UncertainObject.__init__ = counting
+    try:
+        value, seconds = _timed(fn)
+    finally:
+        UncertainObject.__init__ = original
+    return value, seconds, built
+
+
+def _columnar_generation() -> dict:
+    """The generator's columns at scale, checked against its objects."""
+    points, labels = make_classification_like(
+        n_objects=COLUMNAR_N,
+        n_attributes=N_ATTRIBUTES,
+        n_classes=N_CLUSTERS,
+        seed=5,
+    )
+    generator = UncertaintyGenerator(family="normal")
+    pair, seconds, built = _counting_objects(
+        lambda: generator.generate(points, labels, seed=1)
+    )
+    assert built == 0, f"generate built {built} objects"
+    head = slice(0, COLUMNAR_CHECKED_ROWS)
+    for dataset in (pair.uncertain, pair.perturbed):
+        tensor = dataset.sample_tensor(4, seed=2)[head]
+        objects = dataset[head].objects  # the checked rows only
+        restacked = UncertainDataset(objects)
+        for name in ("mu_matrix", "mu2_matrix", "sigma2_matrix"):
+            assert np.array_equal(
+                getattr(dataset, name)[head].view(np.uint64),
+                getattr(restacked, name).view(np.uint64),
+            ), f"columnar {name} != materialized objects"
+        rebuilt = build_sampling_plan([obj.distribution for obj in objects])
+        assert np.array_equal(
+            tensor.view(np.uint64), rebuilt.sample(4, seed=2).view(np.uint64)
+        ), "stored plan != plan rebuilt from the objects"
+    return {"seconds": seconds, "objects_built": built}
 
 
 def run_smoke() -> List[dict]:
@@ -232,6 +289,17 @@ def run_smoke() -> List[dict]:
         ed_row_loop_s=round(loop_ed_time, 4),
         jeffreys_tiled_s=round(tiled_prox_time, 4),
         jeffreys_row_loop_s=round(loop_prox_time, 4),
+    )
+
+    columnar = _columnar_generation()
+    record(
+        "columnar_generation",
+        columnar["seconds"],
+        n=COLUMNAR_N,
+        m=N_ATTRIBUTES,
+        family="normal",
+        objects_built=columnar["objects_built"],
+        checked_rows=COLUMNAR_CHECKED_ROWS,
     )
 
     capped, seconds = _timed(

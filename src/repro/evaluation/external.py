@@ -39,18 +39,17 @@ def _check_labelings(predicted: np.ndarray, reference: np.ndarray) -> tuple:
 def contingency_matrix(predicted: np.ndarray, reference: np.ndarray) -> IntArray:
     """Counts ``N[u, v] = |C_v ∩ C~_u|`` (classes on rows, clusters on columns).
 
-    Noise labels (-1) in ``predicted`` are remapped to a dedicated last
-    column so every object is counted.
+    Rows and columns follow the sorted ids, so noise labels (-1) in
+    ``predicted`` get their own column (the first) and every object is
+    counted.
     """
     predicted, reference = _check_labelings(predicted, reference)
-    classes = np.unique(reference)
-    clusters = np.unique(predicted)
-    class_index = {int(c): i for i, c in enumerate(classes)}
-    cluster_index = {int(c): i for i, c in enumerate(clusters)}
-    table = np.zeros((classes.size, clusters.size), dtype=np.int64)
-    for ref, pred in zip(reference, predicted):
-        table[class_index[int(ref)], cluster_index[int(pred)]] += 1
-    return table
+    classes, class_of = np.unique(reference, return_inverse=True)
+    clusters, cluster_of = np.unique(predicted, return_inverse=True)
+    cells = np.bincount(
+        class_of * clusters.size + cluster_of, minlength=classes.size * clusters.size
+    )
+    return cells.reshape(classes.size, clusters.size).astype(np.int64, copy=False)
 
 
 def f_measure(predicted: np.ndarray, reference: np.ndarray) -> float:

@@ -395,6 +395,27 @@ class SamplingPlan:
         """Objects sampled through their own ``sample`` method."""
         return len(self._fallback)
 
+    def take(self, rows: np.ndarray) -> "SamplingPlan":
+        """The plan of the objects at ``rows``, as
+        :func:`build_sampling_plan` would compile it for them.
+
+        Defined for the plans of :func:`family_plan` and
+        :func:`point_mass_plan` — every cell one family, or every object
+        a point mass — whose rows are gathered from the parameter
+        columns instead of from distribution objects.
+        """
+        if self._point_rows.size == self.n_objects:
+            return point_mass_plan(self._point_values[rows])
+        if len(self._groups) != 1 or not self._groups[0].dense:
+            raise InvalidParameterError(
+                "take needs a plan of one dense family group or of point masses"
+            )
+        group = self._groups[0]
+        shape = (self.n_objects, self.dim)
+        return _dense_plan(
+            group.apply, [column.reshape(shape)[rows] for column in group.params]
+        )
+
     def sample(self, n_samples: int, seed: SeedLike = None) -> FloatArray:
         """Draw the ``(n, S, m)`` tensor; deterministic for a fixed seed.
 
@@ -515,6 +536,58 @@ def build_sampling_plan(
             else None
         ),
         fallback=fallback,
+    )
+
+
+def family_plan(family: type, params: Sequence[FloatArray]) -> SamplingPlan:
+    """The plan of ``n`` products whose ``n * m`` cells are all ``family``.
+
+    ``params`` are the family's stacked parameters (its registered
+    ``stack`` order) as ``(n, m)`` per-cell arrays.  Equal to
+    :func:`build_sampling_plan` over the cells' distribution objects, so
+    both draw the same tensor from the same seed, without building them.
+    """
+    return _dense_plan(quantile_transform(family), params)
+
+
+def point_mass_plan(points: FloatArray) -> SamplingPlan:
+    """The plan of ``n`` point masses at the rows of ``points`` ``(n, m)``."""
+    n, dim = points.shape
+    return SamplingPlan(
+        n_objects=n,
+        dim=dim,
+        groups=[],
+        point_rows=np.arange(n, dtype=np.intp),
+        point_values=points,
+        empirical=None,
+        mixture=None,
+        fallback=[],
+    )
+
+
+def _dense_plan(apply: ApplyFn, params: Sequence[FloatArray]) -> SamplingPlan:
+    n, dim = params[0].shape
+    group = _FamilyGroup(
+        apply,
+        rows=np.repeat(np.arange(n, dtype=np.intp), dim),
+        dims=np.tile(np.arange(dim, dtype=np.intp), n),
+        # (object, dim)-lexicographic cells, as build_sampling_plan
+        # collects them: each column is a C-order ravel.
+        params=tuple(
+            np.ascontiguousarray(p, dtype=np.float64).reshape(-1, 1)
+            for p in params
+        ),
+        dense=True,
+    )
+    return SamplingPlan(
+        n_objects=n,
+        dim=dim,
+        groups=[group],
+        point_rows=np.empty(0, dtype=np.intp),
+        point_values=np.empty((0, dim)),
+        empirical=None,
+        mixture=None,
+        fallback=[],
     )
 
 

@@ -206,6 +206,44 @@ class TestBackendInvariance:
         _assert_same_result(via_serial, via_threads)
 
 
+class TestColumnarDatasetAcrossBackends:
+    """A generator-built dataset holds columns and builds its objects
+    only on demand (the process backend pickles them for its workers);
+    serial ≡ threads ≡ processes all the same."""
+
+    @staticmethod
+    def _fresh(data, family):
+        from repro.datagen import UncertaintyGenerator
+
+        return UncertaintyGenerator(family=family).uncertain_dataset(
+            data.mu_matrix, data.labels, seed=5
+        )
+
+    @pytest.mark.parametrize("family", ["uniform", "exponential"])
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: UKMeans(4),
+            lambda: BasicUKMeans(4, n_samples=16),
+            lambda: UKMedoids(4),
+            lambda: MinMaxBB(4, n_samples=16),
+        ],
+    )
+    def test_backends_bit_identical(self, data, factory, family, force_backend):
+        reference = MultiRestartRunner(factory(), n_init=4).run(
+            self._fresh(data, family), seed=3
+        )
+        for backend in ("threads", "processes"):
+            force_backend(backend)
+            dataset = self._fresh(data, family)
+            assert dataset._objects is None
+            result = MultiRestartRunner(factory(), n_init=4, n_jobs=2).run(
+                dataset, seed=3
+            )
+            assert result.extras["engine_backend"] == backend
+            _assert_same_result(reference, result)
+
+
 class TestEarlyStopping:
     def test_rule_matches_manual_replay(self, data):
         """The executed prefix is exactly what replaying the rule over

@@ -102,6 +102,108 @@ class TestFMeasure:
         assert 0.0 <= value <= 1.0
 
 
+# ----------------------------------------------------------------------
+# Frozen reference: the per-object loop before the table went
+# array-at-once, with the F-measure over it.
+# ----------------------------------------------------------------------
+def _legacy_contingency_matrix(predicted, reference):
+    predicted = np.asarray(predicted, dtype=np.int64)
+    reference = np.asarray(reference, dtype=np.int64)
+    classes = np.unique(reference)
+    clusters = np.unique(predicted)
+    class_index = {int(c): i for i, c in enumerate(classes)}
+    cluster_index = {int(c): i for i, c in enumerate(clusters)}
+    table = np.zeros((classes.size, clusters.size), dtype=np.int64)
+    for ref, pred in zip(reference, predicted):
+        table[class_index[int(ref)], cluster_index[int(pred)]] += 1
+    return table
+
+
+def _legacy_f_measure(predicted, reference):
+    table = _legacy_contingency_matrix(predicted, reference)
+    n = int(table.sum())
+    class_sizes = table.sum(axis=1).astype(np.float64)
+    cluster_sizes = table.sum(axis=0).astype(np.float64)
+    score = 0.0
+    for u in range(table.shape[0]):
+        best = 0.0
+        for v in range(table.shape[1]):
+            overlap = float(table[u, v])
+            if overlap == 0.0 or cluster_sizes[v] == 0.0:
+                continue
+            precision = overlap / cluster_sizes[v]
+            recall = overlap / class_sizes[u]
+            best = max(best, 2.0 * precision * recall / (precision + recall))
+        score += class_sizes[u] * best
+    return score / n
+
+
+@st.composite
+def labelings(draw):
+    """(predicted, reference): noise and sparse cluster ids, from one
+    class up to many, and from one cluster up to one per object."""
+    n = draw(st.integers(min_value=1, max_value=150))
+    n_classes = draw(st.sampled_from([1, 2, 5, 12]))
+    cluster_ids = draw(
+        st.sampled_from(
+            [[-1], [0], [-1, 0, 1, 2], [-1, 3, 17, 1000], list(range(-1, 60))]
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return rng.choice(cluster_ids, size=n), rng.integers(0, n_classes, size=n)
+
+
+def _permute_ids(labels, seed, keep_noise=True):
+    """``labels`` with its non-noise ids permuted among themselves."""
+    ids = np.unique(labels[labels >= 0] if keep_noise else labels)
+    permuted = np.random.default_rng(seed).permutation(ids)
+    out = labels.copy()
+    for old, new in zip(ids, permuted):
+        out[labels == old] = new
+    return out
+
+
+class TestMatchesPerObjectLoop:
+    @given(case=labelings())
+    @settings(max_examples=300, deadline=None)
+    def test_property(self, case):
+        predicted, reference = case
+        table = contingency_matrix(predicted, reference)
+        expected = _legacy_contingency_matrix(predicted, reference)
+        assert table.dtype == expected.dtype
+        np.testing.assert_array_equal(table, expected)
+        assert float.hex(f_measure(predicted, reference)) == float.hex(
+            _legacy_f_measure(predicted, reference)
+        )
+
+
+class TestFMeasureMetamorphic:
+    """Relabeling that keeps the partitions keeps F."""
+
+    @given(case=labelings(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_cluster_id_permutation_is_exact(self, case, seed):
+        predicted, reference = case
+        permuted = _permute_ids(predicted, seed)
+        assert np.array_equal(permuted < 0, predicted < 0)  # noise stays -1
+        assert float.hex(f_measure(permuted, reference)) == float.hex(
+            f_measure(predicted, reference)
+        )
+
+    @given(case=labelings(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_class_id_relabeling(self, case, seed):
+        """An order-keeping class relabeling is exact; any permutation
+        reorders the sequential sum over classes, so F may move by
+        rounding only."""
+        predicted, reference = case
+        value = f_measure(predicted, reference)
+        spread_out = 7 * reference + 3
+        assert float.hex(f_measure(predicted, spread_out)) == float.hex(value)
+        permuted = f_measure(predicted, _permute_ids(reference, seed, keep_noise=False))
+        assert permuted == pytest.approx(value, rel=1e-12)
+
+
 class TestPurity:
     def test_perfect(self):
         assert purity(*PERFECT) == 1.0

@@ -273,3 +273,30 @@ class TestMatchesPerBlockLoop:
         for noise_policy in ("residual", "exclude"):
             assert_same_scores(data, labels, skewed, noise_policy)
         assert_same_scores(data, np.zeros(len(data), dtype=int), skewed, "residual")
+
+
+class TestQualityMetamorphic:
+    """Renaming clusters keeps the partition, so Q keeps its value up to
+    the reordered sums over clusters, and stays in [-1, 1]."""
+
+    @given(
+        case=labelings(),
+        noise_policy=st.sampled_from(["residual", "exclude"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cluster_id_permutation(self, reference_data, case, noise_policy, seed):
+        data, distances = reference_data
+        labels, offset = case
+        window = slice(offset, offset + labels.size)
+        dataset, block = data[window], distances[window, window].copy()
+        ids = np.unique(labels[labels >= 0])
+        renamed = dict(zip(ids.tolist(), np.random.default_rng(seed).permutation(ids)))
+        permuted = np.array([renamed.get(label, -1) for label in labels.tolist()])
+        scores = internal_scores(dataset, labels, block, noise_policy)
+        moved = internal_scores(dataset, permuted, block, noise_policy)
+        for value in (scores, moved):
+            assert -1.0 <= value.quality <= 1.0
+        assert moved.intra == pytest.approx(scores.intra, rel=1e-12)
+        assert moved.inter == pytest.approx(scores.inter, rel=1e-12)
+        assert moved.quality == pytest.approx(scores.quality, rel=1e-12, abs=1e-12)

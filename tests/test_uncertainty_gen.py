@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import pickle
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.datagen import PDF_FAMILIES, UncertaintyGenerator
-from repro.exceptions import InvalidParameterError
+from repro.datagen.uncertainty_gen import _CellPdfs
+from repro.exceptions import EmptyDatasetError, InvalidParameterError
 from repro.objects import UncertainDataset, UncertainObject
 from repro.uncertainty import (
     IndependentProduct,
     TruncatedExponentialDistribution,
     TruncatedNormalDistribution,
     UniformDistribution,
+    build_sampling_plan,
 )
 from repro.uncertainty.sampling import MetropolisHastingsSampler
 from repro.utils.rng import ensure_rng
@@ -234,18 +241,24 @@ def assert_same_labels(actual: UncertainDataset, expected: UncertainDataset) -> 
 
 
 def assert_same_dataset(actual: UncertainDataset, expected: UncertainDataset) -> None:
-    """Moments, region bounds, labels and one tensor draw, bit for bit."""
-    for name in ("mu_matrix", "mu2_matrix", "sigma2_matrix"):
+    """Moments, one tensor draw, region bounds and labels, bit for bit.
+
+    The draw is taken first, so on a fresh columnar dataset it comes
+    from the stored plan before any object is built.
+    """
+    assert_same_bits(
+        actual.sample_tensor(3, seed=5), expected.sample_tensor(3, seed=5)
+    )
+    for name in ("mu_matrix", "mu2_matrix", "sigma2_matrix", "total_variances"):
         assert_same_bits(getattr(actual, name), getattr(expected, name))
+    for side in (0, 1):
+        assert_same_bits(actual.region_bounds[side], expected.region_bounds[side])
     for side in ("lower", "upper"):
         assert_same_bits(
             [getattr(obj.region, side) for obj in actual],
             [getattr(obj.region, side) for obj in expected],
         )
     assert_same_labels(actual, expected)
-    assert_same_bits(
-        actual.sample_tensor(3, seed=5), expected.sample_tensor(3, seed=5)
-    )
 
 
 def _case(n, m, seed):
@@ -265,8 +278,7 @@ class TestArrayAtOnceMatchesPerPointLoop:
         pair = generator.generate(points, labels, seed=rng_new)
         perturbed, uncertain = _legacy_generate(generator, points, labels, rng_old)
         assert_same_dataset(pair.uncertain, uncertain)
-        assert_same_bits(pair.perturbed.mu_matrix, perturbed.mu_matrix)
-        assert_same_labels(pair.perturbed, perturbed)
+        assert_same_dataset(pair.perturbed, perturbed)
         assert_same_bits(rng_new.random(4), rng_old.random(4))
 
     @pytest.mark.parametrize("family", PDF_FAMILIES)
@@ -301,3 +313,279 @@ class TestArrayAtOnceMatchesPerPointLoop:
         pair = generator.generate(points, labels, seed=rng_pair)
         assert_same_dataset(alone, pair.uncertain)
         assert_same_bits(rng_short.random(4), rng_pair.random(4))
+
+
+# ----------------------------------------------------------------------
+# Input errors
+# ----------------------------------------------------------------------
+@pytest.fixture
+def strict_warnings():
+    """Turn every RuntimeWarning into an error for the test's duration."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        yield
+
+
+@pytest.mark.usefixtures("strict_warnings")
+class TestInputErrors:
+    @pytest.mark.parametrize("family", PDF_FAMILIES)
+    @pytest.mark.parametrize("use_mcmc", [False, True])
+    def test_overflowing_column_spread_names_the_column(self, family, use_mcmc):
+        points = np.zeros((6, 3))
+        points[:, 1] = [1e200, -1e200] * 3  # the std overflows float64
+        generator = UncertaintyGenerator(family=family, use_mcmc=use_mcmc)
+        for build in (generator.generate, generator.uncertain_dataset):
+            with pytest.raises(InvalidParameterError, match="column 1 "):
+                build(points, seed=0)
+
+    @pytest.mark.parametrize("family", PDF_FAMILIES)
+    @pytest.mark.parametrize("use_mcmc", [False, True])
+    def test_empty_points(self, family, use_mcmc):
+        generator = UncertaintyGenerator(family=family, use_mcmc=use_mcmc)
+        with pytest.raises(EmptyDatasetError):
+            generator.generate(np.empty((0, 3)), seed=0)
+        with pytest.raises(EmptyDatasetError):
+            generator.uncertain_dataset(np.empty((0, 3)), labels=[], seed=0)
+
+    def test_zero_columns(self):
+        with pytest.raises(InvalidParameterError, match="column"):
+            UncertaintyGenerator().generate(np.empty((4, 0)), seed=0)
+
+    def test_cell_errors_are_the_per_cell_errors(self):
+        """A cell whose constructor rejects its parameters raises that
+        constructor's error, as the per-point loop did: here a normal
+        whose 95% interval rounds to one point (scale far below the
+        ulp of its mean)."""
+        points = np.full((5, 2), 1e10)
+        points[:, 0] += np.arange(5) * 1e-5
+        generator = UncertaintyGenerator(family="normal", spread=1e-3)
+        with pytest.raises(InvalidParameterError) as legacy:
+            _legacy_generate(generator, points, None, 1)
+        with pytest.raises(InvalidParameterError) as columnar:
+            generator.generate(points, seed=1)
+        assert "strictly less than" in str(legacy.value)
+        assert str(columnar.value) == str(legacy.value)
+
+    @pytest.mark.parametrize("family", PDF_FAMILIES)
+    def test_overflowing_moments_are_typed(self, family):
+        """A mean near 1e160 squares past float64: a typed error naming
+        the object, for the normal family too, whose Python ``x**2``
+        raises ``OverflowError`` there."""
+        points = np.zeros((4, 2))
+        points[:, 0] = 1e160 + np.arange(4) * 1e150
+        with pytest.raises(InvalidParameterError, match="object 0 has non-finite"):
+            UncertaintyGenerator(family=family).uncertain_dataset(points, seed=0)
+
+
+# ----------------------------------------------------------------------
+# Columnar datasets: objects only on demand, equal to the object path
+# ----------------------------------------------------------------------
+@pytest.fixture
+def object_spy(monkeypatch):
+    """Counts ``UncertainObject`` constructions and sampling-plan builds."""
+    import repro.uncertainty.batch as batch_module
+
+    counts = {"objects": 0, "plans": 0}
+    original_init = UncertainObject.__init__
+    original_plan = batch_module.build_sampling_plan
+
+    def counting_init(self, *args, **kwargs):
+        counts["objects"] += 1
+        original_init(self, *args, **kwargs)
+
+    def counting_plan(distributions):
+        counts["plans"] += 1
+        return original_plan(distributions)
+
+    monkeypatch.setattr(UncertainObject, "__init__", counting_init)
+    monkeypatch.setattr(batch_module, "build_sampling_plan", counting_plan)
+    return counts
+
+
+def _fresh_pair(family, mass=0.95, seed=11):
+    points, labels = _case(25, 4, seed)
+    generator = UncertaintyGenerator(family=family, mass=mass)
+    return generator.generate(points, labels, seed=seed)
+
+
+def _assert_same_columns(actual: UncertainDataset, expected: UncertainDataset) -> None:
+    for name in ("mu_matrix", "mu2_matrix", "sigma2_matrix", "total_variances"):
+        assert_same_bits(getattr(actual, name), getattr(expected, name))
+    for side in (0, 1):
+        assert_same_bits(actual.region_bounds[side], expected.region_bounds[side])
+    assert_same_labels(actual, expected)
+
+
+class TestColumnarDatasets:
+    def test_table2_builds_no_objects(self, object_spy):
+        from repro.experiments import ExperimentConfig, run_table2
+
+        config = ExperimentConfig(n_runs=1, max_objects=24, n_samples=4, seed=5)
+        report = run_table2(config, datasets=("iris",), families=PDF_FAMILIES)
+        assert len(report.cells) == 3 * len(report.algorithms)
+        assert object_spy == {"objects": 0, "plans": 0}
+
+    def test_figure5_fraction_builds_no_objects(self, object_spy):
+        from repro.experiments import ExperimentConfig, run_figure5
+
+        config = ExperimentConfig(n_runs=1, n_samples=4, seed=3)
+        report = run_figure5(config, fractions=(0.5,), base_size=120)
+        assert set(report.algorithms) >= {"MinMax-BB", "VDBiP"}
+        assert object_spy == {"objects": 0, "plans": 0}
+
+    @pytest.mark.parametrize("family", PDF_FAMILIES)
+    @pytest.mark.parametrize("mass", [0.95, 1.0])
+    def test_lazy_objects_restack_bitwise(self, family, mass, object_spy):
+        pair = _fresh_pair(family, mass)
+        for dataset in (pair.uncertain, pair.perturbed):
+            object_spy.update(objects=0, plans=0)
+            before = dataset.sample_tensor(6, seed=4)
+            assert object_spy == {"objects": 0, "plans": 0}
+            objects = dataset.objects
+            assert len(objects) == len(dataset) == object_spy["objects"]
+            assert dataset.objects is objects and dataset[3] is objects[3]
+            _assert_same_columns(dataset, UncertainDataset(objects))
+            rebuilt = build_sampling_plan([obj.distribution for obj in objects])
+            assert_same_bits(rebuilt.sample(6, seed=4), before)
+            assert_same_bits(dataset.sample_tensor(6, seed=4), before)
+
+    @pytest.mark.parametrize("family", PDF_FAMILIES)
+    def test_subsets_match_the_object_path(self, family, object_spy):
+        pair = _fresh_pair(family)
+        for dataset in (pair.uncertain, pair.perturbed):
+            object_spy.update(objects=0, plans=0)
+            indices = [7, 0, 7, 19, 3]
+            columnar = [
+                dataset.subset(indices),
+                dataset.sample_fraction(0.4, seed=9),
+                dataset.sample_fraction(0.3, seed=9, stratified=False),
+                dataset[2:17:3],
+            ]
+            assert object_spy == {"objects": 0, "plans": 0}
+            draws = [sub.sample_tensor(3, seed=8) for sub in columnar]
+            objects = UncertainDataset(dataset.objects)
+            expected = [
+                objects.subset(indices),
+                objects.sample_fraction(0.4, seed=9),
+                objects.sample_fraction(0.3, seed=9, stratified=False),
+                objects[2:17:3],
+            ]
+            for sub, draw, reference in zip(columnar, draws, expected):
+                assert sub._objects is None
+                _assert_same_columns(sub, reference)
+                assert_same_bits(draw, reference.sample_tensor(3, seed=8))
+                _assert_same_columns(UncertainDataset(sub.objects), reference)
+            # Once built, objects are shared with subsets.
+            assert dataset.subset([4])[0] is dataset[4]
+
+    @pytest.mark.parametrize("family", PDF_FAMILIES)
+    def test_pickles(self, family):
+        pair = _fresh_pair(family)
+        for dataset in (pair.uncertain, pair.perturbed):
+            clone = pickle.loads(pickle.dumps(dataset))
+            assert clone._objects is None
+            _assert_same_columns(clone, dataset)
+            assert_same_bits(
+                clone.sample_tensor(4, seed=2), dataset.sample_tensor(4, seed=2)
+            )
+            _assert_same_columns(
+                UncertainDataset(clone.objects), UncertainDataset(dataset.objects)
+            )
+
+
+# A value whose square by glibc's pow differs from x * x in the last bit.
+_POW_DIFFERS = float.fromhex("-0x1.eb5a536674728p+1")
+
+
+def _per_cell_args(family, loc, scale, direction):
+    if family == "uniform":
+        return (loc - scale, loc + scale)
+    if family == "normal":
+        return (loc, scale)
+    return (loc, 1.0 / scale, direction)
+
+
+@st.composite
+def cell_grids(draw):
+    """Per-cell parameters over magnitudes 1e-6 ... 1e8, where Python's
+    ``x**2`` (libm ``pow``) and ``x * x`` disagree on some cells."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=4))
+    cells = st.tuples(
+        st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+        st.integers(min_value=-20, max_value=26),
+        st.sampled_from([1.0, -1.0]),
+        st.floats(min_value=1e-3, max_value=1e3),
+    )
+    grid = np.array(draw(st.lists(cells, min_size=n * m, max_size=n * m)))
+    loc = (grid[:, 0] * np.exp2(grid[:, 1]) * grid[:, 2]).reshape(n, m)
+    scale = grid[:, 3].reshape(n, m)
+    direction = grid[:, 2].reshape(n, m)
+    return loc, scale, direction
+
+
+class TestColumnsEqualPerCellObjects:
+    """Columnar moments, region bounds and plan parameters of every
+    family equal the per-cell constructors' bit for bit."""
+
+    @staticmethod
+    def _check(family, mass, grid):
+        cells = _CellPdfs(family, _per_cell_args(family, *grid), mass)
+        columnar = cells.dataset(labels=None)
+        objects = UncertainDataset(cells(None))
+        _assert_same_columns(columnar, objects)
+        plan = build_sampling_plan([obj.distribution for obj in objects])
+        (stored,), (rebuilt,) = columnar._sampling_plan._groups, plan._groups
+        assert len(stored.params) == len(rebuilt.params)
+        for got, want in zip(stored.params, rebuilt.params):
+            assert_same_bits(got, want)
+        assert_same_bits(columnar.sample_tensor(2, seed=1), plan.sample(2, seed=1))
+
+    @pytest.mark.parametrize("family", PDF_FAMILIES)
+    @pytest.mark.parametrize("mass", [0.95, 1.0, 0.5, 0.8173, 0.05, 0.999])
+    def test_full_mantissa_grids(self, family, mass):
+        """Random full-mantissa parameters, 600 cells per case: libm
+        ``pow``, ``exp`` and ``expm1`` and their numpy versions round
+        apart on a few percent of such cells."""
+        rng = np.random.default_rng(int(mass * 1e4))
+        shape = (120, 5)
+        loc = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.uniform(-6, 8, shape)
+        scale = 10.0 ** rng.uniform(-3, 3, shape)
+        direction = np.where(rng.random(shape) < 0.5, 1.0, -1.0)
+        self._check(family, mass, (loc, scale, direction))
+
+    def test_exponential_over_masses(self):
+        """An exponential cell's ``rate * cutoff`` is ``-log(1 - mass)``
+        up to rounding, so ``exp`` and ``expm1`` see a few values per
+        mass: sweep many masses."""
+        rng = np.random.default_rng(20)
+        shape = (4, 3)
+        for mass in rng.uniform(0.05, 0.999, 300):
+            loc = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.uniform(-6, 8, shape)
+            scale = 10.0 ** rng.uniform(-3, 3, shape)
+            direction = np.where(rng.random(shape) < 0.5, 1.0, -1.0)
+            self._check("exponential", float(mass), (loc, scale, direction))
+
+    @given(
+        family=st.sampled_from(PDF_FAMILIES),
+        mass=st.one_of(
+            st.sampled_from([0.95, 1.0]),
+            st.floats(min_value=0.05, max_value=0.999),
+        ),
+        grid=cell_grids(),
+    )
+    @example(
+        family="normal",
+        mass=1.0,
+        grid=(np.array([[_POW_DIFFERS]]), np.array([[0.5]]), np.array([[1.0]])),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property(self, family, mass, grid):
+        self._check(family, mass, grid)
+
+    def test_square_is_libm_pow(self):
+        """The normal family's ``mu2`` adds Python's ``mean**2``, not
+        ``mean * mean``."""
+        loc = np.array([[_POW_DIFFERS]])
+        columnar = _CellPdfs("normal", (loc, np.array([[0.5]])), 1.0).dataset(None)
+        assert columnar.mu2_matrix[0, 0] == 0.5 * 0.5 * 1.0 + _POW_DIFFERS**2
