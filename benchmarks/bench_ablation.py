@@ -1,4 +1,6 @@
-"""Ablation benches (E8) — the design choices DESIGN.md calls out.
+"""Ablation benches (E8) — the design choices the paper argues for, on
+synthetic blobs (the stand-ins for the paper's own data are described
+under "Substitutions" in the README).
 
 Three ablations:
 

@@ -13,7 +13,8 @@ from repro.datagen import UncertaintyGenerator, make_benchmark
 from repro.experiments import SCALABILITY_ROSTER, build_algorithm
 from repro.experiments.figure5 import FIGURE5_K
 
-#: Base object count of the 100% fraction (paper: 4M; see DESIGN.md §4).
+#: Base object count of the 100% fraction (paper: 4M; see "Substitutions"
+#: in the README).
 #: Scaled down so the full sweep (4 fractions x 5 algorithms) stays in
 #: benchmark territory; raise via REPRO_BENCH_SCALE for larger runs.
 BASE_SIZE = 4000

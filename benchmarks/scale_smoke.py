@@ -19,10 +19,14 @@ their exactness assertions **on**:
   loops bit for bit at n=1499 (over a thousand tiles with ragged
   edges): FOPTICS's expected-distance matrix and U-AHC's initial
   Jeffreys proximity (off the diagonal);
-* the Section 5.1 generator must build its columnar ``D'``/``D''`` pair
-  at n=100_000 without constructing one ``UncertainObject``, and its
-  first 1000 rows (moments and a 4-sample tensor) must equal the
-  objects materialized from them bit for bit.
+* the blob generator (the n=20_000 roster) and the Section 5.1
+  generator (its ``D'``/``D''`` pair at n=100_000) must build their
+  datasets without constructing one ``UncertainObject``, and the first
+  1000 rows of each (moments, region bounds and a 4-sample tensor)
+  must equal the objects materialized from them bit for bit;
+* the process backend's pool payload for the roster must be its source
+  record: pickling it builds no ``UncertainObject`` (its size and time
+  are recorded).
 
 Wall-clock timings for every stage are written as JSON so CI can upload
 them as an artifact and regressions stay visible across commits.
@@ -37,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import platform
 import sys
 import time
@@ -114,6 +119,28 @@ def _counting_objects(fn):
     return value, seconds, built
 
 
+def _check_head_against_objects(dataset: UncertainDataset) -> None:
+    """The first rows' columns equal the objects materialized from them."""
+    head = slice(0, COLUMNAR_CHECKED_ROWS)
+    tensor = dataset.sample_tensor(4, seed=2)[head]
+    objects = dataset[head].objects  # the checked rows only
+    restacked = UncertainDataset(objects)
+    for name in ("mu_matrix", "mu2_matrix", "sigma2_matrix"):
+        assert np.array_equal(
+            getattr(dataset, name)[head].view(np.uint64),
+            getattr(restacked, name).view(np.uint64),
+        ), f"columnar {name} != materialized objects"
+    for side in (0, 1):
+        assert np.array_equal(
+            dataset.region_bounds[side][head].view(np.uint64),
+            restacked.region_bounds[side].view(np.uint64),
+        ), "columnar region bounds != materialized objects"
+    rebuilt = build_sampling_plan([obj.distribution for obj in objects])
+    assert np.array_equal(
+        tensor.view(np.uint64), rebuilt.sample(4, seed=2).view(np.uint64)
+    ), "stored plan != plan rebuilt from the objects"
+
+
 def _columnar_generation() -> dict:
     """The generator's columns at scale, checked against its objects."""
     points, labels = make_classification_like(
@@ -127,20 +154,8 @@ def _columnar_generation() -> dict:
         lambda: generator.generate(points, labels, seed=1)
     )
     assert built == 0, f"generate built {built} objects"
-    head = slice(0, COLUMNAR_CHECKED_ROWS)
     for dataset in (pair.uncertain, pair.perturbed):
-        tensor = dataset.sample_tensor(4, seed=2)[head]
-        objects = dataset[head].objects  # the checked rows only
-        restacked = UncertainDataset(objects)
-        for name in ("mu_matrix", "mu2_matrix", "sigma2_matrix"):
-            assert np.array_equal(
-                getattr(dataset, name)[head].view(np.uint64),
-                getattr(restacked, name).view(np.uint64),
-            ), f"columnar {name} != materialized objects"
-        rebuilt = build_sampling_plan([obj.distribution for obj in objects])
-        assert np.array_equal(
-            tensor.view(np.uint64), rebuilt.sample(4, seed=2).view(np.uint64)
-        ), "stored plan != plan rebuilt from the objects"
+        _check_head_against_objects(dataset)
     return {"seconds": seconds, "objects_built": built}
 
 
@@ -152,7 +167,7 @@ def run_smoke() -> List[dict]:
         extra = " ".join(f"{k}={v}" for k, v in meta.items())
         print(f"{name:32s} {seconds * 1e3:9.1f} ms  {extra}")
 
-    data, gen_time = _timed(
+    data, gen_time, built = _counting_objects(
         lambda: make_blobs_uncertain(
             n_objects=N_OBJECTS,
             n_clusters=N_CLUSTERS,
@@ -161,7 +176,28 @@ def run_smoke() -> List[dict]:
             seed=42,
         )
     )
-    record("datagen", gen_time, n=N_OBJECTS, k=N_CLUSTERS, m=N_ATTRIBUTES)
+    assert built == 0, f"make_blobs_uncertain built {built} objects"
+    _check_head_against_objects(data)
+    record(
+        "datagen",
+        gen_time,
+        n=N_OBJECTS,
+        k=N_CLUSTERS,
+        m=N_ATTRIBUTES,
+        objects_built=built,
+    )
+    payload, payload_time, built = _counting_objects(
+        lambda: pickle.dumps(data._moment_free_state())
+    )
+    assert built == 0, f"the pool payload built {built} objects"
+    record(
+        "pool_payload",
+        payload_time,
+        n=N_OBJECTS,
+        m=N_ATTRIBUTES,
+        bytes=len(payload),
+        objects_built=built,
+    )
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)

@@ -6,7 +6,7 @@ summarized by the mixture of its members' pdfs (the MMVar centroid of
 Eq. (10)) and proximity between representatives is scored with an
 **information-theoretic** measure over the mixture pdfs.
 
-Substitution note (documented in DESIGN.md): the original measure
+Substitution note (see "Substitutions" in the README): the original measure
 combines entropy-based terms we cannot transcribe from [9]; our default
 ``linkage="jeffreys"`` scores proximity with the symmetric
 Kullback-Leibler (Jeffreys) divergence between diagonal-Gaussian

@@ -8,8 +8,8 @@ geometry (size, dimensionality, number of classes, degree of class
 overlap).  This module synthesizes Gaussian-mixture datasets that
 reproduce each benchmark's ``(n, m, #classes)`` shape from Table 1 with
 a per-dataset separation level calibrated so easy benchmarks (Iris)
-cluster well and hard ones (Yeast, Abalone) do not — the substitution is
-documented in DESIGN.md §4.
+cluster well and hard ones (Yeast, Abalone) do not — see "Substitutions"
+in the README.
 
 All generators are deterministic given a seed.
 """
@@ -23,9 +23,9 @@ import numpy as np
 
 from repro._typing import SeedLike
 from repro.exceptions import InvalidParameterError
-from repro.objects.dataset import UncertainDataset
-from repro.objects.uncertain_object import UncertainObject
+from repro.objects.dataset import UncertainDataset, _CellPdfs
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_mass, check_positive
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,8 @@ def make_classification_like(
         raise InvalidParameterError(
             f"n_attributes must be >= 1, got {n_attributes}"
         )
-    if separation <= 0:
-        raise InvalidParameterError(f"separation must be > 0, got {separation}")
+    check_positive(separation, "separation")
+    check_positive(imbalance, "imbalance", strict=False)
     if lobes < 1:
         raise InvalidParameterError(f"lobes must be >= 1, got {lobes}")
     if not (0.0 <= outlier_rate < 1.0):
@@ -234,8 +234,10 @@ def make_blobs_uncertain(
 
     Generates Gaussian blobs and wraps every point as a truncated-Normal
     uncertain object with per-dimension std ``uncertainty_std`` (times a
-    random per-object factor in [0.5, 1.5]).
+    random per-object factor in [0.5, 1.5]).  The dataset is held as
+    those per-cell pdfs; objects are built only on demand.
     """
+    check_mass(mass)
     rng = ensure_rng(seed)
     points, labels = make_classification_like(
         n_objects=n_objects,
@@ -246,13 +248,6 @@ def make_blobs_uncertain(
         outlier_rate=0.0,
         seed=rng,
     )
-    objects = []
-    for idx in range(n_objects):
-        factor = rng.uniform(0.5, 1.5)
-        std = np.full(n_attributes, uncertainty_std * factor)
-        objects.append(
-            UncertainObject.gaussian(
-                points[idx], std, mass=mass, label=int(labels[idx])
-            )
-        )
-    return UncertainDataset(objects)
+    factors = rng.uniform(0.5, 1.5, size=n_objects)
+    std = np.repeat((uncertainty_std * factors)[:, None], n_attributes, axis=1)
+    return _CellPdfs("normal", (points, std), mass).dataset(labels)

@@ -7,7 +7,7 @@ PUMA Bioconductor package and expressed as per-value Normal pdfs.
 
 Those data and the PUMA toolchain are unavailable offline, so this
 module synthesizes gene-expression datasets with the same structure
-(documented substitution, DESIGN.md §4):
+(see "Substitutions" in the README):
 
 * objects are genes; attributes are tissue samples;
 * genes belong to latent co-expression modules (so internal-criterion
@@ -20,7 +20,8 @@ module synthesizes gene-expression datasets with the same structure
 
 The paper evaluates these datasets with the internal criterion Q only
 (no reference classes exist), which this generator matches: labels are
-the latent modules and may be used or ignored.
+the latent modules and may be used or ignored.  A dataset is held as
+its per-cell Normal pdfs; objects are built only on demand.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ import numpy as np
 
 from repro._typing import SeedLike
 from repro.exceptions import InvalidParameterError
-from repro.objects.dataset import UncertainDataset
-from repro.objects.uncertain_object import UncertainObject
+from repro.objects.dataset import UncertainDataset, _CellPdfs
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_mass, check_positive
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,9 @@ def make_probe_level_dataset(
         )
     if n_tissues < 1 or n_modules < 1:
         raise InvalidParameterError("n_tissues and n_modules must be >= 1")
+    check_positive(module_spread, "module_spread", strict=False)
+    check_positive(within_module_std, "within_module_std", strict=False)
+    check_mass(mass)
     rng = ensure_rng(seed)
 
     module_profiles = rng.normal(
@@ -159,12 +163,4 @@ def make_probe_level_dataset(
     probe_std = noise_floor + noise_slope / (
         1.0 + np.exp(expression - base_level)
     )
-
-    objects = []
-    for g in range(n_genes):
-        objects.append(
-            UncertainObject.gaussian(
-                expression[g], probe_std[g], mass=mass, label=int(modules[g])
-            )
-        )
-    return UncertainDataset(objects)
+    return _CellPdfs("normal", (expression, probe_std), mass).dataset(modules)

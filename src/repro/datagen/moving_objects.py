@@ -11,7 +11,8 @@ with a uniform or Gaussian pdf.
 
 Objects are labeled by their hub, giving the external criterion a ground
 truth; staleness varies per object, so variances are genuinely
-heterogeneous — the regime the U-centroid was designed for.
+heterogeneous — the regime the U-centroid was designed for.  A fleet is
+held as its per-cell pdfs; objects are built only on demand.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 
 from repro._typing import SeedLike
 from repro.exceptions import InvalidParameterError
-from repro.objects.dataset import UncertainDataset
-from repro.objects.uncertain_object import UncertainObject
+from repro.objects.dataset import UncertainDataset, _CellPdfs
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_mass, check_positive
 
 
 def make_moving_objects(
@@ -67,6 +68,8 @@ def make_moving_objects(
     UncertainDataset
         One uncertain object per fleet member, labeled by hub.
     """
+    if n_hubs < 1:
+        raise InvalidParameterError(f"n_hubs must be >= 1, got {n_hubs}")
     if n_objects < 2 * n_hubs:
         raise InvalidParameterError(
             f"need n_objects >= 2*n_hubs, got {n_objects} < {2 * n_hubs}"
@@ -79,8 +82,8 @@ def make_moving_objects(
         ("max_speed", max_speed),
         ("max_staleness", max_staleness),
     ):
-        if value <= 0:
-            raise InvalidParameterError(f"{name} must be > 0, got {value}")
+        check_positive(value, name)
+    check_mass(mass)
     rng = ensure_rng(seed)
 
     hubs = rng.uniform(0.2 * area_size, 0.8 * area_size, size=(n_hubs, 2))
@@ -92,18 +95,11 @@ def make_moving_objects(
     staleness = rng.uniform(0.1, 1.0, size=n_objects) * max_staleness
     reach = speeds * staleness  # how far it may have strayed
 
-    objects = []
-    for i in range(n_objects):
-        half = np.full(2, reach[i])
-        if pdf == "uniform":
-            obj = UncertainObject.uniform_box(
-                positions[i], half, label=int(labels[i])
-            )
-        else:
-            # Random-walk dispersion: std grows with sqrt(staleness).
-            std = np.full(2, speeds[i] * np.sqrt(staleness[i]))
-            obj = UncertainObject.gaussian(
-                positions[i], std, mass=mass, label=int(labels[i])
-            )
-        objects.append(obj)
-    return UncertainDataset(objects)
+    if pdf == "uniform":
+        half = reach[:, None]
+        cells = _CellPdfs("uniform", (positions - half, positions + half), mass)
+    else:
+        # Random-walk dispersion: std grows with sqrt(staleness).
+        std = np.repeat((speeds * np.sqrt(staleness))[:, None], 2, axis=1)
+        cells = _CellPdfs("normal", (positions, std), mass)
+    return cells.dataset(labels)

@@ -312,10 +312,11 @@ def _init_shared_worker(payload: Dict[str, object]) -> None:
     """Pool initializer: rebuild the dataset/clusterer around shared blocks.
 
     Runs once per worker process.  The pickled parts are the light ones
-    (hyperparameters, distribution objects); every large array — moment
-    matrices, the sample tensor and the ``ÊD`` matrix — arrives as a
-    shared-memory spec and is attached, not copied.  It also starts the
-    worker's parent watchdog (:func:`_exit_with_parent`).
+    (hyperparameters, the dataset's source record and labels); every
+    large array — moment matrices, the sample tensor and the ``ÊD``
+    matrix — arrives as a shared-memory spec and is attached, not
+    copied.  It also starts the worker's parent watchdog
+    (:func:`_exit_with_parent`).
     """
     shms = []
     views = {}
@@ -323,10 +324,10 @@ def _init_shared_worker(payload: Dict[str, object]) -> None:
         shm, view = _attach_shared(spec)
         shms.append(shm)
         views[key] = view
-    objects, labels = pickle.loads(payload["dataset"])
-    dataset = UncertainDataset._from_shared_moments(
-        objects, labels, views["mu"], views["mu2"], views["sigma2"],
-        pairwise_ed=views.get("pairwise_ed"),
+    source, labels = pickle.loads(payload["dataset"])
+    dataset = UncertainDataset._from_source(
+        source, views["mu"], views["mu2"], labels,
+        sigma2=views["sigma2"], pairwise_ed=views.get("pairwise_ed"),
     )
     clusterer = pickle.loads(payload["clusterer"])
     if payload["sample"] is not None:
@@ -433,10 +434,12 @@ class ProcessBackend(ExecutionBackend):
     the dataset's ``(n, n)`` :meth:`~UncertainDataset.pairwise_ed`
     matrix (for ``wants_pairwise_ed`` algorithms) go into shared-memory
     blocks; workers attach by name.  The clusterer is pickled with the
-    tensor stripped and the dataset without its arrays, so neither the
-    tensor nor the matrix is ever serialized (the backend tests assert
-    this with pickle spies).  All blocks are unlinked when the run
-    finishes, including when a worker crashes.
+    tensor stripped and the dataset as its source record and labels
+    (:meth:`~UncertainDataset._moment_free_state`), so neither the
+    tensor nor the matrix is ever serialized, and no generated
+    dataset's objects are (the backend tests assert both with spies).
+    All blocks are unlinked when the run finishes, including when a
+    worker crashes.
     """
 
     name = "processes"

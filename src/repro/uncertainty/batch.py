@@ -395,27 +395,6 @@ class SamplingPlan:
         """Objects sampled through their own ``sample`` method."""
         return len(self._fallback)
 
-    def take(self, rows: np.ndarray) -> "SamplingPlan":
-        """The plan of the objects at ``rows``, as
-        :func:`build_sampling_plan` would compile it for them.
-
-        Defined for the plans of :func:`family_plan` and
-        :func:`point_mass_plan` — every cell one family, or every object
-        a point mass — whose rows are gathered from the parameter
-        columns instead of from distribution objects.
-        """
-        if self._point_rows.size == self.n_objects:
-            return point_mass_plan(self._point_values[rows])
-        if len(self._groups) != 1 or not self._groups[0].dense:
-            raise InvalidParameterError(
-                "take needs a plan of one dense family group or of point masses"
-            )
-        group = self._groups[0]
-        shape = (self.n_objects, self.dim)
-        return _dense_plan(
-            group.apply, [column.reshape(shape)[rows] for column in group.params]
-        )
-
     def sample(self, n_samples: int, seed: SeedLike = None) -> FloatArray:
         """Draw the ``(n, S, m)`` tensor; deterministic for a fixed seed.
 
@@ -547,28 +526,9 @@ def family_plan(family: type, params: Sequence[FloatArray]) -> SamplingPlan:
     :func:`build_sampling_plan` over the cells' distribution objects, so
     both draw the same tensor from the same seed, without building them.
     """
-    return _dense_plan(quantile_transform(family), params)
-
-
-def point_mass_plan(points: FloatArray) -> SamplingPlan:
-    """The plan of ``n`` point masses at the rows of ``points`` ``(n, m)``."""
-    n, dim = points.shape
-    return SamplingPlan(
-        n_objects=n,
-        dim=dim,
-        groups=[],
-        point_rows=np.arange(n, dtype=np.intp),
-        point_values=points,
-        empirical=None,
-        mixture=None,
-        fallback=[],
-    )
-
-
-def _dense_plan(apply: ApplyFn, params: Sequence[FloatArray]) -> SamplingPlan:
     n, dim = params[0].shape
     group = _FamilyGroup(
-        apply,
+        quantile_transform(family),
         rows=np.repeat(np.arange(n, dtype=np.intp), dim),
         dims=np.tile(np.arange(dim, dtype=np.intp), n),
         # (object, dim)-lexicographic cells, as build_sampling_plan
@@ -585,6 +545,21 @@ def _dense_plan(apply: ApplyFn, params: Sequence[FloatArray]) -> SamplingPlan:
         groups=[group],
         point_rows=np.empty(0, dtype=np.intp),
         point_values=np.empty((0, dim)),
+        empirical=None,
+        mixture=None,
+        fallback=[],
+    )
+
+
+def point_mass_plan(points: FloatArray) -> SamplingPlan:
+    """The plan of ``n`` point masses at the rows of ``points`` ``(n, m)``."""
+    n, dim = points.shape
+    return SamplingPlan(
+        n_objects=n,
+        dim=dim,
+        groups=[],
+        point_rows=np.arange(n, dtype=np.intp),
+        point_values=points,
         empirical=None,
         mixture=None,
         fallback=[],

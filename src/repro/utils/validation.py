@@ -103,6 +103,13 @@ def check_probability(value: float, name: str) -> float:
     return value
 
 
+def check_mass(mass: float) -> float:
+    """Validate a region's probability mass lies in (0, 1]."""
+    if not (0.0 < mass <= 1.0):
+        raise InvalidParameterError(f"mass must be in (0, 1], got {mass}")
+    return float(mass)
+
+
 def check_int_range(
     value: int,
     name: str,

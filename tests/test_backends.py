@@ -7,13 +7,17 @@ with and without early stopping, under out-of-order completion), the
 dispatch rule of ``choose_backend``, and the process backend's
 shared-memory contract — the sample tensor is published, not pickled,
 and every block is unlinked even when a worker crashes.  Each test
-forces its backend through the ``force_backend`` fixture.
+forces its backend through the ``force_backend`` fixture.  Every
+dataset here is generated, so a spy across the file checks that no
+process builds an ``UncertainObject`` and that no pool is handed one.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import pickle
 import select
 import subprocess
 import sys
@@ -37,9 +41,58 @@ from repro.engine import (
 )
 from repro.engine.backends import AUTO_SERIAL_ELEMENTS
 from repro.exceptions import InvalidParameterError
-from repro.objects import UncertainDataset
+from repro.objects import UncertainDataset, UncertainObject
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class _ClassRecorder(pickle.Unpickler):
+    """Unpickles, recording the name of every class the data refers to."""
+
+    def __init__(self, data: bytes):
+        super().__init__(io.BytesIO(data))
+        self.names = []
+
+    def find_class(self, module, name):
+        self.names.append(name)
+        return super().find_class(module, name)
+
+
+@pytest.fixture(autouse=True)
+def no_objects_built(monkeypatch):
+    """Neither the parent nor a pool worker builds an ``UncertainObject``,
+    and no pool's initializer payload holds one.
+
+    Workers are forked with the spy in place, so one that built an
+    object would fail its fit; the payload is unpickled in the parent
+    with every class it names recorded.
+    """
+    import repro.engine.backends as backends_module
+
+    parent = os.getpid()
+    built = []
+    payload_classes = []
+    original_init = UncertainObject.__init__
+
+    def spying_init(self, *args, **kwargs):
+        if os.getpid() != parent:
+            raise AssertionError("a pool worker built an UncertainObject")
+        built.append(type(self))
+        original_init(self, *args, **kwargs)
+
+    class SpyingPool(backends_module.ProcessPoolExecutor):
+        def __init__(self, *args, initargs=(), **kwargs):
+            recorder = _ClassRecorder(initargs[0]["dataset"])
+            recorder.load()
+            payload_classes.extend(recorder.names)
+            super().__init__(*args, initargs=initargs, **kwargs)
+
+    monkeypatch.setattr(UncertainObject, "__init__", spying_init)
+    monkeypatch.setattr(backends_module, "ProcessPoolExecutor", SpyingPool)
+    yield payload_classes
+    assert not built, f"{len(built)} UncertainObjects built in the parent"
+    assert "UncertainObject" not in payload_classes
+
 
 @pytest.fixture(scope="module")
 def data():
@@ -207,19 +260,25 @@ class TestBackendInvariance:
 
 
 class TestColumnarDatasetAcrossBackends:
-    """A generator-built dataset holds columns and builds its objects
-    only on demand (the process backend pickles them for its workers);
-    serial ≡ threads ≡ processes all the same."""
+    """A generated dataset holds columns and a source record and builds
+    its objects only on demand; the process backend ships the record to
+    its workers, and serial ≡ threads ≡ processes all the same."""
 
     @staticmethod
-    def _fresh(data, family):
-        from repro.datagen import UncertaintyGenerator
+    def _fresh(data, kind):
+        from repro.datagen import UncertaintyGenerator, make_probe_level_dataset
 
-        return UncertaintyGenerator(family=family).uncertain_dataset(
+        if kind == "microarray":
+            return make_probe_level_dataset(90, 3, 4, seed=5)
+        if kind == "points":
+            return UncertainDataset.from_points(data.mu_matrix, data.labels)
+        return UncertaintyGenerator(family=kind).uncertain_dataset(
             data.mu_matrix, data.labels, seed=5
         )
 
-    @pytest.mark.parametrize("family", ["uniform", "exponential"])
+    @pytest.mark.parametrize(
+        "kind", ["uniform", "exponential", "microarray", "points"]
+    )
     @pytest.mark.parametrize(
         "factory",
         [
@@ -229,19 +288,30 @@ class TestColumnarDatasetAcrossBackends:
             lambda: MinMaxBB(4, n_samples=16),
         ],
     )
-    def test_backends_bit_identical(self, data, factory, family, force_backend):
+    def test_backends_bit_identical(self, data, factory, kind, force_backend):
         reference = MultiRestartRunner(factory(), n_init=4).run(
-            self._fresh(data, family), seed=3
+            self._fresh(data, kind), seed=3
         )
         for backend in ("threads", "processes"):
             force_backend(backend)
-            dataset = self._fresh(data, family)
-            assert dataset._objects is None
+            dataset = self._fresh(data, kind)
             result = MultiRestartRunner(factory(), n_init=4, n_jobs=2).run(
                 dataset, seed=3
             )
             assert result.extras["engine_backend"] == backend
             _assert_same_result(reference, result)
+            assert dataset._objects is None
+
+    def test_payload_is_the_source_record(
+        self, data, force_backend, no_objects_built
+    ):
+        force_backend("processes")
+        MultiRestartRunner(UKMeans(4), n_init=2, n_jobs=2).run(data, seed=1)
+        assert "_CellPdfs" in no_objects_built
+        source, labels = pickle.loads(pickle.dumps(data._moment_free_state()))
+        for got, want in zip(source.args, data._source.args):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(labels, data.labels)
 
 
 class TestEarlyStopping:
@@ -386,10 +456,10 @@ class TestProcessBackendSharedMemory:
 
     @staticmethod
     def _armed(data):
-        """The same objects, with the dataset's cached ÊD matrix armed
-        as a pickle trap.  The matrix is doubled, so a worker that built
-        its own instead of reading the published one would disagree."""
-        armed = UncertainDataset(data.objects)
+        """A copy of the dataset, with its cached ÊD matrix armed as a
+        pickle trap.  The matrix is doubled, so a worker that built its
+        own instead of reading the published one would disagree."""
+        armed = data[:]
         armed._pairwise_ed = (2.0 * data.pairwise_ed()).view(_PickleTrap)
         return armed
 

@@ -1,4 +1,5 @@
-"""Tests for the dataset synthesizers (benchmarks, microarray) — S20-S21."""
+"""Tests for the dataset synthesizers (benchmarks, microarray, moving
+objects) — S20-S21."""
 
 from __future__ import annotations
 
@@ -14,9 +15,13 @@ from repro.datagen import (
     make_blobs_uncertain,
     make_classification_like,
     make_microarray,
+    make_moving_objects,
     make_probe_level_dataset,
 )
 from repro.exceptions import InvalidParameterError
+from repro.objects import UncertainDataset, UncertainObject
+from repro.objects.dataset import _CellPdfs
+from repro.utils.rng import ensure_rng
 
 
 class TestBenchmarkRegistry:
@@ -185,3 +190,241 @@ class TestMicroarray:
         a = make_microarray("leukaemia", scale=0.005, seed=5)
         b = make_microarray("leukaemia", scale=0.005, seed=5)
         assert np.allclose(a.mu_matrix, b.mu_matrix)
+
+
+# ----------------------------------------------------------------------
+# Frozen references: the per-point generators before they went columnar.
+# ----------------------------------------------------------------------
+def _legacy_blobs(n_objects, n_clusters, n_attributes, mass, seed):
+    rng = ensure_rng(seed)
+    points, labels = make_classification_like(
+        n_objects=n_objects,
+        n_attributes=n_attributes,
+        n_classes=n_clusters,
+        separation=3.0,
+        lobes=1,
+        outlier_rate=0.0,
+        seed=rng,
+    )
+    objects = []
+    for idx in range(n_objects):
+        factor = rng.uniform(0.5, 1.5)
+        std = np.full(n_attributes, 0.4 * factor)
+        objects.append(
+            UncertainObject.gaussian(
+                points[idx], std, mass=mass, label=int(labels[idx])
+            )
+        )
+    return UncertainDataset(objects)
+
+
+def _legacy_probe_level(n_genes, n_tissues, n_modules, mass, seed):
+    base_level, module_spread, within_module_std = 7.0, 2.0, 0.6
+    noise_floor, noise_slope = 0.15, 0.9
+    rng = ensure_rng(seed)
+    module_profiles = rng.normal(
+        base_level, module_spread, size=(n_modules, n_tissues)
+    )
+    modules = rng.integers(0, n_modules, size=n_genes)
+    modules[:n_modules] = np.arange(n_modules)
+    expression = module_profiles[modules] + rng.normal(
+        0.0, within_module_std, size=(n_genes, n_tissues)
+    )
+    probe_std = noise_floor + noise_slope / (1.0 + np.exp(expression - base_level))
+    objects = []
+    for g in range(n_genes):
+        objects.append(
+            UncertainObject.gaussian(
+                expression[g], probe_std[g], mass=mass, label=int(modules[g])
+            )
+        )
+    return UncertainDataset(objects)
+
+
+def _legacy_moving_objects(n_objects, n_hubs, pdf, mass, seed):
+    area_size, hub_radius, max_speed, max_staleness = 100.0, 8.0, 5.0, 4.0
+    rng = ensure_rng(seed)
+    hubs = rng.uniform(0.2 * area_size, 0.8 * area_size, size=(n_hubs, 2))
+    labels = rng.integers(0, n_hubs, size=n_objects)
+    labels[: n_hubs * 2] = np.repeat(np.arange(n_hubs), 2)
+    positions = hubs[labels] + rng.normal(0.0, hub_radius, size=(n_objects, 2))
+    speeds = rng.uniform(0.2, 1.0, size=n_objects) * max_speed
+    staleness = rng.uniform(0.1, 1.0, size=n_objects) * max_staleness
+    reach = speeds * staleness
+    objects = []
+    for i in range(n_objects):
+        half = np.full(2, reach[i])
+        if pdf == "uniform":
+            obj = UncertainObject.uniform_box(
+                positions[i], half, label=int(labels[i])
+            )
+        else:
+            std = np.full(2, speeds[i] * np.sqrt(staleness[i]))
+            obj = UncertainObject.gaussian(
+                positions[i], std, mass=mass, label=int(labels[i])
+            )
+        objects.append(obj)
+    return UncertainDataset(objects)
+
+
+def _bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+def assert_same_dataset(generated, legacy) -> None:
+    """One tensor draw (taken first), moments, region bounds and labels
+    bit for bit — all without building one of ``generated``'s objects."""
+    np.testing.assert_array_equal(
+        _bits(generated.sample_tensor(4, seed=5)),
+        _bits(legacy.sample_tensor(4, seed=5)),
+    )
+    for name in ("mu_matrix", "mu2_matrix", "sigma2_matrix", "total_variances"):
+        np.testing.assert_array_equal(
+            _bits(getattr(generated, name)), _bits(getattr(legacy, name))
+        )
+    for side in (0, 1):
+        np.testing.assert_array_equal(
+            _bits(generated.region_bounds[side]), _bits(legacy.region_bounds[side])
+        )
+    np.testing.assert_array_equal(generated.labels, legacy.labels)
+    assert generated._objects is None
+
+
+class TestColumnarGeneratorsMatchPerPointLoops:
+    """The generators equal their frozen per-point loops bit for bit and
+    leave a shared Generator at the same position."""
+
+    @staticmethod
+    def _check(build, legacy, seed):
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        generated = build(rng_new)
+        assert_same_dataset(generated, legacy(rng_old))
+        np.testing.assert_array_equal(
+            _bits(rng_new.random(4)), _bits(rng_old.random(4))
+        )
+        # Materialized objects restack to the same columns.
+        assert_same_dataset(generated[:], UncertainDataset(generated.objects))
+
+    @pytest.mark.parametrize("mass", [0.5, 0.95, 1.0])
+    @pytest.mark.parametrize(
+        "shape", [(2, 1, 1), (12, 6, 1), (40, 20, 3), (90, 3, 2), (150, 4, 13)],
+        ids=str,
+    )
+    def test_blobs(self, shape, mass):
+        n, k, m = shape
+        self._check(
+            lambda rng: make_blobs_uncertain(
+                n_objects=n, n_clusters=k, n_attributes=m, separation=3.0,
+                uncertainty_std=0.4, mass=mass, seed=rng,
+            ),
+            lambda rng: _legacy_blobs(n, k, m, mass, rng),
+            seed=n + m,
+        )
+
+    @pytest.mark.parametrize("mass", [0.5, 0.95, 1.0])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 1), (10, 1, 5), (40, 3, 20), (120, 14, 8), (60, 21, 10)],
+        ids=str,
+    )
+    def test_probe_level(self, shape, mass):
+        genes, tissues, modules = shape
+        self._check(
+            lambda rng: make_probe_level_dataset(
+                n_genes=genes, n_tissues=tissues, n_modules=modules,
+                mass=mass, seed=rng,
+            ),
+            lambda rng: _legacy_probe_level(genes, tissues, modules, mass, rng),
+            seed=genes,
+        )
+
+    def test_named_microarray(self):
+        named = make_microarray("neuroblastoma", scale=0.004, seed=2012)
+        assert_same_dataset(named, _legacy_probe_level(89, 14, 8, 0.95, 2012))
+
+    @pytest.mark.parametrize("pdf", ["uniform", "normal"])
+    @pytest.mark.parametrize("mass", [0.5, 0.95, 1.0])
+    @pytest.mark.parametrize("shape", [(2, 1), (8, 4), (60, 30), (150, 4)], ids=str)
+    def test_moving_objects(self, shape, mass, pdf):
+        n, hubs = shape
+        self._check(
+            lambda rng: make_moving_objects(
+                n_objects=n, n_hubs=hubs, pdf=pdf, mass=mass, seed=rng
+            ),
+            lambda rng: _legacy_moving_objects(n, hubs, pdf, mass, rng),
+            seed=n,
+        )
+
+
+# ----------------------------------------------------------------------
+# Input errors: typed, and raised before any draw
+# ----------------------------------------------------------------------
+@pytest.mark.filterwarnings("error")
+class TestTypedInputErrors:
+    @staticmethod
+    def _raises_before_drawing(build, match=None):
+        rng = np.random.default_rng(3)
+        with pytest.raises(InvalidParameterError, match=match):
+            build(rng)
+        np.testing.assert_array_equal(
+            rng.random(3), np.random.default_rng(3).random(3)
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(imbalance=-1.0),
+            dict(imbalance=np.nan),
+            dict(imbalance=np.inf),
+            dict(separation=np.nan),
+            dict(separation=np.inf),
+            dict(separation=-2.0),
+        ],
+        ids=str,
+    )
+    def test_classification_like(self, kwargs):
+        self._raises_before_drawing(
+            lambda rng: make_classification_like(20, 2, 2, seed=rng, **kwargs)
+        )
+
+    def test_zero_imbalance_still_accepted(self):
+        points, labels = make_classification_like(20, 2, 2, imbalance=0.0, seed=1)
+        assert points.shape == (20, 2) and np.bincount(labels).min() >= 2
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(module_spread=-1.0),
+            dict(module_spread=np.nan),
+            dict(within_module_std=-1.0),
+            dict(within_module_std=np.inf),
+            dict(mass=1.5),
+            dict(mass=np.nan),
+            dict(mass=0.0),
+        ],
+        ids=str,
+    )
+    def test_probe_level(self, kwargs):
+        self._raises_before_drawing(
+            lambda rng: make_probe_level_dataset(20, 3, 2, seed=rng, **kwargs)
+        )
+
+    @pytest.mark.parametrize("mass", [1.5, np.nan, 0.0, -0.5])
+    def test_blob_mass(self, mass):
+        self._raises_before_drawing(
+            lambda rng: make_blobs_uncertain(20, 2, mass=mass, seed=rng),
+            match=r"mass must be in \(0, 1\]",
+        )
+
+    @pytest.mark.parametrize("family", ["uniform", "normal", "exponential"])
+    @pytest.mark.parametrize("mass", [1.5, np.nan, 0.0])
+    def test_cell_mass_checked_once(self, family, mass):
+        """The mass error of the per-cell constructors, not a
+        non-finite-moments error from the columns."""
+        loc, scale = np.zeros((3, 2)), np.ones((3, 2))
+        args = {
+            "uniform": (loc - scale, loc + scale),
+            "normal": (loc, scale),
+            "exponential": (loc, scale, np.ones((3, 2))),
+        }[family]
+        with pytest.raises(InvalidParameterError, match=r"mass must be in \(0, 1\]"):
+            _CellPdfs(family, args, mass).dataset(None)

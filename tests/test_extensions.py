@@ -210,7 +210,47 @@ class TestMovingObjects:
         with pytest.raises(InvalidParameterError):
             make_moving_objects(max_speed=0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(area_size=np.nan),
+            dict(area_size=np.inf),
+            dict(hub_radius=np.nan),
+            dict(max_speed=np.nan),
+            dict(max_staleness=-1.0),
+            dict(n_hubs=0),
+            dict(n_hubs=-2),
+            dict(mass=np.nan),
+            dict(pdf="normal", mass=1.5),
+        ],
+        ids=str,
+    )
+    def test_typed_errors_before_any_draw(self, kwargs):
+        rng = np.random.default_rng(4)
+        with pytest.raises(InvalidParameterError):
+            make_moving_objects(n_objects=20, seed=rng, **kwargs)
+        np.testing.assert_array_equal(
+            rng.random(3), np.random.default_rng(4).random(3)
+        )
+
     def test_deterministic(self):
         a = make_moving_objects(n_objects=40, seed=9)
         b = make_moving_objects(n_objects=40, seed=9)
         assert np.allclose(a.mu_matrix, b.mu_matrix)
+
+
+@pytest.mark.filterwarnings("error")
+class TestFromPointsLabels:
+    @pytest.mark.parametrize(
+        "labels", [["a", "b"], [None, 1], [[0], [1]], np.array(["x", "y"])], ids=str
+    )
+    def test_non_integer_labels_are_typed(self, labels):
+        with pytest.raises(InvalidParameterError, match="labels must be integers"):
+            UncertainDataset.from_points(np.zeros((2, 3)), labels=labels)
+
+    def test_integer_like_labels_accepted(self):
+        data = UncertainDataset.from_points(
+            np.zeros((3, 1)), labels=np.array([2.0, 0.0, 1.0])
+        )
+        assert data.labels.tolist() == [2, 0, 1]

@@ -2,15 +2,35 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.clustering import MinMaxBB, UKMeans, UKMedoids
+from repro.engine import MultiRestartRunner
 from repro.exceptions import (
     DimensionMismatchError,
     EmptyDatasetError,
     InvalidParameterError,
 )
 from repro.objects import UncertainDataset, UncertainObject, objects_dim
+from repro.uncertainty import (
+    BoxRegion,
+    EmpiricalDistribution,
+    IndependentProduct,
+    MixtureDistribution,
+    MultivariateDistribution,
+    MultivariatePointMass,
+    PointMassDistribution,
+    TriangularDistribution,
+    TruncatedExponentialDistribution,
+    TruncatedNormalDistribution,
+    UniformDistribution,
+)
+from repro.utils.rng import ensure_rng
 
 
 class TestUncertainObject:
@@ -136,7 +156,12 @@ class TestUncertainDataset:
     def test_subset(self, blob_dataset):
         sub = blob_dataset.subset([0, 5, 10])
         assert len(sub) == 3
-        assert sub[0] is blob_dataset[0]
+        np.testing.assert_array_equal(
+            sub.mu_matrix, blob_dataset.mu_matrix[[0, 5, 10]]
+        )
+        # Objects built before the subset is taken are shared with it.
+        first = blob_dataset[0]
+        assert blob_dataset.subset([0, 5, 10])[0] is first
 
     def test_subset_empty_rejected(self, blob_dataset):
         with pytest.raises(EmptyDatasetError):
@@ -171,3 +196,160 @@ class TestUncertainDataset:
     def test_views_read_only(self, mixed_dataset):
         with pytest.raises(ValueError):
             mixed_dataset.mu_matrix[0, 0] = 99.0
+
+
+# ----------------------------------------------------------------------
+# Object-built datasets under the one layout: moment columns plus an
+# ``_Objects`` source, whose subsets equal datasets rebuilt from the
+# chosen objects.
+# ----------------------------------------------------------------------
+class _Box(MultivariateDistribution):
+    """An unregistered multivariate (uniform on a cube), so the batch
+    sampler falls back to its own ``sample``."""
+
+    def __init__(self, center, radius):
+        self._center = np.asarray(center, dtype=np.float64)
+        self._radius = float(radius)
+
+    @property
+    def region(self):
+        return BoxRegion(self._center - self._radius, self._center + self._radius)
+
+    @property
+    def mean_vector(self):
+        return self._center
+
+    @property
+    def second_moment_vector(self):
+        return self._center**2 + self._radius**2 / 3.0
+
+    def pdf(self, points):
+        return np.ones(self._points_matrix(points).shape[0])
+
+    def sample(self, size, seed=None):
+        lower, upper = self._center - self._radius, self._center + self._radius
+        return ensure_rng(seed).uniform(lower, upper, size=(size, self._center.size))
+
+
+_KINDS = ("point", "product", "empirical", "mixture", "custom")
+
+
+def _marginal(rng):
+    center, scale = float(rng.normal(0.0, 3.0)), float(rng.uniform(0.2, 2.0))
+    family = int(rng.integers(0, 5))
+    if family == 0:
+        return UniformDistribution.centered(center, scale)
+    if family == 1:
+        return TruncatedNormalDistribution.central_mass(center, scale, 0.95)
+    if family == 2:
+        return TruncatedExponentialDistribution.with_mean(
+            center, 1.0 / scale, direction=1 if rng.random() < 0.5 else -1, mass=0.9
+        )
+    if family == 3:
+        return TriangularDistribution.symmetric(center, scale)
+    return PointMassDistribution(center)
+
+
+def _distribution(kind, rng, m):
+    if kind == "point":
+        return MultivariatePointMass(rng.normal(0.0, 3.0, size=m))
+    if kind == "product":
+        return IndependentProduct([_marginal(rng) for _ in range(m)])
+    if kind == "empirical":
+        return EmpiricalDistribution(
+            rng.normal(0.0, 2.0, size=(5, m)), weights=rng.uniform(0.1, 1.0, 5)
+        )
+    if kind == "mixture":
+        return MixtureDistribution(
+            [_distribution("product", rng, m), _distribution("point", rng, m)],
+            weights=[0.3, 0.7],
+        )
+    return _Box(rng.normal(0.0, 3.0, size=m), rng.uniform(0.1, 1.0))
+
+
+def _user_objects(kinds, m, labelled, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        UncertainObject(
+            _distribution(kind, rng, m), label=i % 3 if labelled else None
+        )
+        for i, kind in enumerate(kinds)
+    ]
+
+
+def _same_bits(actual, expected) -> None:
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(actual).view(np.uint64),
+        np.ascontiguousarray(expected).view(np.uint64),
+    )
+
+
+def _assert_same_dataset(actual, expected) -> None:
+    """Moments, labels, region bounds and one tensor draw, bit for bit."""
+    for name in ("mu_matrix", "mu2_matrix", "sigma2_matrix", "total_variances"):
+        _same_bits(getattr(actual, name), getattr(expected, name))
+    if expected.labels is None:
+        assert actual.labels is None
+    else:
+        np.testing.assert_array_equal(actual.labels, expected.labels)
+    for side in (0, 1):
+        _same_bits(actual.region_bounds[side], expected.region_bounds[side])
+    _same_bits(actual.sample_tensor(3, seed=7), expected.sample_tensor(3, seed=7))
+
+
+class TestObjectBuiltDatasets:
+    @given(
+        kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=8),
+        m=st.integers(min_value=1, max_value=3),
+        labelled=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_derived_datasets_equal_rebuilt_ones(
+        self, kinds, m, labelled, seed, data
+    ):
+        objects = _user_objects(kinds, m, labelled, seed)
+        dataset = UncertainDataset(objects)
+        n = len(objects)
+        row_of = {id(obj): i for i, obj in enumerate(objects)}
+        indices = data.draw(
+            st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1)
+        )
+        window = data.draw(st.slices(n))
+        fraction = data.draw(st.floats(min_value=0.05, max_value=1.0))
+        derived = [dataset.subset(indices)]
+        if range(n)[window]:
+            derived.append(dataset[window])
+        derived += [
+            dataset.sample_fraction(fraction, seed=seed, stratified=stratified)
+            for stratified in (True, False)
+        ]
+        for sub in derived:
+            rows = [row_of[id(obj)] for obj in sub.objects]
+            _assert_same_dataset(sub, UncertainDataset([objects[i] for i in rows]))
+        assert [row_of[id(obj)] for obj in dataset.subset(indices)] == indices
+        clone = pickle.loads(pickle.dumps(dataset))
+        _assert_same_dataset(clone, dataset)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: UKMeans(3),
+            lambda: UKMedoids(3),
+            lambda: MinMaxBB(3, n_samples=8),
+        ],
+    )
+    def test_processes_equal_serial(self, factory, force_backend):
+        """The ``_Objects`` source is the one pool payload that carries
+        objects; fits on it match across backends."""
+        kinds = [_KINDS[i % len(_KINDS)] for i in range(30)]
+        dataset = UncertainDataset(_user_objects(kinds, 2, True, 11))
+        reference = MultiRestartRunner(factory(), n_init=4).run(dataset, seed=5)
+        force_backend("processes")
+        result = MultiRestartRunner(factory(), n_init=4, n_jobs=2).run(
+            dataset, seed=5
+        )
+        assert result.extras["engine_backend"] == "processes"
+        np.testing.assert_array_equal(result.labels, reference.labels)
+        assert result.objective == reference.objective

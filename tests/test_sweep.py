@@ -631,13 +631,15 @@ class TestCacheSharing:
             counting_pairwise,
         )
 
-        original_plan = batch_module.build_sampling_plan
+        # Every sampling plan, whether compiled from objects or built
+        # from a generated dataset's columns.
+        original_plan = batch_module.SamplingPlan.__init__
 
-        def counting_plan(distributions):
+        def counting_plan(self, *args, **kwargs):
             counts["plan"] += 1
-            return original_plan(distributions)
+            original_plan(self, *args, **kwargs)
 
-        monkeypatch.setattr(batch_module, "build_sampling_plan", counting_plan)
+        monkeypatch.setattr(batch_module.SamplingPlan, "__init__", counting_plan)
 
         original_microarray = table3_module.make_microarray
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datagen import PDF_FAMILIES, UncertaintyGenerator
-from repro.datagen.uncertainty_gen import _CellPdfs
+from repro.objects.dataset import _CellPdfs
 from repro.exceptions import EmptyDatasetError, InvalidParameterError
 from repro.objects import UncertainDataset, UncertainObject
 from repro.uncertainty import (
