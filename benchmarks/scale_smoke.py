@@ -4,8 +4,10 @@ Runs the scale-path variants on one synthetic 20_000-object roster with
 their exactness assertions **on**:
 
 * Elkan- and Hamerly-bounded UK-means must reproduce ``BasicUKMeans``
-  labels bit for bit, and the Elkan counters must show >= 50% of
-  assignment-row ED evaluations skipped;
+  labels bit for bit (S=32, k=20, 5 iterations), and the Elkan
+  counters must account for every assignment-row ED
+  (``ed_evaluations + ed_skipped == n_iterations * n * k``) and show
+  >= 50% of them skipped (the skip-rate floor lives only here);
 * mini-batch UK-means (lossy) must still recover the planted structure;
 * radius-prefiltered FDBSCAN must match the dense path exactly (checked
   at n=4000 — the dense reference is quadratic, the prefiltered path is
@@ -226,8 +228,17 @@ def run_smoke() -> List[dict]:
             )
             skip_rate = bounded.extras["skip_rate"]
             if bounds == "elkan":
+                # Counter-asserted, not inferred from wall clock: every
+                # assignment-row ED is either evaluated or skipped.
+                rows = bounded.n_iterations * N_OBJECTS * N_CLUSTERS
+                evaluated = bounded.extras["ed_evaluations"]
+                skipped = bounded.extras["ed_skipped"]
+                assert evaluated + skipped == rows, (
+                    f"elkan counted {evaluated} + {skipped} EDs, not {rows}"
+                )
                 assert skip_rate >= 0.5, (
-                    f"elkan skip rate {skip_rate:.3f} below the 0.5 floor"
+                    f"elkan skip rate {skip_rate:.3f} below the 0.5 floor "
+                    f"({evaluated} of {rows} EDs evaluated)"
                 )
             record(
                 f"bounded_ukmeans_{bounds}",

@@ -38,6 +38,7 @@ from repro.experiments import (
 from repro.experiments.figure4 import FIGURE4_DATASETS
 from repro.experiments.table2 import TABLE2_DATASETS
 from repro.experiments.table3 import TABLE3_CLUSTER_COUNTS, TABLE3_DATASETS
+from repro.utils.validation import check_int_range
 
 
 def _lease_ttl_arg(value: str):
@@ -208,6 +209,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         run_sweep_workers,
     )
 
+    check_int_range(args.workers, "workers", low=1)
     if args.store is None and args.join is None:
         raise InvalidParameterError("provide --store PATH (or --join PATH)")
     grid = _sweep_grid(args)
@@ -270,6 +272,7 @@ def _cmd_store_summary(args: argparse.Namespace) -> int:
     from repro.engine.store import open_store
     from repro.utils.tables import format_table
 
+    check_int_range(args.top, "top", low=1)
     store = open_store(args.path)
     try:
         if store.read_manifest() is None:
@@ -351,6 +354,12 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.experiments.config import build_algorithm
     from repro.utils.tables import format_table
 
+    # Checked up front: at the default --n-init 1 the engine, which
+    # checks n_jobs and patience itself, is never reached.
+    check_int_range(args.n_init, "n_init", low=1)
+    check_int_range(args.jobs, "n_jobs", low=1)
+    if args.patience is not None:
+        check_int_range(args.patience, "patience", low=1)
     data = make_blobs_uncertain(
         n_objects=150, n_clusters=3, separation=6.0, seed=args.seed
     )

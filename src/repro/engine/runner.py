@@ -43,6 +43,7 @@ from repro.clustering.base import ClusteringResult, UncertainClusterer
 from repro.engine.backends import EarlyStopping, choose_backend
 from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
+from repro.utils.rng import check_seed
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,7 @@ def _spawn_seeds(seed: SeedLike, count: int) -> List[int]:
     Generator draws are sequential), so callers may derive extra seeds
     lazily without perturbing the ones already handed out.
     """
+    check_seed(seed)
     if isinstance(seed, np.random.Generator):
         return [int(s) for s in seed.integers(0, 2**63 - 1, size=count)]
     sequence = np.random.SeedSequence(seed)

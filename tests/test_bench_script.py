@@ -1,4 +1,4 @@
-"""Smoke tests for the CI benchmark runner (benchmarks/run_bench.py)."""
+"""Smoke tests for the engine benchmark roster (benchmarks/bench_engine.py)."""
 
 from __future__ import annotations
 
@@ -14,10 +14,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 def _bench_module():
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
     try:
-        import run_bench
+        import bench_engine
     finally:
         sys.path.pop(0)
-    return run_bench
+    return bench_engine
 
 
 def _run_bench(*args, timeout=300):
@@ -28,7 +28,7 @@ def _run_bench(*args, timeout=300):
     return subprocess.run(
         [
             sys.executable,
-            str(REPO_ROOT / "benchmarks" / "run_bench.py"),
+            str(REPO_ROOT / "benchmarks" / "bench_engine.py"),
             *args,
         ],
         env=env,
@@ -38,43 +38,37 @@ def _run_bench(*args, timeout=300):
     )
 
 
-def test_run_bench_quick_emits_schema_json(tmp_path):
+def test_bench_engine_quick_emits_schema_json(tmp_path):
     output = tmp_path / "BENCH_engine.json"
     # Seed the path with an incompatible snapshot: --force must both
     # bypass the overwrite guard and emit a fresh valid payload.
     output.write_text(json.dumps({"schema": 0, "benchmarks": []}))
     proc = _run_bench("--quick", "--force", "--output", str(output))
     assert proc.returncode == 0, proc.stderr
+    bench_engine = _bench_module()
     payload = json.loads(output.read_text())
-    assert payload["schema"] == _bench_module().SCHEMA_VERSION
+    assert payload["schema"] == bench_engine.SCHEMA_VERSION
     assert payload["quick"] is True
     assert payload["machine"]["cpu_count"] == os.cpu_count()
-    names = {entry["name"] for entry in payload["benchmarks"]}
-    # The roster must cover sampling, restarts, density, every backend,
-    # and the hierarchical kernel.
-    by_name = {entry["name"]: entry for entry in payload["benchmarks"]}
-    assert by_name["sample_tensor_batched"]["speedup"] > 0
-    assert by_name["ukmedoids_plane_shared"]["speedup"] > 0
-    assert {
-        "sample_tensor_batched",
-        "multi_restart_shared_cache",
-        "fdbscan_ported_fit",
-        "backend_serial_ukmeans_restarts",
-        "backend_threads_ukmeans_restarts",
-        "backend_processes_ukmeans_restarts",
-        "ukmedoids_plane_shared",
-        "ukmedoids_plane_recompute",
-        "uahc_jeffreys_fit",
-        "store_aggregate_sqlite",
-    } <= names
-    assert by_name["store_aggregate_sqlite"]["speedup"] > 0
+    # Every identity check passed; quick sizes assert no floor.
+    assert payload["failures"] == []
+    names = [entry["name"] for entry in payload["benchmarks"]]
+    assert sorted(names) == sorted(bench_engine.MEASUREMENT_NAMES)
     assert all(entry["seconds"] > 0 for entry in payload["benchmarks"])
+    floored = [entry for entry in payload["benchmarks"] if "floor" in entry]
+    # Seven floors live in the roster (the Elkan skip rate is asserted
+    # by scale_smoke.py); each record carries its floor and measured
+    # speedup, and quick sizes check none of them.
+    assert len(floored) == 7
+    for entry in floored:
+        assert entry["floor"] > 1 and entry["speedup"] > 0
+        assert entry["floor_skipped"]
 
 
 class TestOverwriteGuard:
-    """Satellite: run_bench refuses to clobber a snapshot whose schema
-    version or measurement roster differs, unless --force is passed.
-    The guard runs before any benchmark executes, so these are fast."""
+    """The roster refuses to clobber a snapshot whose schema version or
+    measurement roster differs, unless --force is passed.  The guard
+    runs before any benchmark executes, so these are fast."""
 
     def test_refuses_schema_mismatch(self, tmp_path):
         output = tmp_path / "BENCH_engine.json"
@@ -109,9 +103,9 @@ class TestOverwriteGuard:
 
     def test_committed_snapshot_is_like_for_like(self):
         """The committed BENCH_engine.json must always be overwritable
-        by the current script — i.e. schema and roster in sync."""
-        run_bench = _bench_module()
-        assert (
-            run_bench.snapshot_conflict(REPO_ROOT / "BENCH_engine.json")
-            is None
-        )
+        by the current script — i.e. schema and roster in sync — and
+        come from a full-size run."""
+        bench_engine = _bench_module()
+        snapshot = REPO_ROOT / "BENCH_engine.json"
+        assert bench_engine.snapshot_conflict(snapshot) is None
+        assert json.loads(snapshot.read_text())["quick"] is False

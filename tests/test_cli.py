@@ -157,10 +157,26 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize(
         "argv",
-        [["table2", "--runs", "0"], ["demo", "--n-init", "2", "--jobs", "0"]],
+        [
+            ["table2", "--runs", "0"],
+            ["demo", "--n-init", "2", "--jobs", "0"],
+            ["table2", "--seed", "-1"],
+            ["demo", "--seed", "-1"],
+            ["store", "summary", "S.sqlite", "--metric", "theta",
+             "--top", "-1"],
+            ["store", "summary", "S.sqlite", "--metric", "theta",
+             "--top", "0"],
+            ["sweep", "--store", "S.sqlite", "--quick", "--workers", "0"],
+            ["demo", "--n-init", "0"],
+            ["demo", "--jobs", "0"],
+            ["demo", "--patience", "-1"],
+        ],
     )
     def test_repro_error_exits_2_with_one_line(self, argv):
-        _assert_one_error_line(_run_cli(*argv))
+        """The last option of ``argv`` is the invalid one, and the
+        error line names it (as its library parameter)."""
+        line = _assert_one_error_line(_run_cli(*argv))
+        assert argv[-2].lstrip("-").replace("-", "_") in line
 
     def test_json_store_directory_names_import(self, tmp_path):
         """A JSON store directory written by an earlier version is not a

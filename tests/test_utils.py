@@ -45,6 +45,31 @@ class TestRng:
         with pytest.raises(InvalidParameterError):
             ensure_rng("seed")
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_negative_seed(self, seed):
+        """numpy seeds only from non-negative integers; every entry
+        point that derives streams from a seed rejects the rest with a
+        typed error instead of numpy's bare ``ValueError``."""
+        from repro.engine.runner import _spawn_seeds
+
+        for derive in (ensure_rng, lambda s: spawn_rngs(s, 2),
+                       lambda s: _spawn_seeds(s, 2)):
+            with pytest.raises(InvalidParameterError, match="non-negative"):
+                derive(seed)
+
+    def test_negative_seed_at_library_entry_points(self):
+        from repro import UKMeans, make_blobs_uncertain
+
+        data = make_blobs_uncertain(n_objects=20, n_clusters=2, seed=0)
+        for call in (
+            lambda: make_blobs_uncertain(n_objects=20, n_clusters=2, seed=-1),
+            lambda: UKMeans(2).fit(data, seed=-1),
+            lambda: UKMeans(2).fit_best(data, seed=-1, n_init=2),
+            lambda: data.sample_tensor(4, -1),
+        ):
+            with pytest.raises(InvalidParameterError, match="non-negative"):
+                call()
+
     def test_spawn_independent_streams(self):
         streams = spawn_rngs(7, 3)
         draws = [s.random(4) for s in streams]
