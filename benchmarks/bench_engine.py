@@ -27,7 +27,10 @@ The floors pin the claims the engine layer makes:
   worker, with a store identical to the single worker's — checked on
   >= 2 cores;
 * Elkan-bounded UK-means reproduces ``BasicUKMeans`` labels at
-  n=100_000 (S=32, m=8, k=20) while running >= 2x faster.
+  n=100_000 (S=32, m=8, k=20) while running >= 2x faster;
+* VDBiP's candidate mask, as tiled GEMMs over all ordered centroid
+  pairs, equals the per-pair bisector loop it replaced and runs >= 5x
+  faster on KDD Cup '99-shaped boxes (n=20_000, k=23, m=42).
 
 Measured without a floor: multi-restart runs with shared vs fresh
 sample tensors (and MinMax-BB, which must pick Basic's winner), the
@@ -83,6 +86,7 @@ from repro.clustering import (
     MinMaxBB,
     UKMeans,
     UKMedoids,
+    VDBiP,
     auto_eps,
 )
 from repro.clustering.fdbscan import dbscan_labels
@@ -108,12 +112,13 @@ from repro.engine.sweep import (
 )
 from repro.exceptions import ConvergenceWarning
 from repro.experiments import ExperimentConfig
+from repro.experiments.figure5 import FIGURE5_K, prepare_figure5_base
 from repro.experiments.table3 import prepare_table3_group, run_table3_cell
 from repro.objects import UncertainDataset, UncertainObject
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 #: Bumped whenever a measurement's name or meaning changes.
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: The fixed measurement roster.  :func:`run_benchmarks` must emit
 #: exactly these names; the overwrite guard in :func:`main` compares an
@@ -143,6 +148,7 @@ MEASUREMENT_NAMES = (
     "sweep_two_workers",
     "bounded_ukmeans_elkan",
     "bounded_ukmeans_basic_reference",
+    "vdbip_mask",
 )
 
 #: ``--quick`` multiplies every dataset size (and the multi-worker
@@ -815,6 +821,60 @@ def bounded_scale(roster: Roster) -> None:
     )
 
 
+# ----------------------------------------------------------------------
+# VDBiP's candidate mask: tiled GEMMs vs the per-pair bisector loop.
+# ----------------------------------------------------------------------
+def _legacy_vdbip_mask(boxes_lower, boxes_upper, centers):
+    """The replaced mask: one bisector test per ordered centroid pair,
+    pruning on ``max_h < 0`` with no rounding margin."""
+    n = boxes_lower.shape[0]
+    k = centers.shape[0]
+    center_sq = np.einsum("cj,cj->c", centers, centers)
+    candidates = np.ones((n, k), dtype=bool)
+    for j in range(k):
+        for l in range(k):
+            if l == j:
+                continue
+            a = -2.0 * (centers[j] - centers[l])
+            b = center_sq[j] - center_sq[l]
+            max_h = (
+                np.where(a > 0, boxes_upper * a, boxes_lower * a).sum(axis=1) + b
+            )
+            candidates[max_h < 0.0, l] = False
+    dead = ~candidates.any(axis=1)
+    if dead.any():
+        candidates[dead] = True
+    return candidates
+
+
+def vdbip_mask(roster: Roster) -> None:
+    """Figure 5's KDD Cup '99-shaped boxes and k; the centroids are the
+    means of k distinct objects, as a fit's first iteration draws them.
+    No bisector test on these boxes falls inside the margin, so the
+    masks are equal."""
+    n = roster.size(20_000)
+    full, _, _ = prepare_figure5_base(ExperimentConfig(seed=11), n)
+    lower, upper = full.region_bounds
+    rng = ensure_rng(0)
+    centers = full.mu_matrix[rng.choice(n, FIGURE5_K, replace=False)]
+    model = VDBiP(FIGURE5_K)
+    start = time.perf_counter()
+    legacy = _legacy_vdbip_mask(lower, upper, centers)
+    legacy_time = time.perf_counter() - start
+    roster.check(
+        np.array_equal(model._candidate_mask(lower, upper, centers), legacy),
+        "vdbip_mask: mask differs from the per-pair loop's",
+    )
+    tiled_time = _best_of(
+        lambda: model._candidate_mask(lower, upper, centers),
+        roster.repeats(3),
+    )
+    roster.floor(
+        "vdbip_mask", tiled_time, legacy_time / tiled_time, 5.0,
+        n=n, k=FIGURE5_K, m=full.dim, pair_loop_s=round(legacy_time, 4),
+    )
+
+
 MEASUREMENTS = (
     sample_tensor,
     multi_restart,
@@ -826,6 +886,7 @@ MEASUREMENTS = (
     sweep_orchestrator,
     sweep_workers,
     bounded_scale,
+    vdbip_mask,
 )
 
 

@@ -8,6 +8,9 @@ their exactness assertions **on**:
   counters must account for every assignment-row ED
   (``ed_evaluations + ed_skipped == n_iterations * n * k``) and show
   >= 50% of them skipped (the skip-rate floor lives only here);
+* the pruning variants MinMax-BB and VDBiP must reproduce the same
+  ``BasicUKMeans`` labels (their times and pruning counters are
+  recorded);
 * mini-batch UK-means (lossy) must still recover the planted structure;
 * radius-prefiltered FDBSCAN must match the dense path exactly (checked
   at n=4000 — the dense reference is quadratic, the prefiltered path is
@@ -64,7 +67,9 @@ from repro.clustering import (
     UAHC,
     BasicUKMeans,
     BoundedUKMeans,
+    MinMaxBB,
     MiniBatchUKMeans,
+    VDBiP,
 )
 from repro.clustering.foptics import expected_distance_matrix
 from repro.datagen import UncertaintyGenerator, make_blobs_uncertain
@@ -245,6 +250,24 @@ def run_smoke() -> List[dict]:
                 seconds,
                 skip_rate=round(skip_rate, 4),
                 speedup=round(basic_time / seconds, 2),
+            )
+
+        for name, pruner in (("minmax_bb", MinMaxBB), ("vdbip", VDBiP)):
+            pruned, seconds = _timed(
+                lambda: pruner(
+                    N_CLUSTERS, n_samples=N_MC_SAMPLES, max_iter=MAX_ITER
+                ).fit(data, seed=0)
+            )
+            np.testing.assert_array_equal(
+                basic.labels,
+                pruned.labels,
+                err_msg=f"{pruner.name} diverged from BasicUKMeans",
+            )
+            record(
+                name,
+                seconds,
+                ed_evaluations=pruned.extras["ed_evaluations"],
+                pruning_rate=round(pruned.extras["pruning_rate"], 4),
             )
 
         mini, seconds = _timed(

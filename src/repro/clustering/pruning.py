@@ -18,6 +18,19 @@ distance (ED) integral evaluations:
   (sqrt(ED_old) + delta)^2``, sharpening both bounds.  The paper couples
   it with both pruners in the efficiency study.
 
+The MinMax-BB and VDBiP masks test their bounds with a rounding margin
+(the cluster-shift tightening does not), so every prune they make is
+provable from the float inputs (barring overflow and underflow): the
+box lies strictly on the pruning side in exact arithmetic, and the
+exactly-nearest centroid of every point of the box survives.  With
+``γ = (m + 8)·2⁻⁵²``, MinMax-BB keeps ``c`` iff ``MinDist·(1 − γ) <=
+min_c' MaxDist·(1 + γ)``, and VDBiP prunes ``c_l`` only when ``max_box
+h < −δ`` with ``δ = γ·(max(|L|, |U|)·|a| + |c_j|² + |c_l|²)`` (see
+:class:`VDBiP`).  ``γ`` is twice Higham's ``γ_{m+4}`` bound on the
+rounding of each computed bound, so the margin's own rounding is
+covered.  Without the margin, a box within a few ulps of a bisector
+could lose its exactly-nearest centroid.
+
 All variants reproduce the basic UK-means assignment sequence exactly
 (pruning is lossless); pruning effectiveness counters are reported in
 ``ClusteringResult.extras``.  As in the paper, time spent *building*
@@ -26,11 +39,13 @@ pruning structures is excluded from the clustering-time measurement.
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 import numpy as np
 
 from repro._typing import SeedLike
+from repro.clustering._density import _TILE_ELEMENTS
 from repro.clustering._repair import repair_empty_clusters
 from repro.clustering._sampling import SampleCacheMixin
 from repro.clustering.base import (
@@ -216,14 +231,29 @@ class _PruningUKMeansBase(SampleCacheMixin, UncertainClusterer):
         return tightened
 
 
+def _rounding_margin(dim: int) -> float:
+    """``γ = (m + 8)·2⁻⁵²``: twice Higham's ``γ_{m+4}`` relative bound.
+
+    Each mask bound is an ``m``-term dot product of rounded inputs
+    followed by at most three more roundings, so its computed value is
+    within ``γ_{m+4}`` of the exact one, relative to the sum of its
+    terms' magnitudes; doubling that also covers the rounding of the
+    margin itself.
+    """
+    return (dim + 8) * 2.0**-52
+
+
 class MinMaxBB(_PruningUKMeansBase):
     """MinMax bounding-box pruning UK-means [16].
 
     For each object box and centroid: ``MinDist`` is the squared distance
     to the nearest box point, ``MaxDist`` to the farthest corner.  The
     expected distance always lies between them, so any centroid with
-    ``MinDist > min_c MaxDist`` is pruned before its ED integral is ever
-    evaluated.
+    ``MinDist > min_c MaxDist`` cannot be the closest and is pruned
+    before its ED integral is ever evaluated.  Both bounds are rounded
+    sums, so a centroid is kept iff ``MinDist·(1 − γ) <= min_c
+    MaxDist·(1 + γ)`` with ``γ = (m + 8)·2⁻⁵²``: every prune then holds
+    in exact arithmetic.
     """
 
     name = "MinMax-BB"
@@ -246,21 +276,33 @@ class MinMaxBB(_PruningUKMeansBase):
             min_dist[:, j] = np.einsum("ij,ij->i", gap, gap)
             far = np.maximum(np.abs(c - boxes_lower), np.abs(c - boxes_upper))
             max_dist[:, j] = np.einsum("ij,ij->i", far, far)
-        threshold = max_dist.min(axis=1)
-        return min_dist <= threshold[:, None]
+        gamma = _rounding_margin(centers.shape[1])
+        threshold = max_dist.min(axis=1) * (1.0 + gamma)
+        return min_dist * (1.0 - gamma) <= threshold[:, None]
 
 
 class VDBiP(_PruningUKMeansBase):
     """Voronoi-diagram bisector pruning UK-means [11].
 
     For each ordered centroid pair ``(c_j, c_l)`` the bisector hyperplane
-    is ``h(x) = ||x - c_j||^2 - ||x - c_l||^2 = -2 (c_j - c_l)·x +
-    (||c_j||^2 - ||c_l||^2)``, a *linear* function whose maximum over a
-    box is attained at a corner and computable per dimension.  If
-    ``max_box h < 0``, the whole object lies strictly on ``c_j``'s side,
-    so ``c_l`` can never be the closest centroid and is pruned.  An
-    object whose box falls entirely inside one Voronoi cell is assigned
-    with zero ED evaluations.
+    is ``h(x) = ||x - c_j||^2 - ||x - c_l||^2 = a·x + b`` with ``a = -2
+    (c_j - c_l)`` and ``b = ||c_j||^2 - ||c_l||^2``, a *linear* function
+    whose maximum over the box ``[L, U]`` is attained at a corner:
+    ``max_box h = U·a⁺ + L·a⁻ + b`` (``a⁺ = max(a, 0)``, ``a⁻ = min(a,
+    0)``).  If ``max_box h < −δ`` with ``δ = γ·(max(|L|, |U|)·|a| +
+    ||c_j||^2 + ||c_l||^2)`` and ``γ = (m + 8)·2⁻⁵²``, the whole object
+    lies strictly on ``c_j``'s side even in exact arithmetic, so ``c_l``
+    can never be the closest centroid and is pruned.  An object whose
+    box falls entirely inside one Voronoi cell is assigned with zero ED
+    evaluations; the exactly-nearest centroid of any box point is never
+    pruned, so every object keeps a candidate.  A box with an infinite
+    bound prunes nothing.
+
+    The mask is computed for all ordered pairs at once as GEMMs, in
+    tiles of object rows × blocks of ``j`` (times all ``k`` values of
+    ``l``) whose ``(rows, pairs)`` temporaries fit the all-pairs
+    kernels' fixed element budget (``_density._TILE_ELEMENTS``) at any
+    ``n`` and ``k``.
     """
 
     name = "VDBiP"
@@ -271,26 +313,40 @@ class VDBiP(_PruningUKMeansBase):
         boxes_upper: np.ndarray,
         centers: np.ndarray,
     ) -> np.ndarray:
-        n = boxes_lower.shape[0]
+        n, m = boxes_lower.shape
         k = centers.shape[0]
+        gamma = _rounding_margin(m)
         center_sq = np.einsum("cj,cj->c", centers, centers)
+        # A tile holds three (rows, j-block * k) float temporaries: the
+        # two box maxima being summed and the margin.  It is about as
+        # tall as it is wide, unless one j alone is wider.
+        budget = _TILE_ELEMENTS // 3
+        j_block = max(1, min(k, math.isqrt(budget) // k))
+        rows = max(1, budget // (j_block * k))
         candidates = np.ones((n, k), dtype=bool)
-        for j in range(k):
-            for l in range(k):
-                if l == j:
-                    continue
-                # h(x) = a·x + b with a = -2 (c_j - c_l), b = |c_j|^2 - |c_l|^2;
-                # max over box per dimension picks lower/upper by sign of a.
-                a = -2.0 * (centers[j] - centers[l])
-                b = center_sq[j] - center_sq[l]
-                max_h = (
-                    np.where(a > 0, boxes_upper * a, boxes_lower * a).sum(axis=1) + b
-                )
-                # Box strictly on c_j's side of the (j, l) bisector:
+        for j0 in range(0, k, j_block):
+            block = slice(j0, min(j0 + j_block, k))
+            width = block.stop - block.start
+            # Column j_local * k + l holds the pair (j, l): a = -2 (c_j - c_l).
+            a = (2.0 * (centers[None, :, :] - centers[block, None, :])).reshape(
+                width * k, m
+            )
+            a_pos = np.maximum(a, 0.0).T
+            a_neg = np.minimum(a, 0.0).T
+            a_abs = np.abs(a).T
+            b = (center_sq[block, None] - center_sq[None, :]).ravel()
+            sq_sum = (center_sq[block, None] + center_sq[None, :]).ravel()
+            for r0 in range(0, n, rows):
+                part = slice(r0, min(r0 + rows, n))
+                lower, upper = boxes_lower[part], boxes_upper[part]
+                max_h = upper @ a_pos
+                max_h += lower @ a_neg
+                max_h += b
+                neg_delta = np.maximum(np.abs(lower), np.abs(upper)) @ a_abs
+                neg_delta += sq_sum
+                neg_delta *= -gamma
+                # Box provably on c_j's side of the (j, l) bisector:
                 # c_l cannot be closest for these objects.
-                candidates[max_h < 0.0, l] = False
-        # Safety net (degenerate equalities): keep at least one candidate.
-        dead = ~candidates.any(axis=1)
-        if dead.any():
-            candidates[dead] = True
+                pruned = (max_h < neg_delta).reshape(-1, width, k).any(axis=1)
+                candidates[part] &= ~pruned
         return candidates

@@ -56,10 +56,10 @@ def test_bench_engine_quick_emits_schema_json(tmp_path):
     assert sorted(names) == sorted(bench_engine.MEASUREMENT_NAMES)
     assert all(entry["seconds"] > 0 for entry in payload["benchmarks"])
     floored = [entry for entry in payload["benchmarks"] if "floor" in entry]
-    # Seven floors live in the roster (the Elkan skip rate is asserted
+    # Eight floors live in the roster (the Elkan skip rate is asserted
     # by scale_smoke.py); each record carries its floor and measured
     # speedup, and quick sizes check none of them.
-    assert len(floored) == 7
+    assert len(floored) == 8
     for entry in floored:
         assert entry["floor"] > 1 and entry["speedup"] > 0
         assert entry["floor_skipped"]

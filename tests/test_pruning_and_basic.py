@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clustering import BasicUKMeans, MinMaxBB, UKMeans, VDBiP
 from repro.clustering._repair import repair_empty_clusters
@@ -13,7 +17,48 @@ from repro.clustering.pruning import _PruningUKMeansBase
 from repro.datagen import make_blobs_uncertain
 from repro.evaluation import f_measure
 from repro.exceptions import ConvergenceWarning, InvalidParameterError
+from repro.experiments import ExperimentConfig
+from repro.experiments.figure5 import (
+    FIGURE5_K,
+    prepare_figure5_base,
+    prepare_figure5_fraction,
+)
 from repro.objects import UncertainDataset, UncertainObject
+
+
+def _legacy_vdbip_mask(boxes_lower, boxes_upper, centers):
+    """The VDBiP mask as the per-pair loop computed it before the GEMM
+    tiles (frozen copy; prunes on ``max_h < 0`` with no margin)."""
+    n = boxes_lower.shape[0]
+    k = centers.shape[0]
+    center_sq = np.einsum("cj,cj->c", centers, centers)
+    candidates = np.ones((n, k), dtype=bool)
+    for j in range(k):
+        for l in range(k):
+            if l == j:
+                continue
+            a = -2.0 * (centers[j] - centers[l])
+            b = center_sq[j] - center_sq[l]
+            max_h = (
+                np.where(a > 0, boxes_upper * a, boxes_lower * a).sum(axis=1) + b
+            )
+            candidates[max_h < 0.0, l] = False
+    dead = ~candidates.any(axis=1)
+    if dead.any():
+        candidates[dead] = True
+    return candidates
+
+
+def _exact(values):
+    return [[Fraction(float(v)) for v in row] for row in np.atleast_2d(values)]
+
+
+def _exact_sq_dists(point, centers):
+    """Squared distances from ``point`` to each centroid, exactly."""
+    (x,) = _exact(point)
+    return [
+        sum((xd - cd) ** 2 for xd, cd in zip(x, c)) for c in _exact(centers)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +180,166 @@ class TestCandidateMasks:
             Dummy(n_clusters=2)._candidate_mask(
                 np.zeros((1, 1)), np.ones((1, 1)), np.zeros((2, 1))
             )
+
+
+def _near_tie_points(seed, n=200, k=4, m=8):
+    """Point boxes a few ulps off the bisector of a random centroid pair."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 5.0, size=(k, m))
+    points = np.empty((n, m))
+    for i in range(n):
+        j, l = rng.choice(k, size=2, replace=False)
+        normal = centers[l] - centers[j]
+        along = rng.normal(0.0, 1.0, size=m)
+        along -= (along @ normal) / (normal @ normal) * normal
+        point = 0.5 * (centers[j] + centers[l]) + along
+        points[i] = point + rng.integers(-4, 5, size=m) * np.spacing(point)
+    return points, centers
+
+
+def _exactly_prunable(cls, lower, upper, centers):
+    """``(k,)`` mask of the centroids that no point of the box
+    ``[lower, upper]`` has as its nearest, by ``cls``'s test in exact
+    arithmetic."""
+    (lo,), (hi,) = _exact(lower), _exact(upper)
+    exact_centers = _exact(centers)
+    if cls is MinMaxBB:
+        min_dist = [
+            sum(max(ld - cd, cd - hd, 0) ** 2 for ld, hd, cd in zip(lo, hi, c))
+            for c in exact_centers
+        ]
+        max_dist = [
+            sum(max(abs(cd - ld), abs(cd - hd)) ** 2 for ld, hd, cd in zip(lo, hi, c))
+            for c in exact_centers
+        ]
+        return np.array([d > min(max_dist) for d in min_dist])
+    sq = [sum(cd * cd for cd in c) for c in exact_centers]
+
+    def max_h(j, l):
+        # max over the box of ||x - c_j||^2 - ||x - c_l||^2
+        a = [2 * (cl - cj) for cj, cl in zip(exact_centers[j], exact_centers[l])]
+        return sum(max(ad * ld, ad * hd) for ad, ld, hd in zip(a, lo, hi)) + (
+            sq[j] - sq[l]
+        )
+
+    k = len(exact_centers)
+    return np.array(
+        [any(max_h(j, l) < 0 for j in range(k) if j != l) for l in range(k)]
+    )
+
+
+_magnitude = st.floats(min_value=1e-6, max_value=1e6)
+_coordinate = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(float),
+    _magnitude,
+    _magnitude.map(lambda value: -value),
+)
+
+
+@st.composite
+def _boxes_and_centers(draw):
+    """Small boxes and centroids: magnitudes 1e-6..1e6 (so no square
+    underflows), and small integers so that exact ties and duplicate
+    centroids occur."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=4))
+
+    def matrix(rows, elements):
+        cells = st.lists(elements, min_size=rows * m, max_size=rows * m)
+        return np.array(draw(cells)).reshape(rows, m)
+
+    lower = matrix(n, _coordinate)
+    widths = matrix(n, st.one_of(st.just(0.0), st.floats(1e-6, 10.0)))
+    return lower, lower + widths, matrix(k, _coordinate)
+
+
+@pytest.mark.parametrize("cls", [MinMaxBB, VDBiP], ids=["MinMaxBB", "VDBiP"])
+class TestProvablePruning:
+    """Each pruner's rounded bounds carry a margin, so every prune holds
+    in exact arithmetic.  Without it, a box a few ulps off a bisector
+    could lose the centroid that is exactly nearest to it."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exactly_nearest_centroid_is_never_pruned(self, cls, seed):
+        points, centers = _near_tie_points(seed)
+        mask = cls(n_clusters=len(centers))._candidate_mask(
+            points, points, centers
+        )
+        for i, point in enumerate(points):
+            dists = _exact_sq_dists(point, centers)
+            nearest = [c for c, dist in enumerate(dists) if dist == min(dists)]
+            assert mask[i, nearest].all(), (
+                f"pruned the exactly-nearest centroid of point {i}"
+            )
+
+    @given(_boxes_and_centers())
+    @settings(max_examples=150, deadline=None)
+    def test_every_prune_is_exact_and_every_row_keeps_a_candidate(
+        self, cls, boxes
+    ):
+        lower, upper, centers = boxes
+        mask = cls(n_clusters=len(centers))._candidate_mask(lower, upper, centers)
+        assert mask.any(axis=1).all()
+        for i in range(len(lower)):
+            prunable = _exactly_prunable(cls, lower[i], upper[i], centers)
+            assert not (~mask[i] & ~prunable).any(), (
+                f"row {i} pruned {np.flatnonzero(~mask[i] & ~prunable)} "
+                "without an exact proof"
+            )
+
+
+@pytest.fixture(scope="module")
+def figure5_subsets():
+    """The KDD-shaped Figure 5 subsets of the benchmark's sweep: base
+    size 600 (m = 42) at fractions 0.25, 0.5 and 1."""
+    config = ExperimentConfig(n_runs=2, n_samples=8, seed=2012)
+    full, rng_data, _ = prepare_figure5_base(config, 600)
+    return {
+        frac: prepare_figure5_fraction(full, frac, rng_data)
+        for frac in (0.25, 0.5, 1.0)
+    }
+
+
+class TestVDBiPTiledMask:
+    @pytest.mark.parametrize("frac", [0.25, 0.5, 1.0])
+    def test_equals_the_pair_loop_along_a_figure5_fit(self, figure5_subsets, frac):
+        """On real boxes no bisector test falls inside the margin, so
+        the tiled mask equals the unmargined pair loop's at every
+        iteration of a k = 23 fit."""
+        masks = []
+
+        class Checked(VDBiP):
+            def _candidate_mask(self, lower, upper, centers):
+                mask = super()._candidate_mask(lower, upper, centers)
+                np.testing.assert_array_equal(
+                    mask, _legacy_vdbip_mask(lower, upper, centers)
+                )
+                masks.append(mask)
+                return mask
+
+        subset = figure5_subsets[frac]
+        assert subset.dim == 42
+        Checked(FIGURE5_K, n_samples=8).fit(subset, seed=0)
+        assert masks
+
+    def test_temporaries_stay_tile_sized(self):
+        """At n = 2000, k = 300, m = 42 the all-pairs ``(n, k(k - 1))``
+        box-maximum matrix alone would take 1.4 GB; the mask's peak
+        traced memory, less its ``(n, k)`` output, stays under 4 MB."""
+        rng = np.random.default_rng(0)
+        n, k, m = 2000, 300, 42
+        lower = rng.normal(0.0, 5.0, size=(n, m))
+        upper = lower + rng.uniform(0.0, 1.0, size=(n, m))
+        centers = rng.normal(0.0, 5.0, size=(k, m))
+        tracemalloc.start()
+        try:
+            mask = VDBiP(k)._candidate_mask(lower, upper, centers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mask.shape == (n, k)
+        assert peak - mask.nbytes < 4 * 2**20
 
 
 class TestLosslessPruningRegression:
