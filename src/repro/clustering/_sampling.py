@@ -1,8 +1,9 @@
 """Shared sample-tensor handling for the sample-based algorithms.
 
-Basic UK-means and the pruning variants all start their off-line phase
-from the same ``(n, S, m)`` realization tensor.  This mixin centralizes
-how that tensor is obtained: batch-drawn through
+Basic UK-means, whose fit is also the loop of its pruning and bounded
+variants, FDBSCAN and FOPTICS all start their off-line phase from an
+``(n, S, m)`` realization tensor.  This mixin centralizes how that
+tensor is obtained: batch-drawn through
 :meth:`UncertainDataset.sample_tensor`, or injected pre-drawn via the
 ``sample_cache`` attribute (the multi-restart engine shares one tensor
 across restarts this way).

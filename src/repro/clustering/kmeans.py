@@ -14,17 +14,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro._typing import SeedLike
-from repro.clustering.base import ClusteringResult, UncertainClusterer
+from repro.clustering.base import ClusteringResult
 from repro.clustering.ukmeans import UKMeans
 from repro.objects.dataset import UncertainDataset
 
 
-class KMeans(UncertainClusterer):
+class KMeans(UKMeans):
     """Lloyd's K-means on deterministic points.
 
-    A thin adapter: wraps the rows as point-mass uncertain objects and
-    delegates to :class:`~repro.clustering.ukmeans.UKMeans`, with which
-    it coincides exactly at zero variance (Eq. (8) with sigma^2 = 0).
+    :class:`~repro.clustering.ukmeans.UKMeans` under its own name, with
+    which it coincides exactly at zero variance (Eq. (8) with sigma^2 =
+    0), plus :meth:`fit_points`, which wraps the rows as point-mass
+    uncertain objects.
 
     Parameters
     ----------
@@ -33,16 +34,6 @@ class KMeans(UncertainClusterer):
     """
 
     name = "KM"
-
-    def __init__(self, n_clusters: int, max_iter: int = 100, init: str = "random"):
-        self.n_clusters = int(n_clusters)
-        self.max_iter = int(max_iter)
-        self.init = init
-        self._delegate = UKMeans(n_clusters, max_iter=max_iter, init=init)
-
-    def fit(self, dataset: UncertainDataset, seed: SeedLike = None) -> ClusteringResult:
-        """Cluster an (already wrapped) dataset."""
-        return self._delegate.fit(dataset, seed)
 
     def fit_points(
         self,

@@ -31,8 +31,12 @@ rounding of each computed bound, so the margin's own rounding is
 covered.  Without the margin, a box within a few ulps of a bisector
 could lose its exactly-nearest centroid.
 
-All variants reproduce the basic UK-means assignment sequence exactly
-(pruning is lossless); pruning effectiveness counters are reported in
+Both are :class:`~repro.clustering.ukmeans_basic.BasicUKMeans`
+subclasses that replace only its assignment step: the sample draw,
+seeding, empty-cluster repair, convergence test and centroid update are
+Basic's own loop, and every ED they compare comes from its kernel, so
+they reproduce the basic UK-means iterations exactly (pruning is
+lossless).  Pruning effectiveness counters are reported in
 ``ClusteringResult.extras``.  As in the paper, time spent *building*
 pruning structures is excluded from the clustering-time measurement.
 """
@@ -40,161 +44,65 @@ pruning structures is excluded from the clustering-time measurement.
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
-from repro._typing import SeedLike
+from repro._typing import IntArray
 from repro.clustering._density import _TILE_ELEMENTS
-from repro.clustering._repair import repair_empty_clusters
-from repro.clustering._sampling import SampleCacheMixin
-from repro.clustering.base import (
-    ClusteringResult,
-    UncertainClusterer,
-    validate_n_clusters,
+from repro.clustering.ukmeans_basic import (
+    BasicUKMeans,
+    _FullAssignment,
+    expected_distances,
 )
-from repro.clustering.initialization import random_seed_indices
-from repro.clustering.ukmeans import ukmeans_objective
-from repro.exceptions import InvalidParameterError, warn_convergence
-from repro.objects.dataset import UncertainDataset
-from repro.utils.rng import ensure_rng
-from repro.utils.timer import Stopwatch
 
 
-class _PruningUKMeansBase(SampleCacheMixin, UncertainClusterer):
-    """Shared machinery of the pruning-based UK-means variants."""
+class _PrunedAssignment(_FullAssignment):
+    """Assignment through a candidate mask: EDs only for the survivors.
 
-    def __init__(
-        self,
-        n_clusters: int,
-        n_samples: int = 64,
-        max_iter: int = 100,
-        cluster_shift: bool = True,
-    ):
-        if n_samples < 1:
-            raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
-        if max_iter < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
-        self.n_clusters = int(n_clusters)
-        self.n_samples = int(n_samples)
-        self.max_iter = int(max_iter)
-        self.cluster_shift = bool(cluster_shift)
+    Building the mask and the shift bounds (bounding-box bounds /
+    Voronoi bisectors / cluster-shift) is excluded from the clustering
+    time, exactly as in Section 5.2.2 of the paper ("pruning times ...
+    were discarded").
+    """
 
-    # -- strategy hook --------------------------------------------------
-    def _candidate_mask(
-        self,
-        boxes_lower: np.ndarray,
-        boxes_upper: np.ndarray,
-        centers: np.ndarray,
-    ) -> np.ndarray:
-        """Boolean ``(n, k)`` mask of candidate centroids per object."""
-        raise NotImplementedError
+    def __init__(self, clusterer, dataset, samples, sample_means, watch):
+        super().__init__(clusterer, dataset, samples, sample_means, watch)
+        self.boxes = dataset.region_bounds
+        n, k = samples.shape[0], clusterer.n_clusters
+        # Cached exact EDs (cluster-shift) and the iteration at which
+        # each was computed (-1 = never).  The shift bound must account
+        # for the *cumulative* centroid displacement since that
+        # iteration, not just the last step — a cached ED can survive
+        # many iterations while its centroid keeps drifting.
+        self.ed_matrix = np.full((n, k), np.nan)
+        self.ed_iteration = np.full((n, k), -1, dtype=np.int64)
+        self.centers_log: List[np.ndarray] = []
+        self.ed_pruned = 0
 
-    # -- main loop -------------------------------------------------------
-    def fit(self, dataset: UncertainDataset, seed: SeedLike = None) -> ClusteringResult:
-        """Cluster ``dataset``; see class docstring."""
-        n = len(dataset)
-        k = validate_n_clusters(self.n_clusters, n)
-        rng = ensure_rng(seed)
+    def assign(self, centers: np.ndarray, assignment: IntArray) -> IntArray:
+        iteration = len(self.centers_log)
+        self.watch.stop()
+        self.centers_log.append(centers.copy())
+        candidates = self.clusterer._candidate_mask(*self.boxes, centers)
+        if self.clusterer.cluster_shift and iteration > 0:
+            candidates = self._tighten_with_shift(candidates, centers)
+        self.watch.start()
+        # An object left with one candidate is assigned without any ED
+        # integral; the others compare the EDs of their candidates.
+        single = candidates.sum(axis=1) == 1
+        compared = candidates & ~single[:, None]
+        eds = expected_distances(self.samples, centers, compared)
+        self.ed_matrix[compared] = eds[compared]
+        self.ed_iteration[compared] = iteration
+        n_compared = int(compared.sum())
+        self.ed_evaluations += n_compared
+        # A single row's own candidate counts as neither.
+        self.ed_pruned += candidates.size - int(single.sum()) - n_compared
+        return np.where(single, np.argmax(candidates, axis=1), np.argmin(eds, axis=1))
 
-        # Off-line phase (untimed, as in the paper): samples and boxes.
-        samples = self._draw_samples(dataset, rng)
-        sample_means = samples.mean(axis=1)
-        boxes_lower, boxes_upper = dataset.region_bounds
-
-        seeds = random_seed_indices(n, k, rng)
-        centers = sample_means[seeds].copy()
-
-        ed_matrix = np.full((n, k), np.nan)  # cached exact EDs (cluster-shift)
-        # Iteration at which each ed_matrix entry was computed (-1 =
-        # never).  The shift bound must account for the *cumulative*
-        # centroid displacement since that iteration, not just the last
-        # step — a cached ED can survive many iterations while its
-        # centroid keeps drifting.
-        ed_iteration = np.full((n, k), -1, dtype=np.int64)
-        centers_log: List[np.ndarray] = []
-        ed_computed = 0
-        ed_pruned = 0
-
-        watch = Stopwatch()
-        iterations = 0
-        converged = False
-        assignment = np.full(n, -1, dtype=np.int64)
-        with watch.running():
-            for iteration in range(self.max_iter):
-                iterations += 1
-                # Pruning-structure construction (bounding-box bounds /
-                # Voronoi bisectors / shift bounds) is excluded from the
-                # clustering time, exactly as in Section 5.2.2 of the
-                # paper ("pruning times ... were discarded").
-                watch.stop()
-                centers_log.append(centers.copy())
-                candidates = self._candidate_mask(boxes_lower, boxes_upper, centers)
-                if self.cluster_shift and iteration > 0:
-                    candidates = self._tighten_with_shift(
-                        candidates, ed_matrix, ed_iteration, centers, centers_log
-                    )
-                watch.start()
-                new_assignment = np.empty(n, dtype=np.int64)
-                cand_counts = candidates.sum(axis=1)
-                # Fully pruned objects: assigned without any ED integral.
-                single = cand_counts == 1
-                if single.any():
-                    new_assignment[single] = np.argmax(candidates[single], axis=1)
-                    ed_pruned += int((k - 1) * single.sum())
-                multi = ~single
-                if multi.any():
-                    # Batch the surviving ED integrals per centroid.
-                    eds_multi = np.full((n, k), np.inf)
-                    for j in range(k):
-                        rows = np.flatnonzero(multi & candidates[:, j])
-                        if rows.size == 0:
-                            continue
-                        diff = samples[rows] - centers[j]
-                        eds = np.einsum("nsm,nsm->ns", diff, diff).mean(axis=1)
-                        eds_multi[rows, j] = eds
-                        ed_matrix[rows, j] = eds
-                        ed_iteration[rows, j] = iteration
-                        ed_computed += int(rows.size)
-                    n_multi = int(multi.sum())
-                    ed_pruned += int(n_multi * k - candidates[multi].sum())
-                    new_assignment[multi] = np.argmin(eds_multi[multi], axis=1)
-                repair_empty_clusters(new_assignment, sample_means, centers, k)
-                if np.array_equal(new_assignment, assignment):
-                    converged = True
-                    break
-                assignment = new_assignment
-                for c in range(k):
-                    members = assignment == c
-                    if members.any():
-                        centers[c] = sample_means[members].mean(axis=0)
-        if not converged:
-            warn_convergence(
-                f"{self.name} hit max_iter={self.max_iter} before convergence"
-            )
-        total_pairs = ed_computed + ed_pruned
-        return ClusteringResult(
-            labels=assignment,
-            objective=ukmeans_objective(dataset, assignment),
-            n_iterations=iterations,
-            converged=converged,
-            runtime_seconds=watch.elapsed_seconds,
-            extras={
-                "ed_evaluations": ed_computed,
-                "ed_pruned": ed_pruned,
-                "pruning_rate": ed_pruned / total_pairs if total_pairs else 0.0,
-                "cluster_shift": self.cluster_shift,
-            },
-        )
-
-    # -- helpers ----------------------------------------------------------
-    @staticmethod
     def _tighten_with_shift(
-        candidates: np.ndarray,
-        ed_matrix: np.ndarray,
-        ed_iteration: np.ndarray,
-        centers: np.ndarray,
-        centers_log: List[np.ndarray],
+        self, candidates: np.ndarray, centers: np.ndarray
     ) -> np.ndarray:
         """Cluster-shift bound tightening [17].
 
@@ -212,9 +120,10 @@ class _PruningUKMeansBase(SampleCacheMixin, UncertainClusterer):
         of the entry's own iteration — using only the last step's shift
         would understate ``delta`` and make the bounds invalid.
         """
+        ed_matrix, ed_iteration = self.ed_matrix, self.ed_iteration
         k = centers.shape[0]
         # shift_since[t, j] = ||centers[j] - centers_log[t][j]||
-        history = np.stack(centers_log)  # (T, k, m)
+        history = np.stack(self.centers_log)  # (T, k, m)
         shift_since = np.linalg.norm(centers[None, :, :] - history, axis=2)
         have = np.isfinite(ed_matrix) & (ed_iteration >= 0)
         delta = shift_since[np.maximum(ed_iteration, 0), np.arange(k)[None, :]]
@@ -229,6 +138,45 @@ class _PruningUKMeansBase(SampleCacheMixin, UncertainClusterer):
         if dead.any():
             tightened[dead] = candidates[dead]
         return tightened
+
+    def extras(self, iterations: int) -> Dict[str, object]:
+        """The pruning counters over every pair not assigned outright."""
+        total_pairs = self.ed_evaluations + self.ed_pruned
+        return {
+            "ed_evaluations": self.ed_evaluations,
+            "ed_pruned": self.ed_pruned,
+            "pruning_rate": self.ed_pruned / total_pairs if total_pairs else 0.0,
+            "cluster_shift": self.clusterer.cluster_shift,
+        }
+
+
+class _PruningUKMeansBase(BasicUKMeans):
+    """Basic UK-means that computes the EDs of mask survivors only.
+
+    Subclasses supply :meth:`_candidate_mask`; ``cluster_shift``
+    tightens it with the cached EDs of earlier iterations.
+    """
+
+    _assignment = _PrunedAssignment
+
+    def __init__(
+        self,
+        n_clusters: int,
+        n_samples: int = 64,
+        max_iter: int = 100,
+        cluster_shift: bool = True,
+    ):
+        super().__init__(n_clusters, n_samples, max_iter)
+        self.cluster_shift = bool(cluster_shift)
+
+    def _candidate_mask(
+        self,
+        boxes_lower: np.ndarray,
+        boxes_upper: np.ndarray,
+        centers: np.ndarray,
+    ) -> np.ndarray:
+        """Boolean ``(n, k)`` mask of candidate centroids per object."""
+        raise NotImplementedError
 
 
 def _rounding_margin(dim: int) -> float:

@@ -52,12 +52,12 @@ def _repair_empty_clusters(
     path): reseeding ``centers[cluster]`` teleports a centroid, which
     invalidates any distance bound anchored on its previous position
     beyond drift accounting.  Fast UK-means keeps no bounds, so the
-    in-place reseed here is safe; :class:`~repro.clustering.
-    ukmeans_bounded.BoundedUKMeans` deliberately mirrors
-    :class:`BasicUKMeans` instead — repair moves the victim *object*
-    only (no centroid reseed), and the victim's upper bound is
-    recomputed exactly (`_repair_bounds`), while later centroid motion
-    is covered by actual-displacement drift decay.
+    in-place reseed here is safe.  :class:`~repro.clustering.
+    ukmeans_bounded.BoundedUKMeans` runs :class:`BasicUKMeans`'s own
+    loop instead, whose repair moves the victim *object* only (no
+    centroid reseed); its assignment step recomputes the victim's upper
+    bound exactly (``_BoundedAssignment.repaired``), while later
+    centroid motion is covered by actual-displacement drift decay.
     """
     k = centers.shape[0]
     moves = repair_empty_clusters(assignment, mu, centers, k)

@@ -21,13 +21,16 @@ bounds applicable verbatim:
   (distance to the second-closest centroid).  Rows failing the combined
   test recompute in full.
 
-Losslessness: all skip/prune tests use *strict* inequalities on exact
-plane distances, so a centroid that ties the winner is never pruned,
-and every expected distance that is actually compared is computed with
-the literal :class:`BasicUKMeans` Monte-Carlo kernel on the same sample
-tensor — identical arithmetic, identical reduction order, identical
-argmin tie-breaking.  Assignments therefore reproduce
-``BasicUKMeans`` exactly (the 20-seed regression in
+Losslessness: :class:`BoundedUKMeans` is a :class:`BasicUKMeans`
+subclass that replaces only the assignment step (and updates its bounds
+after a repair and after the centroids move), so the sample draw,
+seeding, empty-cluster repair and Lloyd updates are Basic's own.  All
+skip/prune tests use *strict* inequalities on exact plane distances, so
+a centroid that ties the winner is never pruned, and every expected
+distance that is actually compared comes from Basic's Monte-Carlo
+kernel on the same sample tensor — identical arithmetic, identical
+reduction order, identical argmin tie-breaking.  Assignments therefore
+reproduce ``BasicUKMeans`` exactly (the 20-seed regression in
 ``tests/test_scale_path.py`` pins this, like the pruning family's).
 The only theoretical hazard is ulp-level noise in the Monte-Carlo
 kernel flipping a *near*-tie that the exact plane geometry calls
@@ -43,30 +46,32 @@ proxies.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro._typing import IntArray, SeedLike
-from repro.clustering._repair import repair_empty_clusters
-from repro.clustering._sampling import SampleCacheMixin
-from repro.clustering.base import (
-    ClusteringResult,
-    UncertainClusterer,
-    validate_n_clusters,
+from repro._typing import IntArray
+from repro.clustering.ukmeans_basic import (
+    BasicUKMeans,
+    _FullAssignment,
+    expected_distances,
 )
-from repro.clustering.initialization import random_seed_indices
-from repro.clustering.ukmeans import ukmeans_objective
-from repro.exceptions import InvalidParameterError, warn_convergence
-from repro.objects.dataset import UncertainDataset
-from repro.utils.rng import ensure_rng
-from repro.utils.timer import Stopwatch
+from repro.exceptions import InvalidParameterError
 
 
-def _center_to_center(centers: np.ndarray) -> np.ndarray:
-    """Exact ``(k, k)`` centroid-centroid Euclidean distances."""
-    diff = centers[:, None, :] - centers[None, :, :]
-    return np.sqrt(np.einsum("klm,klm->kl", diff, diff))
+def _plane_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Euclidean distances on the sample-mean plane, row by row.
+
+    ``centers`` is one point, broadcast over ``points``, or one point
+    per row.
+    """
+    diff = points - centers
+    return np.sqrt(np.einsum("nm,nm->n", diff, diff))
+
+
+def _plane_matrix(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``(len(points), len(centers))`` plane distances, one centroid at a time."""
+    return np.stack([_plane_distances(points, c) for c in centers], axis=1)
 
 
 def _half_nearest_other(cc: np.ndarray) -> np.ndarray:
@@ -76,7 +81,151 @@ def _half_nearest_other(cc: np.ndarray) -> np.ndarray:
     return 0.5 * masked.min(axis=1)
 
 
-class BoundedUKMeans(SampleCacheMixin, UncertainClusterer):
+class _BoundedAssignment(_FullAssignment):
+    """Elkan or Hamerly bounds on the sample-mean plane.
+
+    ``ub`` is an upper bound on the plane distance to the assigned
+    centroid; ``lb`` holds ``(n, k)`` per-centroid lower bounds (Elkan)
+    or ``(n,)`` second-closest lower bounds (Hamerly).  Both are built
+    after the first, full pass; until then they are ``None``.
+    """
+
+    def __init__(self, clusterer, dataset, samples, sample_means, watch):
+        super().__init__(clusterer, dataset, samples, sample_means, watch)
+        # The bounds hold for the squared-Euclidean ED only.
+        self.metric = None
+        self.elkan = clusterer.bounds == "elkan"
+        self.ub = self.lb = None
+        self.rows_skipped = 0
+
+    def assign(self, centers: np.ndarray, assignment: IntArray) -> IntArray:
+        """One bounded pass; the first pass is Basic's full one.
+
+        Returns what ``np.argmin`` over the full ED row gives: all
+        comparisons that *prune* are strict, so exact plane ties are
+        never pruned, and the surviving EDs come from Basic's kernel
+        (pruned entries at +inf).
+        """
+        if self.ub is None:
+            # The bounds need a seed state: a full pass first.
+            return super().assign(centers, assignment)
+        ub, lb, means = self.ub, self.lb, self.sample_means
+        n, k = assignment.shape[0], centers.shape[0]
+        self.watch.stop()
+        cc = _plane_matrix(centers, centers)
+        bound = _half_nearest_other(cc)[assignment]
+        if not self.elkan:
+            bound = np.maximum(bound, lb)
+        # Whole-row skip: ub strictly inside the bound means the
+        # assigned centroid is the unique plane argmin.  Tighten ub to
+        # the exact plane distance for the other rows, then re-test.
+        recheck = np.flatnonzero(~(ub < bound))
+        ub[recheck] = _plane_distances(means[recheck], centers[assignment[recheck]])
+        if self.elkan:
+            lb[recheck, assignment[recheck]] = ub[recheck]
+        act = recheck[~(ub[recheck] < bound[recheck])]
+        self.rows_skipped += n - act.size
+        if self.elkan:
+            # Candidates: centroids that survive both the lower-bound
+            # and the half-distance tests (strict pruning), refreshed
+            # with exact plane distances and pruned again.
+            a_act = assignment[act]
+            cand = (lb[act] <= ub[act, None]) & (0.5 * cc[a_act] <= ub[act, None])
+            cand[np.arange(act.size), a_act] = True
+            local, cols = np.nonzero(cand & (a_act[:, None] != np.arange(k)))
+            cand_rows = act[local]
+            lb[cand_rows, cols] = _plane_distances(means[cand_rows], centers[cols])
+            cand[local, cols] = lb[cand_rows, cols] <= ub[cand_rows]
+            multi = cand.sum(axis=1) > 1
+            rows = act[multi]
+            compared = np.zeros((n, k), dtype=bool)
+            compared[rows] = cand[multi]
+        else:
+            rows = act
+        # Exact ED integrals for the surviving candidates: the timed
+        # clustering work.  Hamerly compares every centroid of its
+        # rows, so it gathers their samples once.
+        self.watch.start()
+        if self.elkan:
+            eds = expected_distances(self.samples, centers, compared)[rows]
+            self.ed_evaluations += int(compared.sum())
+        else:
+            eds = expected_distances(self.samples[rows], centers)
+            self.ed_evaluations += eds.size
+        self.watch.stop()
+        winners = np.argmin(eds, axis=1)
+        new_assignment = assignment.copy()
+        new_assignment[rows] = winners
+        if self.elkan:
+            # lb holds fresh exact plane distances for every final
+            # candidate, so the new ub is an exact gather.
+            ub[rows] = lb[rows, winners]
+        else:
+            # Refresh both bounds from exact plane distances.
+            plane = _plane_matrix(means[rows], centers)
+            ub[rows] = plane[np.arange(rows.size), winners]
+            plane[np.arange(rows.size), winners] = np.inf
+            lb[rows] = plane.min(axis=1)
+        self.watch.start()
+        return new_assignment
+
+    def repaired(self, moves: List[Tuple[int, int]], centers: np.ndarray) -> None:
+        """Re-anchor the bounds of empty-cluster-repair victims.
+
+        A victim now belongs to a different centroid: its upper bound
+        referred to the old one and is invalid, so it is recomputed
+        exactly.  Elkan's per-centroid lower bounds are assignment-
+        independent and stay valid; Hamerly's single second-closest
+        bound is relative to the assigned centroid, so it is reset to
+        the trivial 0.
+        """
+        if not moves or self.ub is None:
+            return
+        clusters, victims = np.array(moves).T
+        self.ub[victims] = _plane_distances(
+            self.sample_means[victims], centers[clusters]
+        )
+        if not self.elkan:
+            self.lb[victims] = 0.0
+
+    def moved(
+        self, previous: np.ndarray, centers: np.ndarray, assignment: IntArray
+    ) -> None:
+        """Build the bounds after the first pass, then decay them by the
+        actual centroid displacement (untimed bound maintenance, like
+        pruning-structure time in the pruning family)."""
+        self.watch.stop()
+        if self.ub is None:
+            plane = _plane_matrix(self.sample_means, previous)
+            every = np.arange(plane.shape[0])
+            self.ub = plane[every, assignment]
+            if not self.elkan:
+                plane[every, assignment] = np.inf
+                plane = plane.min(axis=1)
+            self.lb = plane
+        drift = _plane_distances(centers, previous)
+        if self.elkan:
+            np.maximum(self.lb - drift[None, :], 0.0, out=self.lb)
+        else:
+            np.maximum(self.lb - drift.max(), 0.0, out=self.lb)
+        self.ub += drift[assignment]
+        self.watch.start()
+
+    def extras(self, iterations: int) -> Dict[str, object]:
+        """The skip counters over all ``iterations * n * k`` pairs."""
+        total_pairs = iterations * self.samples.shape[0] * self.clusterer.n_clusters
+        ed_skipped = total_pairs - self.ed_evaluations
+        return {
+            "ed_evaluations": self.ed_evaluations,
+            "ed_skipped": ed_skipped,
+            "skip_rate": ed_skipped / total_pairs if total_pairs else 0.0,
+            "rows_skipped": self.rows_skipped,
+            "bounds": self.clusterer.bounds,
+            "n_samples": self.clusterer.n_samples,
+        }
+
+
+class BoundedUKMeans(BasicUKMeans):
     """Elkan/Hamerly-bounded basic UK-means (lossless acceleration).
 
     Parameters
@@ -104,6 +253,8 @@ class BoundedUKMeans(SampleCacheMixin, UncertainClusterer):
 
     name = "bUKM-EH"
 
+    _assignment = _BoundedAssignment
+
     def __init__(
         self,
         n_clusters: int,
@@ -111,326 +262,10 @@ class BoundedUKMeans(SampleCacheMixin, UncertainClusterer):
         max_iter: int = 100,
         bounds: str = "elkan",
     ):
-        if n_samples < 1:
-            raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
-        if max_iter < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
+        super().__init__(n_clusters, n_samples, max_iter)
         if bounds not in ("elkan", "hamerly"):
             raise InvalidParameterError(
                 f"bounds must be 'elkan' or 'hamerly', got {bounds!r}"
             )
-        self.n_clusters = int(n_clusters)
-        self.n_samples = int(n_samples)
-        self.max_iter = int(max_iter)
         self.bounds = bounds
         self.name = "bUKM-EH" if bounds == "elkan" else "bUKM-H"
-
-    def fit(self, dataset: UncertainDataset, seed: SeedLike = None) -> ClusteringResult:
-        """Cluster ``dataset``; assignments equal ``BasicUKMeans`` exactly."""
-        n = len(dataset)
-        k = validate_n_clusters(self.n_clusters, n)
-        rng = ensure_rng(seed)
-
-        # Off-line phase: identical draw order to BasicUKMeans.
-        samples = self._draw_samples(dataset, rng)
-        sample_means = samples.mean(axis=1)
-
-        seeds = random_seed_indices(n, k, rng)
-        centers = sample_means[seeds].copy()
-
-        watch = Stopwatch()
-        iterations = 0
-        converged = False
-        assignment = np.full(n, -1, dtype=np.int64)
-        ed_evaluations = 0
-        rows_skipped = 0
-        # Bound state (built after the first full iteration): ``ub`` is
-        # an upper bound on the plane distance to the assigned centroid;
-        # ``lb`` is (n, k) per-centroid lower bounds (Elkan) or (n,)
-        # second-closest lower bounds (Hamerly).
-        ub: Optional[np.ndarray] = None
-        lb: Optional[np.ndarray] = None
-        with watch.running():
-            for iteration in range(self.max_iter):
-                iterations += 1
-                if iteration == 0:
-                    # First iteration is a full pass (bounds need a seed
-                    # state) — the literal BasicUKMeans kernel.
-                    distances = self._expected_distances(samples, centers)
-                    ed_evaluations += n * k
-                    new_assignment = np.argmin(distances, axis=1).astype(np.int64)
-                else:
-                    if self.bounds == "elkan":
-                        new_assignment, n_eds, n_rows_skipped = (
-                            self._elkan_assignment(
-                                samples, sample_means, centers, assignment,
-                                ub, lb, watch,
-                            )
-                        )
-                    else:
-                        new_assignment, n_eds, n_rows_skipped = (
-                            self._hamerly_assignment(
-                                samples, sample_means, centers, assignment,
-                                ub, lb, watch,
-                            )
-                        )
-                    ed_evaluations += n_eds
-                    rows_skipped += n_rows_skipped
-                moves = repair_empty_clusters(
-                    new_assignment, sample_means, centers, k
-                )
-                if moves and ub is not None:
-                    # A repaired victim now belongs to a different
-                    # centroid: its upper bound referred to the old one
-                    # and is invalid — recompute it exactly.  Elkan's
-                    # per-centroid lower bounds are assignment-
-                    # independent and stay valid; Hamerly's single
-                    # second-closest bound is relative to the assigned
-                    # centroid, so reset it to the trivial 0.
-                    self._repair_bounds(
-                        moves, sample_means, centers, ub, lb
-                    )
-                if np.array_equal(new_assignment, assignment):
-                    converged = True
-                    break
-                assignment = new_assignment
-                if iteration == 0:
-                    watch.stop()
-                    plane = self._plane_distances(sample_means, centers)
-                    if self.bounds == "elkan":
-                        lb = plane
-                    else:
-                        second = plane.copy()
-                        second[np.arange(n), assignment] = np.inf
-                        lb = second.min(axis=1)
-                    ub = plane[np.arange(n), assignment].copy()
-                    watch.start()
-                old_centers = centers.copy()
-                for c in range(k):
-                    members = assignment == c
-                    if members.any():
-                        centers[c] = sample_means[members].mean(axis=0)
-                # Bound decay by actual centroid displacement (untimed
-                # bound maintenance, like pruning-structure time in the
-                # pruning family).
-                watch.stop()
-                drift = np.sqrt(
-                    np.einsum(
-                        "km,km->k",
-                        centers - old_centers,
-                        centers - old_centers,
-                    )
-                )
-                if self.bounds == "elkan":
-                    np.maximum(lb - drift[None, :], 0.0, out=lb)
-                else:
-                    np.maximum(lb - drift.max(), 0.0, out=lb)
-                ub += drift[assignment]
-                watch.start()
-        if not converged:
-            warn_convergence(
-                f"{self.name} hit max_iter={self.max_iter} before convergence"
-            )
-        total_pairs = iterations * n * k
-        ed_skipped = total_pairs - ed_evaluations
-        return ClusteringResult(
-            labels=assignment,
-            objective=ukmeans_objective(dataset, assignment),
-            n_iterations=iterations,
-            converged=converged,
-            runtime_seconds=watch.elapsed_seconds,
-            extras={
-                "ed_evaluations": ed_evaluations,
-                "ed_skipped": ed_skipped,
-                "skip_rate": ed_skipped / total_pairs if total_pairs else 0.0,
-                "rows_skipped": rows_skipped,
-                "bounds": self.bounds,
-                "n_samples": self.n_samples,
-            },
-        )
-
-    # ------------------------------------------------------------------
-    # Assignment steps
-    # ------------------------------------------------------------------
-    def _elkan_assignment(
-        self,
-        samples: np.ndarray,
-        sample_means: np.ndarray,
-        centers: np.ndarray,
-        assignment: IntArray,
-        ub: np.ndarray,
-        lb: np.ndarray,
-        watch: Stopwatch,
-    ) -> Tuple[IntArray, int, int]:
-        """One Elkan-bounded assignment pass.
-
-        Returns ``(new_assignment, ed_evaluations, rows_skipped)``.
-        All comparisons that *prune* are strict, so exact plane ties are
-        never pruned and the surviving argmin (over EDs computed with
-        the BasicUKMeans kernel, pruned entries at +inf) reproduces
-        ``np.argmin`` over the full row.
-        """
-        n, k = sample_means.shape[0], centers.shape[0]
-        watch.stop()
-        cc = _center_to_center(centers)
-        s = _half_nearest_other(cc)
-        s_a = s[assignment]
-        # Whole-row skip: ub strictly inside the half-gap of the
-        # assigned centroid means it is the unique plane argmin.
-        active = ~(ub < s_a)
-        # Tighten ub to the exact plane distance for surviving rows,
-        # then re-test.
-        for j in range(k):
-            rows = np.flatnonzero(active & (assignment == j))
-            if rows.size == 0:
-                continue
-            diff = sample_means[rows] - centers[j]
-            d = np.sqrt(np.einsum("nm,nm->n", diff, diff))
-            ub[rows] = d
-            lb[rows, j] = d
-        active &= ~(ub < s_a)
-        new_assignment = assignment.copy()
-        rows_skipped = int(n - active.sum())
-        ed_evaluations = 0
-        if active.any():
-            act = np.flatnonzero(active)
-            a_act = assignment[act]
-            # Candidate centroids per active row: survive both the
-            # lower-bound and the half-distance tests (strict pruning).
-            cand = lb[act] <= ub[act, None]
-            cand &= 0.5 * cc[a_act] <= ub[act, None]
-            cand[np.arange(act.size), a_act] = True
-            # Refresh surviving lower bounds with exact plane distances
-            # and prune again (still strict).
-            for j in range(k):
-                local = np.flatnonzero(cand[:, j] & (a_act != j))
-                if local.size == 0:
-                    continue
-                rows = act[local]
-                diff = sample_means[rows] - centers[j]
-                d = np.sqrt(np.einsum("nm,nm->n", diff, diff))
-                lb[rows, j] = d
-                cand[local, j] = d <= ub[rows]
-            multi = cand.sum(axis=1) > 1
-            if multi.any():
-                # Exact ED integrals for the surviving candidates —
-                # the literal BasicUKMeans kernel, batched per centroid
-                # (this is the timed clustering work).
-                eds = np.full((act.size, k), np.inf)
-                watch.start()
-                for j in range(k):
-                    local = np.flatnonzero(multi & cand[:, j])
-                    if local.size == 0:
-                        continue
-                    rows = act[local]
-                    diff = samples[rows] - centers[j]
-                    eds[local, j] = np.einsum(
-                        "nsm,nsm->ns", diff, diff
-                    ).mean(axis=1)
-                    ed_evaluations += int(rows.size)
-                watch.stop()
-                local_multi = np.flatnonzero(multi)
-                winners = np.argmin(eds[local_multi], axis=1).astype(np.int64)
-                rows = act[local_multi]
-                new_assignment[rows] = winners
-                # lb holds fresh exact plane distances for every final
-                # candidate, so the new ub is an exact gather.
-                ub[rows] = lb[rows, winners]
-        watch.start()
-        return new_assignment, ed_evaluations, rows_skipped
-
-    def _hamerly_assignment(
-        self,
-        samples: np.ndarray,
-        sample_means: np.ndarray,
-        centers: np.ndarray,
-        assignment: IntArray,
-        ub: np.ndarray,
-        lb: np.ndarray,
-        watch: Stopwatch,
-    ) -> Tuple[IntArray, int, int]:
-        """One Hamerly-bounded assignment pass.
-
-        Rows are either fully skipped (strict plane-geometry guarantee)
-        or recomputed with a full BasicUKMeans ED row — bitwise the
-        Basic argmin on every recomputed row.
-        """
-        n, k = sample_means.shape[0], centers.shape[0]
-        watch.stop()
-        cc = _center_to_center(centers)
-        s = _half_nearest_other(cc)
-        bound = np.maximum(s[assignment], lb)
-        active = ~(ub < bound)
-        for j in range(k):
-            rows = np.flatnonzero(active & (assignment == j))
-            if rows.size == 0:
-                continue
-            diff = sample_means[rows] - centers[j]
-            ub[rows] = np.sqrt(np.einsum("nm,nm->n", diff, diff))
-        active &= ~(ub < bound)
-        new_assignment = assignment.copy()
-        rows_skipped = int(n - active.sum())
-        ed_evaluations = 0
-        if active.any():
-            act = np.flatnonzero(active)
-            watch.start()
-            eds = np.empty((act.size, k))
-            for j in range(k):
-                diff = samples[act] - centers[j]
-                eds[:, j] = np.einsum("nsm,nsm->ns", diff, diff).mean(axis=1)
-            ed_evaluations = int(act.size * k)
-            watch.stop()
-            winners = np.argmin(eds, axis=1).astype(np.int64)
-            new_assignment[act] = winners
-            # Refresh both bounds from exact plane distances.
-            plane = np.empty((act.size, k))
-            for j in range(k):
-                diff = sample_means[act] - centers[j]
-                plane[:, j] = np.sqrt(np.einsum("nm,nm->n", diff, diff))
-            ub[act] = plane[np.arange(act.size), winners]
-            plane[np.arange(act.size), winners] = np.inf
-            lb[act] = plane.min(axis=1)
-        watch.start()
-        return new_assignment, ed_evaluations, rows_skipped
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _repair_bounds(
-        self,
-        moves: List[Tuple[int, int]],
-        sample_means: np.ndarray,
-        centers: np.ndarray,
-        ub: np.ndarray,
-        lb: np.ndarray,
-    ) -> None:
-        """Re-anchor bounds of empty-cluster-repair victims."""
-        for cluster, victim in moves:
-            diff = sample_means[victim] - centers[cluster]
-            ub[victim] = float(np.sqrt(diff @ diff))
-            if self.bounds == "hamerly":
-                lb[victim] = 0.0
-
-    @staticmethod
-    def _plane_distances(
-        sample_means: np.ndarray, centers: np.ndarray
-    ) -> np.ndarray:
-        """Exact ``(n, k)`` sample-mean-plane Euclidean distances."""
-        n, k = sample_means.shape[0], centers.shape[0]
-        out = np.empty((n, k))
-        for j in range(k):
-            diff = sample_means - centers[j]
-            out[:, j] = np.sqrt(np.einsum("nm,nm->n", diff, diff))
-        return out
-
-    def _expected_distances(
-        self, samples: np.ndarray, centers: np.ndarray
-    ) -> np.ndarray:
-        """Full Monte-Carlo ED matrix — the BasicUKMeans kernel."""
-        n = samples.shape[0]
-        k = centers.shape[0]
-        out = np.empty((n, k))
-        for j in range(k):
-            diff = samples - centers[j]
-            out[:, j] = np.einsum("nsm,nsm->ns", diff, diff).mean(axis=1)
-        return out

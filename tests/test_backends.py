@@ -29,7 +29,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.clustering import UAHC, BasicUKMeans, MinMaxBB, UKMeans, UKMedoids
+from repro.clustering import (
+    UAHC,
+    BasicUKMeans,
+    BoundedUKMeans,
+    MinMaxBB,
+    UKMeans,
+    UKMedoids,
+    VDBiP,
+)
 from repro.datagen import make_blobs_uncertain
 from repro.engine import (
     EarlyStopping,
@@ -226,16 +234,33 @@ class TestBackendInvariance:
             assert result.extras["engine_backend"] == backend
             _assert_same_result(reference, result)
 
-    def test_pruning_variant_across_backends(self, data, force_backend):
-        reference = MultiRestartRunner(
-            MinMaxBB(4, n_samples=16), n_init=4
-        ).run(data, seed=4)
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: MinMaxBB(4, n_samples=16),
+            lambda: VDBiP(4, n_samples=16),
+            lambda: BoundedUKMeans(4, n_samples=16, bounds="elkan"),
+            lambda: BoundedUKMeans(4, n_samples=16, bounds="hamerly"),
+        ],
+        ids=["MinMax-BB", "VDBiP", "Elkan", "Hamerly"],
+    )
+    def test_pruning_variant_across_backends(self, data, factory, force_backend):
+        """Restarts of one instance run at once under ``threads``, so a
+        variant that kept per-fit state on the instance would differ."""
+        reference = MultiRestartRunner(factory(), n_init=4).run(data, seed=4)
         for backend in ("threads", "processes"):
             force_backend(backend)
-            result = MultiRestartRunner(
-                MinMaxBB(4, n_samples=16), n_init=4, n_jobs=2
-            ).run(data, seed=4)
+            result = MultiRestartRunner(factory(), n_init=4, n_jobs=2).run(
+                data, seed=4
+            )
             _assert_same_result(reference, result)
+            assert (
+                result.extras["ed_evaluations"]
+                == reference.extras["ed_evaluations"]
+            )
+            assert [r["n_iterations"] for r in result.extras["restart_history"]] == [
+                r["n_iterations"] for r in reference.extras["restart_history"]
+            ]
 
     def test_run_all_across_backends(self, data, force_backend):
         reference = MultiRestartRunner(

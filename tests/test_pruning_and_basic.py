@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering import BasicUKMeans, MinMaxBB, UKMeans, VDBiP
+from repro.clustering import BasicUKMeans, BoundedUKMeans, MinMaxBB, UKMeans, VDBiP
 from repro.clustering._repair import repair_empty_clusters
 from repro.clustering.pruning import _PruningUKMeansBase
 from repro.datagen import make_blobs_uncertain
@@ -437,7 +437,7 @@ class TestEmptyClusterRepair:
 
 
 class TestSampleCache:
-    @pytest.mark.parametrize("cls", [MinMaxBB, VDBiP, BasicUKMeans])
+    @pytest.mark.parametrize("cls", [MinMaxBB, VDBiP, BasicUKMeans, BoundedUKMeans])
     def test_cache_shape_validated(self, cls, data):
         algo = cls(n_clusters=3, n_samples=8)
         algo.sample_cache = np.zeros((2, 8, 2))

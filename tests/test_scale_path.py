@@ -30,11 +30,13 @@ from repro.clustering import (
     BasicUKMeans,
     BoundedUKMeans,
     MiniBatchUKMeans,
+    MinMaxBB,
     MMVar,
     UCPCLloyd,
     UKMeans,
     UKMedoids,
     VarianceOnlyClustering,
+    VDBiP,
 )
 from repro.clustering._density import (
     eps_candidate_pairs,
@@ -366,13 +368,22 @@ class TestConvergenceWarningSemantics:
         "make",
         [
             lambda: BasicUKMeans(n_clusters=4, n_samples=8, max_iter=1),
+            lambda: MinMaxBB(n_clusters=4, n_samples=8, max_iter=1),
+            lambda: VDBiP(n_clusters=4, n_samples=8, max_iter=1),
+            lambda: BoundedUKMeans(n_clusters=4, n_samples=8, max_iter=1),
+            lambda: BoundedUKMeans(
+                n_clusters=4, n_samples=8, max_iter=1, bounds="hamerly"
+            ),
             lambda: UCPC(n_clusters=4, max_iter=1),
             lambda: MMVar(n_clusters=4, max_iter=1),
             lambda: UKMedoids(n_clusters=4, max_iter=1),
             lambda: VarianceOnlyClustering(n_clusters=4, max_iter=1),
             lambda: UCPCLloyd(n_clusters=4, max_iter=1),
         ],
-        ids=["bUKM", "UCPC", "MMV", "UKmed", "VarOnly", "UCPC-Lloyd"],
+        ids=[
+            "bUKM", "MinMax-BB", "VDBiP", "Elkan", "Hamerly",
+            "UCPC", "MMV", "UKmed", "VarOnly", "UCPC-Lloyd",
+        ],
     )
     def test_warns_on_every_fit(self, overlap_data, make):
         with warnings.catch_warnings(record=True) as caught:
@@ -386,6 +397,11 @@ class TestConvergenceWarningSemantics:
         # registry; warn_convergence resets the registry so later fits
         # are not silently swallowed.
         assert len(messages) == 3
+        # The sample-based family's one loop names the variant it runs.
+        model = make()
+        if isinstance(model, BasicUKMeans):
+            for warning in messages:
+                assert str(warning.message).startswith(f"{model.name} hit")
 
     def test_filters_still_apply(self, overlap_data):
         with warnings.catch_warnings(record=True) as caught:

@@ -99,12 +99,28 @@ class TestKMeansAdapter:
         assert len(set(labels[25:])) == 1
         assert labels[0] != labels[-1]
 
-    def test_equivalent_to_ukmeans_on_pointmass(self, rng):
+    @pytest.mark.parametrize("init", ["random", "kmeans++"])
+    def test_equivalent_to_ukmeans_on_pointmass(self, rng, init):
         pts = rng.normal(0, 2, size=(30, 3))
         dataset = UncertainDataset.from_points(pts)
-        km = KMeans(n_clusters=3).fit(dataset, seed=9)
-        ukm = UKMeans(n_clusters=3).fit(dataset, seed=9)
+        km = KMeans(n_clusters=3, init=init).fit(dataset, seed=9)
+        ukm = UKMeans(n_clusters=3, init=init).fit(dataset, seed=9)
         assert np.array_equal(km.labels, ukm.labels)
+        assert [v.hex() for v in km.objective_history] == [
+            v.hex() for v in ukm.objective_history
+        ]
+
+    def test_attributes_set_after_construction_apply(self, rng):
+        pts = rng.normal(0, 2, size=(40, 2))
+        km = KMeans(n_clusters=2)
+        km.n_clusters = 4
+        km.init = "kmeans++"
+        result = km.fit_points(pts, seed=3)
+        reference = UKMeans(n_clusters=4, init="kmeans++").fit(
+            UncertainDataset.from_points(pts), seed=3
+        )
+        assert result.n_clusters == 4
+        np.testing.assert_array_equal(result.labels, reference.labels)
 
     def test_name(self):
         assert KMeans(2).name == "KM"
