@@ -9,14 +9,15 @@ evaluation protocol and experiment harness treat all of them uniformly.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro._typing import IntArray, SeedLike
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
+from repro.utils.timer import Stopwatch
 
 
 @dataclass
@@ -87,17 +88,11 @@ class ClusteringResult:
     def relabeled(self) -> "ClusteringResult":
         """Copy with cluster ids compacted to ``0..k-1`` (noise kept as -1)."""
         labels = self.labels.copy()
-        real = sorted(set(int(v) for v in labels if v >= 0))
-        mapping = {old: new for new, old in enumerate(real)}
-        for idx, lab in enumerate(labels):
-            if lab >= 0:
-                labels[idx] = mapping[int(lab)]
-        return ClusteringResult(
+        real = labels >= 0
+        labels[real] = np.unique(labels[real], return_inverse=True)[1]
+        return replace(
+            self,
             labels=labels,
-            objective=self.objective,
-            n_iterations=self.n_iterations,
-            converged=self.converged,
-            runtime_seconds=self.runtime_seconds,
             objective_history=list(self.objective_history),
             extras=dict(self.extras),
         )
@@ -141,6 +136,36 @@ class UncertainClusterer(abc.ABC):
     @abc.abstractmethod
     def fit(self, dataset: UncertainDataset, seed: SeedLike = None) -> ClusteringResult:
         """Cluster ``dataset`` and return a :class:`ClusteringResult`."""
+
+    def _result(
+        self,
+        watch: Stopwatch,
+        labels: IntArray,
+        objective: float = float("nan"),
+        iterations: int = 1,
+        converged: bool = True,
+        history: Sequence[float] = (),
+        extras: Optional[Dict[str, object]] = None,
+    ) -> ClusteringResult:
+        """The report every :meth:`fit` ends with.
+
+        ``runtime_seconds`` is ``watch``'s on-line time only (Section
+        5.2.2), and a fit that stopped at ``max_iter`` unconverged warns
+        once, under the algorithm's :attr:`name`.
+        """
+        if not converged:
+            warn_convergence(
+                f"{self.name} hit max_iter={self.max_iter} before convergence"
+            )
+        return ClusteringResult(
+            labels=labels,
+            objective=objective,
+            n_iterations=iterations,
+            converged=converged,
+            runtime_seconds=watch.elapsed_seconds,
+            objective_history=list(history),
+            extras={} if extras is None else extras,
+        )
 
     def fit_best(
         self,

@@ -44,11 +44,14 @@ from repro.clustering._density import (
 )
 from repro.clustering._sampling import SampleCacheMixin
 from repro.clustering.base import ClusteringResult, UncertainClusterer
-from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import (
+    check_int_range,
+    check_positive,
+    check_probability,
+)
 
 
 def pairwise_reach_probabilities(
@@ -168,16 +171,12 @@ class FDBSCAN(SampleCacheMixin, UncertainClusterer):
     ):
         if eps is not None:
             check_positive(eps, "eps")
-        if min_pts < 1:
-            raise InvalidParameterError(f"min_pts must be >= 1, got {min_pts}")
         check_probability(reach_prob, "reach_prob")
-        if n_samples < 1:
-            raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
         check_probability(eps_quantile, "eps_quantile")
         self.eps = eps
-        self.min_pts = int(min_pts)
+        self.min_pts = check_int_range(min_pts, "min_pts", low=1)
         self.reach_prob = float(reach_prob)
-        self.n_samples = int(n_samples)
+        self.n_samples = check_int_range(n_samples, "n_samples", low=1)
         self.eps_quantile = float(eps_quantile)
         self.prefilter = bool(prefilter)
 
@@ -205,11 +204,7 @@ class FDBSCAN(SampleCacheMixin, UncertainClusterer):
             labels = dbscan_labels(is_core, reachable)
         extras["n_core"] = int(is_core.sum())
         extras["n_noise"] = int(np.sum(labels < 0))
-        return ClusteringResult(
-            labels=labels,
-            runtime_seconds=watch.elapsed_seconds,
-            extras=extras,
-        )
+        return self._result(watch, labels, extras=extras)
 
     def _prefiltered_graph(
         self, samples: np.ndarray, eps: float, extras: dict

@@ -36,6 +36,7 @@ from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
+from repro.utils.validation import check_int_range
 
 
 def expected_distance_matrix(
@@ -198,26 +199,22 @@ class FOPTICS(SampleCacheMixin, UncertainClusterer):
         n_clusters: Optional[int] = None,
         knn_cap: Optional[int] = None,
     ):
-        if min_pts < 1:
-            raise InvalidParameterError(f"min_pts must be >= 1, got {min_pts}")
-        if n_samples < 1:
-            raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
+        self.min_pts = check_int_range(min_pts, "min_pts", low=1)
+        self.n_samples = check_int_range(n_samples, "n_samples", low=1)
         if threshold is not None and threshold <= 0:
             raise InvalidParameterError(f"threshold must be > 0, got {threshold}")
-        if n_clusters is not None and n_clusters < 1:
-            raise InvalidParameterError(
-                f"n_clusters must be >= 1, got {n_clusters}"
-            )
-        if knn_cap is not None and knn_cap < min_pts:
-            raise InvalidParameterError(
-                f"knn_cap ({knn_cap}) must be >= min_pts ({min_pts}) so "
-                "core distances stay well-defined"
-            )
-        self.min_pts = int(min_pts)
-        self.n_samples = int(n_samples)
+        if n_clusters is not None:
+            n_clusters = check_int_range(n_clusters, "n_clusters", low=1)
+        if knn_cap is not None:
+            knn_cap = check_int_range(knn_cap, "knn_cap")
+            if knn_cap < self.min_pts:
+                raise InvalidParameterError(
+                    f"knn_cap ({knn_cap}) must be >= min_pts ({min_pts}) so "
+                    "core distances stay well-defined"
+                )
         self.threshold = threshold
         self.n_clusters = n_clusters
-        self.knn_cap = None if knn_cap is None else int(knn_cap)
+        self.knn_cap = knn_cap
 
     def fit(self, dataset: UncertainDataset, seed: SeedLike = None) -> ClusteringResult:
         """Order ``dataset`` and extract a flat clustering."""
@@ -247,11 +244,7 @@ class FOPTICS(SampleCacheMixin, UncertainClusterer):
             reachability=reachability.tolist(),
             threshold=threshold,
         )
-        return ClusteringResult(
-            labels=labels,
-            runtime_seconds=watch.elapsed_seconds,
-            extras=extras,
-        )
+        return self._result(watch, labels, extras=extras)
 
     @staticmethod
     def _knn_distance_graph(

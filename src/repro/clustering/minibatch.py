@@ -40,10 +40,10 @@ from repro.clustering.base import (
 )
 from repro.clustering.initialization import random_seed_indices
 from repro.clustering.ukmeans import _assign_to_centers, ukmeans_objective
-from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
+from repro.utils.validation import check_int_range, check_positive
 
 
 class MiniBatchUKMeans(UncertainClusterer):
@@ -76,21 +76,11 @@ class MiniBatchUKMeans(UncertainClusterer):
         over_cluster: int = 3,
         tol: float = 1e-7,
     ):
-        if batch_size < 1:
-            raise InvalidParameterError(f"batch_size must be >= 1, got {batch_size}")
-        if max_iter < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
-        if over_cluster < 1:
-            raise InvalidParameterError(
-                f"over_cluster must be >= 1, got {over_cluster}"
-            )
-        if tol < 0:
-            raise InvalidParameterError(f"tol must be >= 0, got {tol}")
-        self.n_clusters = int(n_clusters)
-        self.batch_size = int(batch_size)
-        self.max_iter = int(max_iter)
-        self.over_cluster = int(over_cluster)
-        self.tol = float(tol)
+        self.n_clusters = check_int_range(n_clusters, "n_clusters", low=1)
+        self.batch_size = check_int_range(batch_size, "batch_size", low=1)
+        self.max_iter = check_int_range(max_iter, "max_iter", low=1)
+        self.over_cluster = check_int_range(over_cluster, "over_cluster", low=1)
+        self.tol = check_positive(tol, "tol", strict=False)
 
     def fit(self, dataset: UncertainDataset, seed: SeedLike = None) -> ClusteringResult:
         """Cluster ``dataset``; see class docstring."""
@@ -130,16 +120,12 @@ class MiniBatchUKMeans(UncertainClusterer):
             )
             labels = _assign_to_centers(mu, centers)
             repair_empty_clusters(labels, mu, centers, k)
-        if not converged:
-            warn_convergence(
-                f"{self.name} hit max_iter={self.max_iter} before convergence"
-            )
-        return ClusteringResult(
-            labels=labels,
-            objective=ukmeans_objective(dataset, labels),
-            n_iterations=iterations,
-            converged=converged,
-            runtime_seconds=watch.elapsed_seconds,
+        return self._result(
+            watch,
+            labels,
+            ukmeans_objective(dataset, labels),
+            iterations,
+            converged,
             extras={
                 "batch_size": batch,
                 "k_over": k_over,

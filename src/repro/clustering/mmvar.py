@@ -27,11 +27,10 @@ from repro.clustering.base import (
     validate_n_clusters,
 )
 from repro.clustering.initialization import random_partition
-from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_int_range, check_positive
 
 
 class MMVar(UncertainClusterer):
@@ -59,10 +58,8 @@ class MMVar(UncertainClusterer):
         max_iter: int = 100,
         min_improvement: float = 1e-12,
     ):
-        if max_iter < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
-        self.n_clusters = int(n_clusters)
-        self.max_iter = int(max_iter)
+        self.n_clusters = check_int_range(n_clusters, "n_clusters", low=1)
+        self.max_iter = check_int_range(max_iter, "max_iter", low=1)
         self.min_improvement = check_positive(
             min_improvement, "min_improvement", strict=False
         )
@@ -157,15 +154,6 @@ class MMVar(UncertainClusterer):
                     converged = True
                     break
             assignment = np.array(labels, dtype=np.int64)
-        if not converged:
-            warn_convergence(
-                f"MMVar hit max_iter={self.max_iter} before convergence"
-            )
-        return ClusteringResult(
-            labels=assignment,
-            objective=history[-1],
-            n_iterations=iterations,
-            converged=converged,
-            runtime_seconds=watch.elapsed_seconds,
-            objective_history=history,
+        return self._result(
+            watch, assignment, history[-1], iterations, converged, history
         )

@@ -50,6 +50,7 @@ from repro.clustering.base import (
 from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
 from repro.utils.timer import Stopwatch
+from repro.utils.validation import check_int_range
 
 #: Variance floor for the Gaussian approximations under the Jeffreys
 #: linkage, whose divergence divides by per-dimension variances (point
@@ -101,7 +102,7 @@ class UAHC(UncertainClusterer):
             raise InvalidParameterError(
                 f"linkage must be 'jeffreys' or 'ed', got {linkage!r}"
             )
-        self.n_clusters = int(n_clusters)
+        self.n_clusters = check_int_range(n_clusters, "n_clusters", low=1)
         self.linkage = linkage
 
     @property
@@ -123,12 +124,8 @@ class UAHC(UncertainClusterer):
             else:
                 merges = self._jeffreys_merges(dataset, k)
             labels = _cut(n, merges)
-        return ClusteringResult(
-            labels=labels,
-            n_iterations=n - k,
-            runtime_seconds=watch.elapsed_seconds,
-            extras={"merges": merges, "linkage": self.linkage},
-        )
+        extras = {"merges": merges, "linkage": self.linkage}
+        return self._result(watch, labels, iterations=n - k, extras=extras)
 
     # ------------------------------------------------------------------
     # Internals

@@ -36,11 +36,11 @@ from repro.clustering.initialization import (
     random_partition,
     random_seed_indices,
 )
-from repro.exceptions import InvalidParameterError, warn_convergence
+from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_int_range, check_positive
 
 
 class UCPC(UncertainClusterer):
@@ -90,10 +90,8 @@ class UCPC(UncertainClusterer):
             raise InvalidParameterError(
                 f"init must be 'random', 'seeds' or 'kmeans++', got {init!r}"
             )
-        if max_iter < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
-        self.n_clusters = int(n_clusters)
-        self.max_iter = int(max_iter)
+        self.n_clusters = check_int_range(n_clusters, "n_clusters", low=1)
+        self.max_iter = check_int_range(max_iter, "max_iter", low=1)
         self.init = init
         self.min_improvement = check_positive(
             min_improvement, "min_improvement", strict=False
@@ -111,17 +109,8 @@ class UCPC(UncertainClusterer):
             assignment, history, iterations, converged = self._local_search(
                 dataset, assignment, k, rng
             )
-        if not converged:
-            warn_convergence(
-                f"UCPC hit max_iter={self.max_iter} before convergence"
-            )
-        return ClusteringResult(
-            labels=assignment,
-            objective=history[-1],
-            n_iterations=iterations,
-            converged=converged,
-            runtime_seconds=watch.elapsed_seconds,
-            objective_history=history,
+        return self._result(
+            watch, assignment, history[-1], iterations, converged, history
         )
 
     # ------------------------------------------------------------------

@@ -32,10 +32,10 @@ from repro.clustering.base import (
 )
 from repro.clustering.cluster_stats import ClusterStatsMatrix
 from repro.clustering.initialization import random_partition
-from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
+from repro.utils.validation import check_int_range
 
 
 class VarianceOnlyClustering(UncertainClusterer):
@@ -51,10 +51,8 @@ class VarianceOnlyClustering(UncertainClusterer):
     name = "VarOnly"
 
     def __init__(self, n_clusters: int, max_iter: int = 100):
-        if max_iter < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
-        self.n_clusters = int(n_clusters)
-        self.max_iter = int(max_iter)
+        self.n_clusters = check_int_range(n_clusters, "n_clusters", low=1)
+        self.max_iter = check_int_range(max_iter, "max_iter", low=1)
 
     def fit(self, dataset: UncertainDataset, seed: SeedLike = None) -> ClusteringResult:
         """Cluster ``dataset`` by U-centroid variance alone."""
@@ -112,17 +110,8 @@ class VarianceOnlyClustering(UncertainClusterer):
                 if moved == 0:
                     converged = True
                     break
-        if not converged:
-            warn_convergence(
-                f"VarianceOnly hit max_iter={self.max_iter} before convergence"
-            )
-        return ClusteringResult(
-            labels=assignment,
-            objective=history[-1],
-            n_iterations=iterations,
-            converged=converged,
-            runtime_seconds=watch.elapsed_seconds,
-            objective_history=history,
+        return self._result(
+            watch, assignment, history[-1], iterations, converged, history
         )
 
 
@@ -139,10 +128,8 @@ class UCPCLloyd(UncertainClusterer):
     name = "UCPC-Lloyd"
 
     def __init__(self, n_clusters: int, max_iter: int = 100):
-        if max_iter < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
-        self.n_clusters = int(n_clusters)
-        self.max_iter = int(max_iter)
+        self.n_clusters = check_int_range(n_clusters, "n_clusters", low=1)
+        self.max_iter = check_int_range(max_iter, "max_iter", low=1)
 
     def fit(self, dataset: UncertainDataset, seed: SeedLike = None) -> ClusteringResult:
         """Cluster ``dataset`` with batch J-cost assignments."""
@@ -186,15 +173,6 @@ class UCPCLloyd(UncertainClusterer):
                 assignment = new_assignment
             final = ClusterStatsMatrix.from_assignment(dataset, assignment, k)
             history.append(final.total_objective())
-        if not converged:
-            warn_convergence(
-                f"UCPC-Lloyd hit max_iter={self.max_iter} before convergence"
-            )
-        return ClusteringResult(
-            labels=assignment,
-            objective=history[-1],
-            n_iterations=iterations,
-            converged=converged,
-            runtime_seconds=watch.elapsed_seconds,
-            objective_history=history,
+        return self._result(
+            watch, assignment, history[-1], iterations, converged, history
         )

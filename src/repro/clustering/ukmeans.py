@@ -26,10 +26,11 @@ from repro.clustering.initialization import (
     kmeanspp_seed_indices,
     random_seed_indices,
 )
-from repro.exceptions import InvalidParameterError, warn_convergence
+from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
+from repro.utils.validation import check_int_range
 
 
 def _assign_to_centers(mu: np.ndarray, centers: np.ndarray) -> IntArray:
@@ -102,10 +103,8 @@ class UKMeans(UncertainClusterer):
             raise InvalidParameterError(
                 f"init must be 'random' or 'kmeans++', got {init!r}"
             )
-        if max_iter < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
-        self.n_clusters = int(n_clusters)
-        self.max_iter = int(max_iter)
+        self.n_clusters = check_int_range(n_clusters, "n_clusters", low=1)
+        self.max_iter = check_int_range(max_iter, "max_iter", low=1)
         self.init = init
 
     def fit(self, dataset: UncertainDataset, seed: SeedLike = None) -> ClusteringResult:
@@ -143,15 +142,6 @@ class UKMeans(UncertainClusterer):
                     converged = True
                     break
                 assignment = new_assignment
-        if not converged:
-            warn_convergence(
-                f"UK-means hit max_iter={self.max_iter} before convergence"
-            )
-        return ClusteringResult(
-            labels=assignment,
-            objective=history[-1],
-            n_iterations=iterations,
-            converged=converged,
-            runtime_seconds=watch.elapsed_seconds,
-            objective_history=history,
+        return self._result(
+            watch, assignment, history[-1], iterations, converged, history
         )

@@ -39,10 +39,10 @@ from repro.clustering.base import (
 )
 from repro.clustering.initialization import random_seed_indices
 from repro.clustering.ukmeans import ukmeans_objective
-from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
+from repro.utils.validation import check_int_range
 
 
 def expected_distances(
@@ -161,13 +161,9 @@ class BasicUKMeans(SampleCacheMixin, UncertainClusterer):
         max_iter: int = 100,
         metric: Optional[PointMetric] = None,
     ):
-        if n_samples < 1:
-            raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
-        if max_iter < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
-        self.n_clusters = int(n_clusters)
-        self.n_samples = int(n_samples)
-        self.max_iter = int(max_iter)
+        self.n_clusters = check_int_range(n_clusters, "n_clusters", low=1)
+        self.n_samples = check_int_range(n_samples, "n_samples", low=1)
+        self.max_iter = check_int_range(max_iter, "max_iter", low=1)
         self.metric = metric
 
     def fit(self, dataset: UncertainDataset, seed: SeedLike = None) -> ClusteringResult:
@@ -204,15 +200,11 @@ class BasicUKMeans(SampleCacheMixin, UncertainClusterer):
                     if members.any():
                         centers[c] = sample_means[members].mean(axis=0)
                 step.moved(previous, centers, assignment)
-        if not converged:
-            warn_convergence(
-                f"{self.name} hit max_iter={self.max_iter} before convergence"
-            )
-        return ClusteringResult(
-            labels=assignment,
-            objective=ukmeans_objective(dataset, assignment),
-            n_iterations=iterations,
-            converged=converged,
-            runtime_seconds=watch.elapsed_seconds,
+        return self._result(
+            watch,
+            assignment,
+            ukmeans_objective(dataset, assignment),
+            iterations,
+            converged,
             extras=step.extras(iterations),
         )

@@ -26,10 +26,11 @@ from repro.clustering.initialization import (
     kmeanspp_seed_indices,
     random_seed_indices,
 )
-from repro.exceptions import InvalidParameterError, warn_convergence
+from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
+from repro.utils.validation import check_int_range
 
 
 class UKMedoids(UncertainClusterer):
@@ -67,10 +68,8 @@ class UKMedoids(UncertainClusterer):
             raise InvalidParameterError(
                 f"init must be 'random' or 'kmeans++', got {init!r}"
             )
-        if max_iter < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
-        self.n_clusters = int(n_clusters)
-        self.max_iter = int(max_iter)
+        self.n_clusters = check_int_range(n_clusters, "n_clusters", low=1)
+        self.max_iter = check_int_range(max_iter, "max_iter", low=1)
         self.init = init
 
     def fit(self, dataset: UncertainDataset, seed: SeedLike = None) -> ClusteringResult:
@@ -139,18 +138,11 @@ class UKMedoids(UncertainClusterer):
                     break
                 medoids = new_medoids
                 assignment = new_assignment
-        if not converged:
-            warn_convergence(
-                f"UK-medoids hit max_iter={self.max_iter} before convergence"
-            )
-        objective = float(
-            distances[np.arange(n), medoids[assignment]].sum()
-        )
-        return ClusteringResult(
-            labels=assignment,
-            objective=objective,
-            n_iterations=iterations,
-            converged=converged,
-            runtime_seconds=watch.elapsed_seconds,
+        return self._result(
+            watch,
+            assignment,
+            float(distances[np.arange(n), medoids[assignment]].sum()),
+            iterations,
+            converged,
             extras={"medoids": medoids.tolist(), "reseeded": reseeded},
         )

@@ -91,11 +91,11 @@ class UncertaintyGenerator:
         mass: float = 0.95,
         use_mcmc: bool = False,
     ):
-        family = family.lower()
-        if family not in PDF_FAMILIES:
+        if not isinstance(family, str) or family.lower() not in PDF_FAMILIES:
             raise InvalidParameterError(
                 f"family must be one of {PDF_FAMILIES}, got {family!r}"
             )
+        family = family.lower()
         if spread <= 0:
             raise InvalidParameterError(f"spread must be > 0, got {spread}")
         check_mass(mass)

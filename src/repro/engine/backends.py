@@ -54,6 +54,7 @@ import numpy as np
 from repro.clustering.base import ClusteringResult, UncertainClusterer
 from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
+from repro.utils.validation import check_int_range
 
 #: Per-fit element floor at or below which :func:`choose_backend` stays
 #: serial: fits touching this little data are sub-millisecond, so pool
@@ -92,10 +93,7 @@ class EarlyStopping:
     min_improvement: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.patience < 1:
-            raise InvalidParameterError(
-                f"patience must be >= 1, got {self.patience}"
-            )
+        check_int_range(self.patience, "patience", low=1)
         if self.min_improvement < 0.0:
             raise InvalidParameterError(
                 f"min_improvement must be >= 0, got {self.min_improvement}"
@@ -233,9 +231,7 @@ class ThreadBackend(ExecutionBackend):
     name = "threads"
 
     def __init__(self, n_jobs: int):
-        if n_jobs < 1:
-            raise InvalidParameterError(f"n_jobs must be >= 1, got {n_jobs}")
-        self.n_jobs = int(n_jobs)
+        self.n_jobs = check_int_range(n_jobs, "n_jobs", low=1)
 
     def run(self, clusterer, dataset, seeds, early_stopping=None):
         if self.n_jobs == 1 or len(seeds) == 1:
@@ -445,9 +441,7 @@ class ProcessBackend(ExecutionBackend):
     name = "processes"
 
     def __init__(self, n_jobs: int):
-        if n_jobs < 1:
-            raise InvalidParameterError(f"n_jobs must be >= 1, got {n_jobs}")
-        self.n_jobs = int(n_jobs)
+        self.n_jobs = check_int_range(n_jobs, "n_jobs", low=1)
         #: Specs of the most recent run's blocks — exposed so tests can
         #: verify they were unlinked.
         self.last_shared_specs: List[_ShmSpec] = []

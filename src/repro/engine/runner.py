@@ -33,7 +33,7 @@ backend — including with engine-level early stopping enabled.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +44,7 @@ from repro.engine.backends import EarlyStopping, choose_backend
 from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import check_seed
+from repro.utils.validation import check_int_range
 
 
 @dataclass(frozen=True)
@@ -112,15 +113,11 @@ class MultiRestartRunner:
         share_samples: bool = True,
         early_stopping: Optional[EarlyStopping | int] = None,
     ):
-        if n_init < 1:
-            raise InvalidParameterError(f"n_init must be >= 1, got {n_init}")
-        if n_jobs < 1:
-            raise InvalidParameterError(f"n_jobs must be >= 1, got {n_jobs}")
         self.clusterer = clusterer
-        self.n_init = int(n_init)
-        self.n_jobs = int(n_jobs)
+        self.n_init = check_int_range(n_init, "n_init", low=1)
+        self.n_jobs = check_int_range(n_jobs, "n_jobs", low=1)
         self.share_samples = bool(share_samples)
-        if isinstance(early_stopping, int):
+        if early_stopping is not None and not isinstance(early_stopping, EarlyStopping):
             early_stopping = EarlyStopping(patience=early_stopping)
         self.early_stopping = early_stopping
 
@@ -345,14 +342,8 @@ class MultiRestartRunner:
                 sum(r.runtime_seconds for r in results)
             ),
         )
-        return ClusteringResult(
-            labels=best.labels,
-            objective=best.objective,
-            n_iterations=best.n_iterations,
-            converged=best.converged,
-            runtime_seconds=best.runtime_seconds,
-            objective_history=list(best.objective_history),
-            extras=extras,
+        return replace(
+            best, objective_history=list(best.objective_history), extras=extras
         )
 
 

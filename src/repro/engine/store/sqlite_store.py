@@ -67,6 +67,7 @@ import json
 import os
 import sqlite3
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -121,7 +122,7 @@ CREATE TABLE IF NOT EXISTS leases (
 """
 
 
-def _is_missing_table(error: sqlite3.OperationalError) -> bool:
+def _is_missing_table(error: sqlite3.Error) -> bool:
     return "no such table" in str(error)
 
 
@@ -198,25 +199,44 @@ class SqliteStore:
             self._conn = None
             self._leases_ready = False
 
-    def _execute(self, sql: str, params: Sequence[object] = ()):
-        """Run one query, mapping substrate corruption to SweepStoreError."""
-        conn = self._connect()
+    @contextmanager
+    def _statements(self, missing_table_ok: bool = False):
+        """The connection, for statements whose every ``sqlite3.Error``
+        is raised as :class:`SweepStoreError` — the one place the store
+        maps them, so a held lock or a damaged file never escapes raw.
+
+        With ``missing_table_ok`` a statement that reads a table the
+        store does not have (one written before that table existed)
+        ends the block without an error instead.
+        """
         try:
-            return conn.execute(sql, params)
-        except sqlite3.OperationalError:
-            raise
-        except sqlite3.DatabaseError as error:
+            yield self._connect()
+        except sqlite3.Error as error:
+            if missing_table_ok and _is_missing_table(error):
+                return
+            # An OperationalError (a lock held past the busy timeout, a
+            # read-only file, a full disk) leaves the file sound.
+            kind = (
+                "unusable" if isinstance(error, sqlite3.OperationalError)
+                else "corrupt"
+            )
             raise SweepStoreError(
-                f"corrupt sqlite store {self.path}: {error}"
+                f"{kind} sqlite store {self.path}: {error}"
             ) from error
+
+    def _rows(self, sql: str, params: Sequence[object] = ()) -> list:
+        """Every row of one read; none when it reads a missing table."""
+        with self._statements(missing_table_ok=True) as conn:
+            return conn.execute(sql, params).fetchall()
+        return []
 
     # -- lifecycle -----------------------------------------------------
     def prepare(self, description: Dict[str, object], resume: bool) -> None:
         """Create the store, or verify an existing one matches the grid."""
         fresh = not self.path.exists() or self.path.stat().st_size == 0
-        conn = self._connect(create=True)
+        self._connect(create=True)
         if fresh:
-            with conn:
+            with self._statements() as conn, conn:
                 conn.executescript(_SCHEMA)
                 conn.execute(
                     "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
@@ -252,20 +272,11 @@ class SqliteStore:
         Raises :class:`~repro.exceptions.SweepStoreError` when a
         manifest exists but cannot be read.
         """
-        try:
-            row = self._execute(
-                "SELECT value FROM meta WHERE key = 'manifest'"
-            ).fetchone()
-        except sqlite3.OperationalError as error:
-            if _is_missing_table(error):
-                return None
-            raise SweepStoreError(
-                f"unreadable sweep manifest in {self.path}: {error}"
-            ) from error
-        if row is None:
+        rows = self._rows("SELECT value FROM meta WHERE key = 'manifest'")
+        if not rows:
             return None
         try:
-            return json.loads(row[0])
+            return json.loads(rows[0][0])
         except json.JSONDecodeError as error:
             raise SweepStoreError(
                 f"unreadable sweep manifest in {self.path}: {error}"
@@ -274,13 +285,7 @@ class SqliteStore:
     # -- cells ---------------------------------------------------------
     def has_cells(self) -> bool:
         """Whether any cell result has been written."""
-        try:
-            row = self._execute("SELECT 1 FROM cells LIMIT 1").fetchone()
-        except sqlite3.OperationalError as error:
-            if _is_missing_table(error):
-                return False
-            raise
-        return row is not None
+        return bool(self._rows("SELECT 1 FROM cells LIMIT 1"))
 
     @staticmethod
     def _decode(
@@ -302,19 +307,10 @@ class SqliteStore:
 
         ``(None, None)`` means the cell simply has not run yet.
         """
-        try:
-            row = self._execute(
-                "SELECT payload FROM cells WHERE cell_id = ?", (cell,)
-            ).fetchone()
-        except sqlite3.OperationalError as error:
-            if _is_missing_table(error):
-                return None, None
-            raise SweepStoreError(
-                f"corrupt sqlite store {self.path}: {error}"
-            ) from error
-        if row is None:
+        rows = self._rows("SELECT payload FROM cells WHERE cell_id = ?", (cell,))
+        if not rows:
             return None, None
-        return self._decode(row[0])
+        return self._decode(rows[0][0])
 
     def write_cell(
         self,
@@ -341,8 +337,8 @@ class SqliteStore:
             (name, metric, value)
             for metric, value in _numeric_items(payload["values"])
         ]
-        conn = self._connect()
-        with conn:  # one transaction: the cell is either whole or absent
+        # One transaction: the cell is either whole or absent.
+        with self._statements() as conn, conn:
             conn.execute(
                 "INSERT OR REPLACE INTO cells "
                 "(cell_id, surface, group_json, cell_json, seed_state, "
@@ -371,37 +367,25 @@ class SqliteStore:
         Ordered by cell id; damaged cells appear with ``payload=None``
         and a problem string, exactly as :meth:`load_cell` reports them.
         """
-        try:
-            rows = self._execute(
-                "SELECT cell_id, payload FROM cells ORDER BY cell_id"
-            ).fetchall()
-        except sqlite3.OperationalError as error:
-            if _is_missing_table(error):
-                return
-            raise SweepStoreError(
-                f"corrupt sqlite store {self.path}: {error}"
-            ) from error
+        rows = self._rows("SELECT cell_id, payload FROM cells ORDER BY cell_id")
         for name, payload_text in rows:
             payload, problem = self._decode(payload_text)
             yield name, payload, problem
 
     def count_cells(self) -> int:
         """Number of stored cells (damaged ones included)."""
-        try:
-            return self._execute("SELECT COUNT(*) FROM cells").fetchone()[0]
-        except sqlite3.OperationalError as error:
-            if _is_missing_table(error):
-                return 0
-            raise
+        rows = self._rows("SELECT COUNT(*) FROM cells")
+        return rows[0][0] if rows else 0
 
     # -- claim/lease layer ---------------------------------------------
-    def _ensure_leases(self) -> sqlite3.Connection:
-        conn = self._connect()
-        if not self._leases_ready:
-            with conn:
+    def _lease_statement(self, sql: str, params: Sequence[object]) -> int:
+        """One statement on the leases table, as its own transaction
+        (the table is created on first use); returns its row count."""
+        with self._statements() as conn, conn:
+            if not self._leases_ready:
                 conn.execute(_LEASES_SCHEMA)
-            self._leases_ready = True
-        return conn
+                self._leases_ready = True
+            return conn.execute(sql, params).rowcount
 
     def claim_cell(self, cell: str, owner: str, ttl: float) -> bool:
         """Try to acquire the lease on one cell for ``ttl`` seconds.
@@ -415,22 +399,20 @@ class SqliteStore:
         deterministic cell rewrites identical bytes.
         """
         now = time.time()
-        conn = self._ensure_leases()
         # One WAL transaction: the upsert's DO UPDATE only fires for a
         # re-entrant claim or an expired lease, so under SQLite's
         # single-writer lock exactly one racing worker sees a row
         # change — that worker holds the lease.
-        with conn:
-            cursor = conn.execute(
-                "INSERT INTO leases (cell_id, owner, expires_at) "
-                "VALUES (?, ?, ?) "
-                "ON CONFLICT(cell_id) DO UPDATE SET "
-                "  owner = excluded.owner, expires_at = excluded.expires_at "
-                "WHERE leases.owner = excluded.owner "
-                "   OR leases.expires_at <= ?",
-                (cell, owner, now + ttl, now),
-            )
-        return cursor.rowcount > 0
+        changed = self._lease_statement(
+            "INSERT INTO leases (cell_id, owner, expires_at) "
+            "VALUES (?, ?, ?) "
+            "ON CONFLICT(cell_id) DO UPDATE SET "
+            "  owner = excluded.owner, expires_at = excluded.expires_at "
+            "WHERE leases.owner = excluded.owner "
+            "   OR leases.expires_at <= ?",
+            (cell, owner, now + ttl, now),
+        )
+        return changed > 0
 
     def renew_lease(self, cell: str, owner: str, ttl: float) -> bool:
         """Extend a held lease (heartbeat); ``False`` when it was lost.
@@ -440,14 +422,11 @@ class SqliteStore:
         computing anyway (writes are idempotent) but must expect a peer
         to finish the cell first.
         """
-        conn = self._ensure_leases()
-        with conn:
-            cursor = conn.execute(
-                "UPDATE leases SET expires_at = ? "
-                "WHERE cell_id = ? AND owner = ?",
-                (time.time() + ttl, cell, owner),
-            )
-        return cursor.rowcount > 0
+        changed = self._lease_statement(
+            "UPDATE leases SET expires_at = ? WHERE cell_id = ? AND owner = ?",
+            (time.time() + ttl, cell, owner),
+        )
+        return changed > 0
 
     def release_cell(self, cell: str, owner: Optional[str] = None) -> None:
         """Drop a lease.  With ``owner``, only that owner's lease.
@@ -456,21 +435,16 @@ class SqliteStore:
         :meth:`reap_leases` to clear leases of dead workers).  Missing
         leases are ignored — release is idempotent.
         """
-        conn = self._ensure_leases()
-        with conn:
-            if owner is None:
-                conn.execute("DELETE FROM leases WHERE cell_id = ?", (cell,))
-            else:
-                conn.execute(
-                    "DELETE FROM leases WHERE cell_id = ? AND owner = ?",
-                    (cell, owner),
-                )
+        if owner is None:
+            self._lease_statement("DELETE FROM leases WHERE cell_id = ?", (cell,))
+        else:
+            self._lease_statement(
+                "DELETE FROM leases WHERE cell_id = ? AND owner = ?", (cell, owner)
+            )
 
     def release_leases(self, owner: str) -> None:
         """Drop every lease ``owner`` holds (a worker's exit path)."""
-        conn = self._ensure_leases()
-        with conn:
-            conn.execute("DELETE FROM leases WHERE owner = ?", (owner,))
+        self._lease_statement("DELETE FROM leases WHERE owner = ?", (owner,))
 
     def active_leases(self) -> Dict[str, Tuple[str, float]]:
         """Every recorded lease as ``{cell_id: (owner, expires_at)}``.
@@ -478,16 +452,7 @@ class SqliteStore:
         Includes expired leases — expiry is a property the *reader*
         evaluates against its own clock, not a deletion event.
         """
-        try:
-            rows = self._execute(
-                "SELECT cell_id, owner, expires_at FROM leases"
-            ).fetchall()
-        except sqlite3.OperationalError as error:
-            if _is_missing_table(error):
-                return {}
-            raise SweepStoreError(
-                f"corrupt sqlite store {self.path}: {error}"
-            ) from error
+        rows = self._rows("SELECT cell_id, owner, expires_at FROM leases")
         return {
             cell: (owner, float(expires_at))
             for cell, owner, expires_at in rows
@@ -530,18 +495,10 @@ class SqliteStore:
         if not names:
             return {}
         placeholders = ", ".join("?" for _ in names)
-        try:
-            rows = self._execute(
-                "SELECT cell_id, payload FROM cells "
-                f"WHERE cell_id IN ({placeholders})",
-                names,
-            ).fetchall()
-        except sqlite3.OperationalError as error:
-            if _is_missing_table(error):
-                return None
-            raise SweepStoreError(
-                f"corrupt sqlite store {self.path}: {error}"
-            ) from error
+        rows = self._rows(
+            f"SELECT cell_id, payload FROM cells WHERE cell_id IN ({placeholders})",
+            names,
+        )
         found = dict(rows)
         values: Dict[str, Dict[str, object]] = {}
         for name in names:
@@ -574,14 +531,7 @@ class SqliteStore:
             "JOIN cell_values v ON v.cell_id = c.cell_id"
             f"{where}{tail}"
         )
-        try:
-            return self._execute(sql, params).fetchall()
-        except sqlite3.OperationalError as error:
-            if _is_missing_table(error):
-                return []
-            raise SweepStoreError(
-                f"corrupt sqlite store {self.path}: {error}"
-            ) from error
+        return self._rows(sql, params)
 
     def query(
         self,
@@ -637,25 +587,18 @@ class SqliteStore:
         """
         _check_mode(mode)
         direction = "DESC" if mode == "max" else "ASC"
-        try:
-            rows = self._execute(
-                "SELECT surface, group_json, cell_id, value FROM ("
-                "  SELECT c.surface, c.group_json, c.cell_id, v.value,"
-                "         ROW_NUMBER() OVER ("
-                "             PARTITION BY c.surface, c.group_json"
-                f"            ORDER BY v.value {direction}, c.cell_id ASC"
-                "         ) AS pos"
-                "  FROM cells c JOIN cell_values v ON v.cell_id = c.cell_id"
-                "  WHERE v.metric = ?"
-                ") WHERE pos = 1",
-                (metric,),
-            ).fetchall()
-        except sqlite3.OperationalError as error:
-            if _is_missing_table(error):
-                return []
-            raise SweepStoreError(
-                f"corrupt sqlite store {self.path}: {error}"
-            ) from error
+        rows = self._rows(
+            "SELECT surface, group_json, cell_id, value FROM ("
+            "  SELECT c.surface, c.group_json, c.cell_id, v.value,"
+            "         ROW_NUMBER() OVER ("
+            "             PARTITION BY c.surface, c.group_json"
+            f"            ORDER BY v.value {direction}, c.cell_id ASC"
+            "         ) AS pos"
+            "  FROM cells c JOIN cell_values v ON v.cell_id = c.cell_id"
+            "  WHERE v.metric = ?"
+            ") WHERE pos = 1",
+            (metric,),
+        )
         return sorted(
             (surface, tuple(json.loads(group_json)), name, float(value))
             for surface, group_json, name, value in rows

@@ -26,6 +26,7 @@ from repro.evaluation.external import f_measure
 from repro.evaluation.internal import internal_scores
 from repro.exceptions import InvalidParameterError
 from repro.utils.rng import spawn_rngs
+from repro.utils.validation import check_int_range
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,7 @@ def evaluate_theta_multirun(
     result-identical for fixed seeds, so at the paper's 50-run protocol
     it changes only how long the measurement takes.
     """
-    if n_runs < 1:
-        raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
+    check_int_range(n_runs, "n_runs", low=1)
     reference = pair.uncertain.labels
     if reference is None:
         raise InvalidParameterError(

@@ -75,10 +75,6 @@ def warn_convergence(message: str) -> None:
     )
 
 
-class UnsupportedDistributionError(ReproError, TypeError):
-    """A distribution family does not support the requested operation."""
-
-
 class SweepStoreError(ReproError, RuntimeError):
     """A sweep result store cannot be (re)used as requested.
 

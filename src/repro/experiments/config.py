@@ -35,6 +35,7 @@ from repro.clustering.base import UncertainClusterer
 from repro.engine.store.base import RECORDED_EXECUTION
 from repro.exceptions import InvalidParameterError
 from repro.utils.rng import spawn_rngs
+from repro.utils.validation import check_int_range
 
 #: Display order of the accuracy-roster columns (matches Table 2).
 ACCURACY_ROSTER = ("FDB", "FOPT", "UAHC", "UKmed", "UKM", "MMV", "UCPC")
@@ -137,14 +138,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.scale <= 1.0):
             raise InvalidParameterError(f"scale must be in (0, 1], got {self.scale}")
-        if self.max_objects is not None and self.max_objects < 1:
-            raise InvalidParameterError(
-                f"max_objects must be >= 1, got {self.max_objects}"
-            )
-        if self.n_runs < 1:
-            raise InvalidParameterError(f"n_runs must be >= 1, got {self.n_runs}")
-        if self.n_jobs < 1:
-            raise InvalidParameterError(f"n_jobs must be >= 1, got {self.n_jobs}")
+        if self.max_objects is not None:
+            check_int_range(self.max_objects, "max_objects", low=1)
+        for name in ("n_runs", "n_samples", "n_jobs"):
+            check_int_range(getattr(self, name), name, low=1)
 
     def describe(self) -> Dict[str, object]:
         """The JSON-ready form recorded in sweep manifests.

@@ -1,12 +1,6 @@
-"""Shared low-level utilities: RNG handling, validation, numerics, timing."""
+"""Shared low-level utilities: RNG handling, validation, timing, tables."""
 
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.numeric import (
-    kahan_sum,
-    relative_error,
-    safe_sqrt,
-    stable_norm_sq,
-)
 from repro.utils.validation import (
     check_finite_array,
     check_positive,
@@ -20,10 +14,6 @@ from repro.utils.tables import format_table
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
-    "kahan_sum",
-    "relative_error",
-    "safe_sqrt",
-    "stable_norm_sq",
     "check_finite_array",
     "check_positive",
     "check_probability",

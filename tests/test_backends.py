@@ -398,8 +398,9 @@ class TestEarlyStopping:
         assert runner.early_stopping == EarlyStopping(patience=3)
 
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            EarlyStopping(patience=0)
+        for bad in (0, 1.5, "3", None):
+            with pytest.raises(InvalidParameterError, match="patience"):
+                EarlyStopping(patience=bad)
         with pytest.raises(InvalidParameterError):
             EarlyStopping(patience=2, min_improvement=-1.0)
 

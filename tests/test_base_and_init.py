@@ -7,9 +7,23 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.clustering
 from repro.clustering import (
+    FDBSCAN,
+    FOPTICS,
+    UAHC,
     UCPC,
+    BasicUKMeans,
+    BoundedUKMeans,
+    KMeans,
+    MiniBatchUKMeans,
+    MinMaxBB,
+    MMVar,
+    UCPCLloyd,
+    UKMeans,
     UKMedoids,
+    VarianceOnlyClustering,
+    VDBiP,
     kmeanspp_seed_indices,
     labels_from_clusters,
     partition_from_seeds,
@@ -17,7 +31,7 @@ from repro.clustering import (
     random_seed_indices,
     validate_n_clusters,
 )
-from repro.clustering.base import ClusteringResult
+from repro.clustering.base import ClusteringResult, UncertainClusterer
 from repro.exceptions import ConvergenceWarning, InvalidParameterError
 from repro.objects import UncertainDataset
 
@@ -83,6 +97,83 @@ class TestValidateNClusters:
             validate_n_clusters(11, 10)
         with pytest.raises(InvalidParameterError):
             validate_n_clusters("3", 10)
+
+
+#: Every clusterer ``repro.clustering`` exports: valid constructor
+#: arguments, and the integer hyperparameters the constructor checks.
+_SAMPLED = ("n_clusters", "n_samples", "max_iter")
+INTEGER_HYPERPARAMETERS = [
+    (UKMeans, {"n_clusters": 3}, ("n_clusters", "max_iter")),
+    (KMeans, {"n_clusters": 3}, ("n_clusters", "max_iter")),
+    (BasicUKMeans, {"n_clusters": 3}, _SAMPLED),
+    (MinMaxBB, {"n_clusters": 3}, _SAMPLED),
+    (VDBiP, {"n_clusters": 3}, _SAMPLED),
+    (BoundedUKMeans, {"n_clusters": 3}, _SAMPLED),
+    (
+        MiniBatchUKMeans,
+        {"n_clusters": 3},
+        ("n_clusters", "batch_size", "max_iter", "over_cluster"),
+    ),
+    (UCPC, {"n_clusters": 3}, ("n_clusters", "max_iter")),
+    (MMVar, {"n_clusters": 3}, ("n_clusters", "max_iter")),
+    (UKMedoids, {"n_clusters": 3}, ("n_clusters", "max_iter")),
+    (VarianceOnlyClustering, {"n_clusters": 3}, ("n_clusters", "max_iter")),
+    (UCPCLloyd, {"n_clusters": 3}, ("n_clusters", "max_iter")),
+    (FDBSCAN, {}, ("min_pts", "n_samples")),
+    # min_pts = 3 lets knn_cap = 3 pass its ">= min_pts" check.
+    (FOPTICS, {"min_pts": 3}, ("min_pts", "n_samples", "n_clusters", "knn_cap")),
+    (UAHC, {"n_clusters": 3}, ("n_clusters",)),
+]
+#: Hyperparameters whose ``None`` means "not set".
+_OPTIONAL = {(FOPTICS, "n_clusters"), (FOPTICS, "knn_cap")}
+
+
+class TestHyperparameterChecks:
+    """Every integer hyperparameter is checked at construction."""
+
+    def test_covers_every_exported_clusterer(self):
+        names = repro.clustering.__all__
+        exported = [getattr(repro.clustering, name) for name in names]
+        clusterers = {
+            value
+            for value in exported
+            if isinstance(value, type) and issubclass(value, UncertainClusterer)
+        } - {UncertainClusterer}
+        assert clusterers == {cls for cls, _, _ in INTEGER_HYPERPARAMETERS}
+        assert len(clusterers) == 15
+
+    @pytest.mark.parametrize(
+        "cls, valid, name, bad",
+        [
+            pytest.param(cls, valid, name, bad, id=f"{cls.__name__}-{name}-{bad!r}")
+            for cls, valid, names in INTEGER_HYPERPARAMETERS
+            for name in names
+            for bad in (2.5, "3", None, 0)
+            if not (bad is None and (cls, name) in _OPTIONAL)
+        ],
+    )
+    def test_rejects_non_integers_and_values_below_minimum(
+        self, cls, valid, name, bad
+    ):
+        with pytest.raises(InvalidParameterError, match=name):
+            cls(**{**valid, name: bad})
+
+    @pytest.mark.parametrize(
+        "cls, valid, name",
+        [
+            pytest.param(cls, valid, name, id=f"{cls.__name__}-{name}")
+            for cls, valid, names in INTEGER_HYPERPARAMETERS
+            for name in names
+        ],
+    )
+    def test_numpy_integers_stored_as_int(self, cls, valid, name):
+        model = cls(**{**valid, name: np.int64(3)})
+        assert type(getattr(model, name)) is int
+        assert getattr(model, name) == 3
+
+    def test_below_minimum_message(self):
+        with pytest.raises(InvalidParameterError, match="max_iter must be >= 1, got 0"):
+            UCPC(3, max_iter=0)
 
 
 class TestLabelsFromClusters:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.clustering import BasicUKMeans, MinMaxBB, UKMeans
 from repro.datagen import make_blobs_uncertain
-from repro.engine import MultiRestartRunner, RestartRecord
+from repro.engine import EarlyStopping, MultiRestartRunner, RestartRecord
 from repro.exceptions import InvalidParameterError
 
 
@@ -141,10 +141,22 @@ class TestMultiRestartRunner:
         assert best.extras["total_runtime_seconds"] >= 0.0
 
     def test_validation(self, data):
-        with pytest.raises(InvalidParameterError):
-            MultiRestartRunner(UKMeans(4), n_init=0)
-        with pytest.raises(InvalidParameterError):
-            MultiRestartRunner(UKMeans(4), n_jobs=0)
+        for bad in (0, 2.5, "3", None):
+            with pytest.raises(InvalidParameterError, match="n_init"):
+                MultiRestartRunner(UKMeans(4), n_init=bad)
+            with pytest.raises(InvalidParameterError, match="n_jobs"):
+                MultiRestartRunner(UKMeans(4), n_jobs=bad)
+        for bad in (0, 1.5, "3"):
+            with pytest.raises(InvalidParameterError, match="patience"):
+                MultiRestartRunner(UKMeans(4), early_stopping=bad)
+        runner = MultiRestartRunner(
+            UKMeans(4),
+            n_init=np.int64(3),
+            n_jobs=np.int64(2),
+            early_stopping=np.int64(2),
+        )
+        assert (runner.n_init, runner.n_jobs) == (3, 2)
+        assert runner.early_stopping == EarlyStopping(patience=2)
 
     def test_generator_seed(self, data):
         gen = np.random.default_rng(9)

@@ -27,8 +27,14 @@ class TestConfig:
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(scale=0.0)
-        with pytest.raises(InvalidParameterError):
-            ExperimentConfig(n_runs=0)
+        for name in ("n_runs", "n_jobs", "n_samples", "max_objects"):
+            for bad in (0, 2.5, "3"):
+                with pytest.raises(InvalidParameterError, match=name):
+                    ExperimentConfig(**{name: bad})
+        for name in ("n_runs", "n_jobs", "n_samples"):
+            with pytest.raises(InvalidParameterError, match=name):
+                ExperimentConfig(**{name: None})
+        assert ExperimentConfig(max_objects=None).max_objects is None
 
     def test_build_algorithm_all_names(self):
         for name in (

@@ -65,8 +65,9 @@ class TestMultirun:
         assert outcome.theta_std == 0.0
 
     def test_invalid_runs(self, pair):
-        with pytest.raises(InvalidParameterError):
-            evaluate_theta_multirun(UCPC(n_clusters=3), pair, n_runs=0)
+        for bad in (0, 2.5, "3", None):
+            with pytest.raises(InvalidParameterError, match="n_runs"):
+                evaluate_theta_multirun(UCPC(n_clusters=3), pair, n_runs=bad)
 
     def test_mean_matches_manual_average(self, pair):
         from repro.utils.rng import spawn_rngs

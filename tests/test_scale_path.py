@@ -23,12 +23,14 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.clustering.base
 from repro.clustering import (
     FDBSCAN,
     FOPTICS,
     UCPC,
     BasicUKMeans,
     BoundedUKMeans,
+    KMeans,
     MiniBatchUKMeans,
     MinMaxBB,
     MMVar,
@@ -379,10 +381,14 @@ class TestConvergenceWarningSemantics:
             lambda: UKMedoids(n_clusters=4, max_iter=1),
             lambda: VarianceOnlyClustering(n_clusters=4, max_iter=1),
             lambda: UCPCLloyd(n_clusters=4, max_iter=1),
+            lambda: UKMeans(n_clusters=4, max_iter=1),
+            lambda: KMeans(n_clusters=4, max_iter=1),
+            lambda: MiniBatchUKMeans(n_clusters=4, batch_size=16, max_iter=1),
         ],
         ids=[
             "bUKM", "MinMax-BB", "VDBiP", "Elkan", "Hamerly",
             "UCPC", "MMV", "UKmed", "VarOnly", "UCPC-Lloyd",
+            "UKM", "KM", "MB-UKM",
         ],
     )
     def test_warns_on_every_fit(self, overlap_data, make):
@@ -397,11 +403,12 @@ class TestConvergenceWarningSemantics:
         # registry; warn_convergence resets the registry so later fits
         # are not silently swallowed.
         assert len(messages) == 3
-        # The sample-based family's one loop names the variant it runs.
+        # Every fit ends in UncertainClusterer._result, which warns under
+        # the name reports use for the algorithm.
         model = make()
-        if isinstance(model, BasicUKMeans):
-            for warning in messages:
-                assert str(warning.message).startswith(f"{model.name} hit")
+        for warning in messages:
+            assert str(warning.message).startswith(f"{model.name} hit max_iter=1")
+            assert warning.filename == repro.clustering.base.__file__
 
     def test_filters_still_apply(self, overlap_data):
         with warnings.catch_warnings(record=True) as caught:

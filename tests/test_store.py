@@ -42,6 +42,7 @@ import shutil
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,7 @@ from repro.engine.sweep import (
     SweepGrid,
     Table2Spec,
     Table3Spec,
+    _LeaseClaimer,
     _worker_main,
     run_sweep,
     run_sweep_worker,
@@ -172,6 +174,18 @@ def _update(path: Path, sql: str, params=()) -> None:
     with conn:
         conn.execute(sql, params)
     conn.close()
+
+
+@contextmanager
+def _write_lock_held(path: Path):
+    """Another connection holds the store's write lock in the block."""
+    holder = sqlite3.connect(str(path), isolation_level=None)
+    holder.execute("BEGIN IMMEDIATE")
+    try:
+        yield
+    finally:
+        holder.execute("ROLLBACK")
+        holder.close()
 
 
 def _seed_payloads():
@@ -471,6 +485,64 @@ class TestSqliteSubstrate:
         with open_store(blocker / "store.sqlite") as store:
             with pytest.raises(SweepStoreError, match="unreadable"):
                 store.prepare({"schema": 2, "surfaces": {}}, False)
+
+    def test_held_lock_is_a_store_error(self, tmp_path):
+        """A write lock held past the busy timeout fails every write
+        path with a SweepStoreError, not a raw sqlite3 error."""
+        path = store_path(tmp_path)
+        store = open_store(path)
+        store.prepare({"schema": SWEEP_SCHEMA_VERSION, "surfaces": {}}, False)
+        assert store.claim_cell("cell--0000000001", "alice", 60.0)
+        store._connect().execute("PRAGMA busy_timeout=0")
+        payload = _seed_payloads()[0]
+        parts = ("surface", "group", "cell", "seed_state", "values")
+        with _write_lock_held(path):
+            for action in (
+                lambda: store.write_cell(*(payload[part] for part in parts)),
+                lambda: store.claim_cell("cell--0000000002", "alice", 60.0),
+                lambda: store.renew_lease("cell--0000000001", "alice", 60.0),
+            ):
+                with pytest.raises(SweepStoreError, match="database is locked"):
+                    action()
+        # The lock gone, the same handle writes again.
+        assert store.renew_lease("cell--0000000001", "alice", 60.0)
+        assert store.write_cell(*(payload[part] for part in parts))
+        store.close()
+
+    def test_heartbeat_rides_out_a_held_lock(self, tmp_path, monkeypatch):
+        """A renewal that hits a lock does not end the heartbeat: it keeps
+        beating and renews the lease once the lock is released."""
+        connect = SqliteStore._connect
+
+        def impatient(self, create=False):
+            conn = connect(self, create)
+            conn.execute("PRAGMA busy_timeout=20")
+            return conn
+
+        monkeypatch.setattr(SqliteStore, "_connect", impatient)
+        path = store_path(tmp_path)
+        store = open_store(path)
+        store.prepare({"schema": SWEEP_SCHEMA_VERSION, "surfaces": {}}, False)
+        logged = []
+        claimer = _LeaseClaimer(store, "alice", 0.3, logged.append)
+        cell = "cell--0000000001"
+        try:
+            assert claimer.claim(cell)
+            with claimer.heartbeat(cell):
+                with _write_lock_held(path):
+                    time.sleep(0.5)  # five 0.1 s beats, each refused
+                    locked = store.active_leases()[cell][1]
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    if store.active_leases()[cell][1] > locked:
+                        break
+                    time.sleep(0.05)
+                renewed = store.active_leases()[cell][1]
+        finally:
+            claimer.close()
+            store.close()
+        assert renewed > locked
+        assert logged == []
 
     def test_wal_mode_is_active(self, tmp_path):
         path = store_path(tmp_path)

@@ -128,8 +128,9 @@ class TestGeneratorOptions:
         assert len(ds) == 40
 
     def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            UncertaintyGenerator(family="cauchy")
+        for family in ("cauchy", None, 3):
+            with pytest.raises(InvalidParameterError, match="family"):
+                UncertaintyGenerator(family=family)
         with pytest.raises(InvalidParameterError):
             UncertaintyGenerator(spread=0.0)
         with pytest.raises(InvalidParameterError):

@@ -1,4 +1,4 @@
-"""Tests for the utils subpackage: rng, validation, numeric, timer, tables."""
+"""Tests for the utils subpackage: rng, validation, timer, tables."""
 
 from __future__ import annotations
 
@@ -17,14 +17,9 @@ from repro.utils import (
     ensure_rng,
     ensure_vector,
     format_table,
-    kahan_sum,
-    relative_error,
-    safe_sqrt,
     spawn_rngs,
-    stable_norm_sq,
     timed,
 )
-from repro.utils.numeric import improved, is_close
 from repro.utils.validation import check_int_range
 
 
@@ -157,35 +152,6 @@ class TestValidation:
             check_int_range(11, "k", high=10)
         with pytest.raises(InvalidParameterError):
             check_int_range(1.5, "k")
-
-
-class TestNumeric:
-    def test_kahan_sum_accuracy(self):
-        # 1 + 1e-16 * 1e16 loses everything with naive float addition order.
-        values = [1e16] + [1.0] * 10000 + [-1e16]
-        assert kahan_sum(values) == pytest.approx(10000.0)
-
-    def test_stable_norm_sq(self):
-        assert stable_norm_sq(np.array([3.0, 4.0])) == pytest.approx(25.0)
-
-    def test_safe_sqrt(self):
-        assert safe_sqrt(4.0) == 2.0
-        assert safe_sqrt(-1e-12) == 0.0
-        with pytest.raises(ValueError):
-            safe_sqrt(-1.0)
-
-    def test_relative_error(self):
-        assert relative_error(1.1, 1.0) == pytest.approx(0.1)
-        assert relative_error(0.1, 0.0) == pytest.approx(0.1)
-
-    def test_is_close(self):
-        assert is_close(1.0, 1.0 + 1e-12)
-        assert not is_close(1.0, 1.1)
-
-    def test_improved(self):
-        assert improved(0.9, 1.0)
-        assert not improved(1.0 - 1e-15, 1.0)
-        assert not improved(1.1, 1.0)
 
 
 class TestTimer:
