@@ -23,7 +23,10 @@ their exactness assertions **on**:
 * the tile walk of the dense all-pairs kernels must equal the per-row
   loops bit for bit at n=1499 (over a thousand tiles with ragged
   edges): FOPTICS's expected-distance matrix and U-AHC's initial
-  Jeffreys proximity (off the diagonal);
+  Jeffreys proximity (off the diagonal); on point masses of the same
+  means (``from_points``, S=32), where the density kernels evaluate one
+  realization per object, FOPTICS's matrix and FDBSCAN's reach
+  probabilities must also equal their row loops;
 * the blob generator (the n=20_000 roster) and the Section 5.1
   generator (its ``D'``/``D''`` pair at n=100_000) must build their
   datasets without constructing one ``UncertainObject``, and the first
@@ -71,6 +74,7 @@ from repro.clustering import (
     MiniBatchUKMeans,
     VDBiP,
 )
+from repro.clustering.fdbscan import auto_eps, pairwise_reach_probabilities
 from repro.clustering.foptics import expected_distance_matrix
 from repro.datagen import UncertaintyGenerator, make_blobs_uncertain
 from repro.datagen.benchmarks import make_classification_like
@@ -106,6 +110,19 @@ def _row_loop_expected_distances(samples: np.ndarray) -> np.ndarray:
         out[i, i + 1 :] = dist
         out[i + 1 :, i] = dist
     return out
+
+
+def _row_loop_reach_probabilities(samples: np.ndarray, eps: float) -> np.ndarray:
+    """FDBSCAN's within-eps probabilities, one object row at a time."""
+    n = samples.shape[0]
+    probs = np.eye(n)
+    for i in range(n - 1):
+        diff = samples[i + 1 :] - samples[i]
+        within = np.einsum("nsm,nsm->ns", diff, diff) <= eps * eps
+        p = within.mean(axis=1)
+        probs[i, i + 1 :] = p
+        probs[i + 1 :, i] = p
+    return probs
 
 
 def _counting_objects(fn):
@@ -350,6 +367,24 @@ def run_smoke() -> List[dict]:
     assert np.array_equal(
         tiled_prox[off_diagonal], loop_prox[off_diagonal]
     ), "tiled Jeffreys proximity != row loop"
+    # Case 1's point masses: one realization per object in the kernels.
+    points = UncertainDataset.from_points(kernel_data.mu_matrix)
+    masses = points.sample_tensor(N_MC_SAMPLES, seed=0)
+    eps = auto_eps(points)
+    point_ed, point_ed_time = _timed(lambda: expected_distance_matrix(masses))
+    loop_point_ed, loop_point_ed_time = _timed(
+        lambda: _row_loop_expected_distances(masses)
+    )
+    assert np.array_equal(point_ed, loop_point_ed), "point-mass ÊD != row loop"
+    point_reach, point_reach_time = _timed(
+        lambda: pairwise_reach_probabilities(masses, eps)
+    )
+    loop_reach, loop_reach_time = _timed(
+        lambda: _row_loop_reach_probabilities(masses, eps)
+    )
+    assert np.array_equal(
+        point_reach, loop_reach
+    ), "point-mass reach probabilities != row loop"
     record(
         "dense_kernels_exact",
         tiled_ed_time + tiled_prox_time,
@@ -359,6 +394,10 @@ def run_smoke() -> List[dict]:
         ed_row_loop_s=round(loop_ed_time, 4),
         jeffreys_tiled_s=round(tiled_prox_time, 4),
         jeffreys_row_loop_s=round(loop_prox_time, 4),
+        point_mass_ed_s=round(point_ed_time, 4),
+        point_mass_ed_row_loop_s=round(loop_point_ed_time, 4),
+        point_mass_reach_s=round(point_reach_time, 4),
+        point_mass_reach_row_loop_s=round(loop_reach_time, 4),
     )
 
     columnar = _columnar_generation()

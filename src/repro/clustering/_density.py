@@ -36,6 +36,18 @@ The two density kernels deliberately differ inside a tile:
   C-contiguous difference tile, then the mean over the contiguous
   ``S`` axis) do not depend on the tile's shape, and swapping a pair
   only negates the differences.
+
+Point masses have one realization.  When every object's ``S``
+realizations are equal (Case 1's ``D'``, or any tensor of repeated
+points), both density kernels evaluate each pair on one realization.
+Equal means equal as floats and in sign, so that one realization has
+the bits of all ``S`` (a NaN never compares equal and keeps the full
+path).  The within-eps fraction of one comparison is exactly 0.0 or
+1.0, as that of ``S`` equal ones is.  The expected distance repeats its
+one distance ``S`` times along the contiguous ``S`` axis before the
+unchanged mean: the ``S``-term pairwise sum of ``S`` copies of ``d``,
+divided by ``S``, need not round to ``d`` (at ``S = 3`` it often does
+not).
 """
 
 from __future__ import annotations
@@ -117,6 +129,19 @@ def symmetric_from_tiles(
     return out
 
 
+def _distinct_realizations(samples: FloatArray) -> FloatArray:
+    """``samples[:, :1]`` when each object's realizations are all equal.
+
+    Otherwise ``samples`` itself.  Sample 1 is compared with sample 0
+    before the whole tensor is, so spread objects cost one slice.
+    """
+    first = samples[:, :1]
+    for rest in (samples[:, 1:2], samples):
+        if not np.all((rest == first) & (np.signbit(rest) == np.signbit(first))):
+            return samples
+    return first
+
+
 def pairwise_within_eps_probabilities(
     samples: FloatArray, eps: float, block: Optional[int] = None
 ) -> FloatArray:
@@ -126,12 +151,15 @@ def pairwise_within_eps_probabilities(
     fraction of the ``S`` matched sample pairs within ``eps`` (an
     unbiased MC estimator of the double integral).  The diagonal is
     fixed at 1.  ``block`` pins the tile side of
-    :func:`symmetric_from_tiles`.
+    :func:`symmetric_from_tiles`.  Point masses run one GEMM per tile,
+    not ``S``: the fraction of one comparison is that of ``S`` equal
+    ones (see the module docstring).
     """
-    n, n_samples, _ = samples.shape
+    points = _distinct_realizations(samples)
+    n, n_samples, _ = points.shape
     eps_sq = eps * eps
     # (S, n, m) views: one GEMM per sample index inside each np.matmul.
-    by_sample = np.ascontiguousarray(samples.swapaxes(0, 1))
+    by_sample = np.ascontiguousarray(points.swapaxes(0, 1))
     by_sample_t = np.ascontiguousarray(by_sample.transpose(0, 2, 1))
     sq_norms = np.einsum("snm,snm->sn", by_sample, by_sample)
 
@@ -157,18 +185,26 @@ def expected_distance_matrix(
     the diagonal is 0.  Bit-identical to the per-row difference loop for
     every tile side — FOPTICS's ordering loop compares these values
     directly, so the kernel must never perturb a near-tie.  ``block``
-    pins the tile side of :func:`symmetric_from_tiles`.
+    pins the tile side of :func:`symmetric_from_tiles`.  Point masses
+    compute each distance once and repeat it ``S`` times before the
+    mean, which keeps its ``S``-term reduction (see the module
+    docstring).
     """
     n, n_samples, m = samples.shape
+    points = _distinct_realizations(samples)
+    collapsed = points.shape[1] < n_samples
 
     def tile(rows: slice, cols: slice) -> FloatArray:
-        diff = samples[rows, None] - samples[None, cols]
-        return np.sqrt(
-            np.einsum("rbsm,rbsm->rbs", diff, diff)
-        ).mean(axis=2)
+        diff = points[rows, None] - points[None, cols]
+        dist = np.sqrt(np.einsum("rbsm,rbsm->rbs", diff, diff))
+        if collapsed:
+            dist = np.repeat(dist, n_samples, axis=2)
+        return dist.mean(axis=2)
 
-    # Per pair: S*m differences, S squared norms and S distances.
-    out = symmetric_from_tiles(n, n_samples * (m + 2), tile, block)
+    # Per pair: S*m differences, S squared norms and S distances, or
+    # m differences, one norm, one distance and its S copies.
+    per_pair = m + 2 + n_samples if collapsed else n_samples * (m + 2)
+    out = symmetric_from_tiles(n, per_pair, tile, block)
     np.fill_diagonal(out, 0.0)
     return out
 

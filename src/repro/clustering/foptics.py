@@ -36,7 +36,7 @@ from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
-from repro.utils.validation import check_int_range
+from repro.utils.validation import check_int_range, check_positive
 
 
 def expected_distance_matrix(
@@ -201,8 +201,8 @@ class FOPTICS(SampleCacheMixin, UncertainClusterer):
     ):
         self.min_pts = check_int_range(min_pts, "min_pts", low=1)
         self.n_samples = check_int_range(n_samples, "n_samples", low=1)
-        if threshold is not None and threshold <= 0:
-            raise InvalidParameterError(f"threshold must be > 0, got {threshold}")
+        if threshold is not None:
+            check_positive(threshold, "threshold")
         if n_clusters is not None:
             n_clusters = check_int_range(n_clusters, "n_clusters", low=1)
         if knn_cap is not None:

@@ -54,7 +54,7 @@ import numpy as np
 from repro.clustering.base import ClusteringResult, UncertainClusterer
 from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
-from repro.utils.validation import check_int_range
+from repro.utils.validation import check_int_range, check_positive
 
 #: Per-fit element floor at or below which :func:`choose_backend` stays
 #: serial: fits touching this little data are sub-millisecond, so pool
@@ -94,10 +94,7 @@ class EarlyStopping:
 
     def __post_init__(self) -> None:
         check_int_range(self.patience, "patience", low=1)
-        if self.min_improvement < 0.0:
-            raise InvalidParameterError(
-                f"min_improvement must be >= 0, got {self.min_improvement}"
-            )
+        check_positive(self.min_improvement, "min_improvement", strict=False)
 
 
 class _StopClock:

@@ -83,9 +83,19 @@ def check_finite_array(arr: np.ndarray, name: str = "values") -> None:
         raise InvalidParameterError(f"{name} must contain only finite values")
 
 
+def _as_real(value: float, name: str) -> float:
+    """``value`` as a float; ``None``, strings and non-numbers are refused."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+
+
 def check_positive(value: float, name: str, strict: bool = True) -> float:
     """Validate a scalar is positive (or nonnegative when ``strict=False``)."""
-    value = float(value)
+    value = _as_real(value, name)
     if not np.isfinite(value):
         raise InvalidParameterError(f"{name} must be finite, got {value}")
     if strict and value <= 0:
@@ -97,7 +107,7 @@ def check_positive(value: float, name: str, strict: bool = True) -> float:
 
 def check_probability(value: float, name: str) -> float:
     """Validate a scalar lies in the closed interval [0, 1]."""
-    value = float(value)
+    value = _as_real(value, name)
     if not (0.0 <= value <= 1.0):
         raise InvalidParameterError(f"{name} must be in [0, 1], got {value}")
     return value
@@ -105,9 +115,10 @@ def check_probability(value: float, name: str) -> float:
 
 def check_mass(mass: float) -> float:
     """Validate a region's probability mass lies in (0, 1]."""
+    mass = _as_real(mass, "mass")
     if not (0.0 < mass <= 1.0):
         raise InvalidParameterError(f"mass must be in (0, 1], got {mass}")
-    return float(mass)
+    return mass
 
 
 def check_int_range(

@@ -20,6 +20,7 @@ which the discrete outputs (labels, orderings) absorb.
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from collections import deque
 
@@ -34,7 +35,9 @@ from repro.clustering import _density
 from repro.clustering.base import ClusteringResult
 from repro.clustering.fdbscan import dbscan_labels, pairwise_reach_probabilities
 from repro.clustering.foptics import cluster_ordering, expected_distance_matrix
-from repro.datagen import make_blobs_uncertain
+from repro.datagen import UncertaintyGenerator, make_blobs_uncertain
+from repro.datagen.benchmarks import make_classification_like
+from repro.objects import UncertainDataset
 from repro.utils.rng import ensure_rng
 
 
@@ -73,6 +76,34 @@ def _legacy_expected_distances(samples):
         out[i, i + 1 :] = dist
         out[i + 1 :, i] = dist
     return out
+
+
+def _legacy_gemm_probabilities(samples, eps, block=None):
+    """The GEMM probability kernel before point masses collapsed: ``S``
+    GEMMs per tile, tile sides from ``2 * S`` temporaries per pair."""
+    n, n_samples, _ = samples.shape
+    by_sample = np.ascontiguousarray(samples.swapaxes(0, 1))
+    by_sample_t = np.ascontiguousarray(by_sample.transpose(0, 2, 1))
+    sq_norms = np.einsum("snm,snm->sn", by_sample, by_sample)
+    side = block or math.isqrt(2**17 // (2 * n_samples))
+    side = max(1, min(n, side))
+    probs = np.empty((n, n))
+    for r0 in range(0, n, side):
+        rows = slice(r0, min(r0 + side, n))
+        for c0 in range(0, r0 + 1, side):
+            cols = slice(c0, min(c0 + side, n))
+            d2 = by_sample[:, rows, :] @ by_sample_t[:, :, cols]
+            d2 *= -2.0
+            d2 += sq_norms[:, rows, None]
+            d2 += sq_norms[:, None, cols]
+            values = np.count_nonzero(d2 <= eps * eps, axis=0) / n_samples
+            if c0 == r0:  # a diagonal tile keeps its lower half
+                lower = np.tril_indices(len(values), k=-1)
+                values.T[lower] = values[lower]
+            probs[rows, cols] = values
+            probs[cols, rows] = values.T
+    np.fill_diagonal(probs, 1.0)
+    return probs
 
 
 def _legacy_expand(is_core, reachable) -> np.ndarray:
@@ -383,6 +414,195 @@ class TestTileWalk:
             model._full_proximity(mu[p], var[p]),
             proximity[np.ix_(p, p)],
         )
+
+
+def _point_masses(n, n_samples, m, seed=0):
+    """An ``(n, S, m)`` tensor of point masses: each object repeats the
+    per-object offset of :func:`_shaped_samples` ``S`` times."""
+    offsets = 3.0 * np.random.default_rng(seed).normal(size=(n, 1, m))
+    return np.repeat(offsets, n_samples, axis=1)
+
+
+def _assert_same_bits(actual, expected, err_msg=""):
+    np.testing.assert_array_equal(
+        actual.view(np.uint64), expected.view(np.uint64), err_msg=err_msg
+    )
+
+
+@pytest.fixture
+def tile_sizes(monkeypatch):
+    """The ``per_pair`` of every tile walk the kernels start."""
+    seen = []
+    walk = _density.symmetric_from_tiles
+
+    def spy(n, per_pair, tile, block=None):
+        seen.append(per_pair)
+        return walk(n, per_pair, tile, block)
+
+    monkeypatch.setattr(_density, "symmetric_from_tiles", spy)
+    return seen
+
+
+class TestPointMasses:
+    """Point masses have one realization: when every object's ``S``
+    realizations are equal, the dense kernels evaluate each pair once
+    instead of ``S`` times, and every entry, ordering and label keeps
+    its bits."""
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 32])
+    @pytest.mark.parametrize("shape", TILE_SHAPES, ids=str)
+    def test_expected_distances_match_legacy(self, shape, n_samples):
+        n, _, m = shape
+        samples = _point_masses(n, n_samples, m)
+        legacy = _legacy_expected_distances(samples)
+        for block in (None, 1, 7, n, 10_000):
+            _assert_same_bits(
+                expected_distance_matrix(samples, block=block),
+                legacy,
+                err_msg=f"block={block}",
+            )
+
+    @pytest.mark.parametrize("n_samples", [3, 7, 9, 24, 64])
+    def test_mean_keeps_its_s_term_reduction(self, n_samples):
+        """At these ``S`` the mean of ``S`` copies of a distance is often
+        not the distance itself, so the kernel must keep the reduction."""
+        samples = _point_masses(37, n_samples, 3)
+        legacy = _legacy_expected_distances(samples)
+        assert np.any(legacy != _legacy_expected_distances(samples[:, :1]))
+        for block in (None, 7):
+            _assert_same_bits(
+                expected_distance_matrix(samples, block=block),
+                legacy,
+                err_msg=f"block={block}",
+            )
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 32])
+    @pytest.mark.parametrize("shape", TILE_SHAPES, ids=str)
+    def test_reach_probabilities_match_legacy(self, shape, n_samples):
+        """At a generic eps the kernel is the row loop; at an eps placed
+        exactly on a pair distance, where the row loop and the GEMM
+        expansion may disagree by an ulp, it is the GEMM kernel that
+        ran before point masses collapsed."""
+        n, _, m = shape
+        samples = _point_masses(n, n_samples, m)
+        eps = 3.0 * np.sqrt(m)
+        points = samples[:, 0]
+        on_pairs = [
+            float(np.sqrt(np.sum((points[i] - points[j]) ** 2)))
+            for i, j in ((1, 0), (n - 1, n // 2))
+            if n > i != j
+        ]
+        legacy = _legacy_reach_probabilities(samples, eps)
+        for block in (None, 1, 7, n, 10_000):
+            _assert_same_bits(
+                pairwise_reach_probabilities(samples, eps, block=block),
+                legacy,
+                err_msg=f"block={block}",
+            )
+            for on_pair in on_pairs:
+                _assert_same_bits(
+                    pairwise_reach_probabilities(samples, on_pair, block=block),
+                    _legacy_gemm_probabilities(samples, on_pair, block=block),
+                    err_msg=f"block={block}, eps={on_pair!r}",
+                )
+
+    def test_fits_match_legacy_across_seeds(self, data):
+        """Case-1-style datasets (one point mass per object, moved per
+        seed): orderings, reachability (by ``float.hex``) and labels are
+        the frozen pre-port fits'."""
+        foptics = FOPTICS(min_pts=4, n_samples=32, n_clusters=4)
+        fdbscan = FDBSCAN(min_pts=4, n_samples=32)
+        for seed in range(20):
+            noise = np.random.default_rng(seed).normal(size=data.mu_matrix.shape)
+            points = UncertainDataset.from_points(
+                data.mu_matrix + 0.5 * noise, labels=data.labels
+            )
+            ported = foptics.fit(points, seed=seed)
+            ordering, reachability, labels = _legacy_foptics_fit(
+                foptics, points, seed
+            )
+            np.testing.assert_array_equal(
+                np.asarray(ported.extras["ordering"]), ordering
+            )
+            assert [float(r).hex() for r in ported.extras["reachability"]] == [
+                float(r).hex() for r in reachability
+            ], f"FOPTICS reachability diverged at seed {seed}"
+            np.testing.assert_array_equal(ported.labels, labels)
+            np.testing.assert_array_equal(
+                fdbscan.fit(points, seed=seed).labels,
+                _legacy_fdbscan_fit(fdbscan, points, seed),
+                err_msg=f"FDBSCAN diverged at seed {seed}",
+            )
+
+    def test_near_misses_take_the_full_path(self, tile_sizes):
+        """Realizations one ulp apart, a NaN point mass and ``-0.0``
+        against ``0.0`` are not equal realizations: both kernels run
+        all ``S`` of them, and still equal the row loops."""
+        n, n_samples, m = 37, 8, 3
+        one_ulp = _point_masses(n, n_samples, m)
+        one_ulp[5, 3, 1] = np.nextafter(one_ulp[5, 3, 1], np.inf)
+        nan = _point_masses(n, n_samples, m)
+        nan[9, :, 2] = np.nan
+        signed_zero = _point_masses(n, n_samples, m)
+        signed_zero[4, :, 0] = 0.0
+        signed_zero[4, 6, 0] = -0.0
+        for samples in (one_ulp, nan, signed_zero):
+            tile_sizes.clear()
+            np.testing.assert_array_equal(
+                expected_distance_matrix(samples),
+                _legacy_expected_distances(samples),
+            )
+            np.testing.assert_array_equal(
+                pairwise_reach_probabilities(samples, 3.0),
+                _legacy_reach_probabilities(samples, 3.0),
+            )
+            assert tile_sizes == [n_samples * (m + 2), 2 * n_samples]
+
+    def test_collapse_runs_on_point_masses_only(self, tile_sizes):
+        """The spy on the tile walk sees the collapsed temporaries for
+        point masses and the full ones for sampled objects, in the
+        kernels and in whole fits on Section 5.1's ``D'`` and ``D''``."""
+        n, n_samples, m = 150, 32, 4
+        for samples, sizes in (
+            (_point_masses(n, n_samples, m), [m + 2 + n_samples, 2]),
+            (_shaped_samples(n, n_samples, m), [n_samples * (m + 2), 2 * n_samples]),
+        ):
+            tile_sizes.clear()
+            expected_distance_matrix(samples)
+            pairwise_reach_probabilities(samples, 3.0)
+            assert tile_sizes == sizes
+        points, labels = make_classification_like(
+            n_objects=60, n_attributes=m, n_classes=3, seed=4
+        )
+        pair = UncertaintyGenerator(family="normal").generate(points, labels, seed=0)
+        for dataset, sizes in (
+            (pair.perturbed, [m + 2 + n_samples, 2]),
+            (pair.uncertain, [n_samples * (m + 2), 2 * n_samples]),
+        ):
+            tile_sizes.clear()
+            FOPTICS(n_samples=n_samples, n_clusters=3).fit(dataset, seed=0)
+            FDBSCAN(n_samples=n_samples).fit(dataset, seed=0)
+            assert tile_sizes == sizes
+
+    @pytest.mark.parametrize("kernel", ["expected_distances", "reach_probabilities"])
+    def test_temporaries_stay_tile_sized(self, kernel):
+        """Tiles are sized for the collapsed temporaries, so point
+        masses at Table 2's (200, 32, 8) also stay under 4 MB."""
+        n, n_samples, m = 200, 32, 8
+        samples = _point_masses(n, n_samples, m)
+        run = {
+            "expected_distances": lambda: expected_distance_matrix(samples),
+            "reach_probabilities": lambda: pairwise_reach_probabilities(
+                samples, 3.0 * np.sqrt(m)
+            ),
+        }[kernel]
+        tracemalloc.start()
+        try:
+            out = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 4 * 2**20
 
 
 class TestDensitySampleCache:

@@ -7,6 +7,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.clustering import FDBSCAN, FOPTICS, UCPC, MiniBatchUKMeans
+from repro.engine import EarlyStopping
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
 from repro.utils import (
     Stopwatch,
@@ -20,7 +22,7 @@ from repro.utils import (
     spawn_rngs,
     timed,
 )
-from repro.utils.validation import check_int_range
+from repro.utils.validation import check_int_range, check_mass
 
 
 class TestRng:
@@ -138,6 +140,69 @@ class TestValidation:
             check_probability(-0.1, "p")
         with pytest.raises(InvalidParameterError):
             check_probability(1.1, "p")
+
+    @pytest.mark.parametrize("bad", [None, "x", "1.5", b"0.5", [1.0], 1j])
+    def test_float_checks_refuse_non_numbers(self, bad):
+        """``None``, strings (even numeric ones) and other non-numbers
+        raise the typed error, never a raw ``TypeError``/``ValueError``."""
+        for check in (
+            lambda: check_positive(bad, "x"),
+            lambda: check_positive(bad, "x", strict=False),
+            lambda: check_probability(bad, "x"),
+        ):
+            with pytest.raises(
+                InvalidParameterError, match=r"^x must be a real number, got "
+            ):
+                check()
+        with pytest.raises(
+            InvalidParameterError, match=r"^mass must be a real number, got "
+        ):
+            check_mass(bad)
+
+    def test_float_checks_accept_numpy_scalars(self):
+        assert check_positive(np.float32(2.0), "x") == 2.0
+        assert check_positive(np.int64(3), "x") == 3.0
+        assert check_probability(np.float64(0.25), "p") == 0.25
+        assert check_mass(1) == 1.0
+        with pytest.raises(InvalidParameterError, match=r"mass must be in \(0, 1\]"):
+            check_mass(np.nan)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: FDBSCAN(eps="x"), "eps must be a real number"),
+            (lambda: FDBSCAN(reach_prob=None), "reach_prob must be a real number"),
+            (lambda: UCPC(3, min_improvement=None), "min_improvement must be a real"),
+            (lambda: MiniBatchUKMeans(3, tol="x"), "tol must be a real number"),
+            (lambda: FOPTICS(threshold=np.nan), "threshold must be finite"),
+            (lambda: FOPTICS(threshold=np.inf), "threshold must be finite"),
+            (lambda: FOPTICS(threshold="x"), "threshold must be a real number"),
+            (lambda: FOPTICS(threshold=-1.0), "threshold must be > 0"),
+            (
+                lambda: EarlyStopping(2, min_improvement=np.nan),
+                "min_improvement must be finite",
+            ),
+            (
+                lambda: EarlyStopping(2, min_improvement=-1.0),
+                "min_improvement must be >= 0",
+            ),
+        ],
+        ids=[
+            "FDBSCAN-eps",
+            "FDBSCAN-reach_prob",
+            "UCPC-min_improvement",
+            "MiniBatchUKMeans-tol",
+            "FOPTICS-nan",
+            "FOPTICS-inf",
+            "FOPTICS-str",
+            "FOPTICS-negative",
+            "EarlyStopping-nan",
+            "EarlyStopping-negative",
+        ],
+    )
+    def test_float_hyperparameters_raise_typed_errors(self, build, message):
+        with pytest.raises(InvalidParameterError, match=f"^{message}"):
+            build()
 
     def test_check_finite_array(self):
         check_finite_array(np.array([1.0, 2.0]))
