@@ -27,6 +27,13 @@ their exactness assertions **on**:
   means (``from_points``, S=32), where the density kernels evaluate one
   realization per object, FOPTICS's matrix and FDBSCAN's reach
   probabilities must also equal their row loops;
+* Section 5.1's ``internal_scores`` (closed form over per-cluster
+  moment sums) must agree with a frozen copy of the per-cluster ÊD
+  block loop it replaced at n=1499, on the planted 5 clusters and on
+  ~500 clusters with 10% noise under both noise policies: within the
+  stated bound (1e-14 on normalized intra and inter), plus, on inter,
+  the rounding the loop's own one-at-a-time sum of k(k-1) block means
+  may carry; both times are recorded;
 * the blob generator (the n=20_000 roster) and the Section 5.1
   generator (its ``D'``/``D''`` pair at n=100_000) must build their
   datasets without constructing one ``UncertainObject``, and the first
@@ -78,7 +85,7 @@ from repro.clustering.fdbscan import auto_eps, pairwise_reach_probabilities
 from repro.clustering.foptics import expected_distance_matrix
 from repro.datagen import UncertaintyGenerator, make_blobs_uncertain
 from repro.datagen.benchmarks import make_classification_like
-from repro.evaluation import f_measure
+from repro.evaluation import f_measure, internal_scores
 from repro.exceptions import ConvergenceWarning
 from repro.objects import UncertainDataset, UncertainObject
 from repro.uncertainty import build_sampling_plan
@@ -92,6 +99,10 @@ DENSITY_N = 4000  # dense FDBSCAN reference is O(n^2); keep it honest
 DENSE_KERNEL_N = 1499  # row-loop references are O(n) Python iterations
 COLUMNAR_N = 100_000
 COLUMNAR_CHECKED_ROWS = 1000  # objects materialized for the bitwise check
+INTERNAL_CLUSTERS = 500  # the many-cluster labeling scored at n=1499
+#: Error bound on Section 5.1's normalized intra, inter and Q (the
+#: ``Q_BOUND`` the test suite states in ``tests/conftest.py``).
+Q_BOUND = 1e-14
 
 
 def _timed(fn):
@@ -123,6 +134,94 @@ def _row_loop_reach_probabilities(samples: np.ndarray, eps: float) -> np.ndarray
         probs[i, i + 1 :] = p
         probs[i + 1 :, i] = p
     return probs
+
+
+def _block_loop_internal_scores(distances, labels, noise_policy):
+    """``(intra, inter)`` summed from the ÊD matrix's blocks: one column
+    block per cluster, every cluster pair a contiguous row slice."""
+    n = distances.shape[0]
+    labels = np.asarray(labels, dtype=np.int64)
+    if noise_policy == "residual" and np.any(labels < 0):
+        labels = labels.copy()
+        labels[labels < 0] = labels.max() + 1
+    max_dist = float(distances.max())
+    if max_dist <= 0.0:
+        return 0.0, 0.0
+    scored = np.flatnonzero(labels >= 0)
+    if scored.size == 0:
+        return 0.0, 0.0
+    order = scored[np.argsort(labels[scored], kind="stable")]
+    sizes = np.unique(labels[scored], return_counts=True)[1]
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    k = sizes.size
+    intra_terms = []
+    block_means = np.zeros((k, k))
+    for b in range(k):
+        size_b = bounds[b + 1] - bounds[b]
+        if size_b == n:
+            columns = np.ascontiguousarray(distances)
+        else:
+            columns = distances[np.ix_(order, order[bounds[b]:bounds[b + 1]])]
+        for a in range(k):
+            block = columns[bounds[a]:bounds[a + 1]]
+            if a != b:
+                block_means[a, b] = block.sum() / (block.shape[0] * size_b)
+            elif size_b > 1:
+                off_diag = block.sum() - np.trace(block)
+                intra_terms.append(off_diag / (size_b * (size_b - 1)))
+    intra = float(np.mean(intra_terms)) / max_dist if intra_terms else 0.0
+    if k < 2:
+        inter = 0.0
+    else:
+        total = 0.0
+        for mean in block_means[~np.eye(k, dtype=bool)].tolist():
+            total += mean
+        inter = total / (k * (k - 1)) / max_dist
+    return float(np.clip(intra, 0.0, 1.0)), float(np.clip(inter, 0.0, 1.0))
+
+
+def _internal_scores_against_block_loop(dataset: UncertainDataset) -> dict:
+    """Closed-form Q against the block loop: seconds of each, summed."""
+    rng = np.random.default_rng(3)
+    many = rng.integers(0, INTERNAL_CLUSTERS, size=len(dataset))
+    many[rng.random(len(dataset)) < 0.1] = -1
+    distances = dataset.pairwise_ed()  # built once, outside both timings
+    moments_s = block_loop_s = deviation = 0.0
+    for name, labels, noise_policy in (
+        ("planted", dataset.labels, "residual"),
+        ("many", many, "residual"),
+        ("many", many, "exclude"),
+    ):
+        scores, seconds = _timed(
+            lambda: internal_scores(dataset, labels, noise_policy=noise_policy)
+        )
+        (intra, inter), loop_seconds = _timed(
+            lambda: _block_loop_internal_scores(distances, labels, noise_policy)
+        )
+        # The loop adds its k(k-1) block means to one running float, so
+        # its inter may carry up to k(k-1) half-ulp roundings of it
+        # (1.1e-14 off the exact value at k = 500 here); the closed form
+        # stays within Q_BOUND of exact (tests/test_internal.py).
+        k = np.unique(labels[labels >= 0]).size
+        if noise_policy == "residual" and np.any(labels < 0):
+            k += 1  # the residual noise cluster
+        summed = k * (k - 1) * np.finfo(float).eps / 2 * inter
+        for field, value, reference, slack in (
+            ("intra", scores.intra, intra, 0.0),
+            ("inter", scores.inter, inter, summed),
+        ):
+            assert abs(value - reference) <= Q_BOUND + slack, (
+                f"internal_scores {field} on the {name} labeling "
+                f"({noise_policy}) is {value!r}, the block loop's {reference!r}"
+            )
+            deviation = max(deviation, abs(value - reference))
+        moments_s += seconds
+        block_loop_s += loop_seconds
+    return {
+        "moments_s": moments_s,
+        "block_loop_s": block_loop_s,
+        "max_deviation": deviation,
+    }
 
 
 def _counting_objects(fn):
@@ -398,6 +497,16 @@ def run_smoke() -> List[dict]:
         point_mass_ed_row_loop_s=round(loop_point_ed_time, 4),
         point_mass_reach_s=round(point_reach_time, 4),
         point_mass_reach_row_loop_s=round(loop_reach_time, 4),
+    )
+
+    internal = _internal_scores_against_block_loop(kernel_data)
+    record(
+        "internal_scores_moments",
+        internal["moments_s"],
+        n=DENSE_KERNEL_N,
+        clusters=INTERNAL_CLUSTERS,
+        block_loop_s=round(internal["block_loop_s"], 4),
+        max_deviation=internal["max_deviation"],
     )
 
     columnar = _columnar_generation()

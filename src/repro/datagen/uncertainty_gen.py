@@ -43,7 +43,7 @@ from repro.uncertainty.product import IndependentProduct
 from repro.uncertainty.sampling import MetropolisHastingsSampler
 from repro.uncertainty.uniform import UniformDistribution
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_mass, ensure_matrix
+from repro.utils.validation import check_mass, check_positive, ensure_matrix
 
 #: The pdf families of the paper's Table 2 (U / N / E).
 PDF_FAMILIES = ("uniform", "normal", "exponential")
@@ -96,11 +96,10 @@ class UncertaintyGenerator:
                 f"family must be one of {PDF_FAMILIES}, got {family!r}"
             )
         family = family.lower()
-        if spread <= 0:
-            raise InvalidParameterError(f"spread must be > 0, got {spread}")
+        spread = check_positive(spread, "spread")
         check_mass(mass)
         self.family = family
-        self.spread = float(spread)
+        self.spread = spread
         self.mass = float(mass)
         self.use_mcmc = bool(use_mcmc)
 

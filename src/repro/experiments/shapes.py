@@ -3,8 +3,9 @@
 A reproduction on substituted data cannot match absolute numbers; what
 it must preserve are orderings and growth shapes.  This module encodes
 those claims as named predicates over the experiment reports so they can
-be asserted in CI (``tests/test_paper_shapes.py`` runs them at reduced
-scale) and printed alongside any regenerated report.
+be printed alongside any regenerated report (``repro report``).
+``tests/test_shapes.py`` checks the nine predicates on synthetic reports
+only; no test asserts them on regenerated experiments.
 
 Each check returns a :class:`ShapeCheck` rather than raising, so a
 report can show partial conformance honestly.

@@ -14,6 +14,12 @@ from repro.uncertainty import (
     UniformDistribution,
 )
 
+#: The one error bound on Section 5.1's normalized intra, inter and Q:
+#: ``internal_scores`` must stay this close to the definition in exact
+#: arithmetic (``tests/test_internal.py``), and recorded Q values are
+#: held to it instead of to their last bits.  Import it from here.
+Q_BOUND = 1e-14
+
 
 @pytest.fixture
 def rng():

@@ -102,25 +102,23 @@ class TestDatasetPlane:
         internal_scores(data, UKMeans(3).fit(data, seed=2).labels)
         assert ed_spy["count"] == 1
 
-    def test_internal_scores_default_matrix(self):
-        """``internal_scores`` defaults to the dataset's cached matrix,
-        bit for bit the same scores as passing it explicitly or passing
-        an independently built one."""
-        data = _make_data()
+    def test_internal_scores_one_build_per_dataset(self, ed_spy):
+        """``internal_scores`` reads the dataset's cached matrix for its
+        maximum only: scoring several labelings of two datasets, under
+        both noise policies, builds one matrix per dataset, and it stays
+        cached for the next consumer."""
         rng = np.random.default_rng(0)
-        labelings = [
-            UKMedoids(3).fit(data, seed=4).labels,
-            rng.integers(-1, 4, size=len(data)),
-        ]
-        for labels in labelings:
-            default = internal_scores(_fresh(data), labels)
-            for distances in (
-                data.pairwise_ed(),
-                pairwise_squared_expected_distances(data),
+        datasets = [_make_data(), _make_data(seed=14)]
+        for data in datasets:
+            for labels in (
+                UKMeans(3).fit(data, seed=4).labels,
+                rng.integers(-1, 4, size=len(data)),
             ):
-                explicit = internal_scores(data, labels, distances)
-                assert default.intra.hex() == explicit.intra.hex()
-                assert default.inter.hex() == explicit.inter.hex()
+                for noise_policy in ("residual", "exclude"):
+                    internal_scores(data, labels, noise_policy=noise_policy)
+        assert ed_spy["count"] == len(datasets)
+        UKMedoids(3).fit(datasets[0], seed=0)
+        assert ed_spy["count"] == len(datasets)
 
 
 def _plane_cases():

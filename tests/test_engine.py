@@ -270,8 +270,7 @@ def _direct_table3(config, ds_name, cluster_counts, algorithms):
             )
             scores = [
                 internal_scores(
-                    dataset, algorithm.fit(dataset, seed=s).labels,
-                    dataset.pairwise_ed(),
+                    dataset, algorithm.fit(dataset, seed=s).labels
                 ).quality
                 for s in streams[:-1]
             ]

@@ -18,7 +18,9 @@ a store path is a SQLite file whatever its suffix):
   of :mod:`repro.engine.store.base` compute over the same store;
 * JSON export/import round-trips byte for byte, and a JSON store
   directory written by an earlier version (``tests/data/json_store_v2``)
-  imports, resumes with every cell reused, and re-exports unchanged.
+  imports, resumes with every cell reused, and re-exports unchanged; a
+  fresh sweep of its grid exports to it byte for byte outside each
+  cell's Q, which stays within ``Q_BOUND``.
 
 The claim/lease layer rides the same suite: double-claim races admit
 exactly one winner, expired leases are stolen, renewal is owner-only,
@@ -38,6 +40,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import sqlite3
 import threading
@@ -73,6 +76,7 @@ from repro.engine.sweep import (
 )
 from repro.exceptions import InvalidParameterError, SweepStoreError
 from repro.experiments import ExperimentConfig, run_table2, run_table3
+from tests.conftest import Q_BOUND
 
 #: A JSON store directory written by the JSON store backend before it
 #: was removed: ``repro sweep --store DIR --quick --surfaces table2
@@ -166,6 +170,12 @@ def _tree_bytes(root: Path):
         for path in sorted(Path(root).rglob("*"))
         if path.is_file()
     }
+
+
+def _cut_quality(data: bytes):
+    """A cell file's bytes without its Q value, and that value."""
+    match = re.search(rb'"quality": (-?[0-9][0-9.eE+-]*)', data)
+    return data[:match.start(1)] + data[match.end(1):], float(match.group(1))
 
 
 def _update(path: Path, sql: str, params=()) -> None:
@@ -777,12 +787,20 @@ class TestExportImport:
 
     def test_export_equals_json_store_fixture(self, tmp_path):
         """A fresh sweep of the fixture's grid, exported, is byte for
-        byte the directory the JSON store backend wrote for it."""
+        byte the directory the JSON store backend wrote for it, except
+        each cell's Q, which is within ``Q_BOUND`` of the written one."""
         path = store_path(tmp_path)
         run_sweep(_fixture_grid(), path)
         exported = tmp_path / "exported"
         export_store(path, exported)
-        assert _tree_bytes(exported) == _tree_bytes(FIXTURE)
+        fresh, written = _tree_bytes(exported), _tree_bytes(FIXTURE)
+        assert fresh.keys() == written.keys()
+        assert fresh.pop("manifest.json") == written.pop("manifest.json")
+        for name, data in written.items():
+            rest, quality = _cut_quality(fresh[name])
+            written_rest, written_quality = _cut_quality(data)
+            assert rest == written_rest, name
+            assert abs(quality - written_quality) <= Q_BOUND, name
 
     def test_imported_fixture_resumes_with_every_cell_reused(self, tmp_path):
         path = store_path(tmp_path)

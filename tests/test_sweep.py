@@ -2,8 +2,9 @@
 
 The direct runners are walks of the sweep with no result store, so the
 orchestrator's contract is stable values plus persistence: cells must
-keep the values recorded before the runners became the sweep (bit for
-bit, on every backend), a resumed store must be byte-identical to an
+keep the values recorded before the runners became the sweep (theta bit
+for bit, Q within ``Q_BOUND``; every backend equal to the serial run bit
+for bit), a resumed store must be byte-identical to an
 uninterrupted one, damaged cells must be detected and re-run,
 stores written before must still resume, and each dataset's off-line
 caches (moment matrices, sampling plan, pairwise ÊD matrix) must be
@@ -36,6 +37,7 @@ from repro.experiments import (
     run_table2,
     run_table3,
 )
+from tests.conftest import Q_BOUND
 
 T2_AXES = dict(
     datasets=("iris",), families=("normal",), algorithms=("UKM", "UKmed")
@@ -50,7 +52,9 @@ T3_AXES = dict(
 #: ``float.hex`` cell values of the T2_AXES/T3_AXES grid at three seeds,
 #: recorded from the direct runners while they were still a separate
 #: loop: ``{seed: {algorithm: (theta, quality)}}`` for Table 2 and
-#: ``{seed: {(k, algorithm): quality}}`` for Table 3.
+#: ``{seed: {(k, algorithm): quality}}`` for Table 3.  Theta is held to
+#: its bits; Q, recorded from the per-block ÊD loop that the closed form
+#: replaced, to within ``Q_BOUND``.
 PINNED_TABLE2 = {
     0: {
         "UKM": ("-0x1.623a23a23a236p-3", "0x1.334499f562e1ep-2"),
@@ -220,15 +224,18 @@ def _assert_matches_direct(outcome, table2, table3):
 
 
 def _assert_pinned(table2, table3, seed):
-    """The reports carry exactly the recorded cells of ``seed``."""
-    assert {
-        alg: (cell.theta.hex(), cell.quality.hex())
-        for (_, _, alg), cell in table2.cells.items()
-    } == PINNED_TABLE2[seed]
-    assert {
-        (k, alg): quality.hex()
-        for (_, k, alg), quality in table3.quality.items()
-    } == PINNED_TABLE3[seed]
+    """The reports carry the recorded cells of ``seed``: the same keys,
+    theta bit for bit and Q within ``Q_BOUND``."""
+    pinned2, pinned3 = PINNED_TABLE2[seed], PINNED_TABLE3[seed]
+    cells = {alg: cell for (_, _, alg), cell in table2.cells.items()}
+    assert cells.keys() == pinned2.keys()
+    for alg, (theta, quality) in pinned2.items():
+        assert cells[alg].theta.hex() == theta, alg
+        assert abs(cells[alg].quality - float.fromhex(quality)) <= Q_BOUND, alg
+    qualities = {(k, alg): q for (_, k, alg), q in table3.quality.items()}
+    assert qualities.keys() == pinned3.keys()
+    for key, quality in pinned3.items():
+        assert abs(qualities[key] - float.fromhex(quality)) <= Q_BOUND, key
 
 
 def _store_rows(path: Path):
@@ -261,24 +268,31 @@ def _manifest(path: Path):
         return store.read_manifest()
 
 
+@pytest.fixture(scope="module")
+def pinned_direct_reports():
+    """``{seed: (table2, table3)}`` of the direct serial runners at the
+    pinned seeds, computed once for every test that compares with them."""
+    return {seed: _direct_reports(seed) for seed in sorted(PINNED_TABLE2)}
+
+
 class TestSweepEquivalence:
     """Sweep and direct-runner cells keep their recorded values."""
 
     @pytest.mark.parametrize("seed", sorted(PINNED_TABLE2))
-    def test_pinned_values_serial(self, tmp_path, seed):
+    def test_pinned_values_serial(self, tmp_path, seed, pinned_direct_reports):
         outcome = run_sweep(_grid(seed=seed), tmp_path / f"s{seed}")
         _assert_pinned(outcome.table2, outcome.table3, seed)
-        _assert_pinned(*_direct_reports(seed), seed)
+        _assert_matches_direct(outcome, *pinned_direct_reports[seed])
 
     @pytest.mark.parametrize(
         "backend,n_jobs", [("threads", 3), ("dispatched", 2)]
     )
     def test_parallel_backend_bit_identity(
-        self, tmp_path, backend, n_jobs, force_backend
+        self, tmp_path, backend, n_jobs, force_backend, pinned_direct_reports
     ):
         """Backends are result-invariant, so a sweep on a forced pool,
-        or on whatever ``n_jobs`` dispatches to, must still reproduce
-        the serial recorded values."""
+        or on whatever ``n_jobs`` dispatches to, must reproduce the
+        serial run bit for bit (and so the recorded values)."""
         if backend != "dispatched":
             force_backend(backend, n_jobs)
         for seed in sorted(PINNED_TABLE2):
@@ -287,13 +301,17 @@ class TestSweepEquivalence:
                 tmp_path / f"{backend}-{seed}",
             )
             _assert_pinned(outcome.table2, outcome.table3, seed)
+            _assert_matches_direct(outcome, *pinned_direct_reports[seed])
 
-    def test_processes_backend_bit_identity(self, tmp_path, force_backend):
+    def test_processes_backend_bit_identity(
+        self, tmp_path, force_backend, pinned_direct_reports
+    ):
         """The process pool (shared-memory publication, group block
         registry) is the costly path — one seed keeps the test fast."""
         force_backend("processes")
         outcome = run_sweep(_grid(seed=7, n_jobs=2), tmp_path / "processes")
         _assert_pinned(outcome.table2, outcome.table3, 7)
+        _assert_matches_direct(outcome, *pinned_direct_reports[7])
 
     def test_jobs_reach_the_preferred_pool(self, monkeypatch):
         """``n_jobs`` is the only execution setting, so it alone must

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.clustering import FDBSCAN, FOPTICS, UCPC, MiniBatchUKMeans
+from repro.datagen import UncertaintyGenerator
 from repro.engine import EarlyStopping
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
 from repro.utils import (
@@ -186,6 +187,12 @@ class TestValidation:
                 lambda: EarlyStopping(2, min_improvement=-1.0),
                 "min_improvement must be >= 0",
             ),
+            (lambda: UncertaintyGenerator(spread=None), "spread must be a real"),
+            (lambda: UncertaintyGenerator(spread="x"), "spread must be a real"),
+            (lambda: UncertaintyGenerator(spread=np.nan), "spread must be finite"),
+            (lambda: UncertaintyGenerator(spread=np.inf), "spread must be finite"),
+            (lambda: UncertaintyGenerator(spread=-np.inf), "spread must be finite"),
+            (lambda: UncertaintyGenerator(spread=0), "spread must be > 0, got 0"),
         ],
         ids=[
             "FDBSCAN-eps",
@@ -198,6 +205,12 @@ class TestValidation:
             "FOPTICS-negative",
             "EarlyStopping-nan",
             "EarlyStopping-negative",
+            "UncertaintyGenerator-spread-None",
+            "UncertaintyGenerator-spread-str",
+            "UncertaintyGenerator-spread-nan",
+            "UncertaintyGenerator-spread-inf",
+            "UncertaintyGenerator-spread-neg-inf",
+            "UncertaintyGenerator-spread-zero",
         ],
     )
     def test_float_hyperparameters_raise_typed_errors(self, build, message):
