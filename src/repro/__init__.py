@@ -27,8 +27,6 @@ from repro.clustering import (
     UCPC,
     BasicUKMeans,
     ClusteringResult,
-    ClusterStats,
-    KMeans,
     MinMaxBB,
     UKMeans,
     UKMedoids,
@@ -83,8 +81,6 @@ __all__ = [
     "UCPC",
     "BasicUKMeans",
     "ClusteringResult",
-    "ClusterStats",
-    "KMeans",
     "MinMaxBB",
     "UKMeans",
     "UKMedoids",

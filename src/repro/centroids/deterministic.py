@@ -8,7 +8,6 @@ import numpy as np
 
 from repro._typing import FloatArray
 from repro.exceptions import EmptyClusterError
-from repro.objects.dataset import UncertainDataset
 from repro.objects.uncertain_object import UncertainObject
 
 
@@ -25,21 +24,3 @@ def ukmeans_centroid(objects: Sequence[UncertainObject]) -> FloatArray:
     for obj in objects:
         total += obj.mu
     return total / len(objects)
-
-
-def ukmeans_centroids_from_assignment(
-    dataset: UncertainDataset, assignment: np.ndarray, n_clusters: int
-) -> FloatArray:
-    """Vectorized centroids for every cluster of an assignment vector.
-
-    Empty clusters get a row of NaN; callers decide a repair policy
-    (UK-means reseeds them, see :mod:`repro.clustering.ukmeans`).
-    """
-    assignment = np.asarray(assignment)
-    centers = np.full((n_clusters, dataset.dim), np.nan)
-    for c in range(n_clusters):
-        members = assignment == c
-        count = int(members.sum())
-        if count > 0:
-            centers[c] = dataset.mu_matrix[members].mean(axis=0)
-    return centers

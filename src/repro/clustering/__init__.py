@@ -3,10 +3,8 @@
 from repro.clustering.base import (
     ClusteringResult,
     UncertainClusterer,
-    labels_from_clusters,
     validate_n_clusters,
 )
-from repro.clustering.cluster_stats import ClusterStats, ClusterStatsMatrix
 from repro.clustering.fdbscan import FDBSCAN, auto_eps
 from repro.clustering.foptics import FOPTICS
 from repro.clustering.initialization import (
@@ -15,7 +13,6 @@ from repro.clustering.initialization import (
     random_partition,
     random_seed_indices,
 )
-from repro.clustering.kmeans import KMeans
 from repro.clustering.minibatch import MiniBatchUKMeans
 from repro.clustering.mmvar import MMVar
 from repro.clustering.objectives import (
@@ -30,7 +27,6 @@ from repro.clustering.objectives import (
 from repro.clustering.pruning import MinMaxBB, VDBiP
 from repro.clustering.uahc import UAHC, MergeStep
 from repro.clustering.ucpc import UCPC
-from repro.clustering.ucpc_variants import UCPCLloyd, VarianceOnlyClustering
 from repro.clustering.ukmeans import UKMeans, ukmeans_objective
 from repro.clustering.ukmeans_basic import BasicUKMeans
 from repro.clustering.ukmeans_bounded import BoundedUKMeans
@@ -39,10 +35,7 @@ from repro.clustering.ukmedoids import UKMedoids
 __all__ = [
     "ClusteringResult",
     "UncertainClusterer",
-    "labels_from_clusters",
     "validate_n_clusters",
-    "ClusterStats",
-    "ClusterStatsMatrix",
     "FDBSCAN",
     "auto_eps",
     "FOPTICS",
@@ -50,7 +43,6 @@ __all__ = [
     "partition_from_seeds",
     "random_partition",
     "random_seed_indices",
-    "KMeans",
     "MiniBatchUKMeans",
     "MMVar",
     "j_hat",
@@ -65,8 +57,6 @@ __all__ = [
     "UAHC",
     "MergeStep",
     "UCPC",
-    "UCPCLloyd",
-    "VarianceOnlyClustering",
     "UKMeans",
     "ukmeans_objective",
     "BasicUKMeans",

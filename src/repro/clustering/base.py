@@ -212,14 +212,3 @@ def validate_n_clusters(n_clusters: int, n_objects: int) -> int:
             f"n_clusters ({n_clusters}) exceeds dataset size ({n_objects})"
         )
     return int(n_clusters)
-
-
-def labels_from_clusters(
-    clusters: Sequence[Sequence[int]], n_objects: int
-) -> IntArray:
-    """Inverse of :meth:`ClusteringResult.clusters` (unassigned -> -1)."""
-    labels = np.full(n_objects, -1, dtype=np.int64)
-    for cluster_id, members in enumerate(clusters):
-        for idx in members:
-            labels[idx] = cluster_id
-    return labels

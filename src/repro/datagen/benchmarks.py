@@ -25,7 +25,7 @@ from repro._typing import SeedLike
 from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset, _CellPdfs
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_mass, check_positive
+from repro.utils.validation import check_int_range, check_mass, check_positive
 
 
 @dataclass(frozen=True)
@@ -105,18 +105,14 @@ def make_benchmark(
     (points, labels):
         ``points`` is ``(n, m)`` float64, ``labels`` ``(n,)`` int64.
     """
-    key = name.lower()
-    if key not in BENCHMARK_SPECS:
+    if not isinstance(name, str) or name.lower() not in BENCHMARK_SPECS:
         raise InvalidParameterError(
             f"unknown benchmark {name!r}; known: {sorted(BENCHMARK_SPECS)}"
         )
-    if not (0.0 < scale <= 1.0):
-        raise InvalidParameterError(f"scale must be in (0, 1], got {scale}")
-    if max_objects is not None and max_objects < 1:
-        raise InvalidParameterError(
-            f"max_objects must be >= 1, got {max_objects}"
-        )
-    spec = BENCHMARK_SPECS[key]
+    check_mass(scale, "scale")
+    if max_objects is not None:
+        check_int_range(max_objects, "max_objects", low=1)
+    spec = BENCHMARK_SPECS[name.lower()]
     n = max(spec.n_classes * 2, int(round(spec.n_objects * scale)))
     if max_objects is not None:
         n = max(spec.n_classes * 2, min(n, max_objects))
@@ -163,20 +159,15 @@ def make_classification_like(
         Fraction of each class replaced by broad-scatter outliers
         (kept labeled with their class, as real mislabeled points are).
     """
-    if n_classes < 1:
-        raise InvalidParameterError(f"n_classes must be >= 1, got {n_classes}")
-    if n_objects < 2 * n_classes:
+    check_int_range(n_classes, "n_classes", low=1)
+    if check_int_range(n_objects, "n_objects") < 2 * n_classes:
         raise InvalidParameterError(
             f"need n_objects >= 2*n_classes, got n={n_objects}, k={n_classes}"
         )
-    if n_attributes < 1:
-        raise InvalidParameterError(
-            f"n_attributes must be >= 1, got {n_attributes}"
-        )
+    check_int_range(n_attributes, "n_attributes", low=1)
     check_positive(separation, "separation")
     check_positive(imbalance, "imbalance", strict=False)
-    if lobes < 1:
-        raise InvalidParameterError(f"lobes must be >= 1, got {lobes}")
+    check_int_range(lobes, "lobes", low=1)
     if not (0.0 <= outlier_rate < 1.0):
         raise InvalidParameterError(
             f"outlier_rate must be in [0, 1), got {outlier_rate}"
@@ -237,6 +228,7 @@ def make_blobs_uncertain(
     random per-object factor in [0.5, 1.5]).  The dataset is held as
     those per-cell pdfs; objects are built only on demand.
     """
+    check_int_range(n_clusters, "n_clusters", low=1)
     check_mass(mass)
     rng = ensure_rng(seed)
     points, labels = make_classification_like(

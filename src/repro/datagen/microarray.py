@@ -35,7 +35,7 @@ from repro._typing import SeedLike
 from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset, _CellPdfs
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_mass, check_positive
+from repro.utils.validation import check_int_range, check_mass, check_positive
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,12 @@ def make_microarray(
     mass:
         Probability mass retained by each truncated-Normal region.
     """
-    key = name.lower()
-    if key not in MICROARRAY_SPECS:
+    if not isinstance(name, str) or name.lower() not in MICROARRAY_SPECS:
         raise InvalidParameterError(
             f"unknown microarray dataset {name!r}; known: {sorted(MICROARRAY_SPECS)}"
         )
-    if not (0.0 < scale <= 1.0):
-        raise InvalidParameterError(f"scale must be in (0, 1], got {scale}")
-    spec = MICROARRAY_SPECS[key]
+    check_mass(scale, "scale")
+    spec = MICROARRAY_SPECS[name.lower()]
     n_genes = max(spec.n_modules * 4, int(round(spec.n_genes * scale)))
     return make_probe_level_dataset(
         n_genes=n_genes,
@@ -136,12 +134,12 @@ def make_probe_level_dataset(
     region holding ``mass`` of the pdf; gene labels record the latent
     module.
     """
-    if n_genes < n_modules:
+    check_int_range(n_tissues, "n_tissues", low=1)
+    check_int_range(n_modules, "n_modules", low=1)
+    if check_int_range(n_genes, "n_genes") < n_modules:
         raise InvalidParameterError(
             f"need n_genes >= n_modules, got {n_genes} < {n_modules}"
         )
-    if n_tissues < 1 or n_modules < 1:
-        raise InvalidParameterError("n_tissues and n_modules must be >= 1")
     check_positive(module_spread, "module_spread", strict=False)
     check_positive(within_module_std, "within_module_std", strict=False)
     check_mass(mass)

@@ -24,7 +24,7 @@ from repro._typing import SeedLike
 from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset, _CellPdfs
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_mass, check_positive
+from repro.utils.validation import check_int_range, check_mass, check_positive
 
 
 def make_moving_objects(
@@ -68,9 +68,8 @@ def make_moving_objects(
     UncertainDataset
         One uncertain object per fleet member, labeled by hub.
     """
-    if n_hubs < 1:
-        raise InvalidParameterError(f"n_hubs must be >= 1, got {n_hubs}")
-    if n_objects < 2 * n_hubs:
+    check_int_range(n_hubs, "n_hubs", low=1)
+    if check_int_range(n_objects, "n_objects") < 2 * n_hubs:
         raise InvalidParameterError(
             f"need n_objects >= 2*n_hubs, got {n_objects} < {2 * n_hubs}"
         )

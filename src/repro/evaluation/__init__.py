@@ -1,14 +1,7 @@
 """Cluster validity criteria and the paper's evaluation protocol (S17-S19)."""
 
-from repro.evaluation.external import (
-    adjusted_rand_index,
-    contingency_matrix,
-    f_measure,
-    normalized_mutual_information,
-    purity,
-)
+from repro.evaluation.external import contingency_matrix, f_measure
 from repro.evaluation.internal import InternalScores, internal_scores, quality_score
-from repro.evaluation.stability import StabilityResult, clustering_stability
 from repro.evaluation.protocol import (
     AveragedThetaResult,
     ThetaResult,
@@ -18,16 +11,11 @@ from repro.evaluation.protocol import (
 )
 
 __all__ = [
-    "adjusted_rand_index",
     "contingency_matrix",
     "f_measure",
-    "normalized_mutual_information",
-    "purity",
     "InternalScores",
     "internal_scores",
     "quality_score",
-    "StabilityResult",
-    "clustering_stability",
     "AveragedThetaResult",
     "ThetaResult",
     "evaluate_theta",

@@ -9,9 +9,6 @@ recall ``R_uv = |C_v ∩ C~_u| / |C~_u|``.  Noise objects (label -1, from
 density-based methods) form their own singleton-like cluster bucket so
 that every object participates, mirroring the treatment of unassigned
 objects as a residual group.
-
-Purity, NMI and ARI are provided as supplementary criteria (not in the
-paper's tables, useful for downstream users and ablations).
 """
 
 from __future__ import annotations
@@ -20,14 +17,15 @@ import numpy as np
 
 from repro._typing import IntArray
 from repro.exceptions import InvalidParameterError
+from repro.utils.validation import ensure_labels
 
 
 def _check_labelings(predicted: np.ndarray, reference: np.ndarray) -> tuple:
-    predicted = np.asarray(predicted, dtype=np.int64)
-    reference = np.asarray(reference, dtype=np.int64)
-    if predicted.shape != reference.shape or predicted.ndim != 1:
+    predicted = ensure_labels(predicted)
+    reference = ensure_labels(reference)
+    if predicted.shape != reference.shape:
         raise InvalidParameterError(
-            "predicted and reference labelings must be 1-D arrays of equal length"
+            "predicted and reference labelings must have equal length"
         )
     if predicted.size == 0:
         raise InvalidParameterError("labelings must be non-empty")
@@ -71,56 +69,3 @@ def f_measure(predicted: np.ndarray, reference: np.ndarray) -> float:
         score += class_sizes[u] * best
     return score / n
 
-
-def purity(predicted: np.ndarray, reference: np.ndarray) -> float:
-    """Fraction of objects in their cluster's majority class."""
-    table = contingency_matrix(predicted, reference)
-    return float(table.max(axis=0).sum() / table.sum())
-
-
-def normalized_mutual_information(
-    predicted: np.ndarray, reference: np.ndarray
-) -> float:
-    """NMI with arithmetic-mean normalization, in [0, 1]."""
-    table = contingency_matrix(predicted, reference).astype(np.float64)
-    n = table.sum()
-    joint = table / n
-    p_class = joint.sum(axis=1)
-    p_cluster = joint.sum(axis=0)
-    mutual = 0.0
-    for u in range(table.shape[0]):
-        for v in range(table.shape[1]):
-            if joint[u, v] > 0.0:
-                mutual += joint[u, v] * np.log(
-                    joint[u, v] / (p_class[u] * p_cluster[v])
-                )
-
-    def entropy(p: np.ndarray) -> float:
-        nz = p[p > 0.0]
-        return float(-(nz * np.log(nz)).sum())
-
-    h_class = entropy(p_class)
-    h_cluster = entropy(p_cluster)
-    denom = 0.5 * (h_class + h_cluster)
-    if denom == 0.0:
-        return 1.0 if mutual == 0.0 else 0.0
-    return float(np.clip(mutual / denom, 0.0, 1.0))
-
-
-def adjusted_rand_index(predicted: np.ndarray, reference: np.ndarray) -> float:
-    """Adjusted Rand index in [-1, 1] (1 = identical partitions)."""
-    table = contingency_matrix(predicted, reference).astype(np.float64)
-    n = table.sum()
-
-    def comb2(x: np.ndarray) -> np.ndarray:
-        return x * (x - 1.0) / 2.0
-
-    sum_cells = comb2(table).sum()
-    sum_rows = comb2(table.sum(axis=1)).sum()
-    sum_cols = comb2(table.sum(axis=0)).sum()
-    total = comb2(np.array([n]))[0]
-    expected = sum_rows * sum_cols / total if total > 0 else 0.0
-    max_index = 0.5 * (sum_rows + sum_cols)
-    if max_index == expected:
-        return 1.0 if sum_cells == expected else 0.0
-    return float((sum_cells - expected) / (max_index - expected))

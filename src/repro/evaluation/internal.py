@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
+from repro.utils.validation import ensure_labels
 
 
 @dataclass(frozen=True)
@@ -90,14 +91,13 @@ def internal_scores(
             f"noise_policy must be 'residual' or 'exclude', got {noise_policy!r}"
         )
     n = len(dataset)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = ensure_labels(labels)
     if labels.shape != (n,):
         raise InvalidParameterError(
             f"labels must be 1-D with one entry per object ({n}), "
             f"got shape {labels.shape}"
         )
     if noise_policy == "residual" and np.any(labels < 0):
-        labels = labels.copy()
         labels[labels < 0] = labels.max() + 1
 
     max_dist = float(dataset.pairwise_ed().max())

@@ -40,10 +40,6 @@ class EmptyDatasetError(ReproError, ValueError):
     """An operation that needs a non-empty dataset received an empty one."""
 
 
-class NotFittedError(ReproError, RuntimeError):
-    """A result attribute was accessed before the model was fitted."""
-
-
 class ConvergenceWarning(UserWarning):
     """A clustering run hit its iteration cap before converging."""
 

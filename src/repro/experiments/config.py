@@ -35,7 +35,7 @@ from repro.clustering.base import UncertainClusterer
 from repro.engine.store.base import RECORDED_EXECUTION
 from repro.exceptions import InvalidParameterError
 from repro.utils.rng import spawn_rngs
-from repro.utils.validation import check_int_range
+from repro.utils.validation import check_int_range, check_mass
 
 #: Display order of the accuracy-roster columns (matches Table 2).
 ACCURACY_ROSTER = ("FDB", "FOPT", "UAHC", "UKmed", "UKM", "MMV", "UCPC")
@@ -136,8 +136,7 @@ class ExperimentConfig:
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.scale <= 1.0):
-            raise InvalidParameterError(f"scale must be in (0, 1], got {self.scale}")
+        check_mass(self.scale, "scale")
         if self.max_objects is not None:
             check_int_range(self.max_objects, "max_objects", low=1)
         for name in ("n_runs", "n_samples", "n_jobs"):

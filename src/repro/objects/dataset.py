@@ -54,7 +54,7 @@ from repro.uncertainty.exponential import TruncatedExponentialDistribution
 from repro.uncertainty.normal import TruncatedNormalDistribution, _phi
 from repro.uncertainty.product import IndependentProduct
 from repro.uncertainty.uniform import UniformDistribution
-from repro.utils.validation import check_finite_array, check_mass
+from repro.utils.validation import check_finite_array, check_mass, ensure_labels
 
 
 class UncertainDataset:
@@ -142,7 +142,7 @@ class UncertainDataset:
         self._mu2 = mu2
         self._sigma2 = sigma2
         self._total_var = sigma2.sum(axis=1)
-        self._labels = None if labels is None else _int_labels(labels)
+        self._labels = None if labels is None else ensure_labels(labels)
         _read_only(mu, mu2, sigma2, self._total_var, self._labels)
         self._objects = objects
         self._bounds = None if bounds is None else _read_only(*bounds)
@@ -294,13 +294,23 @@ class UncertainDataset:
     def subset(self, indices: Iterable[int]) -> "UncertainDataset":
         """Dataset restricted to the given object indices.
 
-        Rows are gathered from the matrices, the labels and the source;
-        objects and region bounds already built are shared, and the
-        subset derives its sampling plan from its own source.
+        Indices are integers in ``[-n, n)``.  Rows are gathered from the
+        matrices, the labels and the source; objects and region bounds
+        already built are shared, and the subset derives its sampling
+        plan from its own source.
         """
-        rows = np.array(list(map(operator.index, indices)), dtype=np.intp)
+        n = len(self)
+        try:
+            rows = np.array(list(map(operator.index, indices)), dtype=np.intp)
+        except (TypeError, OverflowError) as exc:
+            raise InvalidParameterError(f"subset indices must be integers: {exc}") from None
         if not rows.size:
             raise EmptyDatasetError("subset needs at least one index")
+        outside = (rows < -n) | (rows >= n)
+        if outside.any():
+            raise InvalidParameterError(
+                f"subset indices must be in [{-n}, {n}), got {rows[outside][0]}"
+            )
         return UncertainDataset._from_source(
             self._source.take(rows),
             self._mu[rows],
@@ -333,10 +343,7 @@ class UncertainDataset:
         """
         from repro.utils.rng import ensure_rng
 
-        if not (0.0 < fraction <= 1.0):
-            raise InvalidParameterError(
-                f"fraction must be in (0, 1], got {fraction}"
-            )
+        check_mass(fraction, "fraction")
         if fraction == 1.0:
             return self
         rng = ensure_rng(seed)
@@ -370,7 +377,7 @@ class UncertainDataset:
             raise InvalidParameterError(
                 f"points must be a 2-D matrix, got shape {pts.shape}"
             )
-        if labels is not None and len(labels) != pts.shape[0]:
+        if labels is not None and ensure_labels(labels).size != pts.shape[0]:
             raise InvalidParameterError("labels length must match points rows")
         check_finite_array(pts, "point")
         return UncertainDataset._from_source(_PointMasses(pts), pts, pts**2, labels)
@@ -669,14 +676,6 @@ def _read_only(*arrays):
         if arr is not None:
             arr.setflags(write=False)
     return arrays
-
-
-def _int_labels(labels) -> IntArray:
-    values = labels.tolist() if isinstance(labels, np.ndarray) else labels
-    try:
-        return np.array([int(label) for label in values])
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"labels must be integers: {exc}") from None
 
 
 def _check_finite_moments(mu: FloatArray, mu2: FloatArray) -> None:

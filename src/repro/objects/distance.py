@@ -16,8 +16,9 @@ Three distances from the paper:
   ``sum_j [mu2_j(o) - 2 mu_j(o) mu_j(o') + mu2_j(o')]``
   which equals ``sigma^2(o) + sigma^2(o') + ||mu(o) - mu(o')||^2``.
 
-Vectorized dataset-level versions power the assignment steps of every
-algorithm.
+:func:`pairwise_squared_expected_distances` is the dataset-level ``ÊD``
+matrix that :meth:`~repro.objects.dataset.UncertainDataset.pairwise_ed`
+builds and caches.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
 from repro.objects.uncertain_object import UncertainObject
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import ensure_matrix, ensure_vector
+from repro.utils.validation import ensure_vector
 
 
 # ----------------------------------------------------------------------
@@ -81,25 +82,6 @@ def expected_distance_mc(
     return total / n_samples
 
 
-def expected_distances_to_points(
-    dataset: UncertainDataset, points: np.ndarray
-) -> FloatArray:
-    """Matrix of ``ED(o_i, y_c)`` for all objects x all points.
-
-    Returns shape ``(n, k)``; used by the vectorized UK-means assignment
-    step.  Row ``i`` is ``sigma^2(o_i) + ||mu(o_i) - y_c||^2`` over ``c``.
-    """
-    centers = ensure_matrix(points, "points", cols=dataset.dim)
-    mu = dataset.mu_matrix
-    # ||mu_i - y_c||^2 expanded to avoid an (n, k, m) temporary.
-    mu_sq = np.einsum("ij,ij->i", mu, mu)
-    center_sq = np.einsum("cj,cj->c", centers, centers)
-    cross = mu @ centers.T
-    dist_sq = mu_sq[:, None] - 2.0 * cross + center_sq[None, :]
-    np.maximum(dist_sq, 0.0, out=dist_sq)
-    return dist_sq + dataset.total_variances[:, None]
-
-
 # ----------------------------------------------------------------------
 # Object <-> object (Lemma 3)
 # ----------------------------------------------------------------------
@@ -146,18 +128,3 @@ def pairwise_squared_expected_distances(dataset: UncertainDataset) -> FloatArray
     dist_sq = mu_sq[:, None] - 2.0 * cross + mu_sq[None, :]
     np.maximum(dist_sq, 0.0, out=dist_sq)
     return dist_sq + var[:, None] + var[None, :]
-
-
-def cross_squared_expected_distances(
-    dataset: UncertainDataset, others: UncertainDataset
-) -> FloatArray:
-    """``(n, p)`` matrix of ``ÊD`` between two datasets' objects."""
-    if dataset.dim != others.dim:
-        raise InvalidParameterError("datasets must share dimensionality")
-    mu_a = dataset.mu_matrix
-    mu_b = others.mu_matrix
-    sq_a = np.einsum("ij,ij->i", mu_a, mu_a)
-    sq_b = np.einsum("ij,ij->i", mu_b, mu_b)
-    dist_sq = sq_a[:, None] - 2.0 * (mu_a @ mu_b.T) + sq_b[None, :]
-    np.maximum(dist_sq, 0.0, out=dist_sq)
-    return dist_sq + dataset.total_variances[:, None] + others.total_variances[None, :]

@@ -29,11 +29,7 @@ from repro.uncertainty.normal import TruncatedNormalDistribution
 from repro.uncertainty.point import MultivariatePointMass, PointMassDistribution
 from repro.uncertainty.product import IndependentProduct
 from repro.uncertainty.region import BoxRegion, scaled_minkowski_sum
-from repro.uncertainty.sampling import (
-    MCMCDiagnostics,
-    MetropolisHastingsSampler,
-    MonteCarloSampler,
-)
+from repro.uncertainty.sampling import MCMCDiagnostics, MetropolisHastingsSampler
 from repro.uncertainty.triangular import TriangularDistribution
 from repro.uncertainty.uniform import UniformDistribution
 
@@ -61,7 +57,6 @@ __all__ = [
     "scaled_minkowski_sum",
     "MCMCDiagnostics",
     "MetropolisHastingsSampler",
-    "MonteCarloSampler",
     "TriangularDistribution",
     "UniformDistribution",
 ]

@@ -53,6 +53,7 @@ from repro.uncertainty.product import IndependentProduct
 from repro.uncertainty.triangular import TriangularDistribution
 from repro.uncertainty.uniform import UniformDistribution
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_int_range
 
 #: Stacks same-family marginals into a tuple of parameter arrays, each
 #: shaped ``(g, 1)`` for broadcasting against a ``(g, S)`` quantile
@@ -405,10 +406,7 @@ class SamplingPlan:
         per-object loop's, so batched and sequential draws are
         identical value for value.
         """
-        if n_samples < 1:
-            raise InvalidParameterError(
-                f"n_samples must be >= 1, got {n_samples}"
-            )
+        check_int_range(n_samples, "n_samples", low=1)
         rng = ensure_rng(seed)
         out = np.empty((self.n_objects, n_samples, self.dim))
         if self._point_rows.size:

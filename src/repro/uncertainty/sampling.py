@@ -3,65 +3,26 @@
 The paper perturbs deterministic datasets "according to the classic
 Monte Carlo and Markov Chain Monte Carlo methods" using the SSJ library.
 SSJ is a Java dependency we cannot (and need not) ship; this module is
-the stand-in substrate:
-
-* :class:`MonteCarloSampler` — i.i.d. draws, delegating to each
-  distribution's inverse-CDF sampler;
-* :class:`MetropolisHastingsSampler` — a random-walk MH chain targeting
-  an arbitrary pdf restricted to a box region, for distributions whose
-  quantile function is unavailable (e.g. a U-centroid's implicit pdf).
+the stand-in substrate: plain Monte Carlo draws are each distribution's
+own inverse-CDF ``sample`` (batched by
+:func:`repro.uncertainty.batch.sample_tensor`), and
+:class:`MetropolisHastingsSampler` is a random-walk MH chain targeting
+an arbitrary pdf restricted to a box region, for distributions whose
+quantile function is unavailable (e.g. a U-centroid's implicit pdf).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro._typing import FloatArray, SeedLike, VectorLike
 from repro.exceptions import InvalidParameterError
-from repro.uncertainty.base import MultivariateDistribution
-from repro.uncertainty.batch import sample_tensor
 from repro.uncertainty.region import BoxRegion
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive, ensure_vector
-
-
-class MonteCarloSampler:
-    """Plain Monte Carlo: i.i.d. draws from a distribution.
-
-    A thin, explicit façade kept so experiment code can declare *which*
-    sampling regime it uses (matching the paper's terminology) rather
-    than calling ``dist.sample`` anonymously.
-    """
-
-    def __init__(self, seed: SeedLike = None):
-        self._rng = ensure_rng(seed)
-
-    def draw(self, dist: MultivariateDistribution, size: int) -> FloatArray:
-        """Draw ``size`` i.i.d. samples from ``dist``, shape ``(size, m)``."""
-        if size <= 0:
-            raise InvalidParameterError(f"size must be > 0, got {size}")
-        return dist.sample(size, self._rng)
-
-    def draw_one(self, dist: MultivariateDistribution) -> FloatArray:
-        """Draw a single sample, shape ``(m,)``."""
-        return self.draw(dist, 1)[0]
-
-    def draw_many(
-        self, dists: Sequence[MultivariateDistribution], size: int
-    ) -> FloatArray:
-        """Batched draws for a whole collection, shape ``(n, size, m)``.
-
-        Delegates to the family-grouped tensor sampler
-        (:func:`repro.uncertainty.batch.sample_tensor`) so the cost is a
-        handful of vectorized quantile transforms rather than ``n``
-        per-object sampling calls.
-        """
-        if size <= 0:
-            raise InvalidParameterError(f"size must be > 0, got {size}")
-        return sample_tensor(dists, size, self._rng)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro._typing import FloatArray, MatrixLike, VectorLike
+from repro._typing import FloatArray, IntArray, MatrixLike, VectorLike
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
 
 
@@ -77,6 +77,33 @@ def ensure_matrix(
     return np.ascontiguousarray(arr)
 
 
+def ensure_labels(labels) -> IntArray:
+    """Convert ``labels`` to a new 1-D int64 array of label values.
+
+    Integers keep their values; floats are accepted when every value is
+    finite, integral and within int64's range.  A fractional value, NaN,
+    ±inf, a string, ``None`` or a nested sequence raises
+    :class:`~repro.exceptions.InvalidParameterError` instead of being
+    truncated.
+    """
+    try:
+        arr = np.asarray(labels)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"labels must be integers, got {labels!r}") from None
+    if arr.ndim != 1:
+        raise InvalidParameterError(
+            f"labels must be integers in a 1-D sequence, got shape {arr.shape}"
+        )
+    if arr.dtype.kind == "f":
+        integral = np.isfinite(arr) & (np.trunc(arr) == arr) & (np.abs(arr) < 2.0**63)
+        if not integral.all():
+            bad = float(arr[~integral][0])
+            raise InvalidParameterError(f"labels must be integers, got {bad}")
+    elif arr.dtype.kind not in "biu":
+        raise InvalidParameterError(f"labels must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64)
+
+
 def check_finite_array(arr: np.ndarray, name: str = "values") -> None:
     """Raise if ``arr`` contains NaN or infinity."""
     if not np.all(np.isfinite(arr)):
@@ -113,12 +140,13 @@ def check_probability(value: float, name: str) -> float:
     return value
 
 
-def check_mass(mass: float) -> float:
-    """Validate a region's probability mass lies in (0, 1]."""
-    mass = _as_real(mass, "mass")
-    if not (0.0 < mass <= 1.0):
-        raise InvalidParameterError(f"mass must be in (0, 1], got {mass}")
-    return mass
+def check_mass(value: float, name: str = "mass") -> float:
+    """Validate a fraction — a region's probability mass, a dataset
+    ``scale`` or a subsample ``fraction`` — lies in (0, 1]."""
+    value = _as_real(value, name)
+    if not (0.0 < value <= 1.0):
+        raise InvalidParameterError(f"{name} must be in (0, 1], got {value}")
+    return value
 
 
 def check_int_range(

@@ -20,6 +20,22 @@ from repro.uncertainty import (
 #: held to it instead of to their last bits.  Import it from here.
 Q_BOUND = 1e-14
 
+#: Two-entry labelings that are not integers: every entry point taking
+#: labels (datasets, the F-measure, Q) must refuse them, typed, rather
+#: than truncate or cast them.
+NON_INTEGER_LABELS = [
+    [0.5, 1.0],
+    [1.0, 1.7],
+    [0.0, np.nan],
+    [np.inf, 0.0],
+    [0.0, -np.inf],
+    ["3", "4"],
+    ["a", "b"],
+    [None, 1],
+    [[0], [1]],
+    np.array(["x", "y"]),
+]
+
 
 @pytest.fixture
 def rng():

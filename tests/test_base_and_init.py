@@ -15,17 +15,13 @@ from repro.clustering import (
     UCPC,
     BasicUKMeans,
     BoundedUKMeans,
-    KMeans,
     MiniBatchUKMeans,
     MinMaxBB,
     MMVar,
-    UCPCLloyd,
     UKMeans,
     UKMedoids,
-    VarianceOnlyClustering,
     VDBiP,
     kmeanspp_seed_indices,
-    labels_from_clusters,
     partition_from_seeds,
     random_partition,
     random_seed_indices,
@@ -104,7 +100,6 @@ class TestValidateNClusters:
 _SAMPLED = ("n_clusters", "n_samples", "max_iter")
 INTEGER_HYPERPARAMETERS = [
     (UKMeans, {"n_clusters": 3}, ("n_clusters", "max_iter")),
-    (KMeans, {"n_clusters": 3}, ("n_clusters", "max_iter")),
     (BasicUKMeans, {"n_clusters": 3}, _SAMPLED),
     (MinMaxBB, {"n_clusters": 3}, _SAMPLED),
     (VDBiP, {"n_clusters": 3}, _SAMPLED),
@@ -117,8 +112,6 @@ INTEGER_HYPERPARAMETERS = [
     (UCPC, {"n_clusters": 3}, ("n_clusters", "max_iter")),
     (MMVar, {"n_clusters": 3}, ("n_clusters", "max_iter")),
     (UKMedoids, {"n_clusters": 3}, ("n_clusters", "max_iter")),
-    (VarianceOnlyClustering, {"n_clusters": 3}, ("n_clusters", "max_iter")),
-    (UCPCLloyd, {"n_clusters": 3}, ("n_clusters", "max_iter")),
     (FDBSCAN, {}, ("min_pts", "n_samples")),
     # min_pts = 3 lets knn_cap = 3 pass its ">= min_pts" check.
     (FOPTICS, {"min_pts": 3}, ("min_pts", "n_samples", "n_clusters", "knn_cap")),
@@ -140,7 +133,7 @@ class TestHyperparameterChecks:
             if isinstance(value, type) and issubclass(value, UncertainClusterer)
         } - {UncertainClusterer}
         assert clusterers == {cls for cls, _, _ in INTEGER_HYPERPARAMETERS}
-        assert len(clusterers) == 15
+        assert len(clusterers) == 12
 
     @pytest.mark.parametrize(
         "cls, valid, name, bad",
@@ -174,12 +167,6 @@ class TestHyperparameterChecks:
     def test_below_minimum_message(self):
         with pytest.raises(InvalidParameterError, match="max_iter must be >= 1, got 0"):
             UCPC(3, max_iter=0)
-
-
-class TestLabelsFromClusters:
-    def test_roundtrip(self):
-        labels = labels_from_clusters([[0, 2], [1]], n_objects=4)
-        assert list(labels) == [0, 1, 0, -1]
 
 
 class TestRandomPartition:

@@ -529,20 +529,3 @@ class TestAllFamiliesCovered:
         # Re-draw determinism over the heterogeneous plan.
         np.testing.assert_array_equal(tensor, plan.sample(128, seed=6))
 
-
-class TestMonteCarloDrawMany:
-    def test_matches_sample_tensor(self, mixed_dataset):
-        from repro.uncertainty import MonteCarloSampler
-
-        dists = [obj.distribution for obj in mixed_dataset]
-        batched = MonteCarloSampler(seed=21).draw_many(dists, 10)
-        direct = sample_tensor(dists, 10, seed=21)
-        np.testing.assert_array_equal(batched, direct)
-
-    def test_size_validation(self, mixed_dataset):
-        from repro.uncertainty import MonteCarloSampler
-
-        with pytest.raises(InvalidParameterError):
-            MonteCarloSampler(seed=0).draw_many(
-                [mixed_dataset[0].distribution], 0
-            )

@@ -8,9 +8,10 @@ import pytest
 from tests.conftest import random_uncertain_objects
 
 from repro.centroids import MixtureModelCentroid, UCentroid, ukmeans_centroid
-from repro.centroids.deterministic import ukmeans_centroids_from_assignment
+from repro.clustering import ukmeans_objective
 from repro.exceptions import EmptyClusterError, InvalidParameterError
 from repro.objects import UncertainObject
+from repro.objects.distance import expected_distance_to_point
 
 
 class TestUKMeansCentroid:
@@ -23,17 +24,23 @@ class TestUKMeansCentroid:
         with pytest.raises(EmptyClusterError):
             ukmeans_centroid([])
 
-    def test_from_assignment(self, blob_dataset):
-        assignment = np.array(blob_dataset.labels)
-        centers = ukmeans_centroids_from_assignment(blob_dataset, assignment, 3)
-        for c in range(3):
-            members = [o for o, lab in zip(blob_dataset, assignment) if lab == c]
-            assert np.allclose(centers[c], ukmeans_centroid(members))
-
-    def test_from_assignment_empty_cluster_nan(self, blob_dataset):
-        assignment = np.zeros(len(blob_dataset), dtype=np.int64)
-        centers = ukmeans_centroids_from_assignment(blob_dataset, assignment, 2)
-        assert np.all(np.isnan(centers[1]))
+    @pytest.mark.parametrize(
+        "assignment",
+        [[0, 1, 2, 0, 1], [2, 0, 2, 0, 2]],
+        ids=["every-cluster", "empty-cluster-1"],
+    )
+    def test_centroids_of_an_assignment_give_ukmeans_objective(
+        self, mixed_dataset, assignment
+    ):
+        """Eq. (9) summed: each cluster's members against its Eq. (7)
+        centroid; an id no object carries adds nothing."""
+        assignment = np.array(assignment)
+        expected = 0.0
+        for c in np.unique(assignment):
+            members = [mixed_dataset[i] for i in np.flatnonzero(assignment == c)]
+            center = ukmeans_centroid(members)
+            expected += sum(expected_distance_to_point(o, center) for o in members)
+        assert ukmeans_objective(mixed_dataset, assignment) == pytest.approx(expected)
 
 
 class TestMixtureModelCentroid:

@@ -19,6 +19,7 @@ from repro.datagen import (
     make_probe_level_dataset,
 )
 from repro.exceptions import InvalidParameterError
+from repro.experiments.config import ExperimentConfig
 from repro.objects import UncertainDataset, UncertainObject
 from repro.objects.dataset import _CellPdfs
 from repro.utils.rng import ensure_rng
@@ -378,12 +379,21 @@ class TestTypedInputErrors:
             dict(separation=np.nan),
             dict(separation=np.inf),
             dict(separation=-2.0),
+            dict(n_objects=None),
+            dict(n_objects=20.0),
+            dict(n_attributes="2"),
+            dict(n_attributes=0),
+            dict(n_classes=2.5),
+            dict(n_classes=None),
+            dict(lobes=1.5),
+            dict(lobes=0),
         ],
         ids=str,
     )
     def test_classification_like(self, kwargs):
+        shape = dict(n_objects=20, n_attributes=2, n_classes=2)
         self._raises_before_drawing(
-            lambda rng: make_classification_like(20, 2, 2, seed=rng, **kwargs)
+            lambda rng: make_classification_like(**{**shape, **kwargs}, seed=rng)
         )
 
     def test_zero_imbalance_still_accepted(self):
@@ -400,12 +410,17 @@ class TestTypedInputErrors:
             dict(mass=1.5),
             dict(mass=np.nan),
             dict(mass=0.0),
+            dict(n_genes="20"),
+            dict(n_tissues=3.0),
+            dict(n_modules=None),
+            dict(n_modules=0),
         ],
         ids=str,
     )
     def test_probe_level(self, kwargs):
+        shape = dict(n_genes=20, n_tissues=3, n_modules=2)
         self._raises_before_drawing(
-            lambda rng: make_probe_level_dataset(20, 3, 2, seed=rng, **kwargs)
+            lambda rng: make_probe_level_dataset(**{**shape, **kwargs}, seed=rng)
         )
 
     @pytest.mark.parametrize("mass", [1.5, np.nan, 0.0, -0.5])
@@ -414,6 +429,96 @@ class TestTypedInputErrors:
             lambda rng: make_blobs_uncertain(20, 2, mass=mass, seed=rng),
             match=r"mass must be in \(0, 1\]",
         )
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(n_objects=None), "n_objects must be an integer, got NoneType"),
+            (dict(n_clusters=2.5), "n_clusters must be an integer, got float"),
+            (dict(n_clusters=0), "n_clusters must be >= 1, got 0"),
+            (dict(n_attributes="2"), "n_attributes must be an integer, got str"),
+        ],
+        ids=str,
+    )
+    def test_blob_counts(self, kwargs, match):
+        self._raises_before_drawing(
+            lambda rng: make_blobs_uncertain(**kwargs, seed=rng), match=match
+        )
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            pytest.param(
+                lambda data: make_benchmark(None),
+                "unknown benchmark None; known: ",
+                id="benchmark-None",
+            ),
+            pytest.param(
+                lambda data: make_benchmark(3),
+                "unknown benchmark 3; known: ",
+                id="benchmark-3",
+            ),
+            pytest.param(
+                lambda data: make_microarray(None),
+                "unknown microarray dataset None; known: ",
+                id="microarray-None",
+            ),
+            pytest.param(
+                lambda data: make_benchmark("iris", scale="x"),
+                "scale must be a real number, got 'x'",
+                id="benchmark-scale-x",
+            ),
+            pytest.param(
+                lambda data: make_benchmark("iris", scale=2.0),
+                r"scale must be in \(0, 1\], got 2.0",
+                id="benchmark-scale-2",
+            ),
+            pytest.param(
+                lambda data: make_benchmark("iris", max_objects=2.5),
+                "max_objects must be an integer, got float",
+                id="benchmark-max_objects-2.5",
+            ),
+            pytest.param(
+                lambda data: make_microarray("leukaemia", scale=None),
+                "scale must be a real number, got None",
+                id="microarray-scale-None",
+            ),
+            pytest.param(
+                lambda data: ExperimentConfig(scale="x"),
+                "scale must be a real number, got 'x'",
+                id="config-scale-x",
+            ),
+            pytest.param(
+                lambda data: ExperimentConfig(scale=0.0),
+                r"scale must be in \(0, 1\], got 0.0",
+                id="config-scale-0",
+            ),
+            pytest.param(
+                lambda data: data.sample_tensor(2.5),
+                "n_samples must be an integer, got float",
+                id="sample_tensor-2.5",
+            ),
+            pytest.param(
+                lambda data: data.sample_tensor(0),
+                "n_samples must be >= 1, got 0",
+                id="sample_tensor-0",
+            ),
+            pytest.param(
+                lambda data: data.sample_fraction("x"),
+                "fraction must be a real number, got 'x'",
+                id="sample_fraction-x",
+            ),
+            pytest.param(
+                lambda data: data.sample_fraction(1.5),
+                r"fraction must be in \(0, 1\], got 1.5",
+                id="sample_fraction-1.5",
+            ),
+        ],
+    )
+    def test_entry_points_typed(self, build, match):
+        data = make_blobs_uncertain(30, 3, seed=0)
+        with pytest.raises(InvalidParameterError, match=match):
+            build(data)
 
     @pytest.mark.parametrize("family", ["uniform", "normal", "exponential"])
     @pytest.mark.parametrize("mass", [1.5, np.nan, 0.0])

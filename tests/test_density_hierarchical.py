@@ -137,6 +137,17 @@ class TestUAHC:
         assert result.n_clusters == 3
         assert result.extras["linkage"] == "jeffreys"
 
+    @pytest.mark.parametrize("linkage", ["jeffreys", "ed"])
+    def test_labels_do_not_depend_on_the_seed(self, data, linkage):
+        """UAHC draws nothing: any seed gives the same merges."""
+        fits = [
+            UAHC(n_clusters=3, linkage=linkage).fit(data, seed=seed)
+            for seed in (0, 1, 99)
+        ]
+        for fit in fits[1:]:
+            assert np.array_equal(fit.labels, fits[0].labels)
+            assert fit.extras["merges"] == fits[0].extras["merges"]
+
     def test_jeffreys_is_variance_sensitive(self):
         """The information-theoretic linkage merges variance-compatible
         clusters first: two co-located objects with very different

@@ -15,10 +15,8 @@ from repro.exceptions import InvalidParameterError
 from repro.objects import (
     UncertainDataset,
     UncertainObject,
-    cross_squared_expected_distances,
     expected_distance_mc,
     expected_distance_to_point,
-    expected_distances_to_points,
     pairwise_squared_expected_distances,
     squared_expected_distance,
     squared_expected_distance_mc,
@@ -108,16 +106,6 @@ class TestSquaredExpectedDistance:
 
 
 class TestVectorizedDistances:
-    def test_expected_distances_to_points_matches_scalar(self, mixed_dataset):
-        points = np.array([[0.0, 0.0], [1.0, 1.0], [-2.0, 3.0]])
-        matrix = expected_distances_to_points(mixed_dataset, points)
-        assert matrix.shape == (5, 3)
-        for i, obj in enumerate(mixed_dataset):
-            for c in range(3):
-                assert matrix[i, c] == pytest.approx(
-                    expected_distance_to_point(obj, points[c])
-                )
-
     def test_pairwise_matches_scalar(self, mixed_dataset):
         matrix = pairwise_squared_expected_distances(mixed_dataset)
         assert matrix.shape == (5, 5)
@@ -130,18 +118,6 @@ class TestVectorizedDistances:
     def test_pairwise_symmetric(self, blob_dataset):
         matrix = pairwise_squared_expected_distances(blob_dataset)
         assert np.allclose(matrix, matrix.T)
-
-    def test_cross_distances(self, mixed_dataset, blob_dataset):
-        cross = cross_squared_expected_distances(mixed_dataset, blob_dataset)
-        assert cross.shape == (len(mixed_dataset), len(blob_dataset))
-        assert cross[0, 0] == pytest.approx(
-            squared_expected_distance(mixed_dataset[0], blob_dataset[0]), abs=1e-8
-        )
-
-    def test_cross_dim_mismatch(self, mixed_dataset):
-        other = UncertainDataset([UncertainObject.from_point([0.0])])
-        with pytest.raises(InvalidParameterError):
-            cross_squared_expected_distances(mixed_dataset, other)
 
     def test_random_objects_nonnegative(self, rng):
         objects = random_uncertain_objects(rng, 12, 3)

@@ -1,5 +1,5 @@
-"""Tests for the library extensions: triangular pdf, standardizer,
-stability metric, moving-objects workload."""
+"""Tests for the library extensions: triangular pdf, moving-objects
+workload, dataset labels."""
 
 from __future__ import annotations
 
@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering import UAHC, UCPC, UKMeans
-from repro.datagen import make_blobs_uncertain, make_moving_objects
-from repro.evaluation import clustering_stability, f_measure
-from repro.exceptions import InvalidParameterError, NotFittedError
-from repro.objects import UncertainDataset, UncertainObject, UncertainStandardizer
+from repro.clustering import UCPC
+from repro.datagen import make_moving_objects
+from repro.evaluation import f_measure
+from repro.exceptions import InvalidParameterError
+from repro.objects import UncertainDataset
+from tests.conftest import NON_INTEGER_LABELS
 from repro.uncertainty import (
     TriangularDistribution,
     quadrature_mass,
@@ -83,99 +84,6 @@ class TestTriangular:
         assert dist.variance >= 0.0
 
 
-class TestStandardizer:
-    def test_zero_mean_unit_scale(self, blob_dataset):
-        z = UncertainStandardizer().fit_transform(blob_dataset)
-        assert np.allclose(z.mu_matrix.mean(axis=0), 0.0, atol=1e-9)
-        assert np.allclose(z.mu_matrix.std(axis=0), 1.0, atol=1e-9)
-
-    def test_variance_scaling_exact(self, blob_dataset):
-        std = UncertainStandardizer().fit(blob_dataset)
-        z = std.transform(blob_dataset)
-        scale_sq = std.plan.scale**2
-        assert np.allclose(
-            z.sigma2_matrix, blob_dataset.sigma2_matrix / scale_sq, atol=1e-9
-        )
-
-    def test_labels_preserved(self, blob_dataset):
-        z = UncertainStandardizer().fit_transform(blob_dataset)
-        assert np.array_equal(z.labels, blob_dataset.labels)
-
-    def test_distributions_still_valid(self, blob_dataset):
-        z = UncertainStandardizer().fit_transform(blob_dataset)
-        obj = z[0]
-        samples = obj.sample(500, seed=0)
-        for row in samples:
-            assert obj.region.contains(row, atol=1e-9)
-
-    def test_center_only(self, blob_dataset):
-        z = UncertainStandardizer(with_scale=False).fit_transform(blob_dataset)
-        assert np.allclose(z.mu_matrix.mean(axis=0), 0.0, atol=1e-9)
-        assert np.allclose(z.sigma2_matrix, blob_dataset.sigma2_matrix)
-
-    def test_inverse_point(self, blob_dataset):
-        std = UncertainStandardizer().fit(blob_dataset)
-        z = std.transform(blob_dataset)
-        back = std.inverse_point(z.mu_matrix[0])
-        assert np.allclose(back, blob_dataset.mu_matrix[0], atol=1e-9)
-
-    def test_mixed_families(self, mixed_dataset):
-        z = UncertainStandardizer().fit_transform(mixed_dataset)
-        # Means transform exactly for every family.
-        plan = UncertainStandardizer().fit(mixed_dataset).plan
-        expected = (mixed_dataset.mu_matrix - plan.shift) / plan.scale
-        assert np.allclose(z.mu_matrix, expected, atol=1e-9)
-
-    def test_not_fitted_error(self, blob_dataset):
-        with pytest.raises(NotFittedError):
-            UncertainStandardizer().transform(blob_dataset)
-
-    def test_constant_dimension_scale_one(self):
-        objs = [UncertainObject.from_point([1.0, float(i)]) for i in range(4)]
-        data = UncertainDataset(objs)
-        std = UncertainStandardizer().fit(data)
-        assert std.plan.scale[0] == 1.0  # zero-std column guarded
-
-    def test_clustering_invariance_under_isotropic_scaling(self):
-        """K-means-family assignments are invariant to a shared affine
-        map; the standardizer must not change blob recovery."""
-        data = make_blobs_uncertain(n_objects=60, n_clusters=3, separation=8.0, seed=2)
-        z = UncertainStandardizer().fit_transform(data)
-        raw = UKMeans(3, init="kmeans++").fit(data, seed=0)
-        scaled = UKMeans(3, init="kmeans++").fit(z, seed=0)
-        assert f_measure(scaled.labels, raw.labels) > 0.95
-
-
-class TestStability:
-    def test_deterministic_algorithm_fully_stable(self, blob_dataset):
-        result = clustering_stability(
-            UAHC(n_clusters=3, linkage="ed"), blob_dataset, n_runs=3, seed=0
-        )
-        assert result.mean_agreement == pytest.approx(1.0)
-        assert result.is_stable
-
-    def test_randomized_algorithm_in_range(self, blob_dataset):
-        result = clustering_stability(
-            UCPC(n_clusters=3), blob_dataset, n_runs=4, seed=0
-        )
-        assert -1.0 <= result.min_agreement <= result.mean_agreement
-        assert result.mean_agreement <= result.max_agreement <= 1.0
-
-    def test_invalid_runs(self, blob_dataset):
-        with pytest.raises(InvalidParameterError):
-            clustering_stability(UCPC(3), blob_dataset, n_runs=1)
-
-    def test_custom_agreement(self, blob_dataset):
-        result = clustering_stability(
-            UKMeans(3),
-            blob_dataset,
-            n_runs=3,
-            seed=1,
-            agreement=f_measure,
-        )
-        assert 0.0 <= result.mean_agreement <= 1.0
-
-
 class TestMovingObjects:
     def test_shapes_and_labels(self):
         fleet = make_moving_objects(n_objects=80, n_hubs=4, seed=0)
@@ -221,6 +129,9 @@ class TestMovingObjects:
             dict(max_staleness=-1.0),
             dict(n_hubs=0),
             dict(n_hubs=-2),
+            dict(n_hubs=2.5),
+            dict(n_objects="x"),
+            dict(n_objects=None),
             dict(mass=np.nan),
             dict(pdf="normal", mass=1.5),
         ],
@@ -229,7 +140,7 @@ class TestMovingObjects:
     def test_typed_errors_before_any_draw(self, kwargs):
         rng = np.random.default_rng(4)
         with pytest.raises(InvalidParameterError):
-            make_moving_objects(n_objects=20, seed=rng, **kwargs)
+            make_moving_objects(**{"n_objects": 20, **kwargs}, seed=rng)
         np.testing.assert_array_equal(
             rng.random(3), np.random.default_rng(4).random(3)
         )
@@ -242,9 +153,7 @@ class TestMovingObjects:
 
 @pytest.mark.filterwarnings("error")
 class TestFromPointsLabels:
-    @pytest.mark.parametrize(
-        "labels", [["a", "b"], [None, 1], [[0], [1]], np.array(["x", "y"])], ids=str
-    )
+    @pytest.mark.parametrize("labels", NON_INTEGER_LABELS, ids=str)
     def test_non_integer_labels_are_typed(self, labels):
         with pytest.raises(InvalidParameterError, match="labels must be integers"):
             UncertainDataset.from_points(np.zeros((2, 3)), labels=labels)

@@ -15,7 +15,7 @@ from repro.datagen.benchmarks import make_classification_like
 from repro.evaluation import internal_scores, quality_score
 from repro.exceptions import InvalidParameterError
 from repro.objects import UncertainDataset, UncertainObject
-from tests.conftest import Q_BOUND
+from tests.conftest import NON_INTEGER_LABELS, Q_BOUND
 
 
 class TestInternalScores:
@@ -105,6 +105,19 @@ class TestInternalScores:
     def test_label_length_mismatch(self, blob_dataset):
         with pytest.raises(InvalidParameterError):
             internal_scores(blob_dataset, np.zeros(3))
+
+    @pytest.mark.parametrize("labels", NON_INTEGER_LABELS, ids=str)
+    def test_non_integer_labels_are_typed(self, labels):
+        """Fractional labels are refused, not truncated into clusters."""
+        data = UncertainDataset.from_points([[0.0], [1.0]])
+        with pytest.raises(InvalidParameterError, match="labels must be integers"):
+            internal_scores(data, labels)
+
+    def test_integer_like_labels_accepted(self, blob_dataset):
+        labels = np.arange(len(blob_dataset)) % 3
+        assert internal_scores(blob_dataset, labels.astype(float)) == (
+            internal_scores(blob_dataset, labels)
+        )
 
     def test_better_separation_increases_q(self):
         near = make_blobs_uncertain(

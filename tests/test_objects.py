@@ -167,6 +167,30 @@ class TestUncertainDataset:
         with pytest.raises(EmptyDatasetError):
             blob_dataset.subset([])
 
+    @pytest.mark.parametrize(
+        "indices, match",
+        [
+            ([60], r"in \[-60, 60\), got 60"),
+            ([0, -61], r"in \[-60, 60\), got -61"),
+            ([2**70], "must be integers"),
+            ([1.5], "must be integers"),
+            (["1"], "must be integers"),
+            ([None], "must be integers"),
+            (3, "must be integers"),
+        ],
+        ids=str,
+    )
+    def test_subset_bad_index_rejected(self, blob_dataset, indices, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            blob_dataset.subset(indices)
+
+    def test_subset_negative_index_counts_from_end(self, blob_dataset):
+        n = len(blob_dataset)
+        tail = blob_dataset.subset([-1, -n])
+        head = blob_dataset.subset([n - 1, 0])
+        np.testing.assert_array_equal(tail.mu_matrix, head.mu_matrix)
+        np.testing.assert_array_equal(tail.labels, head.labels)
+
     def test_sample_fraction_stratified_keeps_all_classes(self, blob_dataset):
         sub = blob_dataset.sample_fraction(0.2, seed=0, stratified=True)
         assert sub.n_classes == blob_dataset.n_classes

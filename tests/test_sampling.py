@@ -1,4 +1,4 @@
-"""Tests for the Monte Carlo / Metropolis-Hastings samplers (S2)."""
+"""Tests for the Metropolis-Hastings sampler (S2)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.uncertainty import (
     BoxRegion,
     IndependentProduct,
     MetropolisHastingsSampler,
-    MonteCarloSampler,
     TruncatedNormalDistribution,
     UniformDistribution,
 )
@@ -23,26 +22,6 @@ def _target_2d():
             UniformDistribution(-1.0, 1.0),
         ]
     )
-
-
-class TestMonteCarloSampler:
-    def test_draw_shape(self):
-        sampler = MonteCarloSampler(seed=0)
-        samples = sampler.draw(_target_2d(), 100)
-        assert samples.shape == (100, 2)
-
-    def test_draw_one(self):
-        sampler = MonteCarloSampler(seed=0)
-        assert sampler.draw_one(_target_2d()).shape == (2,)
-
-    def test_reproducible_with_seed(self):
-        a = MonteCarloSampler(seed=11).draw(_target_2d(), 50)
-        b = MonteCarloSampler(seed=11).draw(_target_2d(), 50)
-        assert np.array_equal(a, b)
-
-    def test_invalid_size(self):
-        with pytest.raises(InvalidParameterError):
-            MonteCarloSampler(seed=0).draw(_target_2d(), 0)
 
 
 class TestMetropolisHastings:

@@ -30,14 +30,11 @@ from repro.clustering import (
     UCPC,
     BasicUKMeans,
     BoundedUKMeans,
-    KMeans,
     MiniBatchUKMeans,
     MinMaxBB,
     MMVar,
-    UCPCLloyd,
     UKMeans,
     UKMedoids,
-    VarianceOnlyClustering,
     VDBiP,
 )
 from repro.clustering._density import (
@@ -379,16 +376,12 @@ class TestConvergenceWarningSemantics:
             lambda: UCPC(n_clusters=4, max_iter=1),
             lambda: MMVar(n_clusters=4, max_iter=1),
             lambda: UKMedoids(n_clusters=4, max_iter=1),
-            lambda: VarianceOnlyClustering(n_clusters=4, max_iter=1),
-            lambda: UCPCLloyd(n_clusters=4, max_iter=1),
             lambda: UKMeans(n_clusters=4, max_iter=1),
-            lambda: KMeans(n_clusters=4, max_iter=1),
             lambda: MiniBatchUKMeans(n_clusters=4, batch_size=16, max_iter=1),
         ],
         ids=[
             "bUKM", "MinMax-BB", "VDBiP", "Elkan", "Hamerly",
-            "UCPC", "MMV", "UKmed", "VarOnly", "UCPC-Lloyd",
-            "UKM", "KM", "MB-UKM",
+            "UCPC", "MMV", "UKmed", "UKM", "MB-UKM",
         ],
     )
     def test_warns_on_every_fit(self, overlap_data, make):

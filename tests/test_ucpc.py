@@ -7,11 +7,20 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.clustering import UCPC, ClusterStatsMatrix, UKMeans
-from repro.datagen import make_blobs_uncertain
+from repro.clustering import UCPC, UKMeans, j_ucpc, j_ucpc_closed_form
+from repro.clustering.initialization import random_partition
+from repro.datagen import PDF_FAMILIES, UncertaintyGenerator, make_blobs_uncertain
 from repro.evaluation import f_measure
 from repro.exceptions import ConvergenceWarning, InvalidParameterError
 from repro.objects import UncertainDataset, UncertainObject
+
+
+def _total_j(dataset, labels):
+    """``sum_C J(C)`` over the clusters of ``labels`` by Theorem 3."""
+    return sum(
+        j_ucpc_closed_form([dataset[i] for i in np.flatnonzero(labels == c)])
+        for c in np.unique(labels)
+    )
 
 
 class TestBasics:
@@ -112,10 +121,9 @@ class TestProposition4Convergence:
     def test_final_objective_matches_labels(self, blob_dataset):
         """The reported objective equals J recomputed from the labels."""
         result = UCPC(n_clusters=3).fit(blob_dataset, seed=4)
-        stats = ClusterStatsMatrix.from_assignment(
-            blob_dataset, result.labels, 3
+        assert result.objective == pytest.approx(
+            _total_j(blob_dataset, result.labels)
         )
-        assert result.objective == pytest.approx(stats.total_objective())
 
 
 class TestBehaviour:
@@ -130,8 +138,7 @@ class TestBehaviour:
             UCPC(n_clusters=3).fit(data, seed=s).objective for s in range(5)
         )
         ukm = UKMeans(n_clusters=3).fit(data, seed=9)
-        ukm_stats = ClusterStatsMatrix.from_assignment(data, ukm.labels, 3)
-        assert best_ucpc <= ukm_stats.total_objective() + 1e-6
+        assert best_ucpc <= _total_j(data, ukm.labels) + 1e-6
 
     def test_variance_aware_assignment(self):
         """UCPC's objective is variance-aware where UK-means' is not.
@@ -147,19 +154,13 @@ class TestBehaviour:
         *flips with the variance of M* — a distinction invisible to the
         UK-means criterion, for which M is exactly tied either way.
         """
-        from repro.clustering import ClusterStats
-
         left = [UncertainObject.from_point([-2.0]) for _ in range(8)]
         right = [UncertainObject.from_point([2.0]) for _ in range(2)]
 
         def total_j(middle_obj, join_left):
-            l_stats = ClusterStats.from_objects(
+            return j_ucpc_closed_form(
                 left + ([middle_obj] if join_left else [])
-            )
-            r_stats = ClusterStats.from_objects(
-                right + ([] if join_left else [middle_obj])
-            )
-            return l_stats.objective() + r_stats.objective()
+            ) + j_ucpc_closed_form(right + ([] if join_left else [middle_obj]))
 
         # High variance (v = 12 > d^2 = 4): the larger cluster is cheaper.
         high_var = UncertainObject.uniform_box([0.0], [6.0])
@@ -193,3 +194,64 @@ class TestBehaviour:
         data = UncertainDataset.from_points(pts, labels)
         result = UCPC(n_clusters=2).fit(data, seed=0)
         assert f_measure(result.labels, data.labels) == pytest.approx(1.0)
+
+
+class TestCorollary1Relocation:
+    """Each visit of a sweep makes the move that recomputing J from its
+    definition (Eq. (14), via the U-centroid) picks.
+
+    UCPC scores a candidate relocation from cached Psi/Phi/Upsilon sums
+    (Theorem 3, Corollary 1).  The reference below scores the same
+    candidates as ``[J(C_o \\ {o}) + J(C ∪ {o})] - [J(C_o) + J(C)]`` with
+    :func:`j_ucpc` over member lists, visiting the objects in the order
+    UCPC draws, and applies the same rule: the first minimum wins and a
+    move must beat the relative threshold.
+    """
+
+    @pytest.mark.parametrize("family", PDF_FAMILIES)
+    def test_one_sweep_matches_definitional_j(self, family):
+        rng = np.random.default_rng(8)
+        centers = np.array([[0.0, 0.0], [3.0, 0.5], [0.5, 3.0]])
+        points = np.vstack([c + rng.normal(size=(8, 2)) for c in centers])
+        data = UncertaintyGenerator(family).uncertain_dataset(points, seed=9)
+        n, k = len(data), 3
+        start = random_partition(n, k, seed=10)
+        model = UCPC(n_clusters=k, max_iter=1)
+        labels, history, _, _ = model._local_search(
+            data, start.copy(), k, np.random.default_rng(12)
+        )
+
+        objects = [data[i] for i in range(n)]
+        reference = start.copy()
+
+        def j_of(members):
+            return j_ucpc([objects[i] for i in members])
+
+        def members_of(c):
+            return np.flatnonzero(reference == c).tolist()
+
+        threshold = -model.min_improvement * max(
+            1.0, abs(sum(j_of(members_of(c)) for c in range(k)))
+        )
+        moves = 0
+        for idx in np.random.default_rng(12).permutation(n).tolist():
+            own = reference[idx]
+            own_members = members_of(own)
+            if len(own_members) <= 1:
+                continue
+            removal = j_of([i for i in own_members if i != idx]) - j_of(own_members)
+            deltas = np.zeros(k)
+            for c in range(k):
+                if c != own:
+                    target = members_of(c)
+                    deltas[c] = removal + j_of(target + [idx]) - j_of(target)
+            best = int(np.argmin(deltas))
+            if best != own and deltas[best] < threshold:
+                reference[idx] = best
+                moves += 1
+
+        assert moves > 0
+        assert np.array_equal(labels, reference)
+        assert history[-1] == pytest.approx(
+            sum(j_of(members_of(c)) for c in range(k)), rel=1e-12
+        )

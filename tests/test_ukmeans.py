@@ -1,4 +1,4 @@
-"""Tests for fast UK-means [14] and the deterministic K-means adapter."""
+"""Tests for fast UK-means [14]."""
 
 from __future__ import annotations
 
@@ -7,12 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.clustering import KMeans, UKMeans, ukmeans_objective
+from repro.clustering import UKMeans, ukmeans_objective
 from repro.clustering.ukmeans import _assign_to_centers
 from repro.datagen import make_blobs_uncertain
 from repro.evaluation import f_measure
 from repro.exceptions import ConvergenceWarning, InvalidParameterError
 from repro.objects import UncertainDataset, UncertainObject
+from repro.objects.distance import expected_distance_to_point
 
 
 class TestUKMeans:
@@ -87,40 +88,34 @@ class TestUKMeans:
         assert list(_assign_to_centers(mu, centers)) == [0, 1, 0]
 
 
-class TestKMeansAdapter:
-    def test_fit_points(self):
-        rng = np.random.default_rng(0)
-        pts = np.vstack(
-            [rng.normal(-4, 0.5, size=(25, 2)), rng.normal(4, 0.5, size=(25, 2))]
-        )
-        result = KMeans(n_clusters=2).fit_points(pts, seed=0)
-        labels = result.labels
-        assert len(set(labels[:25])) == 1
-        assert len(set(labels[25:])) == 1
-        assert labels[0] != labels[-1]
+    def test_assign_to_centers_matches_scalar_expected_distance(self, mixed_dataset):
+        """Eq. (8): the nearest center by ``ÊD(o, c)`` is the nearest by
+        the expected values, since ``sigma^2(o)`` is the same for all c."""
+        centers = np.random.default_rng(4).normal(size=(3, mixed_dataset.dim))
+        expected = [
+            int(np.argmin([expected_distance_to_point(obj, c) for c in centers]))
+            for obj in mixed_dataset
+        ]
+        assert _assign_to_centers(mixed_dataset.mu_matrix, centers).tolist() == expected
 
     @pytest.mark.parametrize("init", ["random", "kmeans++"])
-    def test_equivalent_to_ukmeans_on_pointmass(self, rng, init):
-        pts = rng.normal(0, 2, size=(30, 3))
-        dataset = UncertainDataset.from_points(pts)
-        km = KMeans(n_clusters=3, init=init).fit(dataset, seed=9)
-        ukm = UKMeans(n_clusters=3, init=init).fit(dataset, seed=9)
-        assert np.array_equal(km.labels, ukm.labels)
-        assert [v.hex() for v in km.objective_history] == [
-            v.hex() for v in ukm.objective_history
-        ]
-
-    def test_attributes_set_after_construction_apply(self, rng):
-        pts = rng.normal(0, 2, size=(40, 2))
-        km = KMeans(n_clusters=2)
-        km.n_clusters = 4
-        km.init = "kmeans++"
-        result = km.fit_points(pts, seed=3)
-        reference = UKMeans(n_clusters=4, init="kmeans++").fit(
-            UncertainDataset.from_points(pts), seed=3
+    def test_point_masses_reach_a_lloyd_fixed_point(self, init):
+        """On certain data UK-means is K-means: every point sits at its
+        nearest cluster mean, and the objective is the summed squared
+        error."""
+        rng = np.random.default_rng(6)
+        points = np.vstack(
+            [c + rng.normal(size=(15, 2)) for c in ([0, 0], [5, 0], [0, 5])]
         )
-        assert result.n_clusters == 4
-        np.testing.assert_array_equal(result.labels, reference.labels)
-
-    def test_name(self):
-        assert KMeans(2).name == "KM"
+        result = UKMeans(n_clusters=3, init=init).fit(
+            UncertainDataset.from_points(points), seed=6
+        )
+        assert result.converged
+        means = np.array(
+            [points[result.labels == c].mean(axis=0) for c in range(3)]
+        )
+        sq = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(np.argmin(sq, axis=1), result.labels)
+        assert result.objective == pytest.approx(
+            sq[np.arange(len(points)), result.labels].sum()
+        )
