@@ -168,7 +168,7 @@ def make_classification_like(
     check_positive(separation, "separation")
     check_positive(imbalance, "imbalance", strict=False)
     check_int_range(lobes, "lobes", low=1)
-    if not (0.0 <= outlier_rate < 1.0):
+    if check_positive(outlier_rate, "outlier_rate", strict=False) >= 1.0:
         raise InvalidParameterError(
             f"outlier_rate must be in [0, 1), got {outlier_rate}"
         )
@@ -229,6 +229,7 @@ def make_blobs_uncertain(
     those per-cell pdfs; objects are built only on demand.
     """
     check_int_range(n_clusters, "n_clusters", low=1)
+    check_positive(uncertainty_std, "uncertainty_std")
     check_mass(mass)
     rng = ensure_rng(seed)
     points, labels = make_classification_like(

@@ -35,7 +35,12 @@ from repro._typing import SeedLike
 from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset, _CellPdfs
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_int_range, check_mass, check_positive
+from repro.utils.validation import (
+    check_int_range,
+    check_mass,
+    check_positive,
+    check_real,
+)
 
 
 @dataclass(frozen=True)
@@ -140,8 +145,11 @@ def make_probe_level_dataset(
         raise InvalidParameterError(
             f"need n_genes >= n_modules, got {n_genes} < {n_modules}"
         )
+    check_real(base_level, "base_level")
     check_positive(module_spread, "module_spread", strict=False)
     check_positive(within_module_std, "within_module_std", strict=False)
+    check_positive(noise_floor, "noise_floor")
+    check_positive(noise_slope, "noise_slope", strict=False)
     check_mass(mass)
     rng = ensure_rng(seed)
 

@@ -36,7 +36,6 @@ import numpy as np
 from repro._typing import SeedLike
 from repro.exceptions import EmptyDatasetError, InvalidParameterError
 from repro.objects.dataset import UncertainDataset, _CellPdfs
-from repro.uncertainty.batch import quantile_transform
 from repro.uncertainty.exponential import TruncatedExponentialDistribution
 from repro.uncertainty.normal import TruncatedNormalDistribution
 from repro.uncertainty.product import IndependentProduct
@@ -195,7 +194,7 @@ class UncertaintyGenerator:
         directions = _directions(uniforms[:, :m]) if exponential else None
         family, params, cells = self._pdfs(pts, scales, directions)
         uncertain = cells.dataset(labels)
-        draws = quantile_transform(family)(uniforms[:, -m:], *params)
+        draws = family.quantile(uniforms[:, -m:], *params)
         return draws, uncertain
 
     def _pdfs(
@@ -204,8 +203,8 @@ class UncertaintyGenerator:
         scales: np.ndarray,
         directions: Optional[np.ndarray],
     ) -> Tuple[type, tuple, _CellPdfs]:
-        """Every cell's ``f_w``: its family and quantile-transform
-        parameters (Case 1), and its Case-2 truncation to ``mass``.
+        """Every cell's ``f_w``: its family and ``quantile`` parameters
+        (Case 1), and its Case-2 truncation to ``mass``.
 
         ``f_w`` has expected value ``w``.  The truncated marginals are
         derived from ``f_w``'s own parameters, with the float operations

@@ -238,7 +238,7 @@ class UncertainDataset:
 
         This is the vectorized off-line phase of the sample-based
         algorithms: marginal cells are grouped by distribution family
-        and drawn with one quantile transform per family (see
+        and drawn with one call of the family's ``quantile`` (see
         :mod:`repro.uncertainty.batch`) instead of ``n`` Python-level
         ``sample`` calls.  The grouping plan is derived from the source
         on first use and cached (the dataset is immutable), so repeated
@@ -535,7 +535,7 @@ class _Columns(NamedTuple):
     second: FloatArray
     lower: FloatArray
     upper: FloatArray
-    #: The family and its registered ``stack`` parameters, for the plan.
+    #: The family and its cells' ``quantile_params``, for the plan.
     family: type
     params: Tuple[FloatArray, ...]
     #: Cells whose constructor would raise.

@@ -8,14 +8,7 @@ Carlo / MCMC samplers that replace the SSJ library.
 """
 
 from repro.uncertainty.base import MultivariateDistribution, UnivariateDistribution
-from repro.uncertainty.batch import (
-    SamplingPlan,
-    batch_families,
-    build_sampling_plan,
-    is_batchable,
-    register_batch_sampler,
-    sample_tensor,
-)
+from repro.uncertainty.batch import SamplingPlan, build_sampling_plan, sample_tensor
 from repro.uncertainty.empirical import EmpiricalDistribution
 from repro.uncertainty.exponential import TruncatedExponentialDistribution
 from repro.uncertainty.mixture import MixtureDistribution
@@ -37,10 +30,7 @@ __all__ = [
     "MultivariateDistribution",
     "UnivariateDistribution",
     "SamplingPlan",
-    "batch_families",
     "build_sampling_plan",
-    "is_batchable",
-    "register_batch_sampler",
     "sample_tensor",
     "EmpiricalDistribution",
     "TruncatedExponentialDistribution",

@@ -15,6 +15,7 @@ Two layers:
 from __future__ import annotations
 
 import abc
+from typing import Tuple
 
 import numpy as np
 
@@ -77,9 +78,26 @@ class UnivariateDistribution(abc.ABC):
     def cdf(self, x: np.ndarray) -> np.ndarray:
         """Vectorized cumulative distribution function."""
 
+    @staticmethod
     @abc.abstractmethod
+    def quantile(q: FloatArray, *params) -> FloatArray:
+        """The family's inverse CDF at ``q`` in [0, 1], for parameters
+        laid out as :attr:`quantile_params`.
+
+        The family's one inverse CDF: :meth:`ppf` calls it with this
+        pdf's parameters, and the batch sampler
+        (:mod:`repro.uncertainty.batch`) with a family's stacked ``(g,
+        1)`` parameter columns against a ``(g, S)`` quantile matrix.
+        """
+
+    @property
+    @abc.abstractmethod
+    def quantile_params(self) -> Tuple[float, ...]:
+        """This pdf's parameters, in :meth:`quantile`'s order."""
+
     def ppf(self, q: np.ndarray) -> np.ndarray:
         """Vectorized quantile (inverse CDF) function on [0, 1]."""
+        return self.quantile(np.asarray(q, dtype=np.float64), *self.quantile_params)
 
     def sample(self, size: int, seed: SeedLike = None) -> FloatArray:
         """Draw ``size`` i.i.d. samples via inverse-CDF transform."""

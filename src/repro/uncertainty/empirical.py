@@ -84,11 +84,6 @@ class EmpiricalDistribution(MultivariateDistribution):
         return self._samples.shape[0]
 
     @property
-    def weight_cdf(self) -> FloatArray:
-        """Cumulative normalized weights, shape ``(s,)``; last entry 1."""
-        return self._cdf
-
-    @property
     def region(self) -> BoxRegion:
         return self._region
 
@@ -120,9 +115,9 @@ class EmpiricalDistribution(MultivariateDistribution):
 
         Implemented as an explicit inverse-CDF transform over one
         uniform per draw — the same operation ``Generator.choice``
-        performs internally (stream-identical), spelled out so the
-        grouped batch sampler (:mod:`repro.uncertainty.batch`) can run
-        the identical transform for many empirical objects at once.
+        performs internally (stream-identical).  The batch sampler
+        (:mod:`repro.uncertainty.batch`) calls this method for every
+        empirical object, in collection order.
         """
         rng = ensure_rng(seed)
         indices = np.searchsorted(self._cdf, rng.random(size), side="right")

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.uncertainty.base import UnivariateDistribution
+from repro.utils.validation import check_mass, check_positive, check_real
 
 
 def _truncated_exp_moments(rate: float, cutoff: float) -> tuple[float, float]:
@@ -66,17 +67,15 @@ class TruncatedExponentialDistribution(UnivariateDistribution):
         cutoff: float = np.inf,
         direction: int = 1,
     ):
-        origin = float(origin)
-        rate = float(rate)
-        cutoff = float(cutoff)
-        if not np.isfinite(origin):
-            raise InvalidParameterError("origin must be finite")
-        if not (np.isfinite(rate) and rate > 0):
-            raise InvalidParameterError(f"rate must be > 0, got {rate}")
+        origin = check_real(origin, "origin")
+        rate = check_positive(rate, "rate")
+        cutoff = check_real(cutoff, "cutoff", allow_infinite=True)
         if cutoff <= 0:
             raise InvalidParameterError(f"cutoff must be > 0, got {cutoff}")
         if direction not in (1, -1):
-            raise InvalidParameterError(f"direction must be +1 or -1, got {direction}")
+            raise InvalidParameterError(
+                f"direction must be +1 or -1, got {direction!r}"
+            )
         self._origin = origin
         self._rate = rate
         self._cutoff = cutoff
@@ -106,10 +105,13 @@ class TruncatedExponentialDistribution(UnivariateDistribution):
         ``mass`` of the probability (Case-2 construction), which shifts
         the realized mean slightly — exactly as in the paper's setup.
         """
+        mean = check_real(mean, "mean")
+        rate = check_positive(rate, "rate")
         if direction not in (1, -1):
-            raise InvalidParameterError(f"direction must be +1 or -1, got {direction}")
-        if not (0.0 < mass <= 1.0):
-            raise InvalidParameterError(f"mass must be in (0, 1], got {mass}")
+            raise InvalidParameterError(
+                f"direction must be +1 or -1, got {direction!r}"
+            )
+        mass = check_mass(mass)
         origin = mean - direction / rate
         if mass == 1.0:
             cutoff = np.inf
@@ -175,10 +177,21 @@ class TruncatedExponentialDistribution(UnivariateDistribution):
             return cdf_t
         return 1.0 - cdf_t
 
-    def ppf(self, q: np.ndarray) -> np.ndarray:
-        q = np.clip(np.asarray(q, dtype=np.float64), 0.0, 1.0)
-        q_t = q if self._direction == 1 else 1.0 - q
+    @property
+    def quantile_params(self) -> tuple:
+        return (
+            self._origin,
+            self._rate,
+            float(self._direction),
+            self._cutoff,
+            self._mass,
+        )
+
+    @staticmethod
+    def quantile(q: np.ndarray, origin, rate, direction, cutoff, mass) -> np.ndarray:
+        q = np.clip(q, 0.0, 1.0)
+        q_t = np.where(direction == 1.0, q, 1.0 - q)
         # Inverse of the truncated-Exp CDF: t = -log(1 - q*mass)/rate.
-        t = -np.log1p(-q_t * self._mass) / self._rate
-        t = np.clip(t, 0.0, self._cutoff)
-        return self._origin + self._direction * t
+        t = -np.log1p(-q_t * mass) / rate
+        t = np.clip(t, 0.0, cutoff)
+        return origin + direction * t

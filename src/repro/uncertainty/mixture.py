@@ -93,11 +93,6 @@ class MixtureDistribution(MultivariateDistribution):
         return self._weights
 
     @property
-    def weight_cdf(self) -> FloatArray:
-        """Cumulative mixing proportions, shape ``(c,)``; last entry 1."""
-        return self._cdf
-
-    @property
     def region(self) -> BoxRegion:
         return self._region
 
@@ -129,22 +124,15 @@ class MixtureDistribution(MultivariateDistribution):
            this ``rng``) realizes every component at every sample slot,
            and the selection gathers from it.
 
-        The earlier multinomial-count/shuffle formulation consumed the
-        stream through per-component RNG state in a count-dependent
-        order, so a grouped (batched) draw could never reproduce a
-        sequential one.  With this scheme the batch sampler runs the
-        identical transforms, and ``sample_tensor([mix], S, seed)``
-        equals ``mix.sample(S, seed)`` draw for draw (regression-pinned
-        in ``tests/test_batch_sampling.py``).
-
-        Cost of that alignment: every component is realized at every
-        slot, so a c-component mixture draws c times the samples it
-        keeps (count-dependent draws would make the RNG layout
-        data-dependent and unbatchable).  The library's mixtures are
-        small (MMVar centroids use their *moments*, not draws), so the
-        vectorization win dominates; for sampling-heavy use of mixtures
-        with many expensive components, draw from the components
-        directly instead.
+        The batch sampler calls this method for every mixture, in
+        collection order, so ``sample_tensor([mix], S, seed)`` equals
+        ``mix.sample(S, seed)`` draw for draw.  Realizing every
+        component at every slot keeps the stream layout independent of
+        which components are chosen; a c-component mixture therefore
+        draws c times the samples it keeps.  The library's mixtures are
+        small (MMVar centroids use their *moments*, not draws); for
+        sampling-heavy use of mixtures with many expensive components,
+        draw from the components directly instead.
         """
         from repro.uncertainty.batch import sample_tensor
 

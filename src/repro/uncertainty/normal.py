@@ -16,6 +16,7 @@ from scipy.special import ndtr, ndtri
 
 from repro.exceptions import InvalidParameterError
 from repro.uncertainty.base import UnivariateDistribution
+from repro.utils.validation import check_mass, check_positive, check_real
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -66,14 +67,10 @@ class TruncatedNormalDistribution(UnivariateDistribution):
         lower: float = -np.inf,
         upper: float = np.inf,
     ):
-        loc = float(loc)
-        scale = float(scale)
-        lower = float(lower)
-        upper = float(upper)
-        if not np.isfinite(loc):
-            raise InvalidParameterError("loc must be finite")
-        if not (np.isfinite(scale) and scale > 0):
-            raise InvalidParameterError(f"scale must be > 0, got {scale}")
+        loc = check_real(loc, "loc")
+        scale = check_positive(scale, "scale")
+        lower = check_real(lower, "lower", allow_infinite=True)
+        upper = check_real(upper, "upper", allow_infinite=True)
         if lower >= upper:
             raise InvalidParameterError(
                 f"lower ({lower}) must be strictly less than upper ({upper})"
@@ -117,9 +114,9 @@ class TruncatedNormalDistribution(UnivariateDistribution):
         interval is symmetric about ``loc`` so the truncated mean stays
         exactly ``loc``.
         """
-        if not (0.0 < mass <= 1.0):
-            raise InvalidParameterError(f"mass must be in (0, 1], got {mass}")
-        if mass == 1.0:
+        loc = check_real(loc, "loc")
+        scale = check_positive(scale, "scale")
+        if check_mass(mass) == 1.0:
             return TruncatedNormalDistribution(loc, scale)
         half = float(ndtri(0.5 + mass / 2.0)) * scale
         return TruncatedNormalDistribution(loc, scale, loc - half, loc + half)
@@ -173,11 +170,24 @@ class TruncatedNormalDistribution(UnivariateDistribution):
         raw = (ndtr(z) - self._cdf_alpha) / self._z_mass
         return np.clip(raw, 0.0, 1.0)
 
-    def ppf(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=np.float64)
-        inner = self._cdf_alpha + np.clip(q, 0.0, 1.0) * self._z_mass
+    @property
+    def quantile_params(self) -> tuple:
+        return (
+            self._loc,
+            self._scale,
+            self._lower,
+            self._upper,
+            self._cdf_alpha,
+            self._z_mass,
+        )
+
+    @staticmethod
+    def quantile(
+        q: np.ndarray, loc, scale, lower, upper, cdf_alpha, z_mass
+    ) -> np.ndarray:
+        inner = cdf_alpha + np.clip(q, 0.0, 1.0) * z_mass
         # Guard the endpoints: ndtri(0/1) is +-inf, but the support is
         # the truncation interval.
         inner = np.clip(inner, 1e-16, 1.0 - 1e-16)
-        values = self._loc + self._scale * ndtri(inner)
-        return np.clip(values, self._lower, self._upper)
+        values = loc + scale * ndtri(inner)
+        return np.clip(values, lower, upper)

@@ -13,7 +13,7 @@ import numpy as np
 from repro._typing import FloatArray, SeedLike, VectorLike
 from repro.uncertainty.base import MultivariateDistribution, UnivariateDistribution
 from repro.uncertainty.region import BoxRegion
-from repro.utils.validation import ensure_vector
+from repro.utils.validation import check_real, ensure_vector
 
 
 class PointMassDistribution(UnivariateDistribution):
@@ -22,7 +22,7 @@ class PointMassDistribution(UnivariateDistribution):
     __slots__ = ("_value",)
 
     def __init__(self, value: float):
-        self._value = float(value)
+        self._value = check_real(value, "value")
 
     @property
     def support_lower(self) -> float:
@@ -52,9 +52,13 @@ class PointMassDistribution(UnivariateDistribution):
         x = np.asarray(x, dtype=np.float64)
         return np.where(x >= self._value, 1.0, 0.0)
 
-    def ppf(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=np.float64)
-        return np.full_like(q, self._value)
+    @property
+    def quantile_params(self) -> tuple:
+        return (self._value,)
+
+    @staticmethod
+    def quantile(q: np.ndarray, value) -> np.ndarray:
+        return np.full_like(q, value)
 
 
 class MultivariatePointMass(MultivariateDistribution):

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.uncertainty.base import UnivariateDistribution
+from repro.utils.validation import check_positive, check_real
 
 
 class TriangularDistribution(UnivariateDistribution):
@@ -28,12 +29,9 @@ class TriangularDistribution(UnivariateDistribution):
     __slots__ = ("_lower", "_mode", "_upper")
 
     def __init__(self, lower: float, mode: float, upper: float):
-        lower = float(lower)
-        mode = float(mode)
-        upper = float(upper)
-        for name, value in (("lower", lower), ("mode", mode), ("upper", upper)):
-            if not np.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value}")
+        lower = check_real(lower, "lower")
+        mode = check_real(mode, "mode")
+        upper = check_real(upper, "upper")
         if not (lower <= mode <= upper):
             raise InvalidParameterError(
                 f"need lower <= mode <= upper, got {lower}, {mode}, {upper}"
@@ -49,10 +47,8 @@ class TriangularDistribution(UnivariateDistribution):
     @staticmethod
     def symmetric(center: float, half_width: float) -> "TriangularDistribution":
         """Symmetric triangle with mean/mode exactly ``center``."""
-        if half_width <= 0:
-            raise InvalidParameterError(
-                f"half_width must be > 0, got {half_width}"
-            )
+        center = check_real(center, "center")
+        half_width = check_positive(half_width, "half_width")
         return TriangularDistribution(
             center - half_width, center, center + half_width
         )
@@ -117,20 +113,19 @@ class TriangularDistribution(UnivariateDistribution):
         out[x >= u] = 1.0
         return out
 
-    def ppf(self, q: np.ndarray) -> np.ndarray:
-        q = np.clip(np.asarray(q, dtype=np.float64), 0.0, 1.0)
-        l, m, u = self._lower, self._mode, self._upper
-        width = u - l
-        pivot = (m - l) / width if width > 0 else 0.0
-        out = np.empty_like(q)
-        low = q <= pivot
-        if m > l:
-            out[low] = l + np.sqrt(q[low] * width * (m - l))
-        else:
-            out[low] = l
-        high = ~low
-        if u > m:
-            out[high] = u - np.sqrt((1.0 - q[high]) * width * (u - m))
-        else:
-            out[high] = u
-        return out
+    @property
+    def quantile_params(self) -> tuple:
+        return (self._lower, self._mode, self._upper)
+
+    @staticmethod
+    def quantile(q: np.ndarray, lower, mode, upper) -> np.ndarray:
+        q = np.clip(q, 0.0, 1.0)
+        width = upper - lower
+        rising = mode - lower
+        falling = upper - mode
+        # Both branches are evaluated everywhere (their radicands are
+        # nonnegative), and a degenerate side (mode == lower or mode ==
+        # upper) collapses to its endpoint.
+        low_values = lower + np.sqrt(q * width * rising)
+        high_values = upper - np.sqrt((1.0 - q) * width * falling)
+        return np.where(q <= rising / width, low_values, high_values)

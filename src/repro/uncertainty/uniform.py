@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.uncertainty.base import UnivariateDistribution
+from repro.utils.validation import check_positive, check_real
 
 
 class UniformDistribution(UnivariateDistribution):
@@ -24,10 +25,8 @@ class UniformDistribution(UnivariateDistribution):
     __slots__ = ("_lower", "_upper")
 
     def __init__(self, lower: float, upper: float):
-        lower = float(lower)
-        upper = float(upper)
-        if not (np.isfinite(lower) and np.isfinite(upper)):
-            raise InvalidParameterError("uniform bounds must be finite")
+        lower = check_real(lower, "lower")
+        upper = check_real(upper, "upper")
         if lower > upper:
             raise InvalidParameterError(
                 f"lower ({lower}) must not exceed upper ({upper})"
@@ -38,8 +37,8 @@ class UniformDistribution(UnivariateDistribution):
     @staticmethod
     def centered(center: float, half_width: float) -> "UniformDistribution":
         """Uniform pdf with mean exactly ``center`` and width ``2*half_width``."""
-        if half_width < 0:
-            raise InvalidParameterError(f"half_width must be >= 0, got {half_width}")
+        center = check_real(center, "center")
+        half_width = check_positive(half_width, "half_width", strict=False)
         return UniformDistribution(center - half_width, center + half_width)
 
     # ------------------------------------------------------------------
@@ -84,6 +83,10 @@ class UniformDistribution(UnivariateDistribution):
             return np.where(x >= self._lower, 1.0, 0.0)
         return np.clip((x - self._lower) / width, 0.0, 1.0)
 
-    def ppf(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=np.float64)
-        return self._lower + q * self.support_width
+    @property
+    def quantile_params(self) -> tuple:
+        return (self._lower, self.support_width)
+
+    @staticmethod
+    def quantile(q: np.ndarray, lower, width) -> np.ndarray:
+        return lower + q * width

@@ -9,6 +9,7 @@ iteration loop.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -120,11 +121,20 @@ def _as_real(value: float, name: str) -> float:
     raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
 
 
+def check_real(value: float, name: str, allow_infinite: bool = False) -> float:
+    """Validate a scalar is a finite real number, or ``±inf`` too when
+    ``allow_infinite`` (an unbounded end of a support); NaN is always
+    refused."""
+    value = _as_real(value, name)
+    if math.isnan(value) or not (allow_infinite or math.isfinite(value)):
+        expected = "a real number or infinite" if allow_infinite else "finite"
+        raise InvalidParameterError(f"{name} must be {expected}, got {value}")
+    return value
+
+
 def check_positive(value: float, name: str, strict: bool = True) -> float:
     """Validate a scalar is positive (or nonnegative when ``strict=False``)."""
-    value = _as_real(value, name)
-    if not np.isfinite(value):
-        raise InvalidParameterError(f"{name} must be finite, got {value}")
+    value = check_real(value, name)
     if strict and value <= 0:
         raise InvalidParameterError(f"{name} must be > 0, got {value}")
     if not strict and value < 0:

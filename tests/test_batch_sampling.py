@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from repro.datagen import make_blobs_uncertain
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
@@ -16,15 +19,66 @@ from repro.uncertainty import (
     TruncatedExponentialDistribution,
     TruncatedNormalDistribution,
     UniformDistribution,
-    batch_families,
     build_sampling_plan,
-    is_batchable,
     sample_tensor,
 )
-from repro.uncertainty.batch import _FAMILIES
+from repro.uncertainty.base import MultivariateDistribution
 from repro.uncertainty.point import MultivariatePointMass, PointMassDistribution
+from repro.uncertainty.region import BoxRegion
+from repro.utils.rng import ensure_rng
 
 from tests.conftest import random_uncertain_objects
+from tests.test_uncertainty_gen import assert_same_bits
+
+#: The batched families, in the order their groups draw from the stream.
+FAMILIES = (
+    UniformDistribution,
+    TruncatedNormalDistribution,
+    TruncatedExponentialDistribution,
+    TriangularDistribution,
+    PointMassDistribution,
+)
+
+
+class _Spherical(MultivariateDistribution):
+    """A custom multivariate that the plan knows nothing about."""
+
+    def __init__(self, dim: int = 2):
+        self._dim = dim
+
+    @property
+    def region(self):
+        return BoxRegion(-np.ones(self._dim), np.ones(self._dim))
+
+    @property
+    def mean_vector(self):
+        return np.zeros(self._dim)
+
+    @property
+    def second_moment_vector(self):
+        return np.full(self._dim, 1.0 / 3.0)
+
+    def pdf(self, points):
+        return np.ones(self._points_matrix(points).shape[0])
+
+    def sample(self, size, seed=None):
+        return ensure_rng(seed).uniform(-1.0, 1.0, size=(size, self._dim))
+
+
+def _mixture(rng, shift=0.0):
+    return MixtureDistribution(
+        [
+            IndependentProduct(
+                [
+                    UniformDistribution(shift, shift + 1.0),
+                    TruncatedNormalDistribution(shift, 0.5, shift - 2, shift + 2),
+                ]
+            ),
+            MultivariatePointMass([shift + 3.0, shift + 3.0]),
+            EmpiricalDistribution(rng.normal(shift, 1.0, size=(9, 2))),
+        ],
+        weights=[0.5, 0.2, 0.3],
+    )
 
 
 def _family_marginals(family, rng, count=7):
@@ -55,47 +109,46 @@ def _family_marginals(family, rng, count=7):
     return out
 
 
-class TestFamilyEquivalence:
-    """Batched quantile transforms must match the scalar ppf exactly."""
+def _plan_params(marginals):
+    """The stacked params of the one family group of a plan over
+    one-marginal products."""
+    plan = build_sampling_plan([IndependentProduct([m]) for m in marginals])
+    (group,) = plan._groups
+    return group.params
 
-    @pytest.mark.parametrize(
-        "family", list(batch_families()), ids=lambda f: f.__name__
-    )
+
+class TestFamilyEquivalence:
+    """Each marginal's ``ppf`` equals its family's ``quantile`` over the
+    plan's stacked params, row by row."""
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
     def test_batch_matches_per_marginal_ppf(self, family, rng):
         marginals = _family_marginals(family, rng)
         q = rng.random((len(marginals), 33))
-        stack, apply = _FAMILIES[family]
-        batched = apply(q, *stack(marginals))
+        batched = family.quantile(q, *_plan_params(marginals))
         for i, marginal in enumerate(marginals):
-            np.testing.assert_array_equal(
-                batched[i],
-                marginal.ppf(q[i]),
-                err_msg=f"{family.__name__} marginal {i} diverged",
-            )
+            assert_same_bits(batched[i], marginal.ppf(q[i]))
 
-    @pytest.mark.parametrize(
-        "family", list(batch_families()), ids=lambda f: f.__name__
-    )
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
     def test_degenerate_quantiles(self, family, rng):
         """Endpoints q=0 and q=1 go through the same clips as the ppf."""
         marginals = _family_marginals(family, rng, count=3)
         q = np.tile(np.array([0.0, 0.5, 1.0]), (len(marginals), 1))
-        stack, apply = _FAMILIES[family]
-        batched = apply(q, *stack(marginals))
+        batched = family.quantile(q, *_plan_params(marginals))
         for i, marginal in enumerate(marginals):
-            np.testing.assert_array_equal(batched[i], marginal.ppf(q[i]))
+            assert_same_bits(batched[i], marginal.ppf(q[i]))
 
     def test_triangular_degenerate_sides(self):
-        """mode == lower / mode == upper collapse like the scalar ppf."""
+        """mode == lower / mode == upper collapse to the endpoint."""
         marginals = [
             TriangularDistribution(0.0, 0.0, 2.0),
             TriangularDistribution(-1.0, 1.0, 1.0),
         ]
         q = np.tile(np.linspace(0.0, 1.0, 9), (2, 1))
-        stack, apply = _FAMILIES[TriangularDistribution]
-        batched = apply(q, *stack(marginals))
+        batched = TriangularDistribution.quantile(q, *_plan_params(marginals))
         for i, marginal in enumerate(marginals):
-            np.testing.assert_array_equal(batched[i], marginal.ppf(q[i]))
+            assert_same_bits(batched[i], marginal.ppf(q[i]))
+        assert batched[0, 0] == 0.0 and batched[1, -1] == 1.0
 
 
 class TestSampleTensor:
@@ -135,62 +188,12 @@ class TestSampleTensor:
             tensor, np.repeat(data.mu_matrix[:, None, :], 6, axis=1)
         )
 
-    def test_empirical_and_mixture_grouped(self, rng):
-        """Empirical/mixture objects are grouped, not per-object fallback."""
-        empirical = EmpiricalDistribution(rng.normal(0.0, 1.0, size=(50, 2)))
-        mixture = MixtureDistribution(
-            [
-                MultivariatePointMass([0.0, 0.0]),
-                MultivariatePointMass([1.0, 1.0]),
-            ]
-        )
+    def test_custom_distribution_falls_back(self):
+        """Unknown multivariates still sample via their own method."""
         uniform = IndependentProduct(
             [UniformDistribution(0.0, 1.0), UniformDistribution(2.0, 3.0)]
         )
-        plan = build_sampling_plan([empirical, mixture, uniform])
-        assert plan.n_fallback == 0
-        assert plan.n_empirical == 1
-        assert plan.n_mixture == 1
-        assert plan.n_batched_cells == 2
-        tensor = plan.sample(16, seed=4)
-        assert tensor.shape == (3, 16, 2)
-        assert np.all(tensor[2, :, 0] <= 1.0)
-        assert np.all(tensor[2, :, 1] >= 2.0)
-
-    def test_custom_distribution_falls_back(self, rng):
-        """Unregistered multivariates still sample via their own method."""
-        from repro.uncertainty.base import MultivariateDistribution
-        from repro.uncertainty.region import BoxRegion
-        from repro.utils.rng import ensure_rng
-
-        class Spherical(MultivariateDistribution):
-            """A toy multivariate with no registered batch transform."""
-
-            @property
-            def region(self):
-                return BoxRegion([-1.0, -1.0], [1.0, 1.0])
-
-            @property
-            def mean_vector(self):
-                return np.zeros(2)
-
-            @property
-            def second_moment_vector(self):
-                return np.full(2, 0.25)
-
-            def pdf(self, points):
-                return np.ones(self._points_matrix(points).shape[0])
-
-            def sample(self, size, seed=None):
-                gen = ensure_rng(seed)
-                return gen.uniform(-1.0, 1.0, size=(size, 2))
-
-        custom = Spherical()
-        uniform = IndependentProduct(
-            [UniformDistribution(0.0, 1.0), UniformDistribution(2.0, 3.0)]
-        )
-        assert not is_batchable(custom)
-        plan = build_sampling_plan([custom, uniform])
+        plan = build_sampling_plan([_Spherical(), uniform])
         assert plan.n_fallback == 1
         tensor = plan.sample(12, seed=3)
         assert tensor.shape == (2, 12, 2)
@@ -201,7 +204,7 @@ class TestSampleTensor:
         plan = build_sampling_plan(
             [obj.distribution for obj in mixed_dataset]
         )
-        # Every object in the fixture is a product of registered
+        # Every object in the fixture is a product of batched
         # families or a point mass: nothing falls back.
         assert plan.n_fallback == 0
 
@@ -237,18 +240,6 @@ class TestSampleTensor:
                 4,
             )
 
-    def test_is_batchable(self, rng):
-        assert is_batchable(MultivariatePointMass([1.0]))
-        assert is_batchable(
-            IndependentProduct([UniformDistribution(0.0, 1.0)])
-        )
-        assert is_batchable(EmpiricalDistribution(rng.normal(size=(10, 2))))
-        assert is_batchable(
-            MixtureDistribution(
-                [MultivariatePointMass([0.0]), MultivariatePointMass([1.0])]
-            )
-        )
-
     def test_generator_seed_shares_stream(self, blob_dataset):
         """Passing a Generator consumes it (two calls differ)."""
         gen = np.random.default_rng(0)
@@ -266,7 +257,7 @@ def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class TestEmpiricalBatchEquivalence:
-    """Grouped empirical sampling ≡ the per-object path, exactly."""
+    """Empirical objects in a plan ≡ the per-object path, exactly."""
 
     def _empiricals(self, rng, count=5):
         out = []
@@ -321,42 +312,27 @@ class TestEmpiricalBatchEquivalence:
 
 
 class TestMixtureBatchEquivalence:
-    """Grouped mixture sampling: exact single-object streams, correct
-    distribution for heterogeneous groups."""
-
-    def _mixture(self, rng, shift=0.0):
-        return MixtureDistribution(
-            [
-                IndependentProduct(
-                    [
-                        UniformDistribution(shift, shift + 1.0),
-                        TruncatedNormalDistribution(shift, 0.5, shift - 2, shift + 2),
-                    ]
-                ),
-                MultivariatePointMass([shift + 3.0, shift + 3.0]),
-                EmpiricalDistribution(rng.normal(shift, 1.0, size=(9, 2))),
-            ],
-            weights=[0.5, 0.2, 0.3],
-        )
+    """Mixtures in a plan: exact single-object streams, correct
+    distribution for groups of mixtures."""
 
     def test_single_object_stream_identical(self, rng):
         """Regression (stream-alignment fix): Mixture.sample threads one
         Generator through selection and component realization, so the
         batched path reproduces it draw for draw."""
-        mix = self._mixture(rng)
+        mix = _mixture(rng)
         for seed in range(5):
             batched = sample_tensor([mix], 48, seed=seed)[0]
             sequential = mix.sample(48, seed=seed)
             np.testing.assert_array_equal(batched, sequential)
 
     def test_sequential_draws_deterministic(self, rng):
-        mix = self._mixture(rng)
+        mix = _mixture(rng)
         np.testing.assert_array_equal(
             mix.sample(32, seed=7), mix.sample(32, seed=7)
         )
 
     def test_group_of_mixtures_moments(self, rng):
-        mixtures = [self._mixture(rng, shift=float(s)) for s in range(3)]
+        mixtures = [_mixture(rng, shift=float(s)) for s in range(3)]
         tensor = sample_tensor(mixtures, 8192, seed=2)
         for i, mix in enumerate(mixtures):
             np.testing.assert_allclose(
@@ -370,27 +346,12 @@ class TestMixtureBatchEquivalence:
             )
 
     def test_ks_against_per_object_path(self, rng):
-        mixtures = [self._mixture(rng, shift=float(s)) for s in range(3)]
+        mixtures = [_mixture(rng, shift=float(s)) for s in range(3)]
         tensor = sample_tensor(mixtures, 4096, seed=9)
         for i, mix in enumerate(mixtures):
             sequential = mix.sample(4096, seed=4321 + i)
             for dim in range(2):
                 assert _ks_statistic(tensor[i, :, dim], sequential[:, dim]) < 0.05
-
-    def test_nested_mixture_batches(self, rng):
-        inner = MixtureDistribution(
-            [MultivariatePointMass([0.0, 0.0]), MultivariatePointMass([1.0, 1.0])]
-        )
-        outer = MixtureDistribution(
-            [inner, MultivariatePointMass([5.0, 5.0])], weights=[0.5, 0.5]
-        )
-        assert is_batchable(outer)
-        plan = build_sampling_plan([outer])
-        assert plan.n_mixture == 1
-        tensor = plan.sample(2048, seed=0)
-        np.testing.assert_allclose(
-            tensor[0].mean(axis=0), outer.mean_vector, atol=0.1
-        )
 
     def test_zero_weight_component_never_drawn(self):
         mix = MixtureDistribution(
@@ -400,132 +361,255 @@ class TestMixtureBatchEquivalence:
         tensor = sample_tensor([mix], 512, seed=0)
         np.testing.assert_array_equal(tensor[0], np.full((512, 1), 9.0))
 
-    def test_mixture_with_unbatchable_component_falls_back(self, rng):
-        from repro.uncertainty.base import MultivariateDistribution
-        from repro.uncertainty.region import BoxRegion
-        from repro.utils.rng import ensure_rng
-
-        class Custom(MultivariateDistribution):
-            @property
-            def region(self):
-                return BoxRegion([0.0], [1.0])
-
-            @property
-            def mean_vector(self):
-                return np.array([0.5])
-
-            @property
-            def second_moment_vector(self):
-                return np.array([1.0 / 3.0])
-
-            def pdf(self, points):
-                return np.ones(self._points_matrix(points).shape[0])
-
-            def sample(self, size, seed=None):
-                return ensure_rng(seed).random((size, 1))
-
+    def test_mixture_with_unbatchable_component_falls_back(self):
         mix = MixtureDistribution(
-            [Custom(), MultivariatePointMass([2.0])], weights=[0.5, 0.5]
+            [_Spherical(dim=1), MultivariatePointMass([2.0])], weights=[0.5, 0.5]
         )
-        assert not is_batchable(mix)
         plan = build_sampling_plan([mix])
         assert plan.n_fallback == 1
         tensor = plan.sample(64, seed=1)
         assert tensor.shape == (1, 64, 1)
 
 
-class TestRowCdfTableExactness:
-    """The grouped lookup must equal per-row searchsorted exactly, even
-    at ulp-scale ties the row-shift trick would otherwise round over."""
+class TestSelfSamplingObjectsDrawInCollectionOrder:
+    """Empirical, mixture and custom objects draw through their own
+    ``sample``, one after another in collection order, from the plan's
+    one Generator."""
 
-    def test_matches_per_row_searchsorted_randomized(self, rng):
-        from repro.uncertainty.batch import _RowCdfTable
+    @pytest.mark.parametrize(
+        "layout",
+        ["MM", "ME", "EM", "EE", "MEMEM", "CEMC", "NEM"],
+    )
+    def test_tensor_is_the_per_object_loop(self, layout, rng):
+        """Layout letters: E empirical, M mixture, N mixture of mixtures,
+        C custom."""
 
-        cdfs = []
-        for _ in range(6):
-            w = rng.random(rng.integers(2, 12))
-            cdf = w.cumsum()
-            cdf /= cdf[-1]
-            cdfs.append(cdf)
-        table = _RowCdfTable(cdfs)
-        q = rng.random((6, 200))
-        flat = table.lookup(q)
-        for r, cdf in enumerate(cdfs):
-            expected = np.minimum(
-                np.searchsorted(cdf, q[r], side="right"), cdf.size - 1
-            )
-            np.testing.assert_array_equal(flat[r] - table.offsets[r], expected)
+        def make(kind, i):
+            if kind == "E":
+                return EmpiricalDistribution(rng.normal(i, 1.0, size=(6 + 3 * i, 2)))
+            if kind == "M":
+                return _mixture(rng, shift=float(i))
+            if kind == "N":  # a mixture of mixtures and an empirical object
+                return MixtureDistribution(
+                    [_mixture(rng), _mixture(rng, 5.0), make("E", i)],
+                    weights=[0.2, 0.3, 0.5],
+                )
+            return _Spherical()
 
-    def test_ulp_tie_refined(self):
-        """Adversarial: a uniform one ulp below a CDF boundary in a
-        high-index row — the shifted comparison rounds them equal, the
-        refinement must restore the exact per-row answer."""
-        from repro.uncertainty.batch import _RowCdfTable
-
-        cdf = np.array([0.5, 1.0])
-        rows = 9
-        table = _RowCdfTable([cdf] * rows)
-        below = np.nextafter(0.5, 0.0)  # < 0.5, collapses under + r
-        q = np.full((rows, 2), below)
-        q[:, 1] = 0.5  # exactly the boundary: counted by side="right"
-        flat = table.lookup(q)
-        for r in range(rows):
-            assert flat[r, 0] - table.offsets[r] == 0, f"row {r} rounded over"
-            assert flat[r, 1] - table.offsets[r] == 1
-
-    def test_duplicate_boundaries(self):
-        """Zero-weight runs create duplicate CDF entries; the count must
-        include the whole run, exactly as per-row searchsorted does."""
-        from repro.uncertainty.batch import _RowCdfTable
-
-        cdf = np.array([0.25, 0.25, 0.25, 1.0])
-        table = _RowCdfTable([cdf] * 4)
-        q = np.full((4, 1), 0.25)
-        flat = table.lookup(q)
-        for r in range(4):
-            assert flat[r, 0] - table.offsets[r] == 3
+        objects = [make(kind, i) for i, kind in enumerate(layout)]
+        plan = build_sampling_plan(objects)
+        assert plan.n_fallback == len(objects)
+        gen = np.random.default_rng(21)
+        expected = np.stack([obj.sample(40, gen) for obj in objects])
+        shared = np.random.default_rng(21)
+        assert_same_bits(plan.sample(40, shared), expected)
+        assert shared.bit_generator.state == gen.bit_generator.state
 
 
-class TestAllFamiliesCovered:
-    """The whole-repo coverage claim: a dataset mixing every
-    distribution family batches with zero per-object fallbacks."""
+# ----------------------------------------------------------------------
+# Frozen copy of the registry plan that drew every batched tensor
+# before each family's inverse CDF became its own ``quantile``: the
+# per-family stack/apply pairs, registered in this order, and the
+# grouped draw.  Never route it through library code.
+# ----------------------------------------------------------------------
+def _legacy_column(values):
+    return np.array(values, dtype=np.float64)[:, None]
 
-    def test_zero_fallbacks_across_all_seven_families(self, rng):
-        seven_families = [
-            IndependentProduct(
-                [UniformDistribution(0.0, 1.0), UniformDistribution(1.0, 2.0)]
-            ),
-            IndependentProduct(
-                [
-                    TruncatedNormalDistribution(0.0, 1.0, -2.0, 2.0),
-                    TriangularDistribution(0.0, 0.5, 1.0),
-                ]
-            ),
-            IndependentProduct(
-                [
-                    TruncatedExponentialDistribution(0.5, 2.0, cutoff=3.0),
-                    PointMassDistribution(1.0),
-                ]
-            ),
-            MultivariatePointMass([0.0, 0.0]),
-            EmpiricalDistribution(rng.normal(0.0, 1.0, size=(20, 2))),
-            MixtureDistribution(
-                [
-                    IndependentProduct(
-                        [UniformDistribution(0.0, 1.0), UniformDistribution(0.0, 1.0)]
-                    ),
-                    MultivariatePointMass([4.0, 4.0]),
-                ],
-                weights=[0.6, 0.4],
-            ),
-        ]
-        plan = build_sampling_plan(seven_families)
-        assert plan.n_fallback == 0
-        assert plan.n_empirical == 1
-        assert plan.n_mixture == 1
-        tensor = plan.sample(128, seed=6)
-        assert tensor.shape == (6, 128, 2)
-        assert np.isfinite(tensor).all()
-        # Re-draw determinism over the heterogeneous plan.
-        np.testing.assert_array_equal(tensor, plan.sample(128, seed=6))
 
+def _legacy_uniform_stack(marginals):
+    return (
+        _legacy_column([m.support_lower for m in marginals]),
+        _legacy_column([m.support_width for m in marginals]),
+    )
+
+
+def _legacy_uniform_apply(q, lower, width):
+    return lower + q * width
+
+
+def _legacy_truncated_normal_stack(marginals):
+    return (
+        _legacy_column([m.loc for m in marginals]),
+        _legacy_column([m.scale for m in marginals]),
+        _legacy_column([m.support_lower for m in marginals]),
+        _legacy_column([m.support_upper for m in marginals]),
+        _legacy_column([m._cdf_alpha for m in marginals]),
+        _legacy_column([m._z_mass for m in marginals]),
+    )
+
+
+def _legacy_truncated_normal_apply(q, loc, scale, lower, upper, cdf_alpha, z_mass):
+    inner = cdf_alpha + np.clip(q, 0.0, 1.0) * z_mass
+    inner = np.clip(inner, 1e-16, 1.0 - 1e-16)
+    values = loc + scale * ndtri(inner)
+    return np.clip(values, lower, upper)
+
+
+def _legacy_truncated_exponential_stack(marginals):
+    return (
+        _legacy_column([m.origin for m in marginals]),
+        _legacy_column([m.rate for m in marginals]),
+        _legacy_column([float(m.direction) for m in marginals]),
+        _legacy_column([m._cutoff for m in marginals]),
+        _legacy_column([m._mass for m in marginals]),
+    )
+
+
+def _legacy_truncated_exponential_apply(q, origin, rate, direction, cutoff, mass):
+    q = np.clip(q, 0.0, 1.0)
+    q_t = np.where(direction == 1.0, q, 1.0 - q)
+    t = -np.log1p(-q_t * mass) / rate
+    t = np.clip(t, 0.0, cutoff)
+    return origin + direction * t
+
+
+def _legacy_triangular_stack(marginals):
+    return (
+        _legacy_column([m.support_lower for m in marginals]),
+        _legacy_column([m.mode for m in marginals]),
+        _legacy_column([m.support_upper for m in marginals]),
+    )
+
+
+def _legacy_triangular_apply(q, lower, mode, upper):
+    q = np.clip(q, 0.0, 1.0)
+    width = upper - lower
+    rising = mode - lower
+    falling = upper - mode
+    pivot = np.divide(rising, width, out=np.zeros_like(width), where=width > 0)
+    low_values = lower + np.sqrt(q * width * rising)
+    high_values = upper - np.sqrt((1.0 - q) * width * falling)
+    return np.where(q <= pivot, low_values, high_values)
+
+
+def _legacy_point_mass_stack(marginals):
+    return (_legacy_column([m.mean for m in marginals]),)
+
+
+def _legacy_point_mass_apply(q, values):
+    return np.broadcast_to(values, q.shape).copy()
+
+
+_LEGACY_FAMILIES = {
+    UniformDistribution: (_legacy_uniform_stack, _legacy_uniform_apply),
+    TruncatedNormalDistribution: (
+        _legacy_truncated_normal_stack,
+        _legacy_truncated_normal_apply,
+    ),
+    TruncatedExponentialDistribution: (
+        _legacy_truncated_exponential_stack,
+        _legacy_truncated_exponential_apply,
+    ),
+    TriangularDistribution: (_legacy_triangular_stack, _legacy_triangular_apply),
+    PointMassDistribution: (_legacy_point_mass_stack, _legacy_point_mass_apply),
+}
+
+
+def _legacy_sample(distributions, n_samples, rng):
+    """The registry plan's tensor of products of the five families and
+    point masses."""
+    n, dim = len(distributions), distributions[0].dim
+    cells = {}
+    point_rows, point_values = [], []
+    for idx, dist in enumerate(distributions):
+        if isinstance(dist, MultivariatePointMass):
+            point_rows.append(idx)
+            point_values.append(dist.mean_vector)
+        else:
+            for j, marginal in enumerate(dist.marginals):
+                cells.setdefault(type(marginal), []).append((idx, j, marginal))
+    out = np.empty((n, n_samples, dim))
+    if point_rows:
+        out[point_rows] = np.vstack(point_values)[:, None, :]
+    for family, (stack, apply) in _LEGACY_FAMILIES.items():
+        members = cells.get(family)
+        if not members:
+            continue
+        rows = np.array([cell[0] for cell in members], dtype=np.intp)
+        dims = np.array([cell[1] for cell in members], dtype=np.intp)
+        q = rng.random((rows.size, n_samples))
+        values = apply(q, *stack([cell[2] for cell in members]))
+        if rows.size == n * dim:
+            out[...] = values.reshape(n, dim, n_samples).swapaxes(1, 2)
+        else:
+            out[rows, :, dims] = values
+    return out
+
+
+class _EdgeQuantiles(np.random.Generator):
+    """A PCG64 stream whose uniforms are exactly 0 or exactly 1 about a
+    fifth of the time each."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        q = super().random(size)
+        return np.where(q < 0.2, 0.0, np.where(q >= 0.8, 1.0, q))
+
+
+_reals = st.floats(min_value=-1e4, max_value=1e4)
+_scales = st.floats(min_value=1e-3, max_value=1e2)
+
+
+@st.composite
+def _marginals(draw, family):
+    if family is UniformDistribution:
+        lower = draw(_reals)
+        return UniformDistribution(lower, lower + draw(st.floats(0.0, 1e2)))
+    if family is TruncatedNormalDistribution:
+        loc, scale = draw(_reals), draw(_scales)
+        below, above = (
+            draw(st.one_of(st.just(np.inf), st.floats(0.1, 5.0))) for _ in "ab"
+        )
+        return TruncatedNormalDistribution(
+            loc, scale, loc - below * scale, loc + above * scale
+        )
+    if family is TruncatedExponentialDistribution:
+        return TruncatedExponentialDistribution(
+            draw(_reals),
+            draw(_scales),
+            cutoff=draw(st.one_of(st.just(np.inf), _scales)),
+            direction=draw(st.sampled_from([1, -1])),
+        )
+    if family is TriangularDistribution:
+        lower = draw(_reals)
+        upper = lower + draw(_scales)
+        mode = draw(st.one_of(st.sampled_from([lower, upper]), st.floats(lower, upper)))
+        return TriangularDistribution(lower, mode, upper)
+    return PointMassDistribution(draw(_reals))
+
+
+@st.composite
+def _collections(draw):
+    """Products of the five families and point masses; with a single
+    family the plan takes its dense write."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    single = draw(st.one_of(st.none(), st.sampled_from(FAMILIES)))
+    objects = []
+    for _ in range(n):
+        if single is None and draw(st.integers(0, 4)) == 0:
+            point = draw(st.lists(_reals, min_size=dim, max_size=dim))
+            objects.append(MultivariatePointMass(point))
+            continue
+        families = [single or draw(st.sampled_from(FAMILIES)) for _ in range(dim)]
+        objects.append(IndependentProduct([draw(_marginals(f)) for f in families]))
+    return objects
+
+
+class TestLegacyRegistryPlan:
+    @given(
+        dists=_collections(),
+        n_samples=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_plan_equals_frozen_registry_plan(self, dists, n_samples, seed):
+        """Bits of the tensor and the stream's end state, with quantiles
+        at exactly 0 and 1 among the draws."""
+        legacy_rng = _EdgeQuantiles(np.random.PCG64(seed))
+        rng = _EdgeQuantiles(np.random.PCG64(seed))
+        # q = 1 on an untruncated exponential is log1p(-1): +-inf.
+        with np.errstate(divide="ignore"):
+            expected = _legacy_sample(dists, n_samples, legacy_rng)
+            actual = build_sampling_plan(dists).sample(n_samples, rng)
+        assert_same_bits(actual, expected)
+        assert rng.bit_generator.state == legacy_rng.bit_generator.state

@@ -3,6 +3,8 @@ objects) — S20-S21."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -444,6 +446,53 @@ class TestTypedInputErrors:
         self._raises_before_drawing(
             lambda rng: make_blobs_uncertain(**kwargs, seed=rng), match=match
         )
+
+    _SHAPES = {
+        make_blobs_uncertain: dict(n_objects=20, n_clusters=2),
+        make_classification_like: dict(n_objects=20, n_attributes=2, n_classes=2),
+        make_probe_level_dataset: dict(n_genes=20, n_tissues=3, n_modules=2),
+    }
+
+    @pytest.mark.parametrize(
+        "build, name, value, expected",
+        [
+            pytest.param(*case, id=f"{case[1]}={case[2]!r}")
+            for case in [
+                (make_blobs_uncertain, "uncertainty_std", None, "a real number, got None"),
+                (make_blobs_uncertain, "uncertainty_std", "x", "a real number, got 'x'"),
+                (make_blobs_uncertain, "uncertainty_std", np.nan, "finite, got nan"),
+                (make_blobs_uncertain, "uncertainty_std", np.inf, "finite, got inf"),
+                (make_blobs_uncertain, "uncertainty_std", 0.0, "> 0, got 0.0"),
+                (make_blobs_uncertain, "uncertainty_std", -1.0, "> 0, got -1.0"),
+                (make_classification_like, "outlier_rate", None, "a real number, got None"),
+                (make_classification_like, "outlier_rate", "x", "a real number, got 'x'"),
+                (make_classification_like, "outlier_rate", np.nan, "finite, got nan"),
+                (make_classification_like, "outlier_rate", -0.1, ">= 0, got -0.1"),
+                (make_classification_like, "outlier_rate", 1.0, "in [0, 1), got 1.0"),
+                (make_probe_level_dataset, "base_level", None, "a real number, got None"),
+                (make_probe_level_dataset, "base_level", "x", "a real number, got 'x'"),
+                (make_probe_level_dataset, "base_level", np.nan, "finite, got nan"),
+                (make_probe_level_dataset, "base_level", -np.inf, "finite, got -inf"),
+                (make_probe_level_dataset, "noise_floor", None, "a real number, got None"),
+                (make_probe_level_dataset, "noise_floor", np.nan, "finite, got nan"),
+                (make_probe_level_dataset, "noise_floor", 0.0, "> 0, got 0.0"),
+                (make_probe_level_dataset, "noise_slope", None, "a real number, got None"),
+                (make_probe_level_dataset, "noise_slope", np.inf, "finite, got inf"),
+                (make_probe_level_dataset, "noise_slope", -0.5, ">= 0, got -0.5"),
+            ]
+        ],
+    )
+    def test_real_valued_knobs(self, build, name, value, expected):
+        """Checked, and named, before the first draw."""
+        self._raises_before_drawing(
+            lambda rng: build(**self._SHAPES[build], **{name: value}, seed=rng),
+            match=re.escape(f"{name} must be {expected}"),
+        )
+
+    def test_zero_noise_slope_accepted(self):
+        """Every cell's probe std is then the noise floor."""
+        data = make_probe_level_dataset(20, 3, 2, noise_slope=0.0, seed=1)
+        np.testing.assert_allclose(data.sigma2_matrix, data.sigma2_matrix[0, 0], rtol=1e-9)
 
     @pytest.mark.parametrize(
         "build, match",

@@ -8,6 +8,7 @@ the pdf itself is checked to integrate to 1 over its support (Eq. (1)).
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro.exceptions import InvalidParameterError
 from repro.uncertainty import (
     PointMassDistribution,
+    TriangularDistribution,
     TruncatedExponentialDistribution,
     TruncatedNormalDistribution,
     UniformDistribution,
@@ -241,6 +243,67 @@ class TestPointMass:
         dist = PointMassDistribution(2.0)
         assert dist.cdf(np.array([1.9]))[0] == 0.0
         assert dist.cdf(np.array([2.0]))[0] == 1.0
+
+
+#: Each constructor and factory of the batched families, valid keyword
+#: arguments, and the parameters that may be infinite.
+_BUILDERS = [
+    (UniformDistribution, dict(lower=0.0, upper=1.0), ()),
+    (UniformDistribution.centered, dict(center=0.0, half_width=1.0), ()),
+    (
+        TruncatedNormalDistribution,
+        dict(loc=0.0, scale=1.0, lower=-1.0, upper=1.0),
+        ("lower", "upper"),
+    ),
+    (
+        TruncatedNormalDistribution.central_mass,
+        dict(loc=0.0, scale=1.0, mass=0.95),
+        (),
+    ),
+    (
+        TruncatedExponentialDistribution,
+        dict(origin=0.0, rate=1.0, cutoff=2.0, direction=1),
+        ("cutoff",),
+    ),
+    (
+        TruncatedExponentialDistribution.with_mean,
+        dict(mean=0.0, rate=1.0, direction=1, mass=0.95),
+        (),
+    ),
+    (TriangularDistribution, dict(lower=0.0, mode=0.5, upper=1.0), ()),
+    (TriangularDistribution.symmetric, dict(center=0.0, half_width=1.0), ()),
+    (PointMassDistribution, dict(value=0.0), ()),
+]
+
+
+def _bad_arguments():
+    for build, kwargs, unbounded in _BUILDERS:
+        for name in kwargs:
+            infinite = [] if name in unbounded else [np.inf, -np.inf]
+            for value in [None, "x", np.nan, *infinite]:
+                yield pytest.param(
+                    build,
+                    {**kwargs, name: value},
+                    name,
+                    id=f"{build.__qualname__}-{name}={value!r}",
+                )
+    with_mean = TruncatedExponentialDistribution.with_mean
+    yield pytest.param(
+        with_mean, dict(mean=0.0, rate=0.0), "rate", id="with_mean-rate=0.0"
+    )
+
+
+@pytest.mark.parametrize("build, kwargs, name", list(_bad_arguments()))
+def test_bad_argument_raises_typed_error(build, kwargs, name):
+    """A typed error naming the parameter and the value, never a raw
+    ``TypeError``, ``ValueError`` or ``ZeroDivisionError``, and no pdf
+    with a NaN or infinite parameter."""
+    value = kwargs[name]
+    shown = repr(value) if isinstance(value, str) else str(value)
+    with pytest.raises(
+        InvalidParameterError, match=rf"^{name} must be .*, got {re.escape(shown)}$"
+    ):
+        build(**kwargs)
 
 
 def test_import_leaves_quadrature_unloaded():
